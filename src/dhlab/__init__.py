@@ -21,7 +21,8 @@ from .norms import (MomentReport, QuadrupleCount, count_quadruples,
                     exp_sum_gap_l2, kernel_moment, moment_integral,
                     selberg_integral)
 from .primes import PrimeTable, SumRange, primes_in_range, sieve, theta
-from .solver import (ProblemInstance, SolutionRecord, enumerate_solutions,
-                     main_term_scan, solution_integral, weighted_count)
+from .solver import (ProblemInstance, SolutionRecord, Solutions,
+                     enumerate_solutions, main_term_scan, solution_integral,
+                     weighted_count)
 
 __version__ = "0.1.0"

@@ -19,9 +19,9 @@ comes from.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,11 +69,9 @@ def fejer_kernel_hat(alpha, params) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# frequency/weight assembly (with a small cache keyed on window identity)
-
-_freq_cache: OrderedDict = OrderedDict()
-_FREQ_CACHE_MAX = 64
-
+# frequency/weight assembly, cached per window: prime ensembles on their
+# PrimeTable, so they live exactly as long as it does; integer ensembles,
+# which need no table, on (window, scale)
 
 def sum_freqs(kind: str, rng: SumRange, table: PrimeTable | None = None,
               scale: float = 1.0):
@@ -83,21 +81,27 @@ def sum_freqs(kind: str, rng: SumRange, table: PrimeTable | None = None,
     kind 'integer': frequencies scale*n**k, unit weights.
     Frequencies are hi/lo pairs so non-integer powers keep ~32 digits.
     """
-    if kind not in ("prime", "integer"):
-        raise ValueError(f"unknown kind {kind!r}")
-    key = (kind, rng, id(table) if kind == "prime" else None, float(scale))
-    hit = _freq_cache.get(key)
-    if hit is not None:
-        _freq_cache.move_to_end(key)
-        return hit
-
     if kind == "prime":
-        ns, weights = window_arrays(rng, table)
-        weights = np.array(weights, dtype=np.float64)
-    else:
-        ns = integers_in_range(rng)
-        weights = np.ones(len(ns), dtype=np.float64)
+        key = (rng, float(scale))
+        out = table.freq_cache.get(key)
+        if out is None:
+            ns, weights = window_arrays(rng, table)
+            out = _assemble_freqs(ns, np.array(weights, dtype=np.float64),
+                                  rng, float(scale))
+            table.freq_cache[key] = out
+        return out
+    if kind == "integer":
+        return _integer_freqs(rng, float(scale))
+    raise ValueError(f"unknown kind {kind!r}")
 
+
+@functools.lru_cache(maxsize=64)
+def _integer_freqs(rng: SumRange, scale: float):
+    ns = integers_in_range(rng)
+    return _assemble_freqs(ns, np.ones(len(ns), dtype=np.float64), rng, scale)
+
+
+def _assemble_freqs(ns, weights, rng: SumRange, scale: float):
     if float(rng.k).is_integer():
         powers = ns.astype(object) ** int(rng.k) if rng.X >= 2**53 else ns ** int(rng.k)
         fh = np.asarray(powers, dtype=np.float64)
@@ -108,13 +112,8 @@ def sum_freqs(kind: str, rng: SumRange, table: PrimeTable | None = None,
         for i, n in enumerate(ns):
             fh[i], fl[i] = pow_dd(float(n), rng.k)
     if scale != 1.0:
-        fh, fl = dd_scale(fh, fl, float(scale))
-
-    out = (fh, fl, weights)
-    _freq_cache[key] = out
-    if len(_freq_cache) > _FREQ_CACHE_MAX:
-        _freq_cache.popitem(last=False)
-    return out
+        fh, fl = dd_scale(fh, fl, scale)
+    return fh, fl, weights
 
 
 def _eval_terms(fh, fl, weights, alpha: float, alpha_lo: float = 0.0) -> complex:

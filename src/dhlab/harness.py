@@ -548,8 +548,7 @@ def run_theorem_experiment(config: ExperimentConfig,
         etas = [(f"t*2^{j}", d.eta * 2.0**j) for j in config.eta_grid]
         eta_max = max(e for _, e in etas)
         sols = enumerate_solutions(inst, float(X), eta_max, table)
-        residuals = np.array([s.residual for s in sols]) if sols else np.empty(0)
-        weights = np.array([s.weight for s in sols]) if sols else np.empty(0)
+        residuals, weights = sols.residual, sols.weight
 
         duality_eta = d.eta
         duality_gap = tail = None
@@ -571,7 +570,8 @@ def run_theorem_experiment(config: ExperimentConfig,
             sample = None
             if count:
                 best = int(np.argmin(np.where(inside, residuals, np.inf)))
-                sample = sols[best].triple
+                sample = (int(sols.p1[best]), int(sols.p2[best]),
+                          int(sols.p3[best]))
             status = "PASS"
             note = base_note
             if kind == "t*2^0" and duality_gap is not None:

@@ -18,7 +18,7 @@ from mpmath import mp
 
 from .errors import DomainError, GridStepError, InsufficientTableError
 from .expsums import eval_grid, fejer_kernel, iter_grid_values, sum_freqs
-from .primes import PrimeTable, SumRange, theta_many, window_arrays
+from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 

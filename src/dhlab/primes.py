@@ -23,12 +23,17 @@ SEGMENT = 1 << 18  # fixed segment size: cache friendly, deterministic
 
 @dataclass(eq=False)
 class PrimeTable:
-    """All primes up to `limit`, ascending, with cached log machinery."""
+    """All primes up to `limit`, ascending, with cached log machinery.
+
+    `freq_cache` holds the frequency ensembles `expsums.sum_freqs` built
+    from this table, keyed by (SumRange, scale).
+    """
 
     limit: int
     primes: np.ndarray
     _logs: np.ndarray | None = field(default=None, repr=False)
     _cumlog: np.ndarray | None = field(default=None, repr=False)
+    freq_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def logs(self) -> np.ndarray:

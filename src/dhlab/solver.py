@@ -5,9 +5,12 @@ prime triple (p1, p2, p3) inside the summation windows with
 
     |l1 p1 + l2 p2 + l3 p3^k - omega| <= eta.
 
-Residuals are rechecked in 50-digit arithmetic at admission (float64 only
-prefilters candidates), with a 1e-14 * eta guard band flagging records that
-sit essentially on the boundary.  By Fourier inversion the weighted count
+Admission is a filtered-exact decision: float64 windows propose candidates,
+their residuals are formed in double-double under a certified error bound,
+and only the candidates that bound leaves undecided are rechecked in 50-digit
+arithmetic, so the admitted set and stored residuals are those of a 50-digit
+enumeration.  A 1e-14 * eta guard band flags records that sit essentially on
+the boundary.  By Fourier inversion the weighted count
 sum(w * max(0, eta - residual)) equals the real-line integral of
 S1(l1 a) S1(l2 a) Sk(l3 a) K_eta(a) e(-omega a), which `solution_integral`
 approximates on a finite interval; the pair is the package's central
@@ -17,7 +20,7 @@ correctness check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
@@ -25,7 +28,7 @@ from mpmath import mp
 from .arcs import choose_parameters
 from .errors import GridStepError
 from .expsums import fejer_kernel, iter_grid_values, prime_exp_sum, sum_freqs
-from .precision import phase_frac
+from .precision import dd_from_mpf, phase_frac, two_prod, two_sum
 from .primes import PrimeTable, SumRange, window_arrays
 
 _TWO_PI_I = 2j * np.pi
@@ -87,6 +90,40 @@ class SolutionRecord:
         return (self.p1, self.p2, self.p3)
 
 
+@dataclass(frozen=True, eq=False)
+class Solutions:
+    """Admitted triples as columns, in (p3, p1, p2) order.
+
+    `candidates` counts the triples the float64 windows proposed, and
+    `exact_fallbacks` those of them the double-double bound left undecided,
+    which the 50-digit path then decided.  Iterating yields SolutionRecords.
+    """
+
+    p1: np.ndarray
+    p2: np.ndarray
+    p3: np.ndarray
+    residual: np.ndarray
+    weight: np.ndarray
+    boundary: np.ndarray
+    candidates: int = 0
+    exact_fallbacks: int = 0
+
+    @classmethod
+    def empty(cls) -> "Solutions":
+        ints = np.empty(0, dtype=np.int64)
+        floats = np.empty(0, dtype=np.float64)
+        return cls(ints, ints, ints, floats, floats, np.empty(0, dtype=bool))
+
+    def __len__(self) -> int:
+        return len(self.p1)
+
+    def __iter__(self):
+        cols = (self.p1, self.p2, self.p3, self.residual, self.weight,
+                self.boundary)
+        for row in zip(*(c.tolist() for c in cols)):
+            yield SolutionRecord(*row)
+
+
 def _mp_lambdas(instance: ProblemInstance):
     return (mp.mpf(instance.lambda1), mp.mpf(instance.lambda2),
             mp.mpf(instance.lambda3), mp.mpf(instance.omega))
@@ -98,36 +135,97 @@ def _p3_power_mp(p3: int, k: float):
     return mp.power(int(p3), mp.mpf(k))
 
 
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag):
+    """Residuals l1 p1 + l2 p2 + base as (r_hi, err), |R - r_hi| <= err.
+
+    l1 p1 = a1_hi + a1_lo and l2 p2 = a2_hi + a2_lo exactly (two_prod);
+    `base` is the 50-digit l3 p3^k - omega; `mag` bounds |l1 p1| + |l2 p2|.
+    R is the residual the 50-digit path computes, (l1 p1 + base) + l2 p2
+    rounded to 169 bits per operation.  Callers add eta into `mag`, so that
+    err also covers the 169-bit rounding of |R| - eta in the band test.
+
+    The bound: base splits as bh + bl with |base - bh - bl| <= u^2 |bh|
+    (u = 2^-53), and two_sum makes a1_hi + a2_hi + bh = s2 + e1 + e2 exactly
+    with |e1| <= u|s1|, |e2| <= u|s2|.  The five low parts are summed in
+    float64, erring by at most gamma_4 = 4u/(1-4u) times their magnitude,
+    itself at most 3u(1+3u) M with M = mag + |bh|.  So r_hi + r_lo lies
+    within 13.01 u^2 M of l1 p1 + l2 p2 + base, and R within 2^-167 M of
+    that.  err = |r_lo| + 16 u^2 M covers both, with the slack absorbing the
+    float64 rounding of err itself.
+    """
+    b_hi, b_lo = dd_from_mpf(base)
+    s1, e1 = two_sum(a1_hi, a2_hi)
+    s2, e2 = two_sum(s1, b_hi)
+    r_hi, r_lo = two_sum(s2, (a1_lo + a2_lo) + (b_lo + (e1 + e2)))
+    return r_hi, np.abs(r_lo) + 16.0 * _U * _U * (mag + abs(b_hi))
+
+
+def _certify(r_hi, err, eta, band_hi, band_lo):
+    """(admit, boundary, decided) for residuals known as |R - r_hi| <= err.
+
+    Where `decided`, admit is |R| <= eta, boundary is
+    |R| >= eta - (band_hi + band_lo) on admitted entries, and float(|R|) is
+    |r_hi|, for every such R.  Each test demands a margin of twice the
+    uncertainty, which also covers the float64 rounding of the margins.
+    """
+    res = np.abs(r_hi)
+    gap = eta - res  # exact wherever it is small (Sterbenz)
+    over_band = gap - band_hi
+    admit = gap > 0
+    band_tol = 2.0 * (err + abs(band_lo) + 2.0 * _U * np.abs(gap))
+    # |r_hi| is the correctly rounded |R| when R cannot reach a midpoint;
+    # the gap below a power of two is the smaller one
+    half_ulp = 0.5 * (res - np.nextafter(res, 0.0))
+    decided = (np.abs(gap) > 2.0 * err) & (
+        ~admit | (np.abs(over_band) > band_tol) & (err < half_ulp))
+    return admit, over_band <= 0, decided
+
+
 def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
-                        table: PrimeTable) -> list[SolutionRecord]:
+                        table: PrimeTable) -> Solutions:
     """All ordered triples with residual <= eta, in (p3, p1, p2) order.
 
     For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta; the
-    sorted values l2 p2 are binary-searched per p1.  Candidate windows are
-    widened by the float64 error bound, then every candidate is admitted or
-    rejected on its 50-digit residual.
+    sorted values l2 p2 are binary-searched per p1, in windows widened by
+    the float64 error bound.  Every candidate's residual is then formed in
+    double-double, and three decisions are taken on it under the certified
+    bound of `_dd_residuals`: admission (residual <= eta), the guard-band flag
+    (|residual - eta| <= 1e-14 eta) and the correct rounding of the stored
+    float residual.  A candidate that any of them leaves undecided is
+    decided on its 50-digit residual, so the result equals a 50-digit
+    enumeration exactly.
     """
     lin = instance.linear_range(X)
     pw = instance.power_range(X)
     p1s, logs1 = window_arrays(lin, table)
     p3s, logs3 = window_arrays(pw, table)
     if len(p1s) == 0 or len(p3s) == 0:
-        return []
+        return Solutions.empty()
     l1, l2, l3 = instance.lambdas
     omega = instance.omega
 
-    vals2 = l2 * p1s.astype(np.float64)
+    ps = p1s.astype(np.float64)
+    a1, a1_lo = two_prod(l1, ps)
+    vals2, vals2_lo = two_prod(l2, ps)
     order = np.argsort(vals2, kind="stable")
     sorted2 = vals2[order]
+    sorted2_lo = vals2_lo[order]
 
     L1, L2, L3, OM = _mp_lambdas(instance)
     slack = 64.0 * np.finfo(np.float64).eps * (
         (abs(l1) + abs(l2) + abs(l3)) * float(X) + abs(omega)
     )
     lo_shift = eta + slack
+    eta_mp = mp.mpf(eta)
+    band = mp.mpf(BOUNDARY_BAND) * eta_mp
+    band_hi, band_lo = two_prod(BOUNDARY_BAND, eta)  # == band, exactly
+    lin_mag = (abs(l1) + abs(l2)) * float(p1s[-1]) + eta
 
-    a1 = l1 * p1s.astype(np.float64)
-    out: list[SolutionRecord] = []
+    cols = []
+    candidates = fallbacks = 0
     for p3, lg3 in zip(p3s, logs3):
         t = omega - l3 * float(p3) ** instance.k
         lows = t - a1 - lo_shift
@@ -138,30 +236,45 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
         hit = np.nonzero(counts > 0)[0]
         if len(hit) == 0:
             continue
-        p3k_mp = _p3_power_mp(int(p3), instance.k)
-        base = L3 * p3k_mp - OM
-        eta_mp = mp.mpf(eta)
-        band = mp.mpf(BOUNDARY_BAND) * eta_mp
-        for i in hit:
-            p1 = int(p1s[i])
+        counts = counts[hit]
+        i = np.repeat(hit, counts)
+        j = np.arange(len(i)) + np.repeat(i_lo[hit] - (np.cumsum(counts) - counts),
+                                          counts)
+        base = L3 * _p3_power_mp(int(p3), instance.k) - OM
+        r_hi, err = _dd_residuals(a1[i], a1_lo[i], sorted2[j], sorted2_lo[j],
+                                  base, lin_mag)
+        admit, boundary, decided = _certify(r_hi, err, eta, band_hi, band_lo)
+        res = np.abs(r_hi)
+        undecided = np.nonzero(~decided)[0]
+        for c in undecided:
+            p1 = int(p1s[i[c]])
+            p2 = int(p1s[order[j[c]]])
             part = L1 * p1 + base
-            for j in range(i_lo[i], i_hi[i]):
-                p2 = int(p1s[order[j]])
-                res = abs(part + L2 * p2)
-                if res <= eta_mp:
-                    out.append(SolutionRecord(
-                        p1=p1, p2=p2, p3=int(p3),
-                        residual=float(res),
-                        weight=float(logs1[i] * logs1[order[j]] * lg3),
-                        boundary=bool(abs(res - eta_mp) <= band),
-                    ))
-    out.sort(key=lambda r: (r.p3, r.p1, r.p2))
-    return out
+            exact = abs(part + L2 * p2)
+            admit[c] = bool(exact <= eta_mp)
+            if admit[c]:
+                res[c] = float(exact)
+                boundary[c] = bool(abs(exact - eta_mp) <= band)
+        candidates += len(i)
+        fallbacks += len(undecided)
+
+        keep = np.nonzero(admit)[0]
+        i1 = i[keep]
+        i2 = order[j[keep]]
+        cols.append((p1s[i1], p1s[i2], np.full(len(keep), p3), res[keep],
+                     logs1[i1] * logs1[i2] * lg3, boundary[keep]))
+    if not cols:
+        return Solutions.empty()
+    p1, p2, p3, res, weight, boundary = (np.concatenate(c) for c in zip(*cols))
+    srt = np.lexsort((p2, p1, p3))
+    return Solutions(p1[srt], p2[srt], p3[srt], res[srt], weight[srt],
+                     boundary[srt], candidates=candidates,
+                     exact_fallbacks=fallbacks)
 
 
-def weighted_count(solutions: list[SolutionRecord], eta: float) -> float:
+def weighted_count(solutions: Solutions, eta: float) -> float:
     """sum of weight * max(0, eta - residual) over the records."""
-    return math.fsum(r.weight * max(0.0, eta - r.residual) for r in solutions)
+    return math.fsum(solutions.weight * np.maximum(0.0, eta - solutions.residual))
 
 
 def duality_tail_bound(instance: ProblemInstance, X: float, B: float,
@@ -288,11 +401,13 @@ def main_term_scan(instance: ProblemInstance, X_list, table: PrimeTable,
     return MainTermScan(rows=rows, bounded_below=bounded)
 
 
-def write_solutions_csv(path, solutions: list[SolutionRecord]) -> None:
+def write_solutions_csv(path, solutions: Solutions) -> None:
     import csv
 
+    s = solutions
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["p1", "p2", "p3", "residual", "weight"])
-        for r in solutions:
-            out.writerow([r.p1, r.p2, r.p3, repr(r.residual), repr(r.weight)])
+        for p1, p2, p3, res, w in zip(s.p1.tolist(), s.p2.tolist(), s.p3.tolist(),
+                                      s.residual.tolist(), s.weight.tolist()):
+            out.writerow([p1, p2, p3, repr(res), repr(w)])

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from dhlab.errors import PhaseBudgetError
+from dhlab.errors import InsufficientTableError, PhaseBudgetError
 from dhlab.expsums import (KernelParams, eval_grid, eval_points, fejer_kernel,
                            fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, prime_exp_sum, sum_freqs)
-from dhlab.primes import SumRange, theta
+from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
 
 def test_prime_sum_at_zero(table_1e6):
@@ -195,3 +195,16 @@ def test_eval_points_matches_point_eval(table_1e6):
         assert v == pytest.approx(
             prime_exp_sum(float(a), rng, table_1e6, scale=-math.sqrt(2)), rel=1e-12
         )
+
+
+def test_freq_cache_dies_with_its_table():
+    # a table built right after another is freed may reuse its id; cached
+    # frequencies of the freed table must not answer for the new one
+    rng = SumRange(1, 0.5, 10000)
+    big = sieve(20000)
+    prime_exp_sum(0.1, rng, big)
+    small_primes = big.primes[big.primes <= 100].copy()
+    del big
+    small = PrimeTable(100, small_primes)
+    with pytest.raises(InsufficientTableError):
+        prime_exp_sum(0.1, rng, small)
