@@ -56,21 +56,19 @@ def _echo_json(obj) -> None:
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               help="Output directory for CSV/JSON artifacts.")
 @click.option("--seed", type=int, default=None, help="Override config seed.")
-@click.option("--threads", type=int, default=None,
-              help="Worker threads for experiment fan-out.")
 @click.pass_context
-def main(ctx, config_path, out_dir, seed, threads):
+def main(ctx, config_path, out_dir, seed):
     """Numerical experiments around a three-prime Diophantine inequality."""
     ctx.ensure_object(dict)
-    ctx.obj.update(config=config_path, out=out_dir, seed=seed, threads=threads)
+    ctx.obj.update(config=config_path, out=out_dir, seed=seed)
 
 
 def _load_config(ctx) -> harness.ExperimentConfig:
-    overrides = {"seed": ctx.obj.get("seed"), "threads": ctx.obj.get("threads")}
+    seed = ctx.obj.get("seed")
     path = ctx.obj.get("config")
     if path:
-        return harness.ExperimentConfig.from_json(path, **overrides)
-    return harness.ExperimentConfig.from_dict({}, **overrides)
+        return harness.ExperimentConfig.from_json(path, seed=seed)
+    return harness.ExperimentConfig.from_dict({}, seed=seed)
 
 
 def _out_path(ctx, name: str) -> str:

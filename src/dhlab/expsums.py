@@ -25,11 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PhaseBudgetError, QuadratureError
+from .errors import DomainError, GridStepError, PhaseBudgetError, QuadratureError
 from .precision import dd_add, dd_scale, phase_frac, pow_dd, two_prod
 from .primes import PrimeTable, SumRange, integers_in_range, window_arrays
 
 RESYNC = 1024  # max steps between extended-precision phase resyncs
+GRID_BLOCK = 1 << 16  # points per block yielded by iter_grid_values
+# rows per grid matrix product: as many as keep terms x rows within
+# _PRODUCT_TERMS, and never fewer than _PRODUCT_ROWS (bounds its memory)
+_PRODUCT_TERMS = 1 << 20
+_PRODUCT_ROWS = 64
 PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
 
 _TWO_PI_I = 2j * np.pi
@@ -256,24 +261,17 @@ def _check_budget(fh, alpha0: float, step: float, count: int) -> None:
         )
 
 
-def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int,
-                     row_chunk: int = 64):
+def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
     """Yield (start_index, values) blocks of the grid sum, in index order.
 
-    Every yielded block is contiguous; concatenating them reproduces the
-    full grid.  Summation order within a block is fixed (ascending term),
-    so results are reproducible for a fixed block plan.
+    Every block holds GRID_BLOCK points (the last one the remainder),
+    whatever the row size, so generators over different ensembles on the
+    same grid yield aligned blocks; a row that straddles a block edge is
+    evaluated for both blocks.  Summation order within a row is fixed
+    (ascending term), so results are reproducible.
     """
     _check_budget(fh, alpha0, step, count)
     n_terms = len(fh)
-    if n_terms == 0:
-        done = 0
-        while done < count:
-            m = min(count - done, 1 << 16)
-            yield done, np.zeros(m, dtype=np.complex128)
-            done += m
-        return
-
     B = _plan_block(count, n_terms)
     rot = np.exp(_TWO_PI_I * phase_frac(fh, fl, step))
     V = np.empty((n_terms, B), dtype=np.complex128)
@@ -281,16 +279,61 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int,
     for b in range(1, B):
         np.multiply(V[:, b - 1], rot, out=V[:, b])
 
-    nrows = -(-count // B)
-    for r0 in range(0, nrows, row_chunk):
-        r1 = min(r0 + row_chunk, nrows)
-        bases = alpha0 + (np.arange(r0, r1) * B) * step
-        phases = phase_frac(fh[:, None], fl[:, None], bases[None, :])
-        U = weights[:, None] * np.exp(_TWO_PI_I * phases)
-        S = U.T @ V
-        start = r0 * B
-        stop = min(count, r1 * B)
-        yield start, S.ravel()[: stop - start]
+    rows = max(_PRODUCT_ROWS, _PRODUCT_TERMS // max(1, n_terms))
+    for start in range(0, count, GRID_BLOCK):
+        stop = min(count, start + GRID_BLOCK)
+        r_first, r_end = start // B, -(-stop // B)
+        products = []
+        for r0 in range(r_first, r_end, rows):
+            bases = alpha0 + (np.arange(r0, min(r0 + rows, r_end)) * B) * step
+            phases = phase_frac(fh[:, None], fl[:, None], bases[None, :])
+            U = weights[:, None] * np.exp(_TWO_PI_I * phases)
+            products.append((U.T @ V).ravel())
+        S = products[0] if len(products) == 1 else np.concatenate(products)
+        yield start, S[start - r_first * B : stop - r_first * B]
+
+
+def trapezoid_step(lo: float, hi: float, max_step: float,
+                   step: float | None = None) -> tuple[int, float]:
+    """Panel count n and actual step (hi - lo) / n for a trapezoid over
+    [lo, hi] whose step may not exceed `max_step` (its default)."""
+    if hi <= lo:
+        raise DomainError(f"empty interval [{lo}, {hi}]")
+    if step is None:
+        step = max_step
+    elif step > max_step * (1 + 1e-12):
+        raise GridStepError(
+            f"step {step:.3e} too coarse; the window requires <= {max_step:.3e}"
+        )
+    n = max(1, math.ceil((hi - lo) / step))
+    return n, (hi - lo) / n
+
+
+def trapezoid(ensembles, lo: float, h: float, count: int, f) -> float | complex:
+    """Trapezoid rule with step h over the nodes lo + j*h, j < count, of
+    f(alphas, *sums), where sums holds the grid values of each
+    (freq_hi, freq_lo, weights) ensemble at those nodes.
+
+    Blocks are summed with np.sum and the block sums reduced with math.fsum
+    (real and imaginary parts apart for a complex integrand), so the result
+    depends on the grid alone, not on the row plan of any ensemble.
+    """
+    gens = [iter_grid_values(*e, lo, h, count) for e in ensembles]
+    sums, ends = [], []
+    for blocks in zip(*gens):
+        start = blocks[0][0]
+        vals = [b for _, b in blocks]
+        y = f(lo + (start + np.arange(len(vals[0]))) * h, *vals)
+        sums.append(np.sum(y))
+        if start == 0:
+            ends.append(y[0])
+        if start + len(y) == count:
+            ends.append(y[-1])
+    end = 0.5 * ends[0] + 0.5 * ends[1]
+    if np.iscomplexobj(end):
+        return complex((math.fsum(s.real for s in sums) - end.real) * h,
+                       (math.fsum(s.imag for s in sums) - end.imag) * h)
+    return float((math.fsum(sums) - end) * h)
 
 
 def eval_points(fh, fl, weights, alphas: np.ndarray) -> np.ndarray:
@@ -321,7 +364,7 @@ def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,
     fh, fl, w = sum_freqs(kind, rng, table, scale)
     _check_budget(fh, alpha0, step, count)
     values = np.empty(count, dtype=np.complex128)
-    B = _plan_block(count, len(fh)) if len(fh) else RESYNC
+    B = _plan_block(count, len(fh))
     for start, block in iter_grid_values(fh, fl, w, alpha0, step, count):
         values[start : start + len(block)] = block
     return SpectrumGrid(alpha0=alpha0, step=step, count=count, values=values,

@@ -17,8 +17,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,21 +35,6 @@ from .solver import (ProblemInstance, duality_tail_bound, enumerate_solutions,
                      solution_integral)
 
 GROWTH_SLACK_EXP = 0.1  # allowed ratio growth per step: X^0.1
-
-CHECKS = (
-    "gap_l2",
-    "selberg_envelope",
-    "quadruple_count",
-    "fourth_moment",
-    "second_moment",
-    "rational_point_sum",
-    "small_alpha_sum",
-    "witness_residual",
-    "weighted_second_moment",
-    "weighted_fourth_moment",
-    "eighth_moment_cubes",
-    "large_values_measure",
-)
 
 LEMMA_COLUMNS = ["check", "X", "k", "eta", "value", "bound", "ratio",
                  "growth", "allowed_growth", "status", "note"]
@@ -78,7 +65,6 @@ class ExperimentConfig:
     duality_max_x: float = 2000.0
     witness_trials: int = 64
     seed: int = 0
-    threads: int = 1
 
     @staticmethod
     def from_json(path, **overrides) -> "ExperimentConfig":
@@ -88,11 +74,14 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict, **overrides) -> "ExperimentConfig":
+        """Config from a JSON object; unknown keys raise a DhlabError."""
         raw = dict(raw)
         inst = raw.pop("instance", None)
+        _reject_unknown(ExperimentConfig, raw, "config")
         cfg = ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
                                   for k, v in raw.items()})
         if inst is not None:
+            _reject_unknown(ProblemInstance, inst, "instance")
             cfg = replace(cfg, instance=ProblemInstance(**inst))
         clean = {k: v for k, v in overrides.items() if v is not None}
         if clean:
@@ -100,24 +89,13 @@ class ExperimentConfig:
         return cfg
 
     def to_json(self) -> dict:
-        d = {
-            "instance": {
-                "lambda1": self.instance.lambda1,
-                "lambda2": self.instance.lambda2,
-                "lambda3": self.instance.lambda3,
-                "k": self.instance.k,
-                "omega": self.instance.omega,
-                "delta": self.instance.delta,
-                "epsilon": self.instance.epsilon,
-            },
-        }
-        for name in ("x_values", "hua_x", "envelope_x", "envelope_k", "cap",
-                     "gamma", "gap_y", "tau", "measure_y", "measure_samples",
-                     "measure_z_exp", "eta_grid", "duality_max_x",
-                     "witness_trials", "seed", "threads"):
-            v = getattr(self, name)
-            d[name] = list(v) if isinstance(v, tuple) else v
-        return d
+        return asdict(self)
+
+
+def _reject_unknown(cls, raw: dict, what: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise DhlabError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 @dataclass
@@ -210,185 +188,170 @@ def _window_empty(rng, table) -> bool:
     return len(window_arrays(rng, table)[0]) == 0
 
 
-def _suite_gap_l2(cfg, table) -> list[CheckRow]:
-    rows = []
+# Row functions: (cfg, table, X) -> the fields of one CheckRow besides the
+# check name and X.  Pass rules annotate a check's rows in place.
+
+def _skip(k: float, note: str) -> dict:
+    return dict(k=k, eta=None, value=0.0, bound=0.0, ratio=math.nan,
+                status="SKIP", note=note)
+
+
+def _gap_l2(cfg, table, X) -> dict:
     inst = cfg.instance
-    for X in cfg.x_values:
-        rng = inst.power_range(X)
-        if _window_empty(rng, table):
-            rows.append(CheckRow("gap_l2", X, inst.k, None, 0.0, 0.0, math.nan,
-                                 status="SKIP", note="empty prime window"))
-            continue
-        r = exp_sum_gap_l2(cfg.gap_y, rng, table)
-        rows.append(CheckRow("gap_l2", X, inst.k, None, r.value, r.bound, r.ratio))
-    _growth_status(rows)
-    return rows
+    rng = inst.power_range(X)
+    if _window_empty(rng, table):
+        return _skip(inst.k, "empty prime window")
+    r = exp_sum_gap_l2(cfg.gap_y, rng, table)
+    return dict(k=inst.k, eta=None, value=r.value, bound=r.bound, ratio=r.ratio)
 
 
-def _suite_selberg_envelope(cfg, table) -> list[CheckRow]:
+def _selberg_envelope(cfg, table, X) -> dict:
     # the linear-window default (envelope_k = 1) averages over thousands of
     # prime gaps per scale; higher k is desk-scale noise
-    rows = []
     k = cfg.envelope_k
-    prev_ratio = None
-    for X in cfg.envelope_x:
-        h = X ** (1.0 - 5.0 / (6.0 * k) + 0.05)
-        rng = SumRange(k, cfg.instance.delta, X)
-        val = selberg_integral(rng, h, table)
-        scale = h * h * X ** (2.0 / k - 1.0)
-        ratio = val / scale
-        row = CheckRow("selberg_envelope", X, k, None, val, scale, ratio)
-        if prev_ratio is not None and ratio > prev_ratio * (1.0 + 1e-9):
+    h = X ** (1.0 - 5.0 / (6.0 * k) + 0.05)
+    val = selberg_integral(SumRange(k, cfg.instance.delta, X), h, table)
+    scale = h * h * X ** (2.0 / k - 1.0)
+    return dict(k=k, eta=None, value=val, bound=scale, ratio=val / scale)
+
+
+def _quadruples(cfg, table, X) -> dict:
+    k = cfg.instance.k
+    N = int(X ** (1.0 / k))
+    if N < 2:
+        return _skip(k, "window too small")
+    qc = count_quadruples(N, k, cfg.gamma)
+    bound = (X ** (2.0 / k) + cfg.gamma * X ** (4.0 / k - 1.0)) * X**0.1
+    return dict(k=k, eta=None, value=float(qc.count), bound=bound,
+                ratio=qc.count / bound)
+
+
+def _moment(p: int, cfg, table, X) -> dict:
+    inst = cfg.instance
+    r = moment_integral("Sk", p, (-cfg.tau, cfg.tau), inst.power_range(X), table)
+    return dict(k=inst.k, eta=None, value=r.value, bound=r.bound, ratio=r.ratio)
+
+
+def _rational_point(cfg, table, X) -> dict:
+    val = vaughan_ratio(1.0 / 3.0, 1, 3, cfg.instance.power_range(X), table)
+    return dict(k=1.0, eta=None, value=val, bound=1.0, ratio=val)
+
+
+def _small_alpha(cfg, table, X) -> dict:
+    f = sum_freqs("prime", cfg.instance.linear_range(X), table)
+    alphas = np.geomspace(1.0 / X, X ** (-3.0 / 5.0), 16)
+    mags = np.abs(eval_points(*f, alphas))
+    bounds = X**0.5 * alphas**-0.5 * math.log(X) ** 4
+    ratio = float(np.max(mags / bounds))
+    return dict(k=1.0, eta=None, value=ratio, bound=1.0, ratio=ratio)
+
+
+def _witness(cfg, table, X) -> dict:
+    rng = np.random.default_rng((cfg.seed, int(X), 8))
+    worst = 0.0
+    for _ in range(cfg.witness_trials):
+        xi = float(rng.uniform(-50.0, 50.0))
+        Q = float(rng.uniform(10.0, 1e4))
+        w = find_rational_witness(xi, Q)
+        worst = max(worst, w.residual * Q)
+    return dict(k=1.0, eta=None, value=worst, bound=1.0, ratio=worst)
+
+
+def _weighted(p: int, cfg, table, X) -> dict:
+    inst = cfg.instance
+    d = choose_parameters(inst, X)
+    r = kernel_moment(p, inst.lambda3, d.major[1], d.R, d.eta,
+                      inst.power_range(X), table)
+    return dict(k=inst.k, eta=d.eta, value=r.value, bound=r.bound, ratio=r.ratio)
+
+
+def _eighth_moment(cfg, table, X) -> dict:
+    rng = SumRange(3.0, cfg.instance.delta, X)
+    if _window_empty(rng, table):
+        return _skip(3.0, "empty cube window")
+    r = moment_integral("Sk", 8, (0.0, 1.0), rng, table)
+    return dict(k=3.0, eta=None, value=r.value, bound=r.bound, ratio=r.ratio)
+
+
+def _measure(cfg, table, X) -> dict:
+    inst = cfg.instance
+    z = X**cfg.measure_z_exp
+    seed_a = cfg.seed * 1000003 + int(X) * 101 + 12
+    a, b = (sample_large_sum_measure(inst, X, z, z, cfg.measure_y,
+                                     cfg.measure_samples, seed, table)
+            for seed in (seed_a, seed_a + 1))
+    gap = abs(a.sampled_measure - b.sampled_measure)
+    tol = 3.0 * max(a.sigma, b.sigma)
+    ok = gap <= tol and 0.0 <= a.sampled_measure <= 2.0 * cfg.measure_y
+    return dict(k=1.0, eta=None, value=a.sampled_measure, bound=a.bound,
+                ratio=a.sampled_measure / a.bound if a.bound > 0 else math.nan,
+                status="PASS" if ok else "FAIL",
+                note=f"cross-seed gap {gap:.3e} (3 sigma {tol:.3e})")
+
+
+def _intermediate(cfg, table, X) -> dict:
+    # detector integral over the intermediate region (k >= 5/2) against
+    # the main-term scale eta^2 X^(1+1/k)
+    inst = cfg.instance
+    d = choose_parameters(inst, X)
+    val = abs(solution_integral(inst, X, d.eta, d.intermediate, table))
+    scale = d.eta**2 * X ** (1.0 + 1.0 / inst.k)
+    return dict(k=inst.k, eta=d.eta, value=val, bound=scale, ratio=val / scale)
+
+
+def _nonincreasing(rows: list[CheckRow]) -> None:
+    """The envelope trend may not increase from one scale to the next."""
+    for prev, row in zip(rows, rows[1:]):
+        row.growth = row.ratio / prev.ratio
+        if row.ratio > prev.ratio * (1.0 + 1e-9):
             row.status = "FAIL"
             row.note = "envelope trend increased"
-        row.growth = None if prev_ratio is None else ratio / prev_ratio
-        prev_ratio = ratio
-        rows.append(row)
-    return rows
 
 
-def _suite_quadruples(cfg, table) -> list[CheckRow]:
-    rows = []
-    k = cfg.instance.k
-    for X in cfg.x_values:
-        N = int(X ** (1.0 / k))
-        if N < 2:
-            rows.append(CheckRow("quadruple_count", X, k, None, 0.0, 0.0,
-                                 math.nan, status="SKIP", note="window too small"))
-            continue
-        qc = count_quadruples(N, k, cfg.gamma)
-        bound = (X ** (2.0 / k) + cfg.gamma * X ** (4.0 / k - 1.0)) * X**0.1
-        rows.append(CheckRow("quadruple_count", X, k, None, float(qc.count),
-                             bound, qc.count / bound))
-    _growth_status(rows)
-    return rows
+def _at_most_one(rows: list[CheckRow]) -> None:
+    for row in rows:
+        row.status = "PASS" if row.value <= 1.0 else "FAIL"
 
 
-def _suite_moment(cfg, table, p: int, name: str) -> list[CheckRow]:
-    rows = []
-    inst = cfg.instance
-    for X in cfg.x_values:
-        r = moment_integral("Sk", p, (-cfg.tau, cfg.tau), inst.power_range(X), table)
-        rows.append(CheckRow(name, X, inst.k, None, r.value, r.bound, r.ratio))
-    _growth_status(rows)
-    return rows
+def _last_below_one(rows: list[CheckRow]) -> None:
+    """The largest scale's ratio must stay below 1."""
+    if rows and not rows[-1].ratio < 1.0:
+        rows[-1].status = "FAIL"
+        rows[-1].note = "intermediate contribution not below main-term scale"
 
 
-def _suite_rational_point(cfg, table) -> list[CheckRow]:
-    rows = []
-    inst = cfg.instance
-    alpha, a, q = 1.0 / 3.0, 1, 3
-    for X in cfg.x_values:
-        val = vaughan_ratio(alpha, a, q, inst.power_range(X), table)
-        rows.append(CheckRow("rational_point_sum", X, 1.0, None, val, 1.0, val))
-    _growth_status(rows)
-    return rows
+def _set_by_row(rows: list[CheckRow]) -> None:
+    """The row function decided each status itself."""
 
 
-def _suite_small_alpha(cfg, table) -> list[CheckRow]:
-    rows = []
-    inst = cfg.instance
-    for X in cfg.x_values:
-        lin = inst.linear_range(X)
-        f = sum_freqs("prime", lin, table)
-        alphas = np.geomspace(1.0 / X, X ** (-3.0 / 5.0), 16)
-        mags = np.abs(eval_points(*f, alphas))
-        bounds = X**0.5 * alphas**-0.5 * math.log(X) ** 4
-        ratio = float(np.max(mags / bounds))
-        rows.append(CheckRow("small_alpha_sum", X, 1.0, None, ratio, 1.0, ratio))
-    _growth_status(rows)
-    return rows
+class Check(NamedTuple):
+    """One check of the bound suite: its name, the ExperimentConfig field
+    holding its X sweep, its row function and its pass rule."""
+
+    name: str
+    sweep: str
+    row: Callable[..., dict]
+    rule: Callable[[list[CheckRow]], None]
 
 
-def _suite_witness(cfg, table) -> list[CheckRow]:
-    rows = []
-    for X in cfg.x_values:
-        rng = np.random.default_rng((cfg.seed, int(X), 8))
-        worst = 0.0
-        for _ in range(cfg.witness_trials):
-            xi = float(rng.uniform(-50.0, 50.0))
-            Q = float(rng.uniform(10.0, 1e4))
-            w = find_rational_witness(xi, Q)
-            worst = max(worst, w.residual * Q)
-        status = "PASS" if worst <= 1.0 else "FAIL"
-        rows.append(CheckRow("witness_residual", X, 1.0, None, worst, 1.0,
-                             worst, status=status))
-    return rows
-
-
-def _suite_weighted(cfg, table, p: int, name: str) -> list[CheckRow]:
-    rows = []
-    inst = cfg.instance
-    for X in cfg.x_values:
-        d = choose_parameters(inst, X)
-        r = kernel_moment(p, inst.lambda3, d.major[1], d.R, d.eta,
-                          inst.power_range(X), table)
-        rows.append(CheckRow(name, X, inst.k, d.eta, r.value, r.bound, r.ratio))
-    _growth_status(rows)
-    return rows
-
-
-def _suite_eighth_moment(cfg, table) -> list[CheckRow]:
-    rows = []
-    delta = cfg.instance.delta
-    for X in cfg.hua_x:
-        rng = SumRange(3.0, delta, X)
-        ps, _ = window_arrays(rng, table)
-        if len(ps) == 0:
-            rows.append(CheckRow("eighth_moment_cubes", X, 3.0, None, 0.0, 0.0,
-                                 math.nan, status="SKIP", note="empty cube window"))
-            continue
-        r = moment_integral("Sk", 8, (0.0, 1.0), rng, table)
-        rows.append(CheckRow("eighth_moment_cubes", X, 3.0, None, r.value,
-                             r.bound, r.ratio))
-    _growth_status(rows)
-    return rows
-
-
-def _suite_measure(cfg, table) -> list[CheckRow]:
-    rows = []
-    inst = cfg.instance
-    for X in cfg.x_values:
-        z = X**cfg.measure_z_exp
-        seed_a = cfg.seed * 1000003 + int(X) * 101 + 12
-        a = sample_large_sum_measure(inst, X, z, z, cfg.measure_y,
-                                     cfg.measure_samples, seed_a, table)
-        b = sample_large_sum_measure(inst, X, z, z, cfg.measure_y,
-                                     cfg.measure_samples, seed_a + 1, table)
-        gap = abs(a.sampled_measure - b.sampled_measure)
-        tol = 3.0 * max(a.sigma, b.sigma)
-        ok = gap <= tol and 0.0 <= a.sampled_measure <= 2.0 * cfg.measure_y
-        rows.append(CheckRow(
-            "large_values_measure", X, 1.0, None, a.sampled_measure, a.bound,
-            a.sampled_measure / a.bound if a.bound > 0 else math.nan,
-            status="PASS" if ok else "FAIL",
-            note=f"cross-seed gap {gap:.3e} (3 sigma {tol:.3e})",
-        ))
-    return rows
-
-
-def _suite_intermediate(cfg, table) -> list[CheckRow]:
-    """Extra ratio row when the intermediate region exists (k >= 5/2):
-    detector integral over it against eta^2 X^(1+1/k); PASS means the
-    largest scale stays below 1."""
-    rows = []
-    inst = cfg.instance
-    if inst.k < 2.5:
-        return rows
-    for X in cfg.x_values:
-        d = choose_parameters(inst, X)
-        lo, hi = d.intermediate
-        val = solution_integral(inst, X, d.eta, (lo, hi), table)
-        scale = d.eta**2 * X ** (1.0 + 1.0 / inst.k)
-        ratio = abs(val) / scale
-        rows.append(CheckRow("intermediate_region", X, inst.k, d.eta,
-                             abs(val), scale, ratio))
-    if rows:
-        last = rows[-1]
-        if not last.ratio < 1.0:
-            last.status = "FAIL"
-            last.note = "intermediate contribution not below main-term scale"
-    return rows
+SUITE = (
+    Check("gap_l2", "x_values", _gap_l2, _growth_status),
+    Check("selberg_envelope", "envelope_x", _selberg_envelope, _nonincreasing),
+    Check("quadruple_count", "x_values", _quadruples, _growth_status),
+    Check("fourth_moment", "x_values", partial(_moment, 4), _growth_status),
+    Check("second_moment", "x_values", partial(_moment, 2), _growth_status),
+    Check("rational_point_sum", "x_values", _rational_point, _growth_status),
+    Check("small_alpha_sum", "x_values", _small_alpha, _growth_status),
+    Check("witness_residual", "x_values", _witness, _at_most_one),
+    Check("weighted_second_moment", "x_values", partial(_weighted, 2), _growth_status),
+    Check("weighted_fourth_moment", "x_values", partial(_weighted, 4), _growth_status),
+    Check("eighth_moment_cubes", "hua_x", _eighth_moment, _growth_status),
+    Check("large_values_measure", "x_values", _measure, _set_by_row),
+)
+# run after SUITE only where the intermediate region exists (k >= 5/2)
+INTERMEDIATE = Check("intermediate_region", "x_values", _intermediate,
+                     _last_below_one)
+CHECKS = tuple(c.name for c in SUITE)
 
 
 @dataclass
@@ -402,7 +365,7 @@ class SuiteReport:
         return not self.failed
 
 
-def _suite_table_limit(cfg) -> int:
+def _lemma_table_limit(cfg) -> int:
     xmax = max(max(cfg.x_values), max(cfg.hua_x))
     need = [float(xmax)]
     k = cfg.instance.k
@@ -415,67 +378,27 @@ def _suite_table_limit(cfg) -> int:
 
 def run_lemma_suite(config: ExperimentConfig,
                     table: PrimeTable | None = None) -> SuiteReport:
-    """Run every check of the bound suite; individual failures do not stop
-    the run.  Returns all rows in fixed (check, X) order."""
+    """Run every check of the bound suite; a check that raises a DhlabError
+    yields one SKIP row carrying the message and does not stop the run.
+    Returns all rows in fixed (check, X) order."""
     if table is None:
-        table = sieve(_suite_table_limit(config))
-
-    tasks = [
-        _suite_gap_l2,
-        _suite_selberg_envelope,
-        _suite_quadruples,
-        _suite_moment_p4,
-        _suite_moment_p2,
-        _suite_rational_point,
-        _suite_small_alpha,
-        _suite_witness,
-        _suite_weighted_p2,
-        _suite_weighted_p4,
-        _suite_eighth_moment,
-        _suite_measure,
-        _suite_intermediate,
-    ]
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [pool.submit(_run_one_suite_task, fn, config, table)
-                       for fn in tasks]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_one_suite_task(fn, config, table) for fn in tasks]
-
-    rows = [row for chunk in results for row in chunk]
-    seen = {c: 0 for c in CHECKS}
-    for row in rows:
-        if row.check in seen:
-            seen[row.check] += 1
-    coverage = all(n > 0 for n in seen.values())
+        table = sieve(_lemma_table_limit(config))
+    checks = SUITE + ((INTERMEDIATE,) if config.instance.k >= 2.5 else ())
+    rows = []
+    for check in checks:
+        try:
+            chunk = [CheckRow(check.name, X, **check.row(config, table, X))
+                     for X in getattr(config, check.sweep)]
+        except DhlabError as exc:
+            chunk = [CheckRow(check.name, 0.0, config.instance.k, None, math.nan,
+                              math.nan, math.nan, status="SKIP", note=str(exc))]
+        else:
+            check.rule(chunk)
+        rows += chunk
+    covered = {r.check for r in rows}
     failed = sorted({r.check for r in rows if r.status == "FAIL"})
-    return SuiteReport(rows=rows, coverage_complete=coverage, failed=failed)
-
-
-def _run_one_suite_task(fn, config, table) -> list[CheckRow]:
-    try:
-        return fn(config, table)
-    except DhlabError as exc:
-        name = fn.__name__.replace("_suite_", "")
-        return [CheckRow(name, 0.0, config.instance.k, None, math.nan,
-                         math.nan, math.nan, status="SKIP", note=str(exc))]
-
-
-def _suite_moment_p4(cfg, table):
-    return _suite_moment(cfg, table, 4, "fourth_moment")
-
-
-def _suite_moment_p2(cfg, table):
-    return _suite_moment(cfg, table, 2, "second_moment")
-
-
-def _suite_weighted_p2(cfg, table):
-    return _suite_weighted(cfg, table, 2, "weighted_second_moment")
-
-
-def _suite_weighted_p4(cfg, table):
-    return _suite_weighted(cfg, table, 4, "weighted_fourth_moment")
+    return SuiteReport(rows=rows, coverage_complete=covered.issuperset(CHECKS),
+                       failed=failed)
 
 
 # ---------------------------------------------------------------------------

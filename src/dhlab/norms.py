@@ -17,10 +17,12 @@ import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, GridStepError, InsufficientTableError
-from .expsums import eval_grid, fejer_kernel, iter_grid_values, sum_freqs
+from .expsums import (eval_grid, fejer_kernel, iter_grid_values, sum_freqs,
+                      trapezoid, trapezoid_step)
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+MAX_TRAPEZOID_POINTS = 1 << 28  # largest directly gridded kernel moment
 
 
 @dataclass
@@ -114,21 +116,6 @@ def count_quadruples(N: int, k: float, gamma: float) -> QuadrupleCount:
 # ---------------------------------------------------------------------------
 # trapezoid moments
 
-def _resolve_step(lo: float, hi: float, max_step: float, step: float | None):
-    """Panel count and actual step for a trapezoid grid over [lo, hi]."""
-    if hi <= lo:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
-    if step is None:
-        n = max(1, math.ceil((hi - lo) / max_step))
-    else:
-        if step > max_step * (1 + 1e-12):
-            raise GridStepError(
-                f"step {step:.3e} too coarse; the window requires <= {max_step:.3e}"
-            )
-        n = max(1, math.ceil((hi - lo) / step))
-    return n, (hi - lo) / n
-
-
 def _moment_bound(p: int, tau: float, X: float, k: float) -> float:
     logX = math.log(X)
     if p == 2:
@@ -158,19 +145,9 @@ def moment_integral(kind: str, p: int, interval: tuple[float, float],
     elif kind != "Sk":
         raise DomainError(f"kind must be 'S1' or 'Sk', got {kind!r}")
     lo, hi = float(interval[0]), float(interval[1])
-    n, h = _resolve_step(lo, hi, 1.0 / (64.0 * rng.X), step)
-
-    fh, fl, w = sum_freqs("prime", rng, table)
-    partials = []
-    endpoint_correction = 0.0
-    for start, block in iter_grid_values(fh, fl, w, lo, h, n + 1):
-        y = np.abs(block) ** p
-        partials.append(float(np.sum(y)))
-        if start == 0:
-            endpoint_correction += 0.5 * float(y[0])
-        if start + len(block) == n + 1:
-            endpoint_correction += 0.5 * float(y[-1])
-    value = (math.fsum(partials) - endpoint_correction) * h
+    n, h = trapezoid_step(lo, hi, 1.0 / (64.0 * rng.X), step)
+    value = trapezoid([sum_freqs("prime", rng, table)], lo, h, n + 1,
+                      lambda alphas, s: np.abs(s) ** p)
 
     tau = max(abs(lo), abs(hi))
     bound = _moment_bound(p, tau, rng.X, rng.k)
@@ -185,7 +162,7 @@ def exp_sum_gap_l2(Y: float, rng: SumRange, table: PrimeTable,
     short-window variance bound as comparison."""
     if not 0 < Y <= 0.5:
         raise DomainError(f"Y must be in (0, 1/2], got {Y}")
-    n, h = _resolve_step(-Y, Y, 1.0 / (64.0 * rng.X), step)
+    n, h = trapezoid_step(-Y, Y, 1.0 / (64.0 * rng.X), step)
     gs = eval_grid("prime", rng, table, alpha0=-Y, step=h, count=n + 1)
     gu = eval_grid("integer", rng, alpha0=-Y, step=h, count=n + 1)
     y = np.abs(gs.values - gu.values) ** 2
@@ -262,15 +239,14 @@ def _kernel_bound(p: int, eta: float, X: float, k: float) -> float:
 
 
 def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
-                  rng: SumRange, table: PrimeTable,
-                  step: float | None = None,
-                  max_points: int = 1 << 28) -> MomentReport:
+                  rng: SumRange, table: PrimeTable) -> MomentReport:
     """Integral of |S_k(lam * alpha)|^p K_eta(alpha) over [lo, hi].
 
-    The head (up to 1/eta) is a straight weighted trapezoid.  Past 1/eta the
-    kernel decays like alpha^-2; for integer k the sum is periodic with
-    period 1/|lam|, so one sampled period serves the whole tail.  Otherwise
-    the tail is gridded directly (refused past `max_points` samples).
+    Past 1/eta the kernel decays like alpha^-2.  For integer k the sum is
+    periodic with period 1/|lam| there, so a straight trapezoid covers the
+    head up to 1/eta and one sampled period serves the whole tail.
+    Otherwise [lo, hi] is one trapezoid (refused past MAX_TRAPEZOID_POINTS
+    nodes).
     """
     if not 0 < eta < 1:
         raise DomainError(f"eta must be in (0,1), got {eta}")
@@ -279,65 +255,49 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
     X = rng.X
     max_step = 1.0 / (64.0 * X * max(1.0, abs(lam)))
     split = min(hi, max(lo, 1.0 / eta))
+    periodic = float(rng.k).is_integer() and hi > split
+    top = split if periodic else hi
 
-    fh, fl, w = sum_freqs("prime", rng, table, scale=lam)
+    f = sum_freqs("prime", rng, table, scale=lam)
     partials = []
 
-    if split > lo:
-        n, h = _resolve_step(lo, split, max_step, step)
-        sums = []
-        endpoint = 0.0
-        for start, block in iter_grid_values(fh, fl, w, lo, h, n + 1):
-            alphas = lo + (start + np.arange(len(block))) * h
-            y = np.abs(block) ** p * fejer_kernel(alphas, eta)
-            sums.append(float(np.sum(y)))
-            if start == 0:
-                endpoint += 0.5 * float(y[0])
-            if start + len(block) == n + 1:
-                endpoint += 0.5 * float(y[-1])
-        partials.append((math.fsum(sums) - endpoint) * h)
+    if top > lo:
+        n, h = trapezoid_step(lo, top, max_step)
+        if n > MAX_TRAPEZOID_POINTS:
+            raise GridStepError(
+                f"trapezoid needs {n} points (> {MAX_TRAPEZOID_POINTS}); "
+                f"shrink [lo, hi]"
+            )
+        partials.append(trapezoid(
+            [f], lo, h, n + 1,
+            lambda alphas, s: np.abs(s) ** p * fejer_kernel(alphas, eta)))
 
-    if hi > split:
-        if float(rng.k).is_integer():
-            period = 1.0 / abs(lam)
-            n, h = _resolve_step(0.0, period, max_step, step)
-            fvals = None
-            for start, block in iter_grid_values(fh, fl, w, split, h, n):
-                mag = np.abs(block) ** p
-                fvals = mag if fvals is None else np.concatenate([fvals, mag])
-            # past ~8/eta the kernel's oscillation is slow on the period
-            # scale, so the period mean of |sum|^p decouples from it
-            near_hi = min(hi, max(8.0 / eta, split + 4.0 * period))
-            m_whole = int((near_hi - split) / period)
-            acc = []
-            for m in range(m_whole):
-                alphas = split + m * period + np.arange(n) * h
-                acc.append(float(np.dot(fvals, fejer_kernel(alphas, eta))) * h)
-            rem_start = split + m_whole * period
-            if near_hi >= hi and hi > rem_start:
-                n_rem = min(n, int(math.ceil((hi - rem_start) / h)))
-                alphas = rem_start + np.arange(n_rem) * h
-                acc.append(float(np.dot(fvals[:n_rem], fejer_kernel(alphas, eta))) * h)
-            if hi > near_hi:
-                fbar = float(np.mean(fvals))
-                kstep = min(1.0 / (8.0 * eta), max((hi - rem_start) / 1000.0, 1e-3))
-                m = max(2, int(math.ceil((hi - rem_start) / kstep)))
-                grid = np.linspace(rem_start, hi, m + 1)
-                kv = fejer_kernel(grid, eta)
-                acc.append(fbar * float(np.trapezoid(kv, grid)))
-            partials.append(math.fsum(acc))
-        else:
-            n, h = _resolve_step(split, hi, max_step, step)
-            if n > max_points:
-                raise GridStepError(
-                    f"tail gridding needs {n} points (> {max_points}); "
-                    f"shrink [lo, hi] or raise max_points"
-                )
-            sums = []
-            for start, block in iter_grid_values(fh, fl, w, split, h, n):
-                alphas = split + (start + np.arange(len(block))) * h
-                sums.append(float(np.sum(np.abs(block) ** p * fejer_kernel(alphas, eta))))
-            partials.append(math.fsum(sums) * h)
+    if periodic:
+        period = 1.0 / abs(lam)
+        n, h = trapezoid_step(0.0, period, max_step)
+        fvals = np.concatenate([np.abs(block) ** p for _, block
+                                in iter_grid_values(*f, split, h, n)])
+        # past ~8/eta the kernel's oscillation is slow on the period
+        # scale, so the period mean of |sum|^p decouples from it
+        near_hi = min(hi, max(8.0 / eta, split + 4.0 * period))
+        m_whole = int((near_hi - split) / period)
+        acc = []
+        for m in range(m_whole):
+            alphas = split + m * period + np.arange(n) * h
+            acc.append(float(np.dot(fvals, fejer_kernel(alphas, eta))) * h)
+        rem_start = split + m_whole * period
+        if near_hi >= hi and hi > rem_start:
+            n_rem = min(n, int(math.ceil((hi - rem_start) / h)))
+            alphas = rem_start + np.arange(n_rem) * h
+            acc.append(float(np.dot(fvals[:n_rem], fejer_kernel(alphas, eta))) * h)
+        if hi > near_hi:
+            fbar = float(np.mean(fvals))
+            kstep = min(1.0 / (8.0 * eta), max((hi - rem_start) / 1000.0, 1e-3))
+            m = max(2, int(math.ceil((hi - rem_start) / kstep)))
+            grid = np.linspace(rem_start, hi, m + 1)
+            kv = fejer_kernel(grid, eta)
+            acc.append(fbar * float(np.trapezoid(kv, grid)))
+        partials.append(math.fsum(acc))
 
     value = math.fsum(partials)
     bound = _kernel_bound(p, eta, X, rng.k)

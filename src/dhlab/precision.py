@@ -8,8 +8,8 @@ to ~1e20.  Frequencies that are not exactly representable (p^k for
 non-integer k) are carried as hi/lo pairs computed once in mpmath.
 
 mpmath's global precision is pinned here, at import, to 50 significant
-digits (>= the 30 the boundary and admission contracts require).  Worker
-threads must never change it.
+digits (>= the 30 the boundary and admission contracts require).  Nothing
+else may change it.
 """
 
 from __future__ import annotations

@@ -26,8 +26,9 @@ import numpy as np
 from mpmath import mp
 
 from .arcs import choose_parameters
-from .errors import GridStepError
-from .expsums import fejer_kernel, iter_grid_values, prime_exp_sum, sum_freqs
+from .errors import DomainError
+from .expsums import (fejer_kernel, prime_exp_sum, sum_freqs, trapezoid,
+                      trapezoid_step)
 from .precision import dd_from_mpf, phase_frac, two_prod, two_sum
 from .primes import PrimeTable, SumRange, window_arrays
 
@@ -49,13 +50,13 @@ class ProblemInstance:
 
     def __post_init__(self):
         if 0.0 in (self.lambda1, self.lambda2, self.lambda3):
-            raise ValueError("coefficients must be nonzero")
+            raise DomainError("coefficients must be nonzero")
         if not 1.0 < self.k <= 3.0:
-            raise ValueError(f"k must be in (1, 3], got {self.k}")
+            raise DomainError(f"k must be in (1, 3], got {self.k}")
         if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
+            raise DomainError(f"delta must be in (0,1), got {self.delta}")
         if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
 
     @property
     def lambdas(self) -> tuple[float, float, float]:
@@ -143,9 +144,11 @@ def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag):
 
     l1 p1 = a1_hi + a1_lo and l2 p2 = a2_hi + a2_lo exactly (two_prod);
     `base` is the 50-digit l3 p3^k - omega; `mag` bounds |l1 p1| + |l2 p2|.
-    R is the residual the 50-digit path computes, (l1 p1 + base) + l2 p2
-    rounded to 169 bits per operation.  Callers add eta into `mag`, so that
-    err also covers the 169-bit rounding of |R| - eta in the band test.
+    R is the residual the 50-digit path computes, (l1 p1 + l2 p2) + base
+    rounded to 169 bits per operation: the association of a plain 50-digit
+    enumeration, since under heavy cancellation another association rounds
+    to another R.  Callers add eta into `mag`, so that err also covers the
+    169-bit rounding of |R| - eta in the band test.
 
     The bound: base splits as bh + bl with |base - bh - bl| <= u^2 |bh|
     (u = 2^-53), and two_sum makes a1_hi + a2_hi + bh = s2 + e1 + e2 exactly
@@ -249,8 +252,7 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
         for c in undecided:
             p1 = int(p1s[i[c]])
             p2 = int(p1s[order[j[c]]])
-            part = L1 * p1 + base
-            exact = abs(part + L2 * p2)
+            exact = abs(L1 * p1 + L2 * p2 + base)
             admit[c] = bool(exact <= eta_mp)
             if admit[c]:
                 res[c] = float(exact)
@@ -298,52 +300,19 @@ def solution_integral(instance: ProblemInstance, X: float, eta: float,
     Hermitian symmetry makes the true value real.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    if hi <= lo:
-        raise GridStepError(f"empty interval [{lo}, {hi}]")
     lmax = max(abs(l) for l in instance.lambdas)
-    max_step = 1.0 / (64.0 * X * max(1.0, lmax))
-    if step is None:
-        step = max_step
-    elif step > max_step * (1 + 1e-12):
-        raise GridStepError(
-            f"step {step:.3e} too coarse; need <= {max_step:.3e}"
-        )
-    n = max(1, math.ceil((hi - lo) / step))
-    h = (hi - lo) / n
-    count = n + 1
-
+    n, h = trapezoid_step(lo, hi, 1.0 / (64.0 * X * max(1.0, lmax)), step)
     lin = instance.linear_range(X)
-    pw = instance.power_range(X)
-    f1 = sum_freqs("prime", lin, table, scale=instance.lambda1)
-    f2 = sum_freqs("prime", lin, table, scale=instance.lambda2)
-    f3 = sum_freqs("prime", pw, table, scale=instance.lambda3)
+    ensembles = [sum_freqs("prime", lin, table, scale=instance.lambda1),
+                 sum_freqs("prime", lin, table, scale=instance.lambda2),
+                 sum_freqs("prime", instance.power_range(X), table,
+                           scale=instance.lambda3)]
 
-    gens = [iter_grid_values(*f, lo, h, count) for f in (f1, f2, f3)]
-    partials = []
-    endpoint = 0j
-    pos = 0
-    buffers = [None, None, None]
-    while pos < count:
-        blocks = []
-        for gi, gen in enumerate(gens):
-            if buffers[gi] is None or len(buffers[gi][1]) == 0:
-                buffers[gi] = list(next(gen))
-            blocks.append(buffers[gi])
-        m = min(len(b[1]) for b in blocks)
-        vals = blocks[0][1][:m] * blocks[1][1][:m] * blocks[2][1][:m]
-        alphas = lo + (pos + np.arange(m)) * h
+    def integrand(alphas, s1, s2, s3):
         om = phase_frac(np.float64(-instance.omega), 0.0, alphas)
-        vals *= fejer_kernel(alphas, eta) * np.exp(_TWO_PI_I * om)
-        partials.append(complex(np.sum(vals)))
-        if pos == 0:
-            endpoint += 0.5 * vals[0]
-        if pos + m == count:
-            endpoint += 0.5 * vals[-1]
-        for b in blocks:
-            b[1] = b[1][m:]
-        pos += m
-    total = sum(partials) - endpoint
-    return complex(total * h)
+        return s1 * s2 * s3 * (fejer_kernel(alphas, eta) * np.exp(_TWO_PI_I * om))
+
+    return trapezoid(ensembles, lo, h, n + 1, integrand)
 
 
 @dataclass

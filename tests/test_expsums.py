@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from dhlab.errors import InsufficientTableError, PhaseBudgetError
-from dhlab.expsums import (KernelParams, eval_grid, eval_points, fejer_kernel,
+from dhlab.expsums import (GRID_BLOCK, KernelParams, SpectrumGrid, _plan_block,
+                           eval_grid, eval_points, fejer_kernel,
                            fejer_kernel_hat, integer_exp_sum,
-                           integral_exp_sum, prime_exp_sum, sum_freqs)
+                           integral_exp_sum, iter_grid_values, prime_exp_sum,
+                           sum_freqs, trapezoid)
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
 
@@ -132,6 +134,43 @@ def test_grid_matches_pointwise(table_1e6):
         direct = prime_exp_sum(ah, rng, table_1e6, alpha_lo=al)
         worst = max(worst, abs(g.values[j] - direct) / max(abs(direct), 1.0))
     assert worst < 1e-9
+
+
+def test_grid_blocks_fixed_for_any_row_size(table_1e5):
+    # 9592 terms give rows of 874 points, which do not divide a block; the
+    # blocks stay GRID_BLOCK long and the straddling row is evaluated twice
+    rng = SumRange(1, 1e-9, 1e5)
+    f = sum_freqs("prime", rng, table_1e5)
+    count = 70000
+    assert len(f[0]) == 9592 and _plan_block(count, 9592) == 874
+    blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
+    assert [start for start, _ in blocks] == [0, GRID_BLOCK]
+    g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count, resync=874,
+                     values=np.concatenate([b for _, b in blocks]))
+    for j in (65535, 65536, 65537, 74 * 874, 75 * 874):
+        ah, al = g.alpha_dd(j)
+        direct = prime_exp_sum(ah, rng, table_1e5, alpha_lo=al)
+        assert abs(g.values[j] - direct) <= 1e-9 * max(abs(direct), 1.0)
+
+
+def test_trapezoid_matches_numpy(table_1e6):
+    # several blocks, real and complex integrands, one and two ensembles
+    lo, h, count = -0.1, 1e-6, 3 * GRID_BLOCK + 123
+    r1, r2 = SumRange(1, 0.25, 1000), SumRange(2, 0.1, 1000)
+    f1 = sum_freqs("prime", r1, table_1e6)
+    f2 = sum_freqs("prime", r2, table_1e6, scale=-math.sqrt(2))
+    v1 = eval_grid("prime", r1, table_1e6, alpha0=lo, step=h, count=count).values
+    v2 = eval_grid("prime", r2, table_1e6, alpha0=lo, step=h, count=count,
+                   scale=-math.sqrt(2)).values
+    got = trapezoid([f1], lo, h, count, lambda a, s: np.abs(s) ** 2)
+    assert isinstance(got, float)
+    assert got == pytest.approx(np.trapezoid(np.abs(v1) ** 2, dx=h), rel=1e-12)
+    alphas = lo + np.arange(count) * h
+    got = trapezoid([f1, f2], lo, h, count,
+                    lambda a, s, t: s * t * fejer_kernel(a, 0.3))
+    want = np.trapezoid(v1 * v2 * fejer_kernel(alphas, 0.3), dx=h)
+    assert isinstance(got, complex)
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_grid_conjugate_symmetry(table_1e6):

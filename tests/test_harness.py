@@ -10,6 +10,7 @@ from dhlab.harness import (CHECKS, ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, sample_large_sum_measure,
                            summary_dict, write_suite_csv, write_theorem_csv,
                            write_summary)
+from dhlab.primes import sieve
 from dhlab.solver import ProblemInstance
 
 MINI = ExperimentConfig(
@@ -53,13 +54,14 @@ def test_suite_csv_deterministic(tmp_path, mini_suite):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_suite_threaded_matches_serial(tmp_path, mini_suite):
-    from dataclasses import replace
-    threaded = run_lemma_suite(replace(MINI, threads=3))
-    p1, p2 = tmp_path / "s.csv", tmp_path / "t.csv"
-    write_suite_csv(p1, mini_suite)
-    write_suite_csv(p2, threaded)
-    assert p1.read_bytes() == p2.read_bytes()
+def test_error_rows_carry_registered_names():
+    # a table too small for most checks: each check that raises yields one
+    # SKIP row at X = 0, under the name coverage and reports look up
+    rep = run_lemma_suite(MINI, table=sieve(50))
+    errors = [r for r in rep.rows if r.status == "SKIP" and r.X == 0.0]
+    assert errors
+    assert all(r.check in CHECKS for r in errors)
+    assert rep.coverage_complete
 
 
 def test_suite_csv_schema(tmp_path, mini_suite):
@@ -203,4 +205,22 @@ def test_cli_theorem_and_exit_codes(tmp_path):
     assert summary["overall"] == "PASS"
     # usage error -> exit code 2
     res = _cli(["no-such-command"], tmp_path)
+    assert res.returncode == 2, res.stderr
+
+
+def test_cli_config_errors_exit_2(tmp_path):
+    cases = {
+        "unknown": ({**MINI.to_json(), "threads": 2, "x_valuez": [1]},
+                    "threads, x_valuez"),
+        "bad_k": ({**MINI.to_json(), "instance": {**MINI.to_json()["instance"],
+                                                  "k": 4.0}}, "k must be"),
+    }
+    for name, (blob, message) in cases.items():
+        cfgp = tmp_path / f"{name}.json"
+        cfgp.write_text(json.dumps(blob))
+        res = _cli(["--config", str(cfgp), "--out", str(tmp_path / name),
+                    "lemmas"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr and "Traceback" not in res.stderr
+    res = _cli(["--threads", "2", "lemmas"], tmp_path)
     assert res.returncode == 2, res.stderr

@@ -175,6 +175,18 @@ def test_boundary_band_flag(table_1e6):
     assert sols.exact_fallbacks == sols.candidates >= 1
 
 
+def test_cancelling_residual_matches_plain_50_digit_sum(table_1e6):
+    # 0.5 p1 - 0.5 p2 - 0.5 p3^2 vanishes on (7, 3, 2), (11, 2, 3), ...,
+    # leaving |omega| = 3.57e-49; the fallback must round that residual as
+    # the plain 50-digit sum of the oracle does
+    inst = ProblemInstance(0.5, -0.5, -0.5, 2.0, -3.572413501195576e-49,
+                           delta=0.05)
+    brute = _by_output_order(brute_force_solutions(inst, 20.0, 1e-40, table_1e6))
+    sols = enumerate_solutions(inst, 20.0, 1e-40, table_1e6)
+    assert len(brute) >= 3
+    assert [(s.triple, s.residual) for s in sols] == [(t, r) for t, r, *_ in brute]
+
+
 _COEF = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
                   st.floats(0.25, 3.0))
 _OMEGA = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.1, 0.25, 2.0]),
