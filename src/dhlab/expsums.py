@@ -10,10 +10,12 @@ Central objects:
 
 plus a grid evaluator built for throughput: per term the rotation recurrence
 e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d) advances along a row of at most
-1024 grid points, and every row restarts from an extended-precision phase,
-so rounding drift never accumulates past the resync interval.  Rows are
+1024 grid points, and every row restarts from the phase of its exact
+double-double base a0 + r*d, so each value belongs to the node a0 + j*d
+itself and rounding drift never accumulates past one row.  Rows are
 batched into a complex matrix product, which is where the throughput
-comes from.
+comes from.  Scattered abscissas, single points included, go through
+eval_points.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import DomainError, GridStepError, PhaseBudgetError, QuadratureErro
 from .precision import dd_add, dd_scale, phase_frac, pow_dd, two_prod
 from .primes import PrimeTable, SumRange, integers_in_range, window_arrays
 
-RESYNC = 1024  # max steps between extended-precision phase resyncs
+RESYNC = 1024  # max grid points per row of the rotation recurrence
 GRID_BLOCK = 1 << 16  # points per block yielded by iter_grid_values
 # rows per grid matrix product: as many as keep terms x rows within
 # _PRODUCT_TERMS, and never fewer than _PRODUCT_ROWS (bounds its memory)
@@ -121,13 +123,6 @@ def _assemble_freqs(ns, weights, rng: SumRange, scale: float):
     return fh, fl, weights
 
 
-def _eval_terms(fh, fl, weights, alpha: float, alpha_lo: float = 0.0) -> complex:
-    if len(fh) == 0:
-        return 0j
-    f = phase_frac(fh, fl, alpha, alpha_lo)
-    return complex(np.dot(weights, np.exp(_TWO_PI_I * f)))
-
-
 def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
                   scale: float = 1.0, alpha_lo: float = 0.0) -> complex:
     """Sum of log(p) e(scale * p^k * alpha) over the window of `rng`.
@@ -136,15 +131,15 @@ def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
     phases far beyond 2^53 keep full fractional accuracy.  `alpha_lo` is an
     optional low-order part of the abscissa for exact two-term inputs.
     """
-    fh, fl, w = sum_freqs("prime", rng, table, scale)
-    return _eval_terms(fh, fl, w, float(alpha), alpha_lo)
+    f = sum_freqs("prime", rng, table, scale)
+    return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
 
 def integer_exp_sum(alpha: float, rng: SumRange, scale: float = 1.0,
                     alpha_lo: float = 0.0) -> complex:
     """Sum of e(scale * n^k * alpha) over integers in the window of `rng`."""
-    fh, fl, w = sum_freqs("integer", rng, scale=scale)
-    return _eval_terms(fh, fl, w, float(alpha), alpha_lo)
+    f = sum_freqs("integer", rng, scale=scale)
+    return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +210,16 @@ class SpectrumGrid:
     step: float
     count: int
     values: np.ndarray
-    resync: int = RESYNC
     kind: str = "prime"
 
     def alphas(self) -> np.ndarray:
-        """Nominal float64 abscissas alpha0 + j*step."""
+        """The nodes alpha0 + j*step, rounded to float64."""
         return self.alpha0 + np.arange(self.count) * self.step
 
     def alpha_dd(self, j: int) -> tuple[float, float]:
-        """Exact two-term abscissa of grid point j as evaluated by the kernel.
-
-        Row bases are formed in float64 every `resync` points; within a row
-        the offset b*step enters exactly.  The returned (hi, lo) pair is the
-        point the stored value actually corresponds to, suitable for spot
-        checks against the pointwise evaluators.
-        """
-        a, b = divmod(int(j), self.resync)
-        base = self.alpha0 + (a * self.resync) * self.step
-        bh, bl = two_prod(float(b), self.step)
-        return dd_add(base, 0.0, bh, bl)
+        """Exact two-term abscissa alpha0 + j*step of grid point j, the
+        node its stored value was evaluated at."""
+        return dd_add(self.alpha0, 0.0, *two_prod(float(j), self.step))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -285,8 +271,9 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
         r_first, r_end = start // B, -(-stop // B)
         products = []
         for r0 in range(r_first, r_end, rows):
-            bases = alpha0 + (np.arange(r0, min(r0 + rows, r_end)) * B) * step
-            phases = phase_frac(fh[:, None], fl[:, None], bases[None, :])
+            r = np.arange(r0, min(r0 + rows, r_end))
+            bh, bl = dd_add(alpha0, 0.0, *two_prod(r * float(B), step))
+            phases = phase_frac(fh[:, None], fl[:, None], bh[None, :], bl[None, :])
             U = weights[:, None] * np.exp(_TWO_PI_I * phases)
             products.append((U.T @ V).ravel())
         S = products[0] if len(products) == 1 else np.concatenate(products)
@@ -336,17 +323,16 @@ def trapezoid(ensembles, lo: float, h: float, count: int, f) -> float | complex:
     return float((math.fsum(sums) - end) * h)
 
 
-def eval_points(fh, fl, weights, alphas: np.ndarray) -> np.ndarray:
-    """Weighted exponential sum at arbitrary (non-grid) abscissas."""
+def eval_points(fh, fl, weights, alphas: np.ndarray,
+                alpha_lo: float = 0.0) -> np.ndarray:
+    """Weighted exponential sum at arbitrary (non-grid) abscissas, each
+    extended by the common low part `alpha_lo`."""
     alphas = np.asarray(alphas, dtype=np.float64)
     out = np.empty(len(alphas), dtype=np.complex128)
-    if len(fh) == 0:
-        out[:] = 0j
-        return out
-    chunk = max(1, (1 << 22) // len(fh))
+    chunk = max(1, (1 << 22) // max(1, len(fh)))
     for s in range(0, len(alphas), chunk):
         a = alphas[s : s + chunk]
-        ph = phase_frac(fh[:, None], fl[:, None], a[None, :])
+        ph = phase_frac(fh[:, None], fl[:, None], a[None, :], alpha_lo)
         out[s : s + len(a)] = weights @ np.exp(_TWO_PI_I * ph)
     return out
 
@@ -356,16 +342,16 @@ def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,
               scale: float = 1.0) -> SpectrumGrid:
     """Evaluate the kind='prime'/'integer' sum on alpha0 + j*step, j < count.
 
-    Values match the pointwise evaluators at the grid's exact two-term
-    abscissas (see SpectrumGrid.alpha_dd) to well within 1e-9 relative.
+    Values match the pointwise evaluators at the exact nodes alpha0 + j*step
+    (see SpectrumGrid.alpha_dd) to well within 1e-9 relative.
     """
     if step <= 0 or count < 1:
         raise ValueError("grid needs step > 0 and count >= 1")
     fh, fl, w = sum_freqs(kind, rng, table, scale)
+    # refuse before the count values are allocated
     _check_budget(fh, alpha0, step, count)
     values = np.empty(count, dtype=np.complex128)
-    B = _plan_block(count, len(fh))
     for start, block in iter_grid_values(fh, fl, w, alpha0, step, count):
         values[start : start + len(block)] = block
     return SpectrumGrid(alpha0=alpha0, step=step, count=count, values=values,
-                        resync=B, kind=kind)
+                        kind=kind)

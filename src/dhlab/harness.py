@@ -18,7 +18,7 @@ import csv
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import NamedTuple
 
@@ -74,14 +74,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict, **overrides) -> "ExperimentConfig":
-        """Config from a JSON object; unknown keys raise a DhlabError."""
+        """Config from a JSON object; unknown or missing keys raise a
+        DhlabError."""
         raw = dict(raw)
         inst = raw.pop("instance", None)
-        _reject_unknown(ExperimentConfig, raw, "config")
+        _check_keys(ExperimentConfig, raw, "config")
         cfg = ExperimentConfig(**{k: tuple(v) if isinstance(v, list) else v
                                   for k, v in raw.items()})
         if inst is not None:
-            _reject_unknown(ProblemInstance, inst, "instance")
+            _check_keys(ProblemInstance, inst, "instance")
             cfg = replace(cfg, instance=ProblemInstance(**inst))
         clean = {k: v for k, v in overrides.items() if v is not None}
         if clean:
@@ -92,10 +93,14 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _reject_unknown(cls, raw: dict, what: str) -> None:
+def _check_keys(cls, raw: dict, what: str) -> None:
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise DhlabError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise DhlabError(f"missing {what} key(s): {', '.join(missing)}")
 
 
 @dataclass
@@ -129,9 +134,7 @@ class MeasureSample:
     sigma: float  # one-sided MC standard error of the estimate
 
     def to_json(self) -> dict:
-        return {"Z1": self.Z1, "Z2": self.Z2, "y": self.y,
-                "sampled_measure": self.sampled_measure, "bound": self.bound,
-                "samples": self.samples, "seed": self.seed, "sigma": self.sigma}
+        return asdict(self)
 
 
 def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
@@ -523,7 +526,7 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # a numpy float64 would print as np.float64(...)
     return str(v)
 
 
@@ -532,10 +535,7 @@ def write_suite_csv(path, report: SuiteReport) -> None:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(LEMMA_COLUMNS)
         for r in report.rows:
-            out.writerow([r.check, _fmt(r.X), _fmt(r.k), _fmt(r.eta),
-                          _fmt(r.value), _fmt(r.bound), _fmt(r.ratio),
-                          _fmt(r.growth), _fmt(r.allowed_growth), r.status,
-                          r.note])
+            out.writerow([_fmt(getattr(r, c)) for c in LEMMA_COLUMNS])
 
 
 def write_theorem_csv(path, report: TheoremReport) -> None:

@@ -11,14 +11,14 @@ the sampling rate is exact up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, GridStepError, InsufficientTableError
-from .expsums import (eval_grid, fejer_kernel, iter_grid_values, sum_freqs,
-                      trapezoid, trapezoid_step)
+from .expsums import (fejer_kernel, iter_grid_values, sum_freqs, trapezoid,
+                      trapezoid_step)
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -50,17 +50,7 @@ class MomentReport:
     eta: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "lo": self.lo,
-            "hi": self.hi,
-            "value": self.value,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "X": self.X,
-            "k": self.k,
-            "eta": self.eta,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +153,8 @@ def exp_sum_gap_l2(Y: float, rng: SumRange, table: PrimeTable,
     if not 0 < Y <= 0.5:
         raise DomainError(f"Y must be in (0, 1/2], got {Y}")
     n, h = trapezoid_step(-Y, Y, 1.0 / (64.0 * rng.X), step)
-    gs = eval_grid("prime", rng, table, alpha0=-Y, step=h, count=n + 1)
-    gu = eval_grid("integer", rng, alpha0=-Y, step=h, count=n + 1)
-    y = np.abs(gs.values - gu.values) ** 2
-    value = (math.fsum(y) - 0.5 * (y[0] + y[-1])) * h
+    value = trapezoid([sum_freqs("prime", rng, table), sum_freqs("integer", rng)],
+                      -Y, h, n + 1, lambda alphas, s, u: np.abs(s - u) ** 2)
 
     X, k = rng.X, rng.k
     logX = math.log(X)

@@ -57,12 +57,13 @@ def frac_reduce(hi, lo):
 def phase_frac(freq_hi, freq_lo, alpha, alpha_lo=0.0):
     """frac((freq_hi + freq_lo) * (alpha + alpha_lo)) to ~1e-16 absolute.
 
-    freq_* may be scalars or arrays; alpha is a scalar or broadcastable
-    array.  alpha_lo lets callers pass an exactly-known two-term abscissa.
+    freq_* may be scalars or arrays; alpha and alpha_lo are scalars or
+    broadcastable arrays.  alpha_lo lets callers pass an exactly-known
+    two-term abscissa; an all-zero alpha_lo costs nothing.
     """
     p, e = two_prod(freq_hi, alpha)
     e = e + freq_lo * alpha
-    if alpha_lo != 0.0:
+    if np.any(alpha_lo):
         e = e + freq_hi * alpha_lo
     return frac_reduce(p, e)
 

@@ -144,20 +144,23 @@ def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag):
 
     l1 p1 = a1_hi + a1_lo and l2 p2 = a2_hi + a2_lo exactly (two_prod);
     `base` is the 50-digit l3 p3^k - omega; `mag` bounds |l1 p1| + |l2 p2|.
-    R is the residual the 50-digit path computes, (l1 p1 + l2 p2) + base
-    rounded to 169 bits per operation: the association of a plain 50-digit
-    enumeration, since under heavy cancellation another association rounds
-    to another R.  Callers add eta into `mag`, so that err also covers the
-    169-bit rounding of |R| - eta in the band test.
+    R is the residual the 50-digit path computes: mp.fsum of l1 p1, l2 p2,
+    l3 p3^k and -omega, which rounds their exact sum once to 169 bits.
+    Each term is exact at 169 bits (for integer k), so R is the correctly
+    rounded residual even under total cancellation.  Callers add eta into
+    `mag`, so that err also covers the 169-bit rounding of |R| - eta in the
+    band test.
 
     The bound: base splits as bh + bl with |base - bh - bl| <= u^2 |bh|
     (u = 2^-53), and two_sum makes a1_hi + a2_hi + bh = s2 + e1 + e2 exactly
     with |e1| <= u|s1|, |e2| <= u|s2|.  The five low parts are summed in
     float64, erring by at most gamma_4 = 4u/(1-4u) times their magnitude,
     itself at most 3u(1+3u) M with M = mag + |bh|.  So r_hi + r_lo lies
-    within 13.01 u^2 M of l1 p1 + l2 p2 + base, and R within 2^-167 M of
-    that.  err = |r_lo| + 16 u^2 M covers both, with the slack absorbing the
-    float64 rounding of err itself.
+    within 13.01 u^2 M of l1 p1 + l2 p2 + base.  base is l3 p3^k - omega
+    rounded once and R the exact residual rounded once, each within 2^-169
+    of its magnitude, so R lies within 2^-167 M of that.  err = |r_lo| +
+    16 u^2 M covers both, with the slack absorbing the float64 rounding of
+    err itself.
     """
     b_hi, b_lo = dd_from_mpf(base)
     s1, e1 = two_sum(a1_hi, a2_hi)
@@ -243,7 +246,8 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
         i = np.repeat(hit, counts)
         j = np.arange(len(i)) + np.repeat(i_lo[hit] - (np.cumsum(counts) - counts),
                                           counts)
-        base = L3 * _p3_power_mp(int(p3), instance.k) - OM
+        l3p = L3 * _p3_power_mp(int(p3), instance.k)
+        base = l3p - OM
         r_hi, err = _dd_residuals(a1[i], a1_lo[i], sorted2[j], sorted2_lo[j],
                                   base, lin_mag)
         admit, boundary, decided = _certify(r_hi, err, eta, band_hi, band_lo)
@@ -252,7 +256,7 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
         for c in undecided:
             p1 = int(p1s[i[c]])
             p2 = int(p1s[order[j[c]]])
-            exact = abs(L1 * p1 + L2 * p2 + base)
+            exact = abs(mp.fsum((L1 * p1, L2 * p2, l3p, -OM)))
             admit[c] = bool(exact <= eta_mp)
             if admit[c]:
                 res[c] = float(exact)

@@ -10,6 +10,7 @@ from dhlab.expsums import (GRID_BLOCK, KernelParams, SpectrumGrid, _plan_block,
                            fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, iter_grid_values, prime_exp_sum,
                            sum_freqs, trapezoid)
+from dhlab.precision import dd_add, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
 
@@ -136,6 +137,18 @@ def test_grid_matches_pointwise(table_1e6):
     assert worst < 1e-9
 
 
+def test_grid_values_at_exact_nodes(table_1e6):
+    # phases near 1e13: a row base rounded to float64 would move the value
+    # by ~1e-3; each value must belong to the node alpha0 + j*step itself,
+    # computed here independently of SpectrumGrid.alpha_dd
+    rng = SumRange(2, 0.1, 1e10)
+    g = eval_grid("prime", rng, table_1e6, alpha0=1000.3, step=1e-9, count=5000)
+    for j in (0, 1023, 1024, 1025, 4999):
+        ah, al = dd_add(1000.3, 0.0, *two_prod(float(j), 1e-9))
+        direct = prime_exp_sum(ah, rng, table_1e6, alpha_lo=al)
+        assert abs(g.values[j] - direct) <= 1e-9 * max(abs(direct), 1.0)
+
+
 def test_grid_blocks_fixed_for_any_row_size(table_1e5):
     # 9592 terms give rows of 874 points, which do not divide a block; the
     # blocks stay GRID_BLOCK long and the straddling row is evaluated twice
@@ -145,7 +158,7 @@ def test_grid_blocks_fixed_for_any_row_size(table_1e5):
     assert len(f[0]) == 9592 and _plan_block(count, 9592) == 874
     blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
     assert [start for start, _ in blocks] == [0, GRID_BLOCK]
-    g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count, resync=874,
+    g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count,
                      values=np.concatenate([b for _, b in blocks]))
     for j in (65535, 65536, 65537, 74 * 874, 75 * 874):
         ah, al = g.alpha_dd(j)

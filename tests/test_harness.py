@@ -72,6 +72,13 @@ def test_suite_csv_schema(tmp_path, mini_suite):
                       "allowed_growth,status,note")
 
 
+def test_suite_csv_plain_floats(tmp_path, mini_suite):
+    # numpy scalars (gap_l2's bound comes from one) print as plain floats
+    path = tmp_path / "lemmas.csv"
+    write_suite_csv(path, mini_suite)
+    assert "np." not in path.read_text()
+
+
 def test_summary_shape(mini_suite):
     s = summary_dict(MINI, suite=mini_suite)
     assert s["overall"] in ("PASS", "FAIL")
@@ -214,6 +221,8 @@ def test_cli_config_errors_exit_2(tmp_path):
                     "threads, x_valuez"),
         "bad_k": ({**MINI.to_json(), "instance": {**MINI.to_json()["instance"],
                                                   "k": 4.0}}, "k must be"),
+        "missing": ({"instance": {"k": 2.0, "omega": 0.0}},
+                    "missing instance key(s): lambda1, lambda2, lambda3"),
     }
     for name, (blob, message) in cases.items():
         cfgp = tmp_path / f"{name}.json"

@@ -30,10 +30,10 @@ def brute_force_solutions(instance, X, eta, table):
     eta_mp = mp.mpf(eta)
     out = []
     for p3, lg3 in pw:
-        base = l3 * mp.power(p3, instance.k) - om
+        l3p = l3 * mp.power(p3, instance.k)
         for p1, lg1 in lin:
             for p2, lg2 in lin:
-                res = abs(l1 * p1 + l2 * p2 + base)
+                res = abs(mp.fsum((l1 * p1, l2 * p2, l3p, -om)))
                 if res <= eta:
                     out.append(((p1, p2, p3), float(res), lg1 * lg2 * lg3,
                                 abs(res - eta_mp) <= BOUNDARY_BAND * eta_mp))
@@ -177,14 +177,15 @@ def test_boundary_band_flag(table_1e6):
 
 def test_cancelling_residual_matches_plain_50_digit_sum(table_1e6):
     # 0.5 p1 - 0.5 p2 - 0.5 p3^2 vanishes on (7, 3, 2), (11, 2, 3), ...,
-    # leaving |omega| = 3.57e-49; the fallback must round that residual as
-    # the plain 50-digit sum of the oracle does
+    # leaving |omega| = 3.57e-49; the fallback's single rounding of the
+    # 50-digit sum must store exactly that residual, as the oracle does
     inst = ProblemInstance(0.5, -0.5, -0.5, 2.0, -3.572413501195576e-49,
                            delta=0.05)
     brute = _by_output_order(brute_force_solutions(inst, 20.0, 1e-40, table_1e6))
     sols = enumerate_solutions(inst, 20.0, 1e-40, table_1e6)
     assert len(brute) >= 3
     assert [(s.triple, s.residual) for s in sols] == [(t, r) for t, r, *_ in brute]
+    assert all(s.residual == abs(inst.omega) for s in sols)
 
 
 _COEF = st.one_of(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
