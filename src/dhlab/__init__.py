@@ -12,7 +12,7 @@ from .diophantine import (Convergent, Expansion, RationalWitness, convergents,
 from .errors import (DhlabError, DomainError, EmptyDomainError, GridStepError,
                      InsufficientTableError, ParameterError, PhaseBudgetError,
                      QuadratureError)
-from .expsums import (KernelParams, SpectrumGrid, eval_grid, fejer_kernel,
+from .expsums import (SpectrumGrid, eval_grid, fejer_kernel,
                       fejer_kernel_hat, integer_exp_sum, integral_exp_sum,
                       prime_exp_sum)
 from .harness import (ExperimentConfig, MeasureSample, run_lemma_suite,

@@ -15,7 +15,16 @@ double-double base a0 + r*d, so each value belongs to the node a0 + j*d
 itself and rounding drift never accumulates past one row.  Rows are
 batched into a complex matrix product, which is where the throughput
 comes from.  Scattered abscissas, single points included, go through
-eval_points.
+eval_points, the direct evaluator and the reference the others are tested
+against; points_error_bound bounds its error.
+
+Scattered points of integer frequencies n also have a fast evaluator:
+eval_taylor interpolates sum w_n e(n beta) off FFT tables (band-limited
+Taylor interpolation: Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996;
+Odlyzko & Schonhage, 1988).  TaylorTables.error_bound is its certified
+error bound, in closed form.  Callers that must decide a threshold as
+eval_points would (the large-values sampler) decide on the Taylor value
+where it clears both bounds and fall back to eval_points elsewhere.
 """
 
 from __future__ import annotations
@@ -24,11 +33,13 @@ import csv
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, GridStepError, PhaseBudgetError, QuadratureError
-from .precision import dd_add, dd_scale, phase_frac, pow_dd, two_prod
+from .precision import (dd_add, dd_scale, phase_frac, pow_dd, two_prod,
+                        two_sum)
 from .primes import PrimeTable, SumRange, integers_in_range, window_arrays
 
 RESYNC = 1024  # max grid points per row of the rotation recurrence
@@ -40,26 +51,16 @@ _PRODUCT_ROWS = 64
 PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
 
 _TWO_PI_I = 2j * np.pi
+_U = 2.0**-53  # unit roundoff of float64
 
 
-@dataclass(frozen=True)
-class KernelParams:
-    """Width parameter of the detection kernel; eta in (0,1)."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0 < self.eta < 1:
-            raise ValueError(f"eta must be in (0,1), got {self.eta}")
+def _gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u)."""
+    return m * _U / (1 - m * _U)
 
 
-def _eta_of(p) -> float:
-    return p.eta if isinstance(p, KernelParams) else float(p)
-
-
-def fejer_kernel(alpha, params) -> float | np.ndarray:
+def fejer_kernel(alpha, eta: float) -> float | np.ndarray:
     """K_eta(alpha) = (sin(pi alpha eta) / (pi alpha))^2, K_eta(0) = eta^2."""
-    eta = _eta_of(params)
     a = np.asarray(alpha, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         v = (np.sin(np.pi * a * eta) / (np.pi * a)) ** 2
@@ -67,9 +68,8 @@ def fejer_kernel(alpha, params) -> float | np.ndarray:
     return v if a.ndim else float(v)
 
 
-def fejer_kernel_hat(alpha, params) -> float | np.ndarray:
+def fejer_kernel_hat(alpha, eta: float) -> float | np.ndarray:
     """The transform max{0, eta - |alpha|}: a tent supported on [-eta, eta]."""
-    eta = _eta_of(params)
     a = np.asarray(alpha, dtype=np.float64)
     v = np.maximum(0.0, eta - np.abs(a))
     return v if a.ndim else float(v)
@@ -334,6 +334,192 @@ def eval_points(fh, fl, weights, alphas: np.ndarray,
         a = alphas[s : s + chunk]
         ph = phase_frac(fh[:, None], fl[:, None], a[None, :], alpha_lo)
         out[s : s + len(a)] = weights @ np.exp(_TWO_PI_I * ph)
+    return out
+
+
+def points_error_bound(fh, fl, weights, amax: float,
+                       alpha_lo: float = 0.0) -> float:
+    """Certified bound on |E - S| and on ||E| - |S|| for E = eval_points(fh,
+    fl, weights, alphas, alpha_lo) at any |alphas| <= amax, where S is the
+    exact sum at frequencies fh + fl (taken as exact) and abscissas
+    alphas + alpha_lo:
+
+        sum|w| * (u (2 pi (2 + 5 L) + 3) + sqrt(2) gamma_{n+2}),
+        L = u max|fh| amax + max|fl| amax + max|fh| |alpha_lo|,
+
+    with u = 2^-53 and gamma_m = m u / (1 - m u).  L bounds the low part
+    phase_frac carries, u (1 + 5 L) its phase error, 2 pi u + 1.5 u the
+    rounding of 2 pi i phase and of exp, and sqrt(2) gamma_{n+2} the
+    n-term dot product in any summation order (Higham, Accuracy and
+    Stability, 2nd ed., sec. 3.1); the last u covers np.abs.
+    """
+    n = len(fh)
+    if n == 0:
+        return 0.0
+    w_abs = math.fsum(np.abs(weights))
+    f_max = float(np.max(np.abs(fh)))
+    lo = (_U * f_max * amax + float(np.max(np.abs(fl))) * amax
+          + f_max * abs(alpha_lo))
+    return w_abs * (_U * (2 * math.pi * (2 + 5 * lo) + 3)
+                    + math.sqrt(2) * _gamma(n + 2))
+
+
+# ---------------------------------------------------------------------------
+# scattered points of integer frequencies: Taylor series off FFT tables
+
+TAYLOR_BLOCK = 1 << 14  # max consecutive integers one block's tables span
+TAYLOR_TERMS = 18  # R: truncation <= sum|w| (pi/8)^R / R! e^(pi/8) ~ 1e-23 sum|w|
+
+
+class _TaylorBlock(NamedTuple):
+    n0: int  # first frequency; the block spans n0 .. n0 + width - 1
+    width: int
+    table: np.ndarray  # (R, M): F_r(j) / r!, M the power of two >= 4 width
+    w_abs: float  # sum |w| over the block
+    w_l2: float  # ||w||_2 over the block
+
+
+@dataclass(frozen=True, eq=False)
+class TaylorTables:
+    """FFT tables of sum w_n e(n beta) over integer frequencies n.
+
+    The frequencies are cut into blocks of at most TAYLOR_BLOCK consecutive
+    integers, so table memory stays bounded by the block size however wide
+    the window.  A block of width N starting at n0, centre c = (N-1)/2 and
+    half-width h = N/2 keeps the R = TAYLOR_TERMS tables
+
+        F_r(j) = sum_m w_m t_m^r e(m j / M) / r!,   t_m = (m - c) / h,
+
+    over m = n - n0, for j < M, M the power of two >= 4N (numpy.fft).
+    """
+
+    blocks: tuple[_TaylorBlock, ...]
+
+    def error_bound(self, amax: float, scale: float = 1.0,
+                    alpha_lo: float = 0.0) -> float:
+        """Certified bound on |T - S| and on ||T| - |S|| for T =
+        eval_taylor(self, alphas, scale, alpha_lo) at any |alphas| <= amax,
+        where S = sum w_n e(n beta), beta = scale (alpha + alpha_lo) exactly.
+
+        With u = 2^-53, gamma_m = m u / (1 - m u), B blocks, and per block
+        rho = pi N (1/(2M) + u) <= pi/8 (1 + 2^-40), the bound of |z| =
+        |2 pi delta h| below, t = log2 M and eta_F = mu + gamma_4 (sqrt(2)
+        + mu), mu = 4 u, it is the sum over blocks of
+
+            sum|w| e^rho rho^R / R!                Taylor truncation
+          + sqrt(M) ||w||_2 e^rho t eta_F / (1 - t eta_F)
+                                                   FFT rounding (Higham,
+                                                   Accuracy and Stability,
+                                                   2nd ed., Thm 24.2)
+          + sum|w| e^rho gamma_{8R+64+B}           table entries (gamma_3R),
+                                                   Horner in a rounded z
+                                                   (gamma_4R + 2u), the
+                                                   prefactor's phase and
+                                                   exp (55u), its product
+                                                   and np.abs (4u), the
+                                                   block accumulation
+          + 2 pi sum|w| (|n0| + N) x_err           frac(beta) off by x_err
+
+        with x_err = u^2 |scale| amax + 2.01 u |scale alpha_lo|, the error of
+        beta formed as two_prod(scale, alpha) + scale alpha_lo.
+        Theorem 24.2 is stated for radix-2 Cooley-Tukey; numpy's pocketfft
+        runs radix-4 passes for powers of two, taken to obey it with t
+        stages (the property tests check the bound against 50-digit sums).
+        """
+        R, B = TAYLOR_TERMS, len(self.blocks)
+        x_err = _U * _U * abs(scale) * amax + 2.01 * _U * abs(scale * alpha_lo)
+        mu = 4 * _U
+        eta_f = mu + _gamma(4) * (math.sqrt(2) + mu)
+        total = 0.0
+        for b in self.blocks:
+            M = b.table.shape[1]
+            rho = math.pi * b.width * (0.5 / M + _U)
+            er = math.exp(rho)
+            t = math.log2(M)
+            total += (b.w_abs * er * rho**R / math.factorial(R)
+                      + math.sqrt(M) * b.w_l2 * er * t * eta_f / (1 - t * eta_f)
+                      + b.w_abs * er * _gamma(8 * R + 64 + B)
+                      + 2 * math.pi * b.w_abs * (abs(b.n0) + b.width) * x_err)
+        return total
+
+
+def taylor_tables(freqs: np.ndarray, weights: np.ndarray) -> TaylorTables:
+    """Tables of sum w_n e(n beta) for ascending integer frequencies
+    `freqs` (|n| < 2^53) with float weights."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    blocks = []
+    if len(freqs):
+        edges = freqs[0] + TAYLOR_BLOCK * np.arange(
+            1, (freqs[-1] - freqs[0]) // TAYLOR_BLOCK + 1)
+        cuts = np.searchsorted(freqs, edges)
+        for ns, w in zip(np.split(freqs, cuts), np.split(weights, cuts)):
+            if len(ns):
+                blocks.append(_taylor_block(ns, w))
+    return TaylorTables(tuple(blocks))
+
+
+def _taylor_block(ns, w) -> _TaylorBlock:
+    m = ns - ns[0]
+    width = int(m[-1]) + 1
+    M = 1 << (4 * width - 1).bit_length()
+    t = (m - (width - 1) / 2) / (width / 2)
+    a = np.zeros((TAYLOR_TERMS, M))
+    col = w
+    for r in range(TAYLOR_TERMS):
+        a[r, m] = col
+        col = col * t / (r + 1)
+    # norm="forward" leaves the inverse transform unscaled: sum_m a_m e(mj/M)
+    table = np.fft.ifft(a, axis=1, norm="forward")
+    return _TaylorBlock(int(ns[0]), width, table, math.fsum(np.abs(w)),
+                        math.sqrt(math.fsum(w * w)))
+
+
+def prime_taylor_tables(rng: SumRange, table: PrimeTable) -> TaylorTables:
+    """Tables of the prime window of `rng` (frequencies p^k, weights log p),
+    cached on `table` next to its frequency ensembles; any scale reuses
+    them.  Needs an integer k and X < 2^53."""
+    key = ("taylor", rng)
+    out = table.freq_cache.get(key)
+    if out is None:
+        if not float(rng.k).is_integer() or rng.X >= 2.0**53:
+            raise DomainError(f"Taylor tables need integer frequencies below "
+                              f"2^53, got k = {rng.k}, X = {rng.X}")
+        ns, weights = window_arrays(rng, table)
+        out = taylor_tables(ns ** int(rng.k), weights)
+        table.freq_cache[key] = out
+    return out
+
+
+def eval_taylor(tables: TaylorTables, alphas: np.ndarray, scale: float = 1.0,
+                alpha_lo: float = 0.0) -> np.ndarray:
+    """sum w_n e(n beta) at beta = scale * (alphas + alpha_lo), within
+    tables.error_bound(max|alphas|, scale, alpha_lo).
+
+    x = frac(beta) is formed in double-double from two_prod(scale, alpha)
+    plus scale * alpha_lo; per block j = rint(x M), delta = x - j/M (the
+    difference x_hi - j/M is exact), |delta| <= 1/(2M), and
+
+        S_block = e(n0 x + c delta) sum_r F_r(j) z^r,   z = 2 pi i delta h,
+
+    summed by Horner in z, with |z| <= pi/8.  Blocks are accumulated in
+    ascending order.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    bh, bl = two_prod(scale, alphas)
+    xh, xl = two_sum(bh - np.rint(bh), bl + scale * alpha_lo)
+    out = np.zeros(len(alphas), dtype=np.complex128)
+    for b in tables.blocks:
+        M = b.table.shape[1]
+        j = np.rint(xh * M)
+        delta = (xh - j / M) + xl
+        z = 1j * ((math.pi * b.width) * delta)
+        F = b.table[:, j.astype(np.int64) % M]
+        acc = F[-1]
+        for r in range(TAYLOR_TERMS - 2, -1, -1):
+            acc = acc * z + F[r]
+        ph = phase_frac(float(b.n0), 0.0, xh, xl) + (b.width - 1) / 2 * delta
+        out += np.exp(_TWO_PI_I * ph) * acc
     return out
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from .arcs import choose_parameters
 from .diophantine import cube_sequence, find_rational_witness, vaughan_ratio
 from .errors import DhlabError
-from .expsums import eval_points, sum_freqs
+from .expsums import (eval_points, eval_taylor, points_error_bound,
+                      prime_taylor_tables, sum_freqs)
 from .norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
                     moment_integral, selberg_integral)
 from .primes import PrimeTable, SumRange, sieve, window_arrays
@@ -132,9 +133,14 @@ class MeasureSample:
     samples: int
     seed: int
     sigma: float  # one-sided MC standard error of the estimate
+    # samples the Taylor values left undecided, decided by eval_points;
+    # a diagnostic, kept out of to_json
+    exact_fallbacks: int = 0
 
     def to_json(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["exact_fallbacks"]
+        return out
 
 
 def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
@@ -147,6 +153,12 @@ def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
     One uniform draw per stratum on the positive band, doubled by symmetry
     (|S1(-a)| = |S1(a)|).  The bound is y X^(8/3 + 0.1) / (Z1 Z2)^2 with
     unit constant.
+
+    Each |S1(l a)| > Z is decided on the Taylor value (eval_taylor) wherever
+    it lies farther from Z than its certified bound plus that of
+    eval_points, so the decision is the one eval_points gives; the samples
+    left undecided take eval_points' values and are counted in
+    `exact_fallbacks`.
     """
     if not (y > 0 and Z1 > 0 and Z2 > 0 and samples > 0):
         raise DhlabError("y, Z1, Z2, samples must all be positive")
@@ -154,17 +166,29 @@ def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
     u = (np.arange(samples) + rng.random(samples)) / samples
     alphas = y * (1.0 + u)  # stratified over [y, 2y]
     lin = instance.linear_range(X)
-    f1 = sum_freqs("prime", lin, table, scale=instance.lambda1)
-    f2 = sum_freqs("prime", lin, table, scale=instance.lambda2)
-    m1 = np.abs(eval_points(*f1, alphas))
-    m2 = np.abs(eval_points(*f2, alphas))
-    hits = (m1 > Z1) & (m2 > Z2)
+    tables = prime_taylor_tables(lin, table)
+    amax = float(np.max(alphas))
+    hits = np.ones(samples, dtype=bool)
+    fallbacks = 0
+    for scale, Z in ((instance.lambda1, Z1), (instance.lambda2, Z2)):
+        f = sum_freqs("prime", lin, table, scale=scale)
+        m = np.abs(eval_taylor(tables, alphas, scale))
+        tol = tables.error_bound(amax, scale) + points_error_bound(*f, amax)
+        near = np.abs(m - Z) <= tol
+        if near.any():
+            # the last bits of an eval_points value depend on the batch it
+            # is computed in (BLAS blocking), so take them from the batch
+            # of all samples
+            m[near] = np.abs(eval_points(*f, alphas))[near]
+            fallbacks += int(np.count_nonzero(near))
+        hits &= m > Z
     p_hat = float(np.count_nonzero(hits)) / samples
     measure = 2.0 * y * p_hat
     sigma = 2.0 * y * math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     bound = y * X ** (8.0 / 3.0 + 0.1) / (Z1 * Z1 * Z2 * Z2)
     return MeasureSample(Z1=Z1, Z2=Z2, y=y, sampled_measure=measure,
-                         bound=bound, samples=samples, seed=seed, sigma=sigma)
+                         bound=bound, samples=samples, seed=seed, sigma=sigma,
+                         exact_fallbacks=fallbacks)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ class PrimeTable:
     """All primes up to `limit`, ascending, with cached log machinery.
 
     `freq_cache` holds the frequency ensembles `expsums.sum_freqs` built
-    from this table, keyed by (SumRange, scale).
+    from this table, keyed by (SumRange, scale), and the Taylor tables
+    `expsums.prime_taylor_tables` built, keyed by ("taylor", SumRange).
     """
 
     limit: int

@@ -27,8 +27,8 @@ from mpmath import mp
 
 from .arcs import choose_parameters
 from .errors import DomainError
-from .expsums import (fejer_kernel, prime_exp_sum, sum_freqs, trapezoid,
-                      trapezoid_step)
+from .expsums import (fejer_kernel, fejer_kernel_hat, prime_exp_sum, sum_freqs,
+                      trapezoid, trapezoid_step)
 from .precision import dd_from_mpf, phase_frac, two_prod, two_sum
 from .primes import PrimeTable, SumRange, window_arrays
 
@@ -279,8 +279,8 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
 
 
 def weighted_count(solutions: Solutions, eta: float) -> float:
-    """sum of weight * max(0, eta - residual) over the records."""
-    return math.fsum(solutions.weight * np.maximum(0.0, eta - solutions.residual))
+    """sum of weight * fejer_kernel_hat(residual, eta) over the records."""
+    return math.fsum(solutions.weight * fejer_kernel_hat(solutions.residual, eta))
 
 
 def duality_tail_bound(instance: ProblemInstance, X: float, B: float,

@@ -5,11 +5,18 @@ import numpy as np
 import pytest
 
 from dhlab.errors import InsufficientTableError, PhaseBudgetError
-from dhlab.expsums import (GRID_BLOCK, KernelParams, SpectrumGrid, _plan_block,
-                           eval_grid, eval_points, fejer_kernel,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
+
+from dhlab import expsums
+from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid, _plan_block,
+                           eval_grid, eval_points, eval_taylor, fejer_kernel,
                            fejer_kernel_hat, integer_exp_sum,
-                           integral_exp_sum, iter_grid_values, prime_exp_sum,
-                           sum_freqs, trapezoid)
+                           integral_exp_sum, iter_grid_values,
+                           points_error_bound, prime_exp_sum,
+                           prime_taylor_tables, sum_freqs, taylor_tables,
+                           trapezoid)
 from dhlab.precision import dd_add, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
@@ -100,13 +107,10 @@ def test_integral_minus_integer_sum_bound():
 
 
 def test_kernel_values():
-    p = KernelParams(0.3)
-    assert fejer_kernel(0.0, p) == pytest.approx(0.09)
-    assert fejer_kernel_hat(0.15, p) == pytest.approx(0.15)
-    assert fejer_kernel_hat(0.31, p) == 0.0
-    assert fejer_kernel_hat(-0.29, p) == pytest.approx(0.01)
-    with pytest.raises(ValueError):
-        KernelParams(1.0)
+    assert fejer_kernel(0.0, 0.3) == pytest.approx(0.09)
+    assert fejer_kernel_hat(0.15, 0.3) == pytest.approx(0.15)
+    assert fejer_kernel_hat(0.31, 0.3) == 0.0
+    assert fejer_kernel_hat(-0.29, 0.3) == pytest.approx(0.01)
 
 
 def test_kernel_envelope():
@@ -260,3 +264,100 @@ def test_freq_cache_dies_with_its_table():
     small = PrimeTable(100, small_primes)
     with pytest.raises(InsufficientTableError):
         prime_exp_sum(0.1, rng, small)
+
+
+# ---------------------------------------------------------------------------
+# Taylor-off-FFT evaluator against eval_points and 50-digit sums
+
+def _points_ensemble(ns, weights, scale):
+    # scale * n is exact as a two_prod pair
+    fh, fl = two_prod(np.asarray(ns, dtype=np.float64), scale)
+    return fh, fl, np.asarray(weights, dtype=np.float64)
+
+
+def _mp_sum(ns, weights, scale, alpha, alpha_lo):
+    beta = mp.mpf(scale) * (mp.mpf(alpha) + mp.mpf(alpha_lo))
+    return complex(mp.fsum(mp.mpf(float(w)) * mp.expjpi(2 * int(n) * beta)
+                           for n, w in zip(ns, weights)))
+
+
+def test_taylor_window_of_several_blocks(table_1e5):
+    rng = SumRange(1, 0.01, 5e4)  # primes 500 .. 5e4: four blocks
+    tabs = prime_taylor_tables(rng, table_1e5)
+    assert len(tabs.blocks) == 4
+    assert all(b.width <= TAYLOR_BLOCK for b in tabs.blocks)
+    assert prime_taylor_tables(rng, table_1e5) is tabs  # cached on the table
+    alphas = np.random.default_rng(4).uniform(-30.0, 30.0, 300)
+    for scale in (1.0, math.sqrt(2.0)):
+        f = sum_freqs("prime", rng, table_1e5, scale=scale)
+        got = eval_taylor(tabs, alphas, scale)
+        want = eval_points(*f, alphas)
+        tol = tabs.error_bound(30.0, scale) + points_error_bound(*f, 30.0)
+        assert np.max(np.abs(got - want)) <= tol
+
+
+def test_taylor_empty_window():
+    tabs = taylor_tables(np.empty(0, dtype=np.int64), np.empty(0))
+    assert tabs.blocks == ()
+    assert tabs.error_bound(10.0) == 0.0
+    assert np.all(eval_taylor(tabs, [0.1, 0.2]) == 0)
+
+
+_SCALES = st.sampled_from([1.0, math.sqrt(2.0), -math.sqrt(3.0), 0.5])
+
+
+@st.composite
+def _windows(draw):
+    start = draw(st.integers(1, 5000))
+    span = draw(st.integers(0, 400))
+    ns = np.arange(start, start + span + 1)
+    if draw(st.booleans()):  # the primes of the window
+        ns = ns[[all(n % d for d in range(2, math.isqrt(n) + 1)) and n > 1
+                 for n in ns]]
+        weights = np.log(ns.astype(np.float64))
+    else:
+        weights = np.ones(len(ns))
+    return ns, weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=_windows(), scale=_SCALES,
+       block=st.sampled_from([16, 100, 1 << 14]),
+       alphas=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+       lo_scale=st.floats(-1.0, 1.0))
+def test_taylor_within_certified_bounds(window, scale, block, alphas, lo_scale):
+    ns, weights = window
+    alphas = np.asarray(alphas)
+    alpha_lo = lo_scale * 2.0**-60 * max(1.0, float(np.max(np.abs(alphas))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "TAYLOR_BLOCK", block)  # multi-block windows
+        tabs = taylor_tables(ns, weights)
+    assert all(b.width <= block for b in tabs.blocks)
+    amax = float(np.max(np.abs(alphas)))
+    f = _points_ensemble(ns, weights, scale)
+    got = eval_taylor(tabs, alphas, scale, alpha_lo)
+    want = eval_points(*f, alphas, alpha_lo)
+    assert np.all(np.abs(got - want) <= tabs.error_bound(amax, scale, alpha_lo)
+                  + points_error_bound(*f, amax, alpha_lo))
+
+
+@pytest.mark.parametrize("start,span,scale,alpha,alpha_lo", [
+    (2, 300, 1.0, 0.1371, 0.0),
+    (900, 2500, math.sqrt(2.0), -17.25, 3e-19),
+    (4000, 60, -math.sqrt(3.0), 999.9, -1e-15),
+    (1, 40, 0.5, 0.5, 0.0),
+])
+def test_certified_bounds_against_50_digit_sums(start, span, scale, alpha,
+                                                alpha_lo):
+    ns = np.arange(start, start + span)
+    weights = np.log(ns + 1.0)
+    exact = _mp_sum(ns, weights, scale, alpha, alpha_lo)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "TAYLOR_BLOCK", 1000)
+        tabs = taylor_tables(ns, weights)
+    t = eval_taylor(tabs, [alpha], scale, alpha_lo)[0]
+    assert abs(t - exact) <= tabs.error_bound(abs(alpha), scale, alpha_lo)
+    assert abs(abs(t) - abs(exact)) <= tabs.error_bound(abs(alpha), scale, alpha_lo)
+    f = _points_ensemble(ns, weights, scale)
+    e = eval_points(*f, [alpha], alpha_lo)[0]
+    assert abs(e - exact) <= points_error_bound(*f, abs(alpha), alpha_lo)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dhlab.expsums import eval_points, sum_freqs
 from dhlab.harness import (CHECKS, ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, sample_large_sum_measure,
                            summary_dict, write_suite_csv, write_theorem_csv,
@@ -111,6 +112,41 @@ def test_measure_seed_consistency(table_1e5):
     assert c.sampled_measure == a.sampled_measure
 
 
+def test_measure_default_suite_needs_no_fallback(table_1e5):
+    # the default suite's X = 4000 row: both seeds decided on Taylor values
+    cfg = ExperimentConfig()
+    X = 4000.0
+    seed_a = cfg.seed * 1000003 + int(X) * 101 + 12  # as the suite draws it
+    z = X**cfg.measure_z_exp
+    for seed in (seed_a, seed_a + 1):
+        s = sample_large_sum_measure(cfg.instance, X, z, z, cfg.measure_y,
+                                     cfg.measure_samples, seed, table_1e5)
+        assert s.exact_fallbacks == 0
+        assert "exact_fallbacks" not in s.to_json()
+
+
+def test_measure_tie_falls_back_to_eval_points(table_1e5):
+    # Z1 equal to |S1(l1 a)| at one sample, as eval_points computes it over
+    # all samples: that sample is undecided by the Taylor value, and as a
+    # strict inequality it is no hit
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.0)
+    X, y, n, seed = 4000.0, 0.1, 3000, 21
+    rng = np.random.default_rng(seed)
+    alphas = y * (1.0 + (np.arange(n) + rng.random(n)) / n)
+    lin = inst.linear_range(X)
+    m1 = np.abs(eval_points(*sum_freqs("prime", lin, table_1e5,
+                                       scale=inst.lambda1), alphas))
+    m2 = np.abs(eval_points(*sum_freqs("prime", lin, table_1e5,
+                                       scale=inst.lambda2), alphas))
+    i = int(np.argsort(m1)[n // 2])
+    z1, z2 = float(m1[i]), 1e-9
+    s = sample_large_sum_measure(inst, X, z1, z2, y, n, seed, table_1e5)
+    assert s.exact_fallbacks >= 1
+    hits = (m1 > z1) & (m2 > z2)
+    assert not hits[i]
+    assert s.sampled_measure == 2.0 * y * (np.count_nonzero(hits) / n)
+
+
 def test_theorem_experiment_mini():
     rep = run_theorem_experiment(MINI)
     assert not rep.rational_flag and not rep.sign_flag
@@ -190,6 +226,11 @@ def test_cli_point_commands(tmp_path):
     assert json.loads(res.stdout)["re"] == pytest.approx(6.0)
     res = _cli(["measure", "--X", "2000", "--z1", "1e6", "--z2", "1e6",
                 "--y", "0.1", "--samples", "500"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["sampled_measure"] == 0.0
+    # an empty linear window: no primes in [0.15, 1.5]
+    res = _cli(["measure", "--X", "1.5", "--z1", "1", "--z2", "1",
+                "--y", "0.1"], tmp_path)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["sampled_measure"] == 0.0
     res = _cli(["--out", str(tmp_path / "s"), "solve", "--lambdas", "1,1,-1",
