@@ -17,12 +17,11 @@ import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, GridStepError, InsufficientTableError
-from .expsums import (fejer_kernel, iter_grid_values, sum_freqs, trapezoid,
-                      trapezoid_step)
+from .expsums import (MAX_TRAPEZOID_POINTS, fejer_kernel, iter_grid_values,
+                      sum_freqs, trapezoid, trapezoid_step)
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
-MAX_TRAPEZOID_POINTS = 1 << 28  # largest directly gridded kernel moment
 
 
 @dataclass

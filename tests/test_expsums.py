@@ -11,8 +11,8 @@ from mpmath import mp
 
 from dhlab import expsums
 from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid, _plan_block,
-                           eval_grid, eval_points, eval_taylor, fejer_kernel,
-                           fejer_kernel_hat, integer_exp_sum,
+                           chirp_plan, eval_grid, eval_points, eval_taylor,
+                           fejer_kernel, fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
                            prime_taylor_tables, sum_freqs, taylor_tables,
@@ -155,18 +155,21 @@ def test_grid_values_at_exact_nodes(table_1e6):
 
 def test_grid_blocks_fixed_for_any_row_size(table_1e5):
     # 9592 terms give rows of 874 points, which do not divide a block; the
-    # blocks stay GRID_BLOCK long and the straddling row is evaluated twice
-    rng = SumRange(1, 1e-9, 1e5)
-    f = sum_freqs("prime", rng, table_1e5)
+    # blocks stay GRID_BLOCK long and the straddling row is evaluated twice.
+    # Scale sqrt(2) makes the frequencies non-integral, so the row
+    # recurrence runs rather than the chirp-z path
+    rng, scale = SumRange(1, 1e-9, 1e5), math.sqrt(2.0)
+    f = sum_freqs("prime", rng, table_1e5, scale=scale)
     count = 70000
     assert len(f[0]) == 9592 and _plan_block(count, 9592) == 874
+    assert chirp_plan(*f, 1e-6, count) is None
     blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
     assert [start for start, _ in blocks] == [0, GRID_BLOCK]
     g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count,
                      values=np.concatenate([b for _, b in blocks]))
     for j in (65535, 65536, 65537, 74 * 874, 75 * 874):
         ah, al = g.alpha_dd(j)
-        direct = prime_exp_sum(ah, rng, table_1e5, alpha_lo=al)
+        direct = prime_exp_sum(ah, rng, table_1e5, scale=scale, alpha_lo=al)
         assert abs(g.values[j] - direct) <= 1e-9 * max(abs(direct), 1.0)
 
 
@@ -219,10 +222,18 @@ def test_grid_csv_schema(tmp_path, table_1e6):
     rng = SumRange(2, 0.25, 100)
     g = eval_grid("prime", rng, table_1e6, alpha0=0.0, step=0.25, count=4)
     path = tmp_path / "g.csv"
-    g.write_csv(path)
-    lines = path.read_text().splitlines()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "GRID_BLOCK", 3)  # rows written in two chunks
+        g.write_csv(path)
+    text = path.read_text()
+    assert "np." not in text
+    lines = text.splitlines()
     assert lines[0] == "alpha,re,im,abs"
     assert len(lines) == 5
+    for j, line in enumerate(lines[1:]):
+        a, re, im, mod = map(float, line.split(","))
+        v = g.values[j]
+        assert (a, re, im, mod) == (g.alphas()[j], v.real, v.imag, abs(v))
 
 
 def test_triangle_inequality_on_grid(table_1e6):
@@ -361,3 +372,106 @@ def test_certified_bounds_against_50_digit_sums(start, span, scale, alpha,
     f = _points_ensemble(ns, weights, scale)
     e = eval_points(*f, [alpha], alpha_lo)[0]
     assert abs(e - exact) <= points_error_bound(*f, abs(alpha), alpha_lo)
+
+
+# ---------------------------------------------------------------------------
+# chirp-z grid path against eval_points and 50-digit sums
+
+def _grid_nodes(alpha0, step, js):
+    return [dd_add(alpha0, 0.0, *two_prod(float(j), step)) for j in js]
+
+
+@st.composite
+def _grid_ensembles(draw):
+    k = draw(st.sampled_from([1, 2, 3]))
+    X = draw(st.floats(2.0, {1: 3000.0, 2: 1e5, 3: 1e6}[k]))
+    rng = SumRange(k, draw(st.sampled_from([1e-9, 0.1, 0.5])), X)
+    kind = draw(st.sampled_from(["prime", "integer"]))
+    return kind, rng, draw(st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=_grid_ensembles(), alpha0=st.floats(-50.0, 50.0),
+       step=st.floats(1e-7, 0.1), count=st.integers(1, 200),
+       block=st.sampled_from([7, 48, GRID_BLOCK]),
+       span=st.sampled_from([1, 40, 1 << 16]))
+def test_chirp_grid_within_certified_bounds(table_1e5, ensemble, alpha0, step,
+                                            count, block, span):
+    kind, rng, scale = ensemble
+    f = sum_freqs(kind, rng, table_1e5 if kind == "prime" else None, scale)
+    with pytest.MonkeyPatch.context() as patch:
+        # the chirp-z path for every ensemble, in blocks and sub-windows
+        # small enough for the counts and spans drawn here to cross them
+        patch.setattr(expsums, "CHIRP_COST", 0.0)
+        patch.setattr(expsums, "GRID_BLOCK", block)
+        patch.setattr(expsums, "CHIRP_SPAN", span)
+        plan = chirp_plan(*f, step, count)
+        blocks = list(iter_grid_values(*f, alpha0, step, count))
+    if len(f[0]) == 0:
+        assert plan is None and np.all(np.concatenate(
+            [b for _, b in blocks]) == 0)
+        return
+    assert all(w.width <= span for w in plan.windows)
+    assert [s for s, _ in blocks] == list(range(0, count, block))
+    got = np.concatenate([b for _, b in blocks])
+    amax = abs(alpha0) + count * step
+    bound = plan.error_bound(alpha0, count)
+    for j, (ah, al) in enumerate(_grid_nodes(alpha0, step, range(count))):
+        want = eval_points(*f, [ah], al)[0]
+        assert abs(got[j] - want) <= bound + points_error_bound(*f, amax, al)
+
+
+@pytest.mark.parametrize("start,span,scale,alpha0,step,count,js", [
+    (2, 300, 1.0, 0.1371, 1e-3, 150, (0, 63, 64, 149)),
+    (900, 2500, -1.0, -17.25, 1e-6, 130, (0, 64, 127, 129)),
+    (4000, 60, 1.0, 999.9, 0.01, 5, (0, 4)),
+    (1, 40, -1.0, 0.5, 0.37, 70, (0, 33, 69)),
+    (2, 300, 1.0, 0.31, 1e-6, GRID_BLOCK + 5, (0, GRID_BLOCK - 1, GRID_BLOCK,
+                                               GRID_BLOCK + 4)),
+])
+def test_chirp_bound_against_50_digit_sums(start, span, scale, alpha0, step,
+                                           count, js):
+    ns = scale * np.arange(start, start + span)
+    weights = np.log(np.abs(ns) + 1.0)
+    f = (ns.astype(np.float64), np.zeros(len(ns)), weights)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "CHIRP_COST", 0.0)
+        if count < GRID_BLOCK:  # several blocks, several sub-windows
+            patch.setattr(expsums, "GRID_BLOCK", 64)
+            patch.setattr(expsums, "CHIRP_SPAN", 100)
+        plan = chirp_plan(*f, step, count)
+        got = np.concatenate([b for _, b in iter_grid_values(*f, alpha0, step,
+                                                             count)])
+    bound = plan.error_bound(alpha0, count)
+    for j in js:
+        exact = _mp_sum(ns, weights, 1.0, mp.mpf(alpha0) + j * mp.mpf(step), 0)
+        assert abs(got[j] - exact) <= bound
+        assert abs(abs(got[j]) - abs(exact)) <= bound
+
+
+def test_chirp_path_selection(table_1e5):
+    from dhlab.harness import ExperimentConfig
+    # criterion 9: 9592 primes over a span of 99,990, two sub-windows
+    f = sum_freqs("prime", SumRange(1.0, 1e-9, 1e5), table_1e5)
+    plan = chirp_plan(*f, 1e-6, 10**6)
+    assert plan is not None and len(plan.windows) == 2
+    assert len(plan.chirp_hat) == 1 << 17
+    bound = plan.error_bound(0.0, 10**6)
+    assert bound <= 1e-11 * plan.windows[0].w_abs
+    g = eval_grid("prime", SumRange(1.0, 1e-9, 1e5), table_1e5, alpha0=0.0,
+                  step=1e-6, count=GRID_BLOCK + 10)
+    for j in (0, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 9):
+        ah, al = g.alpha_dd(j)
+        want = eval_points(*f, [ah], al)[0]
+        assert abs(g.values[j] - want) <= bound + points_error_bound(*f, 0.1, al)
+    # the theorem detector's 230-term stream at X = 1728, and the lemma
+    # suite's largest ensemble (44 integers), keep the row recurrence
+    inst = ExperimentConfig().instance
+    lin = sum_freqs("prime", inst.linear_range(1728.0), table_1e5,
+                    scale=inst.lambda1)
+    assert len(lin[0]) == 230 and chirp_plan(*lin, 4e-6, 10**7) is None
+    lemma = sum_freqs("integer", SumRange(2.0, 0.1, 4000.0))
+    assert len(lemma[0]) == 44 and chirp_plan(*lemma, 1e-4, 51201) is None
+    # a repeated frequency would collide in the convolution's input
+    twice = (np.repeat(f[0], 2), np.repeat(f[1], 2), np.repeat(f[2], 2))
+    assert chirp_plan(*twice, 1e-6, 10**6) is None
