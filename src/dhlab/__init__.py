@@ -9,7 +9,7 @@ from .arcs import ArcDecomposition, choose_parameters, eta_exponent, locate
 from .diophantine import (Convergent, Expansion, RationalWitness, convergents,
                           cube_sequence, find_rational_witness, legendre_check,
                           vaughan_ratio)
-from .errors import (DhlabError, DomainError, EmptyDomainError, GridStepError,
+from .errors import (DhlabError, DomainError, EmptyDomainError,
                      InsufficientTableError, ParameterError, PhaseBudgetError,
                      QuadratureError)
 from .expsums import (SpectrumGrid, eval_grid, fejer_kernel,

@@ -74,13 +74,9 @@ class ArcDecomposition:
     R: float
     major: tuple[float, float]  # [-P/X, P/X]
     intermediate: tuple[float, float] | None  # +/-[P/X, X^(-3/5)] or None
-    minor: tuple[float, float]  # +/-[minor_lo, R]
+    minor: tuple[float, float]  # +/-[lower edge, R]
     constraints: tuple[EtaConstraint, ...] = field(default=())
     window_feasible: bool = True
-
-    @property
-    def minor_lo(self) -> float:
-        return self.minor[0]
 
     def locate(self, alpha: float) -> str:
         """Region containing alpha; boundaries go to the lower-|alpha| side."""

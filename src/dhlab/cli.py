@@ -43,7 +43,18 @@ def _real(text: str) -> float:
     if t in _CONSTANTS:
         v = _CONSTANTS[t]
         return -v if neg else v
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a number") from None
+
+
+def _lambdas(ctx, param, text: str) -> tuple[float, float, float]:
+    """Option callback: l1,l2,l3 as three numbers."""
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise click.BadParameter(f"want l1,l2,l3, got {text!r}")
+    return tuple(_real(s) for s in parts)
 
 
 def _echo_json(obj) -> None:
@@ -187,18 +198,17 @@ def cf_cmd(x, n, witness_q, csv_path):
 @click.option("--bigx", "--X", "X", type=float, required=True)
 @click.option("--epsilon", type=float, default=0.01)
 @click.option("--delta", type=float, default=0.1)
-@click.option("--lambdas", type=str, default="1,sqrt2,-1",
+@click.option("--lambdas", default="1,sqrt2,-1", callback=_lambdas,
               help="l1,l2,l3 for the feasibility check.")
 def arcs_cmd(k, X, epsilon, delta, lambdas):
     """Arc decomposition and parameter choices at scale X."""
-    l1, l2, l3 = (_real(s) for s in lambdas.split(","))
-    inst = ProblemInstance(l1, l2, l3, k, 0.0, delta=delta, epsilon=epsilon)
+    inst = ProblemInstance(*lambdas, k, 0.0, delta=delta, epsilon=epsilon)
     d = choose_parameters(inst, X)
     _echo_json(d.to_json())
 
 
 @main.command("solve")
-@click.option("--lambdas", type=str, required=True, help="l1,l2,l3")
+@click.option("--lambdas", required=True, callback=_lambdas, help="l1,l2,l3")
 @click.option("--k", type=float, required=True)
 @click.option("--omega", type=str, default="0")
 @click.option("--delta", type=float, default=0.1)
@@ -210,8 +220,7 @@ def arcs_cmd(k, X, epsilon, delta, lambdas):
 @click.pass_context
 def solve_cmd(ctx, lambdas, k, omega, delta, epsilon, X, eta, duality_b):
     """Enumerate prime solutions and summarize counts and integrals."""
-    l1, l2, l3 = (_real(s) for s in lambdas.split(","))
-    inst = ProblemInstance(l1, l2, l3, k, _real(omega), delta=delta,
+    inst = ProblemInstance(*lambdas, k, _real(omega), delta=delta,
                            epsilon=epsilon)
     table = sieve(int(X) + 1)
     sols = enumerate_solutions(inst, X, eta, table)
@@ -264,7 +273,7 @@ def theorem_cmd(ctx):
 
 
 @main.command("measure")
-@click.option("--lambdas", type=str, default="1,sqrt2,-1")
+@click.option("--lambdas", default="1,sqrt2,-1", callback=_lambdas)
 @click.option("--k", type=float, default=2.0)
 @click.option("--bigx", "--X", "X", type=float, required=True)
 @click.option("--z1", type=float, required=True)
@@ -274,8 +283,7 @@ def theorem_cmd(ctx):
 @click.pass_context
 def measure_cmd(ctx, lambdas, k, X, z1, z2, y, samples):
     """Monte-Carlo measure of simultaneous large values of the linear sums."""
-    l1, l2, l3 = (_real(s) for s in lambdas.split(","))
-    inst = ProblemInstance(l1, l2, l3, k, 0.0)
+    inst = ProblemInstance(*lambdas, k, 0.0)
     table = sieve(int(X) + 1)
     seed = ctx.obj.get("seed") or 0
     ms = harness.sample_large_sum_measure(inst, X, z1, z2, y, samples, seed,

@@ -170,8 +170,8 @@ def find_rational_witness(lambda_alpha: float, Q: float) -> RationalWitness:
                            meets_dirichlet=res <= 1.0 / Q)
 
 
-def cube_sequence(lambda1: float, lambda2: float, cap: float,
-                  count: int = _MAX_DEPTH) -> tuple[list[tuple[int, int]], bool]:
+def cube_sequence(lambda1: float, lambda2: float,
+                  cap: float) -> tuple[list[tuple[int, int]], bool]:
     """Denominators q of convergents of the coefficient ratio, cubed.
 
     Returns ([(q, q^3), ...] with q^3 <= cap, rational_flag).  The ratio is
@@ -186,7 +186,7 @@ def cube_sequence(lambda1: float, lambda2: float, cap: float,
     ratio = abs(lambda1 / lambda2)
     if ratio < 1.0:
         ratio = 1.0 / ratio
-    exp = convergents(ratio, count)
+    exp = convergents(ratio, _MAX_DEPTH)
     rational = exp.exact and exp.convergents[-1].q <= 10**6
     out: list[tuple[int, int]] = []
     last_q = 0

@@ -17,10 +17,6 @@ class PhaseBudgetError(DhlabError, ValueError):
     """Grid evaluation refused: the phase range exceeds the recurrence budget."""
 
 
-class GridStepError(DhlabError, ValueError):
-    """Numerical integration refused: the sampling step is too coarse."""
-
-
 class QuadratureError(DhlabError, RuntimeError):
     """Adaptive quadrature failed to converge.  Carries the residual estimate."""
 

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, GridStepError, PhaseBudgetError, QuadratureError
+from .errors import DomainError, PhaseBudgetError, QuadratureError
 from .precision import (dd_add, dd_scale, phase_frac, pow_dd, two_prod,
                         two_sum)
 from .primes import PrimeTable, SumRange, integers_in_range, window_arrays
@@ -189,12 +189,13 @@ def _gl_pass(alpha: float, k: float, lo: float, hi: float, panels: int) -> compl
     return acc
 
 
-def integral_exp_sum(alpha: float, rng: SumRange, max_evals: int = 1 << 23) -> complex:
+def integral_exp_sum(alpha: float, rng: SumRange) -> complex:
     """Integral of e(t^k alpha) over t in the window, to 1e-8 * width absolute.
 
     Gauss-Legendre panels of order 16.  The starting panel width follows
     min(1, 1/(8 k |alpha| X^((k-1)/k))) times the window width; panel counts
-    then double until two passes agree within tolerance.
+    then double until two passes agree within tolerance.  No pass takes more
+    than 2^23 evaluations.
     """
     lo, hi = rng.lo, rng.hi
     width = hi - lo
@@ -208,9 +209,10 @@ def integral_exp_sum(alpha: float, rng: SumRange, max_evals: int = 1 << 23) -> c
     frac = min(1.0, 1.0 / fmax) if fmax > 0 else 1.0
     panels = max(1, math.ceil(1.0 / frac))
     tol = 1e-8 * width
-    prev = _gl_pass(alpha, k, lo, hi, panels)
     residual = math.inf
-    while panels * 32 <= max_evals:
+    if panels * 32 <= 1 << 23:  # else no second pass could check the first
+        prev = _gl_pass(alpha, k, lo, hi, panels)
+    while panels * 32 <= 1 << 23:
         panels *= 2
         cur = _gl_pass(alpha, k, lo, hi, panels)
         residual = abs(cur - prev)
@@ -218,7 +220,8 @@ def integral_exp_sum(alpha: float, rng: SumRange, max_evals: int = 1 << 23) -> c
             return cur
         prev = cur
     raise QuadratureError(
-        f"integral of e(t^{k} * {alpha}) did not converge with {panels} panels",
+        f"integral of e(t^{k} * {alpha}) did not converge within 2^23 "
+        f"evaluations ({panels} panels)",
         residual,
     )
 
@@ -313,31 +316,33 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
         yield start, S[start - r_first * B : stop - r_first * B]
 
 
-def trapezoid_step(lo: float, hi: float, max_step: float,
-                   step: float | None = None) -> tuple[int, float]:
-    """Panel count n and actual step (hi - lo) / n for a trapezoid over
-    [lo, hi] whose step may not exceed `max_step` (its default)."""
+def trapezoid_step(lo: float, hi: float, band: float) -> tuple[int, float]:
+    """Panel count n and step h = (hi - lo) / n of the trapezoid grid over
+    [lo, hi] for an integrand of bandwidth `band` (X max(1, |scale|) for a
+    sum over p^k <= X at frequency scale `scale`): the Nyquist-safe rule
+    h <= 1/(64 band).  Grids of more than MAX_TRAPEZOID_POINTS nodes are
+    refused."""
     if hi <= lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    if step is None:
-        step = max_step
-    elif step > max_step * (1 + 1e-12):
-        raise GridStepError(
-            f"step {step:.3e} too coarse; the window requires <= {max_step:.3e}"
-        )
-    n = max(1, math.ceil((hi - lo) / step))
+    n = max(1, math.ceil((hi - lo) / (1.0 / (64.0 * band))))
+    if n + 1 > MAX_TRAPEZOID_POINTS:
+        raise DomainError(f"trapezoid over [{lo}, {hi}] needs {n + 1} nodes "
+                          f"(> {MAX_TRAPEZOID_POINTS}); shrink the interval")
     return n, (hi - lo) / n
 
 
-def trapezoid(ensembles, lo: float, h: float, count: int, f) -> float | complex:
-    """Trapezoid rule with step h over the nodes lo + j*h, j < count, of
-    f(alphas, *sums), where sums holds the grid values of each
-    (freq_hi, freq_lo, weights) ensemble at those nodes.
+def trapezoid(ensembles, lo: float, hi: float, band: float,
+              f) -> float | complex:
+    """Trapezoid rule over [lo, hi] on the grid of trapezoid_step(lo, hi,
+    band) of f(alphas, *sums), where sums holds the grid values of each
+    (freq_hi, freq_lo, weights) ensemble at the nodes lo + j*h.
 
     Blocks are summed with np.sum and the block sums reduced with math.fsum
     (real and imaginary parts apart for a complex integrand), so the result
     depends on the grid alone, not on the row plan of any ensemble.
     """
+    n, h = trapezoid_step(lo, hi, band)
+    count = n + 1
     gens = [iter_grid_values(*e, lo, h, count) for e in ensembles]
     sums, ends = [], []
     for blocks in zip(*gens):

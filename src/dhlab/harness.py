@@ -499,46 +499,37 @@ def run_theorem_experiment(config: ExperimentConfig,
         eta_max = max(e for _, e in etas)
         sols = enumerate_solutions(inst, float(X), eta_max, table)
         residuals, weights = sols.residual, sols.weight
-
-        duality_eta = d.eta
-        duality_gap = tail = None
-        if X <= config.duality_max_x:
-            B = 10.0 / duality_eta
-            inside = residuals <= duality_eta
-            w_val = float(np.sum(weights[inside] *
-                                 np.maximum(0.0, duality_eta - residuals[inside])))
-            val = solution_integral(inst, float(X), duality_eta, (-B, B), table)
-            duality_gap = abs(val.real - w_val)
-            tail = duality_tail_bound(inst, float(X), B, table)
+        # the first smallest residual is the sample of every eta level that
+        # has a solution
+        min_res = best = None
+        if len(residuals):
+            best = int(np.argmin(residuals))
+            min_res = float(residuals[best])
+            min_eta[float(X)] = min(e for _, e in etas if e >= min_res)
 
         for kind, eta in sorted(etas, key=lambda t: t[1]):
             inside = residuals <= eta
             count = int(np.count_nonzero(inside))
             wsum = float(np.sum(weights[inside] *
                                 np.maximum(0.0, eta - residuals[inside])))
-            min_res = float(np.min(residuals)) if len(residuals) else None
-            sample = None
-            if count:
-                best = int(np.argmin(np.where(inside, residuals, np.inf)))
-                sample = (int(sols.p1[best]), int(sols.p2[best]),
-                          int(sols.p3[best]))
+            sample = (int(sols.p1[best]), int(sols.p2[best]),
+                      int(sols.p3[best])) if count else None
             status = "PASS"
             note = base_note
-            if kind == "t*2^0" and duality_gap is not None:
-                ok = duality_gap <= 0.02 * max(wsum, 1e-12) + tail
-                if not ok:
+            duality_gap = tail = None
+            if kind == "t*2^0" and X <= config.duality_max_x:
+                B = 10.0 / eta
+                val = solution_integral(inst, float(X), eta, (-B, B), table)
+                duality_gap = abs(val.real - wsum)
+                tail = duality_tail_bound(inst, float(X), B, table)
+                if not duality_gap <= 0.02 * max(wsum, 1e-12) + tail:
                     status = "FAIL"
                     note = (note + "; " if note else "") + "duality gap above tolerance"
             rows.append(TheoremRow(X=float(X), q=q, eta_kind=kind, eta=eta,
                                    count=count, weighted=wsum,
                                    min_residual=min_res, sample=sample,
-                                   duality_gap=duality_gap if kind == "t*2^0" else None,
-                                   tail_bound=tail if kind == "t*2^0" else None,
+                                   duality_gap=duality_gap, tail_bound=tail,
                                    status=status, note=note))
-        achieved = [eta for _, eta in etas
-                    if int(np.count_nonzero(residuals <= eta)) >= 1]
-        if achieved:
-            min_eta[float(X)] = min(achieved)
     return TheoremReport(rows=rows, min_eta=min_eta, rational_flag=rational,
                          sign_flag=sign_flag)
 

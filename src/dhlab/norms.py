@@ -3,8 +3,8 @@
 The quadruple counter is exact: integer arithmetic when k is an integer,
 and correctly-rounded powers with boundary-safe window counting otherwise,
 so it agrees with an exhaustive enumeration term for term.  The moment
-integrals are trapezoid sums on Nyquist-safe grids (step <= 1/(64 X) for
-unit frequency scale), which for periodic integrands of bandwidth below
+integrals are trapezoid sums on the Nyquist-safe grids of
+`expsums.trapezoid_step`, which for periodic integrands of bandwidth below
 the sampling rate is exact up to rounding.
 """
 
@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from mpmath import mp
 
-from .errors import DomainError, GridStepError, InsufficientTableError
-from .expsums import (MAX_TRAPEZOID_POINTS, fejer_kernel, iter_grid_values,
-                      sum_freqs, trapezoid, trapezoid_step)
+from .errors import DomainError, InsufficientTableError
+from .expsums import (fejer_kernel, iter_grid_values, sum_freqs, trapezoid,
+                      trapezoid_step)
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -119,41 +119,32 @@ def _moment_bound(p: int, tau: float, X: float, k: float) -> float:
 
 
 def moment_integral(kind: str, p: int, interval: tuple[float, float],
-                    rng: SumRange, table: PrimeTable,
-                    step: float | None = None) -> MomentReport:
+                    rng: SumRange, table: PrimeTable) -> MomentReport:
     """Trapezoid integral of |sum|^p over `interval`, with comparison bound.
 
     kind 'S1' integrates the linear prime sum on the window [delta X, X];
-    kind 'Sk' uses the k of `rng`.  Grid step must satisfy the Nyquist-safe
-    contract step <= 1/(64 X).
+    kind 'Sk' uses the k of `rng`.
     """
-    if p not in (2, 4, 8):
-        raise DomainError(f"exponent must be one of 2, 4, 8, got {p}")
     if kind == "S1":
         rng = SumRange(1.0, rng.delta, rng.X)
     elif kind != "Sk":
         raise DomainError(f"kind must be 'S1' or 'Sk', got {kind!r}")
     lo, hi = float(interval[0]), float(interval[1])
-    n, h = trapezoid_step(lo, hi, 1.0 / (64.0 * rng.X), step)
-    value = trapezoid([sum_freqs("prime", rng, table)], lo, h, n + 1,
+    bound = _moment_bound(p, max(abs(lo), abs(hi)), rng.X, rng.k)
+    value = trapezoid([sum_freqs("prime", rng, table)], lo, hi, rng.X,
                       lambda alphas, s: np.abs(s) ** p)
-
-    tau = max(abs(lo), abs(hi))
-    bound = _moment_bound(p, tau, rng.X, rng.k)
     return MomentReport(exponent=p, lo=lo, hi=hi, value=value, bound=bound,
                         ratio=value / bound if bound > 0 else math.inf,
                         X=rng.X, k=rng.k)
 
 
-def exp_sum_gap_l2(Y: float, rng: SumRange, table: PrimeTable,
-                   step: float | None = None) -> MomentReport:
+def exp_sum_gap_l2(Y: float, rng: SumRange, table: PrimeTable) -> MomentReport:
     """Integral of |prime sum - integer sum|^2 over [-Y, Y], with the
     short-window variance bound as comparison."""
     if not 0 < Y <= 0.5:
         raise DomainError(f"Y must be in (0, 1/2], got {Y}")
-    n, h = trapezoid_step(-Y, Y, 1.0 / (64.0 * rng.X), step)
     value = trapezoid([sum_freqs("prime", rng, table), sum_freqs("integer", rng)],
-                      -Y, h, n + 1, lambda alphas, s, u: np.abs(s - u) ** 2)
+                      -Y, Y, rng.X, lambda alphas, s, u: np.abs(s - u) ** 2)
 
     X, k = rng.X, rng.k
     logX = math.log(X)
@@ -232,36 +223,31 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
     Past 1/eta the kernel decays like alpha^-2.  For integer k the sum is
     periodic with period 1/|lam| there, so a straight trapezoid covers the
     head up to 1/eta and one sampled period serves the whole tail.
-    Otherwise [lo, hi] is one trapezoid (refused past MAX_TRAPEZOID_POINTS
-    nodes).
+    Otherwise [lo, hi] is one trapezoid.  Both grids follow trapezoid_step,
+    and an over-large one is refused before any value is evaluated.
     """
     if not 0 < eta < 1:
         raise DomainError(f"eta must be in (0,1), got {eta}")
     if hi <= lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
     X = rng.X
-    max_step = 1.0 / (64.0 * X * max(1.0, abs(lam)))
+    band = X * max(1.0, abs(lam))
     split = min(hi, max(lo, 1.0 / eta))
     periodic = float(rng.k).is_integer() and hi > split
     top = split if periodic else hi
+    if periodic:  # refuse an over-large sample before the head is evaluated
+        period = 1.0 / abs(lam)
+        n, h = trapezoid_step(0.0, period, band)
 
     f = sum_freqs("prime", rng, table, scale=lam)
     partials = []
 
     if top > lo:
-        n, h = trapezoid_step(lo, top, max_step)
-        if n > MAX_TRAPEZOID_POINTS:
-            raise GridStepError(
-                f"trapezoid needs {n} points (> {MAX_TRAPEZOID_POINTS}); "
-                f"shrink [lo, hi]"
-            )
         partials.append(trapezoid(
-            [f], lo, h, n + 1,
+            [f], lo, top, band,
             lambda alphas, s: np.abs(s) ** p * fejer_kernel(alphas, eta)))
 
     if periodic:
-        period = 1.0 / abs(lam)
-        n, h = trapezoid_step(0.0, period, max_step)
         fvals = np.concatenate([np.abs(block) ** p for _, block
                                 in iter_grid_values(*f, split, h, n)])
         # past ~8/eta the kernel's oscillation is slow on the period

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from mpmath import mp
 
-from .errors import EmptyDomainError, InsufficientTableError
+from .errors import DomainError, EmptyDomainError, InsufficientTableError
 from .precision import kahan_cumsum
 
 SEGMENT = 1 << 18  # fixed segment size: cache friendly, deterministic
@@ -63,11 +63,11 @@ class SumRange:
 
     def __post_init__(self):
         if not self.k > 0:
-            raise ValueError(f"k must be positive, got {self.k}")
+            raise DomainError(f"k must be positive, got {self.k}")
         if not 0 < self.delta < 1:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
+            raise DomainError(f"delta must be in (0,1), got {self.delta}")
         if not self.X > 0:
-            raise ValueError(f"X must be positive, got {self.X}")
+            raise DomainError(f"X must be positive, got {self.X}")
 
     @property
     def lo(self) -> float:

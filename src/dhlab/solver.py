@@ -28,7 +28,7 @@ from mpmath import mp
 from .arcs import choose_parameters
 from .errors import DomainError
 from .expsums import (fejer_kernel, fejer_kernel_hat, prime_exp_sum, sum_freqs,
-                      trapezoid, trapezoid_step)
+                      trapezoid)
 from .precision import dd_from_mpf, phase_frac, two_prod, two_sum
 from .primes import PrimeTable, SumRange, window_arrays
 
@@ -293,19 +293,18 @@ def duality_tail_bound(instance: ProblemInstance, X: float, B: float,
 
 
 def solution_integral(instance: ProblemInstance, X: float, eta: float,
-                      interval: tuple[float, float], table: PrimeTable,
-                      step: float | None = None) -> complex:
+                      interval: tuple[float, float],
+                      table: PrimeTable) -> complex:
     """Trapezoid integral over `interval` of
 
-        S1(l1 a) S1(l2 a) Sk(l3 a) K_eta(a) e(-omega a).
+        S1(l1 a) S1(l2 a) Sk(l3 a) K_eta(a) e(-omega a),
 
-    Step must satisfy step <= 1/(64 X max|l|).  The imaginary part of a
+    on the grid for bandwidth X max(1, max|l|).  The imaginary part of a
     symmetric-interval run is a discretization diagnostic: the integrand's
     Hermitian symmetry makes the true value real.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    lmax = max(abs(l) for l in instance.lambdas)
-    n, h = trapezoid_step(lo, hi, 1.0 / (64.0 * X * max(1.0, lmax)), step)
+    band = X * max(1.0, max(abs(l) for l in instance.lambdas))
     lin = instance.linear_range(X)
     ensembles = [sum_freqs("prime", lin, table, scale=instance.lambda1),
                  sum_freqs("prime", lin, table, scale=instance.lambda2),
@@ -316,7 +315,7 @@ def solution_integral(instance: ProblemInstance, X: float, eta: float,
         om = phase_frac(np.float64(-instance.omega), 0.0, alphas)
         return s1 * s2 * s3 * (fejer_kernel(alphas, eta) * np.exp(_TWO_PI_I * om))
 
-    return trapezoid(ensembles, lo, h, n + 1, integrand)
+    return trapezoid(ensembles, lo, hi, band, integrand)
 
 
 @dataclass
@@ -346,8 +345,8 @@ class MainTermScan:
         return len(self.rows)
 
 
-def main_term_scan(instance: ProblemInstance, X_list, table: PrimeTable,
-                   eta_override: float | None = None) -> MainTermScan:
+def main_term_scan(instance: ProblemInstance, X_list,
+                   table: PrimeTable) -> MainTermScan:
     """Detector integral over the major region per X, against eta^2 X^(1+1/k).
 
     Ratios staying positive and bounded below across the list is the
@@ -358,12 +357,10 @@ def main_term_scan(instance: ProblemInstance, X_list, table: PrimeTable,
     degenerate = instance.same_sign
     for X in X_list:
         d = choose_parameters(instance, X)
-        eta = eta_override if eta_override is not None else d.eta
-        cut = d.major[1]
-        val = solution_integral(instance, X, eta, (-cut, cut), table)
-        scale = eta * eta * X ** (1.0 + 1.0 / instance.k)
+        val = solution_integral(instance, X, d.eta, d.major, table)
+        scale = d.eta * d.eta * X ** (1.0 + 1.0 / instance.k)
         rows.append(MainTermRow(
-            X=float(X), eta=eta, major_integral=val,
+            X=float(X), eta=d.eta, major_integral=val,
             expected_scale=scale, ratio=val.real / scale,
             degenerate=degenerate,
         ))

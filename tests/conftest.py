@@ -20,6 +20,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 import pytest
 
+from dhlab import expsums, norms
 from dhlab.primes import sieve
 
 
@@ -31,3 +32,12 @@ def table_1e6():
 @pytest.fixture(scope="session")
 def table_1e5():
     return sieve(10**5)
+
+
+@pytest.fixture
+def no_grid_values(monkeypatch):
+    """Fail any grid evaluation, so that a refusal is seen to come first."""
+    def refuse(*args):
+        raise AssertionError("grid values evaluated")
+    monkeypatch.setattr(expsums, "iter_grid_values", refuse)
+    monkeypatch.setattr(norms, "iter_grid_values", refuse)

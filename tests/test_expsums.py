@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dhlab.errors import InsufficientTableError, PhaseBudgetError
+from dhlab.errors import (InsufficientTableError, PhaseBudgetError,
+                          QuadratureError)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -16,7 +17,7 @@ from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid, _plan_block,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
                            prime_taylor_tables, sum_freqs, taylor_tables,
-                           trapezoid)
+                           trapezoid, trapezoid_step)
 from dhlab.precision import dd_add, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
@@ -72,6 +73,15 @@ def test_integral_trivial_cases():
     assert integral_exp_sum(0.0, rng).real == pytest.approx(
         math.sqrt(10) - math.sqrt(5)
     )
+
+
+def test_integral_refuses_without_evaluating(monkeypatch):
+    # 2e6 starting panels: a second pass would exceed 2^23 evaluations
+    def refuse(*args):
+        raise AssertionError("quadrature pass evaluated")
+    monkeypatch.setattr(expsums, "_gl_pass", refuse)
+    with pytest.raises(QuadratureError, match="2000000 panels"):
+        integral_exp_sum(12500.0, SumRange(2, 0.1, 100))
 
 
 def test_integral_closed_form_linear():
@@ -176,17 +186,19 @@ def test_grid_blocks_fixed_for_any_row_size(table_1e5):
 def test_trapezoid_matches_numpy(table_1e6):
     # several blocks, real and complex integrands, one and two ensembles
     lo, h, count = -0.1, 1e-6, 3 * GRID_BLOCK + 123
+    hi, band = lo + (count - 1) * h, 15625.0  # 1/(64 band) = h
+    assert trapezoid_step(lo, hi, band) == (count - 1, h)
     r1, r2 = SumRange(1, 0.25, 1000), SumRange(2, 0.1, 1000)
     f1 = sum_freqs("prime", r1, table_1e6)
     f2 = sum_freqs("prime", r2, table_1e6, scale=-math.sqrt(2))
     v1 = eval_grid("prime", r1, table_1e6, alpha0=lo, step=h, count=count).values
     v2 = eval_grid("prime", r2, table_1e6, alpha0=lo, step=h, count=count,
                    scale=-math.sqrt(2)).values
-    got = trapezoid([f1], lo, h, count, lambda a, s: np.abs(s) ** 2)
+    got = trapezoid([f1], lo, hi, band, lambda a, s: np.abs(s) ** 2)
     assert isinstance(got, float)
     assert got == pytest.approx(np.trapezoid(np.abs(v1) ** 2, dx=h), rel=1e-12)
     alphas = lo + np.arange(count) * h
-    got = trapezoid([f1, f2], lo, h, count,
+    got = trapezoid([f1, f2], lo, hi, band,
                     lambda a, s, t: s * t * fejer_kernel(a, 0.3))
     want = np.trapezoid(v1 * v2 * fejer_kernel(alphas, 0.3), dx=h)
     assert isinstance(got, complex)

@@ -273,10 +273,31 @@ def test_cli_config_errors_exit_2(tmp_path):
         assert res.returncode == 2, res.stderr
         assert message in res.stderr and "Traceback" not in res.stderr
     res = _cli(["--threads", "2", "lemmas"], tmp_path)
-    assert res.returncode == 2, res.stderr    # grid requests the evaluator cannot honour: a zero step, and more
+    assert res.returncode == 2, res.stderr
+    # grid requests the evaluator cannot honour: a zero step, and more
     # nodes than one grid may hold (refused before allocating them)
     for grid in ("0,0,10", "0,1e-30,10000000000000"):
         res = _cli(["--out", str(tmp_path / "g"), "expsum", "--kind", "S",
                     "--k", "1", "--X", "100", "--grid", grid], tmp_path)
         assert res.returncode == 2, res.stderr
         assert "grid needs" in res.stderr and "Traceback" not in res.stderr
+    # bad flags: a window outside the domain, a word for a number, two
+    # coefficients for three, and a trapezoid past the node cap
+    flags = {
+        "delta must be": ["expsum", "--k", "2", "--delta", "1.5", "--X", "100",
+                          "--alpha", "0"],
+        "'foo' is not a number": ["expsum", "--k", "2", "--X", "100",
+                                  "--alpha", "foo"],
+        "want l1,l2,l3": ["solve", "--lambdas", "1,2", "--k", "2", "--X", "100",
+                          "--eta", "0.5"],
+        "'x' is not a number": ["arcs", "--k", "2", "--X", "1e6",
+                                "--lambdas", "1,x,-1"],
+        "got '1,2,3,4'": ["measure", "--lambdas", "1,2,3,4", "--X", "100",
+                          "--z1", "1", "--z2", "1", "--y", "0.1"],
+        "(> 268435456)": ["moments", "--kind", "S1", "--p", "2", "--k", "1",
+                          "--X", "1000", "--lo", "-3000", "--hi", "3000"],
+    }
+    for message, args in flags.items():
+        res = _cli(["--out", str(tmp_path / "f"), *args], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr and "Traceback" not in res.stderr

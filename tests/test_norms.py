@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from dhlab.errors import DomainError, GridStepError
+from dhlab import expsums
+from dhlab.errors import DomainError
 from dhlab.norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
                          moment_integral, selberg_integral)
 from dhlab.primes import SumRange, theta_many, window_arrays
@@ -96,10 +97,26 @@ def test_moment_orthogonality_diagonal(table_1e6):
         assert rep.value == pytest.approx(math.fsum(logs**2), rel=0.005)
 
 
-def test_moment_step_refusal(table_1e6):
-    rng = SumRange(2, 0.25, 1000.0)
-    with pytest.raises(GridStepError):
-        moment_integral("Sk", 2, (0.0, 1.0), rng, table_1e6, step=1.0 / 100)
+def test_integrals_refuse_before_evaluating(table_1e6, no_grid_values):
+    # grids of more than MAX_TRAPEZOID_POINTS nodes, and a bound that
+    # does not exist
+    cap = str(expsums.MAX_TRAPEZOID_POINTS)
+    calls = [
+        (cap, lambda: moment_integral("S1", 2, (-3000.0, 3000.0),
+                                      SumRange(1, 0.1, 1000.0), table_1e6)),
+        (cap, lambda: exp_sum_gap_l2(0.5, SumRange(2, 0.1, 1e7), table_1e6)),
+        # non-integer k: [lo, hi] is one trapezoid
+        (cap, lambda: kernel_moment(2, 1.0, 0.0, 5000.0, 0.5,
+                                    SumRange(2.5, 0.1, 1000.0), table_1e6)),
+        # integer k: a small head, but a one-period sample over the cap
+        (cap, lambda: kernel_moment(2, 1.0, 1.99, 10.0, 0.5,
+                                    SumRange(2, 0.1, 1e7), table_1e6)),
+        ("specific to k = 3", lambda: moment_integral(
+            "Sk", 8, (0.0, 1.0), SumRange(2, 0.1, 1e6), table_1e6)),
+    ]
+    for message, call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 def test_moment_interval_shrinks_to_zero(table_1e6):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from dhlab import expsums
 from dhlab.arcs import choose_parameters
-from dhlab.errors import GridStepError
+from dhlab.errors import DomainError
 from dhlab.harness import ExperimentConfig
 from dhlab.precision import two_prod
 from dhlab.primes import primes_in_range
@@ -133,9 +134,10 @@ def test_duality_two_windows(table_1e6):
         assert abs(val.real - w) <= 0.02 * w + tail
 
 
-def test_solution_integral_step_refusal(table_1e6):
-    with pytest.raises(GridStepError):
-        solution_integral(INST, 100.0, 0.5, (-1.0, 1.0), table_1e6, step=1e-3)
+def test_solution_integral_refuses_over_cap_grid(table_1e6, no_grid_values):
+    B = 1e7  # 2 B * 64 X nodes
+    with pytest.raises(DomainError, match=str(expsums.MAX_TRAPEZOID_POINTS)):
+        solution_integral(INST, 100.0, 0.5, (-B, B), table_1e6)
 
 
 def test_main_term_scan(table_1e6):
