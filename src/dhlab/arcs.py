@@ -9,9 +9,8 @@ classical truncation choices that keep the complementary regions negligible.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError
@@ -55,15 +54,6 @@ def competitor_exponent(k: float) -> float:
 
 
 @dataclass(frozen=True)
-class EtaConstraint:
-    """One asymptotic admissibility constraint eta >> X^exponent."""
-
-    name: str
-    exponent: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class ArcDecomposition:
     """Symmetric |alpha|-regions for one (k, X) with parameters eta, P, R."""
 
@@ -75,7 +65,6 @@ class ArcDecomposition:
     major: tuple[float, float]  # [-P/X, P/X]
     intermediate: tuple[float, float] | None  # +/-[P/X, X^(-3/5)] or None
     minor: tuple[float, float]  # +/-[lower edge, R]
-    constraints: tuple[EtaConstraint, ...] = field(default=())
     window_feasible: bool = True
 
     def locate(self, alpha: float) -> str:
@@ -100,35 +89,8 @@ class ArcDecomposition:
             "intermediate": list(self.intermediate) if self.intermediate else None,
             "minor": list(self.minor),
             "trivial": f"|alpha| > {self.R}",
-            "constraints": [
-                {"name": c.name, "exponent": c.exponent, "satisfied": c.satisfied}
-                for c in self.constraints
-            ],
             "window_feasible": self.window_feasible,
         }
-
-    def pretty(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-
-def _eta_constraints(k: float, eta_exp: float) -> tuple[EtaConstraint, ...]:
-    """The admissibility constraints on eta, per k-regime.
-
-    Each requires eta = infinity(X^e); with eta = X^(-psi + eps) they hold
-    (with equality in the critical one) iff -psi >= e, which is how psi was
-    chosen, so `satisfied` is an arithmetic identity check, not a proof.
-    """
-    out = []
-    if k <= 1.2:
-        e = 1.0 / 3.0 - 1.0 / (2.0 * k)
-        out.append(EtaConstraint("low-k-regime", e, -eta_exp >= e - 1e-12))
-    elif k < 3.0:
-        e = max(1.0 / 6.0 - 1.0 / (2.0 * k), -1.0 / 12.0)
-        out.append(EtaConstraint("mid-k-regime", e, -eta_exp >= e - 1e-12))
-    else:
-        e = -1.0 / 24.0
-        out.append(EtaConstraint("cubes-regime", e, -eta_exp >= e - 1e-12))
-    return tuple(out)
 
 
 def choose_parameters(instance, X: float) -> ArcDecomposition:
@@ -138,11 +100,13 @@ def choose_parameters(instance, X: float) -> ArcDecomposition:
 
     plus the feasibility flag of the main-term coefficient windows
     [2 delta |l3|/|lj| X, 3 delta |l3|/|lj| X] inside [delta X, (1-delta) X].
+    Only eta < 1 can fail: finite X >= 100, k <= 3 and eps < 1/24 give
+    P >= 100^(5/18 - 1/24) > 2.9, and R > 1/eta since (log X)^(3/2) > 1 > eta.
     """
     k = instance.k
     eps = instance.epsilon
-    if X < 100:
-        raise DomainError(f"X must be >= 100, got {X}")
+    if not 100 <= X < math.inf:
+        raise DomainError(f"X must be finite and >= 100, got {X}")
     if not 0 < eps < 1.0 / 24.0:
         raise DomainError(f"epsilon must be in (0, 1/24), got {eps}")
     psi = eta_exponent(k)
@@ -155,16 +119,6 @@ def choose_parameters(instance, X: float) -> ArcDecomposition:
         )
     P = X ** (5.0 / (6.0 * k) - eps)
     R = math.log(X) ** 1.5 / (eta * eta)
-    if P <= 1.0:
-        raise ParameterError(
-            f"P = {P:.6g} <= 1 at X = {X}", failed="P > 1",
-            min_x=math.ceil(math.exp(1.0 / max(1e-12, 5.0 / (6.0 * k) - eps))),
-        )
-    if R <= 1.0 / eta:
-        # unreachable once eta < 1 and log X > 1, kept as a guard
-        raise ParameterError(
-            f"R = {R:.6g} <= 1/eta = {1/eta:.6g} at X = {X}", failed="R > 1/eta",
-        )
 
     cut = P / X
     inter = None
@@ -187,7 +141,6 @@ def choose_parameters(instance, X: float) -> ArcDecomposition:
     return ArcDecomposition(
         k=k, X=float(X), eta=eta, P=P, R=R,
         major=(-cut, cut), intermediate=inter, minor=minor,
-        constraints=_eta_constraints(k, psi - eps),
         window_feasible=feasible,
     )
 

@@ -134,40 +134,18 @@ def legendre_check(a: int, q: int, x: float) -> bool:
 def find_rational_witness(lambda_alpha: float, Q: float) -> RationalWitness:
     """Best rational a/q, q <= Q, for lambda_alpha, residual target 1/Q.
 
-    Scans convergents and the intermediate fractions of the first convergent
-    step past Q; by the pigeonhole argument the best candidate satisfies
+    This is the last convergent p_n/q_n with q_n <= Q: by Lagrange's
+    best-approximation theorem |q x - a| >= |q_n x - p_n| for every q below
+    q_(n+1), and q_0 = 1 <= Q.  By the pigeonhole argument it satisfies
     |q lambda_alpha - a| <= 1/Q whenever the expansion reaches that deep.
     A candidate is always returned; `meets_dirichlet` records whether the
     1/Q target was met.
     """
     if Q < 1:
         raise DomainError(f"Q must be >= 1, got {Q}")
-    x = float(lambda_alpha)
-    num, den = x.as_integer_ratio()
-    exp = convergents(x, _MAX_DEPTH)
-    cands: list[tuple[int, int]] = []
-    prev: Convergent | None = None
-    for c in exp:
-        if c.q <= Q:
-            cands.append((c.a, c.q))
-            prev = c
-        else:
-            if prev is not None:
-                before = exp[c.index - 2] if c.index >= 2 else None
-                p0, q0 = (before.a, before.q) if before else (1, 0)
-                t = 1
-                while q0 + t * prev.q <= Q:
-                    cands.append((p0 + t * prev.a, q0 + t * prev.q))
-                    t += 1
-            break
-    if not cands:
-        cands.append((round(x), 1))
-    best_a, best_q = min(
-        cands, key=lambda aq: (Fraction(abs(aq[1] * num - aq[0] * den), den), aq[1])
-    )
-    res = _residual_exact(num, den, best_a, best_q)
-    return RationalWitness(a=best_a, q=best_q, residual=res,
-                           meets_dirichlet=res <= 1.0 / Q)
+    best = [c for c in convergents(lambda_alpha, _MAX_DEPTH) if c.q <= Q][-1]
+    return RationalWitness(a=best.a, q=best.q, residual=best.residual,
+                           meets_dirichlet=best.residual <= 1.0 / Q)
 
 
 def cube_sequence(lambda1: float, lambda2: float,

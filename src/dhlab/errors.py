@@ -28,10 +28,9 @@ class QuadratureError(DhlabError, RuntimeError):
 class ParameterError(DhlabError, ValueError):
     """Arc parameter choice is inconsistent.  Names the failed inequality."""
 
-    def __init__(self, message, failed, min_x=None):
+    def __init__(self, message, failed):
         super().__init__(message)
         self.failed = failed
-        self.min_x = min_x
 
 
 class DomainError(DhlabError, ValueError):

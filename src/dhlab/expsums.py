@@ -61,7 +61,8 @@ GRID_BLOCK = 1 << 16  # points per block yielded by iter_grid_values
 _PRODUCT_TERMS = 1 << 20
 _PRODUCT_ROWS = 64
 PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
-MAX_TRAPEZOID_POINTS = 1 << 28  # most nodes of one grid or trapezoid
+MAX_TRAPEZOID_POINTS = 1 << 28  # most nodes of one streamed trapezoid
+MAX_GRID_VALUES = 1 << 24  # most values eval_grid holds (256 MB complex128)
 
 _TWO_PI_I = 2j * np.pi
 _U = 2.0**-53  # unit roundoff of float64
@@ -133,11 +134,10 @@ def _integer_freqs(rng: SumRange, scale: float):
 
 
 def _assemble_freqs(ns, weights, rng: SumRange, scale: float):
-    if float(rng.k).is_integer():
-        powers = ns.astype(object) ** int(rng.k) if rng.X >= 2**53 else ns ** int(rng.k)
-        fh = np.asarray(powers, dtype=np.float64)
+    if float(rng.k).is_integer() and rng.X < 2**53:  # n^k <= X is exact
+        fh = np.asarray(ns ** int(rng.k), dtype=np.float64)
         fl = np.zeros_like(fh)
-    else:
+    else:  # hi/lo pairs, exact for integer powers past 2^53
         fh = np.empty(len(ns), dtype=np.float64)
         fl = np.empty(len(ns), dtype=np.float64)
         for i, n in enumerate(ns):
@@ -748,9 +748,9 @@ def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,
     fh, fl, w = sum_freqs(kind, rng, table, scale)
     # refuse before the count values are allocated
     _check_budget(fh, alpha0, step, count)
-    if count > MAX_TRAPEZOID_POINTS:
-        raise DomainError(f"grid needs count <= {MAX_TRAPEZOID_POINTS}, "
-                          f"got {count}")
+    if count > MAX_GRID_VALUES:
+        raise DomainError(f"grid needs count <= {MAX_GRID_VALUES} held "
+                          f"values, got {count}")
     values = np.empty(count, dtype=np.complex128)
     for start, block in iter_grid_values(fh, fl, w, alpha0, step, count):
         values[start : start + len(block)] = block

@@ -254,15 +254,14 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
         # scale, so the period mean of |sum|^p decouples from it
         near_hi = min(hi, max(8.0 / eta, split + 4.0 * period))
         m_whole = int((near_hi - split) / period)
-        acc = []
-        for m in range(m_whole):
-            alphas = split + m * period + np.arange(n) * h
-            acc.append(float(np.dot(fvals, fejer_kernel(alphas, eta))) * h)
         rem_start = split + m_whole * period
+        # (start, node count) of each sampled period, then the partial one
+        spans = [(split + m * period, n) for m in range(m_whole)]
         if near_hi >= hi and hi > rem_start:
-            n_rem = min(n, int(math.ceil((hi - rem_start) / h)))
-            alphas = rem_start + np.arange(n_rem) * h
-            acc.append(float(np.dot(fvals[:n_rem], fejer_kernel(alphas, eta))) * h)
+            spans.append((rem_start, min(n, int(math.ceil((hi - rem_start) / h)))))
+        offsets = np.arange(n) * h
+        acc = [float(np.dot(fvals[:c], fejer_kernel(s + offsets[:c], eta))) * h
+               for s, c in spans]
         if hi > near_hi:
             fbar = float(np.mean(fvals))
             kstep = min(1.0 / (8.0 * eta), max((hi - rem_start) / 1000.0, 1e-3))

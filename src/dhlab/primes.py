@@ -194,14 +194,10 @@ def integers_in_range(rng: SumRange) -> np.ndarray:
     """
     start = max(1, math.floor(rng.lo) - 1)
     end = math.ceil(rng.hi) + 1  # inclusive
-    if end < start:
-        return np.empty(0, dtype=np.int64)
-    if end - start <= 8:
-        vals = [n for n in range(start, end + 1) if _in_window(n, rng)]
-        return np.asarray(vals, dtype=np.int64)
-    head = [n for n in range(start, start + 4) if _in_window(n, rng)]
-    tail = [n for n in range(end - 3, end + 1) if _in_window(n, rng)]
-    interior = np.arange(start + 4, end - 3, dtype=np.int64)
-    return np.concatenate(
-        [np.asarray(head, dtype=np.int64), interior, np.asarray(tail, dtype=np.int64)]
-    )
+    head_end = min(start + 4, end + 1)  # head [start, head_end), <= 4 long
+    tail_start = max(head_end, end - 3)  # tail [tail_start, end], <= 4 long
+    head = [n for n in range(start, head_end) if _in_window(n, rng)]
+    tail = [n for n in range(tail_start, end + 1) if _in_window(n, rng)]
+    return np.concatenate([np.asarray(head, dtype=np.int64),
+                           np.arange(head_end, tail_start, dtype=np.int64),
+                           np.asarray(tail, dtype=np.int64)])

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dhlab.diophantine import (convergents, cube_sequence,
                                find_rational_witness, legendre_check,
@@ -99,6 +102,32 @@ def test_witness_examples():
     w = find_rational_witness(SQRT2, 12.0)
     assert (w.a, w.q) in ((17, 12), (7, 5))
     assert w.residual <= 1.0 / 12.0
+
+
+@st.composite
+def _witness_inputs(draw):
+    kind = draw(st.sampled_from(["float", "rational", "half"]))
+    if kind == "float":
+        x = draw(st.floats(-50.0, 50.0))
+    elif kind == "rational":
+        x = draw(st.integers(-2000, 2000)) / draw(st.integers(1, 60))
+    else:
+        x = draw(st.integers(-50, 50)) + 0.5
+    Q = draw(st.one_of(st.integers(1, 200).map(float), st.floats(1.0, 200.0)))
+    return x, Q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_witness_inputs())
+def test_witness_is_best_approximation(inputs):
+    # exact brute force over every q <= Q; ties go to the smaller q, then a
+    x, Q = inputs
+    fx = Fraction(x)
+    best = min((abs(q * fx - a), q, a)
+               for q in range(1, math.floor(Q) + 1)
+               for a in (math.floor(q * fx), math.floor(q * fx) + 1))
+    w = find_rational_witness(x, Q)
+    assert (w.a, w.q, w.residual) == (best[2], best[1], float(best[0]))
 
 
 def test_witness_dirichlet_guarantee():

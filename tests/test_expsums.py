@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from dhlab.errors import (InsufficientTableError, PhaseBudgetError,
-                          QuadratureError)
+from dhlab.errors import (DomainError, InsufficientTableError,
+                          PhaseBudgetError, QuadratureError)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -224,10 +224,14 @@ def test_grid_integer_kind():
         )
 
 
-def test_grid_budget_refusal(table_1e6):
+def test_grid_budget_refusal(table_1e6, no_grid_values):
     rng = SumRange(1, 0.1, 10**6)
     with pytest.raises(PhaseBudgetError):
         eval_grid("prime", rng, table_1e6, alpha0=0.0, step=1.0, count=10**9)
+    # within the phase budget, but more values than a grid may hold
+    with pytest.raises(DomainError, match=str(expsums.MAX_GRID_VALUES)):
+        eval_grid("prime", rng, table_1e6, alpha0=0.0, step=1e-30,
+                  count=expsums.MAX_GRID_VALUES + 1)
 
 
 def test_grid_csv_schema(tmp_path, table_1e6):
@@ -384,6 +388,28 @@ def test_certified_bounds_against_50_digit_sums(start, span, scale, alpha,
     f = _points_ensemble(ns, weights, scale)
     e = eval_points(*f, [alpha], alpha_lo)[0]
     assert abs(e - exact) <= points_error_bound(*f, abs(alpha), alpha_lo)
+
+
+@pytest.mark.parametrize("kind", ["prime", "integer"])
+def test_cubes_past_2_53_against_50_digit_sums(kind):
+    # 604 of the 608 prime cubes in the window are not doubles: their
+    # frequencies must keep the low part, or each phase loses up to ulp/2
+    rng = SumRange(3, 0.9, 1e16)
+    alpha = 0.1
+    if kind == "prime":
+        table = sieve(math.ceil(rng.hi) + 1)
+        v = prime_exp_sum(alpha, rng, table)
+        f = sum_freqs("prime", rng, table)
+        ns = [int(p) for p in table.primes if 0.9e16 <= int(p) ** 3 <= 1e16]
+    else:
+        v = integer_exp_sum(alpha, rng)
+        f = sum_freqs("integer", rng)
+        ns = [n for n in range(200_000, 220_000) if 0.9e16 <= n**3 <= 1e16]
+    assert len(f[0]) == len(ns)
+    # the weights are the ensemble's own: only the frequencies are on trial
+    exact = complex(mp.fsum(mp.mpf(float(w)) * mp.expjpi(2 * n**3 * mp.mpf(alpha))
+                            for n, w in zip(ns, f[2])))
+    assert abs(v - exact) <= points_error_bound(*f, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Byte-for-byte regression against recorded artifacts.
 
-tests/golden holds `lemmas.csv` of the default config at seed 0 and
-`theorem.csv` of the default config (cap 3.5e5).  A change that moves any
-byte of either must say why and re-record the file."""
+tests/golden holds `lemmas.csv` of the default config at seed 0,
+`theorem.csv` of the default config (cap 3.5e5), the `solutions.csv` and
+`summary.json` of one `dhlab solve` run and the JSON `dhlab cf` prints for
+sqrt 2.  A change that moves any byte of them must say why and re-record
+the file."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 from dhlab.harness import (ExperimentConfig, run_lemma_suite,
@@ -23,3 +27,23 @@ def test_theorem_csv_matches_golden(tmp_path):
     out = tmp_path / "theorem.csv"
     write_theorem_csv(out, run_theorem_experiment(ExperimentConfig(seed=0)))
     assert out.read_bytes() == (GOLDEN / "theorem_seed0.csv").read_bytes()
+
+
+def _cli(args, cwd):
+    return subprocess.run([sys.executable, "-m", "dhlab.cli", *args],
+                          cwd=cwd, capture_output=True, check=True)
+
+
+def test_solve_outputs_match_golden(tmp_path):
+    _cli(["--out", str(tmp_path), "solve", "--lambdas", "1,1,-1", "--k", "2",
+          "--omega", "0", "--delta", "0.01", "--X", "100", "--eta", "0.5",
+          "--duality-b", "100"], tmp_path)
+    for name in ("solutions.csv", "summary.json"):
+        assert ((tmp_path / name).read_bytes()
+                == (GOLDEN / f"solve_{name}").read_bytes()), name
+
+
+def test_cf_output_matches_golden(tmp_path):
+    res = _cli(["cf", "--x", "sqrt2", "--n", "12", "--witness-q", "1000"],
+               tmp_path)
+    assert res.stdout == (GOLDEN / "cf_sqrt2.json").read_bytes()

@@ -275,8 +275,9 @@ def test_cli_config_errors_exit_2(tmp_path):
     res = _cli(["--threads", "2", "lemmas"], tmp_path)
     assert res.returncode == 2, res.stderr
     # grid requests the evaluator cannot honour: a zero step, and more
-    # nodes than one grid may hold (refused before allocating them)
-    for grid in ("0,0,10", "0,1e-30,10000000000000"):
+    # values than one grid may hold (2^25 and 1e13, refused before
+    # allocating them)
+    for grid in ("0,0,10", "0,1e-30,33554432", "0,1e-30,10000000000000"):
         res = _cli(["--out", str(tmp_path / "g"), "expsum", "--kind", "S",
                     "--k", "1", "--X", "100", "--grid", grid], tmp_path)
         assert res.returncode == 2, res.stderr

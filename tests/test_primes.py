@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dhlab.errors import EmptyDomainError, InsufficientTableError
-from dhlab.primes import (SumRange, integers_in_range, primes_in_range, sieve,
-                          theta, theta_many)
+from dhlab.primes import (SumRange, _in_window, integers_in_range,
+                          primes_in_range, sieve, theta, theta_many)
 
 
 def trial_division_count(limit):
@@ -137,6 +137,19 @@ def test_integers_in_range():
     # large window: interior fast path
     big = integers_in_range(SumRange(1, 0.001, 10**6))
     assert big[0] == 1000 and big[-1] == 10**6 and len(big) == 10**6 - 999
+    # windows of 0..12 integers, short enough that the head and tail meet,
+    # with edges on k-th powers and between them
+    for k in (1, 1.5, 2, 2.5, 3):
+        for m in (1, 2, 7, 50, 1000):
+            edges = [(m + 0.3, m + c + 0.6) for c in range(13)]
+            edges += [(m, m + c) for c in range(1, 12)]
+            edges += [(m, m + c + 0.5) for c in range(12)]
+            for lo, hi in edges:
+                rng = SumRange(k, lo**k / hi**k, hi**k)
+                want = [n for n in range(1, math.ceil(hi) + 3)
+                        if _in_window(n, rng)]
+                got = integers_in_range(rng)
+                assert got.dtype == np.int64 and list(got) == want, (k, lo, hi)
 
 
 def test_sum_range_validation():
