@@ -10,8 +10,7 @@ from .diophantine import (Convergent, Expansion, RationalWitness, convergents,
                           cube_sequence, find_rational_witness, legendre_check,
                           vaughan_ratio)
 from .errors import (DhlabError, DomainError, EmptyDomainError,
-                     InsufficientTableError, ParameterError, PhaseBudgetError,
-                     QuadratureError)
+                     InsufficientTableError, ParameterError, PhaseBudgetError)
 from .expsums import (SpectrumGrid, eval_grid, fejer_kernel,
                       fejer_kernel_hat, integer_exp_sum, integral_exp_sum,
                       prime_exp_sum)

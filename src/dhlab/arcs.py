@@ -10,7 +10,7 @@ classical truncation choices that keep the complementary regions negligible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError
@@ -79,18 +79,7 @@ class ArcDecomposition:
         return "trivial"
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "X": self.X,
-            "eta": self.eta,
-            "P": self.P,
-            "R": self.R,
-            "major": list(self.major),
-            "intermediate": list(self.intermediate) if self.intermediate else None,
-            "minor": list(self.minor),
-            "trivial": f"|alpha| > {self.R}",
-            "window_feasible": self.window_feasible,
-        }
+        return {**asdict(self), "trivial": f"|alpha| > {self.R}"}
 
 
 def choose_parameters(instance, X: float) -> ArcDecomposition:

@@ -17,14 +17,6 @@ class PhaseBudgetError(DhlabError, ValueError):
     """Grid evaluation refused: the phase range exceeds the recurrence budget."""
 
 
-class QuadratureError(DhlabError, RuntimeError):
-    """Adaptive quadrature failed to converge.  Carries the residual estimate."""
-
-    def __init__(self, message, residual):
-        super().__init__(f"{message} (residual estimate {residual:.3e})")
-        self.residual = residual
-
-
 class ParameterError(DhlabError, ValueError):
     """Arc parameter choice is inconsistent.  Names the failed inequality."""
 

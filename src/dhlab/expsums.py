@@ -4,7 +4,7 @@ Central objects:
 
   prime_exp_sum(alpha)    sum of log(p) * e(p^k * alpha) over the window
   integer_exp_sum(alpha)  sum of       e(n^k * alpha) over the window
-  integral_exp_sum(alpha) the continuous analogue, an oscillatory integral
+  integral_exp_sum(alpha) the continuous analogue, an incomplete gamma function
   fejer_kernel / _hat     the detection kernel (sin(pi a eta)/(pi a))^2 and
                           its transform max{0, eta - |a|}
 
@@ -48,8 +48,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from mpmath import mp
 
-from .errors import DomainError, PhaseBudgetError, QuadratureError
+from .errors import DomainError, PhaseBudgetError
 from .precision import (dd_add, dd_scale, phase_frac, pow_dd, two_prod,
                         two_sum)
 from .primes import PrimeTable, SumRange, integers_in_range, window_arrays
@@ -167,63 +168,25 @@ def integer_exp_sum(alpha: float, rng: SumRange, scale: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# oscillatory integral of e(t^k alpha) over the window
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _gl_pass(alpha: float, k: float, lo: float, hi: float, panels: int) -> complex:
-    acc = 0j
-    chunk = 1 << 14
-    edges = np.linspace(lo, hi, panels + 1)
-    for s in range(0, panels, chunk):
-        e = min(panels, s + chunk)
-        a = edges[s:e]
-        b = edges[s + 1 : e + 1]
-        c = 0.5 * (a + b)
-        hw = 0.5 * (b - a)
-        t = c[:, None] + hw[:, None] * _GL_NODES[None, :]
-        f = phase_frac(t**k, 0.0, alpha)
-        vals = np.exp(_TWO_PI_I * f) @ _GL_WEIGHTS
-        acc += complex(np.dot(hw, vals))
-    return acc
-
+# integral of e(t^k alpha) over the window, in closed form
 
 def integral_exp_sum(alpha: float, rng: SumRange) -> complex:
-    """Integral of e(t^k alpha) over t in the window, to 1e-8 * width absolute.
+    """Integral of e(t^k alpha) over t in the window [rng.lo, rng.hi].
 
-    Gauss-Legendre panels of order 16.  The starting panel width follows
-    min(1, 1/(8 k |alpha| X^((k-1)/k))) times the window width; panel counts
-    then double until two passes agree within tolerance.  No pass takes more
-    than 2^23 evaluations.
+    With u = t^k and c = -2 pi i alpha the integral is the incomplete
+    gamma function (1/k) c^(-1/k) gamma(1/k; c lo^k, c hi^k), where
+    gamma(s; a, b) = integral of t^(s-1) e^(-t) over [a, b] along the ray
+    through c; it is evaluated at mpmath's 50 digits and rounded once.
     """
-    lo, hi = rng.lo, rng.hi
-    width = hi - lo
-    if width <= 0:
-        return 0j
     alpha = float(alpha)
+    lo, hi = rng.lo, rng.hi
     if alpha == 0.0:
-        return complex(width)
-    k = rng.k
-    fmax = 8.0 * k * abs(alpha) * rng.X ** ((k - 1.0) / k)
-    frac = min(1.0, 1.0 / fmax) if fmax > 0 else 1.0
-    panels = max(1, math.ceil(1.0 / frac))
-    tol = 1e-8 * width
-    residual = math.inf
-    if panels * 32 <= 1 << 23:  # else no second pass could check the first
-        prev = _gl_pass(alpha, k, lo, hi, panels)
-    while panels * 32 <= 1 << 23:
-        panels *= 2
-        cur = _gl_pass(alpha, k, lo, hi, panels)
-        residual = abs(cur - prev)
-        if residual <= tol:
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"integral of e(t^{k} * {alpha}) did not converge within 2^23 "
-        f"evaluations ({panels} panels)",
-        residual,
-    )
+        return complex(hi - lo)
+    k = mp.mpf(rng.k)
+    s = 1 / k
+    c = mp.mpc(0, -2 * mp.pi * alpha)
+    return complex(s * c**-s * mp.gammainc(s, c * mp.mpf(lo)**k,
+                                           c * mp.mpf(hi)**k))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +200,6 @@ class SpectrumGrid:
     step: float
     count: int
     values: np.ndarray
-    kind: str = "prime"
 
     def alphas(self) -> np.ndarray:
         """The nodes alpha0 + j*step, rounded to float64."""
@@ -364,7 +326,12 @@ def trapezoid(ensembles, lo: float, hi: float, band: float,
 def eval_points(fh, fl, weights, alphas: np.ndarray,
                 alpha_lo: float = 0.0) -> np.ndarray:
     """Weighted exponential sum at arbitrary (non-grid) abscissas, each
-    extended by the common low part `alpha_lo`."""
+    extended by the common low part `alpha_lo`.
+
+    A value's last bits depend on the batch `alphas` it is computed in,
+    because BLAS blocks the `weights @ exp(...)` product by batch shape:
+    a caller that must repeat a decision made on these values has to
+    repeat the batch too."""
     alphas = np.asarray(alphas, dtype=np.float64)
     out = np.empty(len(alphas), dtype=np.complex128)
     chunk = max(1, (1 << 22) // max(1, len(fh)))
@@ -754,5 +721,4 @@ def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,
     values = np.empty(count, dtype=np.complex128)
     for start, block in iter_grid_values(fh, fl, w, alpha0, step, count):
         values[start : start + len(block)] = block
-    return SpectrumGrid(alpha0=alpha0, step=step, count=count, values=values,
-                        kind=kind)
+    return SpectrumGrid(alpha0=alpha0, step=step, count=count, values=values)

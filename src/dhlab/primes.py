@@ -117,20 +117,13 @@ def sieve(limit: int) -> PrimeTable:
 
 def theta(x: float, table: PrimeTable) -> float:
     """Chebyshev theta(x) = sum of log p over primes p <= x."""
-    if x > table.limit:
-        raise InsufficientTableError(
-            f"theta({x}) needs primes up to {x}, table sieved to {table.limit}"
-        )
-    idx = int(np.searchsorted(table.primes, math.floor(x), side="right"))
-    if idx == 0:
-        return 0.0
-    return float(table.cumlog[idx - 1])
+    return float(theta_many(x, table))
 
 
 def theta_many(xs: np.ndarray, table: PrimeTable) -> np.ndarray:
-    """Vectorized theta over an array of points (all must be <= limit)."""
+    """Vectorized theta over an array of points (each <= limit, not NaN)."""
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.size and float(np.max(xs)) > table.limit:
+    if xs.size and not float(np.max(xs)) <= table.limit:
         raise InsufficientTableError(
             f"theta needs primes up to {np.max(xs)}, table sieved to {table.limit}"
         )

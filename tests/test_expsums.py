@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dhlab.errors import (DomainError, InsufficientTableError,
-                          PhaseBudgetError, QuadratureError)
+from dhlab.errors import DomainError, InsufficientTableError, PhaseBudgetError
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -75,13 +74,62 @@ def test_integral_trivial_cases():
     )
 
 
-def test_integral_refuses_without_evaluating(monkeypatch):
-    # 2e6 starting panels: a second pass would exceed 2^23 evaluations
-    def refuse(*args):
-        raise AssertionError("quadrature pass evaluated")
-    monkeypatch.setattr(expsums, "_gl_pass", refuse)
-    with pytest.raises(QuadratureError, match="2000000 panels"):
-        integral_exp_sum(12500.0, SumRange(2, 0.1, 100))
+def fresnel_integral(alpha, rng):
+    """Integral of e(alpha t^2) over the window from mpmath's Fresnel
+    integrals at 60 digits: C(x), S(x) integrate cos, sin of pi t^2 / 2."""
+    with mp.workdps(60):
+        a = mp.mpf(alpha)
+        r = 2 * mp.sqrt(abs(a))
+        lo, hi = r * mp.mpf(rng.lo), r * mp.mpf(rng.hi)
+        c = (mp.fresnelc(hi) - mp.fresnelc(lo)) / r
+        s = (mp.fresnels(hi) - mp.fresnels(lo)) / r
+        return complex(c, mp.sign(a) * s)
+
+
+def test_integral_matches_fresnel():
+    # (12500, 100) spans 1.25e6 oscillations, too many for a quadrature
+    # to serve as the oracle
+    for alpha, X in ((12500.0, 100.0), (0.37, 1e4), (-3.1, 1e6),
+                     (1e5, 1e8)):
+        rng = SumRange(2, 0.1, X)
+        exact = fresnel_integral(alpha, rng)
+        got = integral_exp_sum(alpha, rng)
+        assert abs(got - exact) <= 1e-15 * abs(exact), (alpha, X)
+
+
+def test_integral_linear_large_alpha():
+    # k = 1: the antiderivative (e(hi a) - e(lo a)) / (2 pi i a) at 60
+    # digits, for frequencies far beyond a quadrature's reach
+    rng = SumRange(1, 0.25, 100)
+    for a in (12500.3, -770001.37, 1e9 + 0.5, 3.3e12 + 0.125):
+        with mp.workdps(60):
+            t = 2j * mp.pi * mp.mpf(a)
+            exact = complex((mp.exp(t * rng.hi) - mp.exp(t * rng.lo)) / t)
+        got = integral_exp_sum(a, rng)
+        assert abs(got - exact) <= 1e-15 * abs(exact), a
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.floats(1.0, 3.0, exclude_min=True), X=st.floats(100.0, 1e4),
+       delta=st.floats(0.05, 0.9), cycles=st.floats(-30.0, 30.0))
+def test_integral_against_piecewise_quadrature(k, X, delta, cycles):
+    # at most 30 oscillations, and mp.quad on pieces of at most one each:
+    # the piece edges are where alpha t^k crosses a multiple of 1/2
+    rng = SumRange(k, delta, X)
+    alpha = cycles / X
+    with mp.workdps(30):
+        kk, a = mp.mpf(k), mp.mpf(alpha)
+        lo, hi = mp.mpf(rng.lo), mp.mpf(rng.hi)
+        edges = [lo, hi]
+        if alpha != 0.0:
+            u0, u1 = sorted((a * lo**kk, a * hi**kk))
+            edges += [(m / 2 / a) ** (1 / kk)
+                      for m in range(int(mp.floor(2 * u0)) + 1,
+                                     int(mp.ceil(2 * u1)))]
+        ref = complex(mp.quad(lambda t: mp.expjpi(2 * a * t**kk),
+                              sorted(edges)))
+    got = integral_exp_sum(alpha, rng)
+    assert abs(got - ref) <= 1e-13 * (rng.hi - rng.lo)
 
 
 def test_integral_closed_form_linear():

@@ -2,9 +2,10 @@
 
 tests/golden holds `lemmas.csv` of the default config at seed 0,
 `theorem.csv` of the default config (cap 3.5e5), the `solutions.csv` and
-`summary.json` of one `dhlab solve` run and the JSON `dhlab cf` prints for
-sqrt 2.  A change that moves any byte of them must say why and re-record
-the file."""
+`summary.json` of one `dhlab solve` run, and the JSON that `dhlab cf`
+prints for sqrt 2, `dhlab arcs` for k = 3, X = 1e6 and `dhlab sieve` for
+theta up to 1e5.  A change that moves any byte of them must say why and
+re-record the file."""
 
 import subprocess
 import sys
@@ -47,3 +48,14 @@ def test_cf_output_matches_golden(tmp_path):
     res = _cli(["cf", "--x", "sqrt2", "--n", "12", "--witness-q", "1000"],
                tmp_path)
     assert res.stdout == (GOLDEN / "cf_sqrt2.json").read_bytes()
+
+
+def test_arcs_output_matches_golden(tmp_path):
+    res = _cli(["arcs", "--k", "3", "--X", "1e6"], tmp_path)
+    assert res.stdout == (GOLDEN / "arcs_k3_X1e6.json").read_bytes()
+
+
+def test_sieve_output_matches_golden(tmp_path):
+    res = _cli(["sieve", "--limit", "100000", "--theta-at", "54321.5"],
+               tmp_path)
+    assert res.stdout == (GOLDEN / "sieve_theta.json").read_bytes()

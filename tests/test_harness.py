@@ -242,6 +242,16 @@ def test_cli_point_commands(tmp_path):
     assert abs(blob["I_real"] - blob["weighted_count"]) <= blob["tail_bound"]
 
 
+def test_cli_integral_closed_form(tmp_path):
+    # 1.25e6 oscillations: the value is the Fresnel-integral one, 1.3765e-6 i
+    res = _cli(["expsum", "--kind", "T", "--k", "2", "--X", "100",
+                "--alpha", "12500"], tmp_path)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["re"] == pytest.approx(1.240903600501499e-12, rel=1e-12)
+    assert out["im"] == pytest.approx(1.3765487118094601e-06, rel=1e-12)
+
+
 def test_cli_theorem_and_exit_codes(tmp_path):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(MINI.to_json()))

@@ -105,6 +105,13 @@ def test_theta_errors(table_1e6):
         theta(10**6 + 1, table_1e6)
 
 
+def test_theta_refuses_nan(table_1e6):
+    with pytest.raises(InsufficientTableError):
+        theta(math.nan, table_1e6)
+    with pytest.raises(InsufficientTableError):
+        theta_many([3.0, math.nan], table_1e6)
+
+
 def test_primes_in_range_examples(table_1e6):
     got = primes_in_range(SumRange(2, 0.25, 100), table_1e6)
     assert [p for p, _ in got] == [5, 7]  # 25 <= p^2 <= 100, boundary in
