@@ -230,7 +230,8 @@ def solve_cmd(ctx, lambdas, k, omega, delta, epsilon, X, eta, duality_b):
     summary = {"X": X, "eta": eta, "count": len(sols), "weighted_count": w,
                "sign_feasible": not inst.same_sign}
     if duality_b is not None:
-        val = solution_integral(inst, X, eta, (-duality_b, duality_b), table)
+        val = solution_integral(inst, X, eta, (-duality_b, duality_b), table,
+                                 whole_line=True)
         summary.update(I_real=val.real, I_imag=val.imag,
                        tail_bound=duality_tail_bound(inst, X, duality_b, table))
     path = _out_path(ctx, "summary.json")

@@ -148,6 +148,13 @@ def _assemble_freqs(ns, weights, rng: SumRange, scale: float):
     return fh, fl, weights
 
 
+def _require_finite(alpha: float, alpha_lo: float = 0.0) -> None:
+    # a NaN or infinite abscissa has no phase: refuse it, do not sum NaNs
+    if not (math.isfinite(alpha) and math.isfinite(alpha_lo)):
+        lo = f" + {alpha_lo}" if alpha_lo else ""
+        raise DomainError(f"alpha must be finite, got {alpha}{lo}")
+
+
 def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
                   scale: float = 1.0, alpha_lo: float = 0.0) -> complex:
     """Sum of log(p) e(scale * p^k * alpha) over the window of `rng`.
@@ -156,6 +163,7 @@ def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
     phases far beyond 2^53 keep full fractional accuracy.  `alpha_lo` is an
     optional low-order part of the abscissa for exact two-term inputs.
     """
+    _require_finite(alpha, alpha_lo)
     f = sum_freqs("prime", rng, table, scale)
     return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
@@ -163,6 +171,7 @@ def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
 def integer_exp_sum(alpha: float, rng: SumRange, scale: float = 1.0,
                     alpha_lo: float = 0.0) -> complex:
     """Sum of e(scale * n^k * alpha) over integers in the window of `rng`."""
+    _require_finite(alpha, alpha_lo)
     f = sum_freqs("integer", rng, scale=scale)
     return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
@@ -179,6 +188,7 @@ def integral_exp_sum(alpha: float, rng: SumRange) -> complex:
     through c; it is evaluated at mpmath's 50 digits and rounded once.
     """
     alpha = float(alpha)
+    _require_finite(alpha)
     lo, hi = rng.lo, rng.hi
     if alpha == 0.0:
         return complex(hi - lo)
@@ -278,15 +288,28 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
         yield start, S[start - r_first * B : stop - r_first * B]
 
 
-def trapezoid_step(lo: float, hi: float, band: float) -> tuple[int, float]:
+def trapezoid_step(lo: float, hi: float, band: float,
+                   whole_line: bool = False) -> tuple[int, float]:
     """Panel count n and step h = (hi - lo) / n of the trapezoid grid over
-    [lo, hi] for an integrand of bandwidth `band` (X max(1, |scale|) for a
-    sum over p^k <= X at frequency scale `scale`): the Nyquist-safe rule
-    h <= 1/(64 band).  Grids of more than MAX_TRAPEZOID_POINTS nodes are
-    refused."""
+    [lo, hi].  Grids of more than MAX_TRAPEZOID_POINTS nodes are refused.
+
+    On a finite arc, `band` is the integrand's bandwidth (X max(1, |scale|)
+    for a sum over p^k <= X at frequency scale `scale`), oversampled 64x:
+    h <= 1/(64 band).
+
+    With `whole_line`, [lo, hi] truncates an integral over the whole line
+    whose integrand g has a Fourier transform G supported in [-band, band].
+    By Poisson summation h sum_j g(a0 + j h) over all j equals the sum over
+    m of G(m/h) e(m a0 / h), whose terms with m != 0 vanish once
+    1/h > band.  So the grid takes the Nyquist step h < 1/band, and the
+    truncation to [lo, hi] is the only error left.
+    """
     if hi <= lo:
         raise DomainError(f"empty interval [{lo}, {hi}]")
-    n = max(1, math.ceil((hi - lo) / (1.0 / (64.0 * band))))
+    if whole_line:
+        n = math.floor((hi - lo) * band) + 1
+    else:
+        n = max(1, math.ceil((hi - lo) / (1.0 / (64.0 * band))))
     if n + 1 > MAX_TRAPEZOID_POINTS:
         raise DomainError(f"trapezoid over [{lo}, {hi}] needs {n + 1} nodes "
                           f"(> {MAX_TRAPEZOID_POINTS}); shrink the interval")
@@ -294,16 +317,16 @@ def trapezoid_step(lo: float, hi: float, band: float) -> tuple[int, float]:
 
 
 def trapezoid(ensembles, lo: float, hi: float, band: float,
-              f) -> float | complex:
+              f, whole_line: bool = False) -> float | complex:
     """Trapezoid rule over [lo, hi] on the grid of trapezoid_step(lo, hi,
-    band) of f(alphas, *sums), where sums holds the grid values of each
-    (freq_hi, freq_lo, weights) ensemble at the nodes lo + j*h.
+    band, whole_line) of f(alphas, *sums), where sums holds the grid values
+    of each (freq_hi, freq_lo, weights) ensemble at the nodes lo + j*h.
 
     Blocks are summed with np.sum and the block sums reduced with math.fsum
     (real and imaginary parts apart for a complex integrand), so the result
     depends on the grid alone, not on the row plan of any ensemble.
     """
-    n, h = trapezoid_step(lo, hi, band)
+    n, h = trapezoid_step(lo, hi, band, whole_line)
     count = n + 1
     gens = [iter_grid_values(*e, lo, h, count) for e in ensembles]
     sums, ends = [], []

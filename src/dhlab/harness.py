@@ -519,7 +519,8 @@ def run_theorem_experiment(config: ExperimentConfig,
             duality_gap = tail = None
             if kind == "t*2^0" and X <= config.duality_max_x:
                 B = 10.0 / eta
-                val = solution_integral(inst, float(X), eta, (-B, B), table)
+                val = solution_integral(inst, float(X), eta, (-B, B), table,
+                                         whole_line=True)
                 duality_gap = abs(val.real - wsum)
                 tail = duality_tail_bound(inst, float(X), B, table)
                 if not duality_gap <= 0.02 * max(wsum, 1e-12) + tail:

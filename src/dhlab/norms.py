@@ -3,7 +3,7 @@
 The quadruple counter is exact: integer arithmetic when k is an integer,
 and correctly-rounded powers with boundary-safe window counting otherwise,
 so it agrees with an exhaustive enumeration term for term.  The moment
-integrals are trapezoid sums on the Nyquist-safe grids of
+integrals are trapezoid sums on the 64x-oversampled grids of
 `expsums.trapezoid_step`, which for periodic integrands of bandwidth below
 the sampling rate is exact up to rounding.
 """

@@ -190,19 +190,74 @@ def _certify(r_hi, err, eta, band_hi, band_lo):
     return admit, over_band <= 0, decided
 
 
+class CellIndex:
+    """np.searchsorted over a sorted float64 array, through a cell table.
+
+    The map cell(v) = trunc(clip(v r - s0 r, 0, top)), with s0 the first
+    value, r = 1/w and w the smallest positive gap, evaluated in float64,
+    sends every member to a cell of at most `depth` members (measured here;
+    1 or 2 when w is the smallest gap), and `first[c]` counts the members
+    in cells below c.  Each correctly rounded step is monotone, so cell is
+    too: members in cells below cell(x) are < x and those above are > x.
+    The bound of x is therefore first[cell(x)] plus one comparison against
+    each of the next `depth` entries, which equals np.searchsorted's bit for
+    bit.  The cell count is capped at MAX_CELLS_PER_VALUE per member, so a
+    window whose smallest gap is far below its mean gets wider, deeper
+    cells instead of a huge table.
+    """
+
+    MAX_CELLS_PER_VALUE = 16
+
+    def __init__(self, values: np.ndarray):
+        n = len(values)
+        gaps = np.diff(values)
+        span = float(values[-1] - values[0])
+        w = float(np.min(gaps[gaps > 0], initial=np.inf))
+        w = max(w, span / (self.MAX_CELLS_PER_VALUE * n))
+        self._scale = 1.0 / w  # 0 for one value or all equal: one cell
+        self._shift = -float(values[0]) * self._scale
+        self._top = float(np.floor(span * self._scale) + 2)
+        cells = self._cells(values)
+        counts = np.bincount(cells, minlength=int(self._top) + 1)
+        self.depth = int(counts.max())
+        self.first = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=self.first[1:])
+        # NaN pads past the end compare false on either side
+        self._values = np.concatenate([values, np.full(self.depth, np.nan)])
+
+    def _cells(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # overflow saturates to a clip end
+            c = x * self._scale
+        c += self._shift
+        np.clip(c, 0.0, self._top, out=c)
+        return c.astype(np.intp)
+
+    def search(self, x: np.ndarray, side: str = "left") -> np.ndarray:
+        """np.searchsorted(values, x, side) for finite x."""
+        lo = self.first[self._cells(x)]
+        below = np.less if side == "left" else np.less_equal
+        out = lo + below(self._values[lo], x)
+        for t in range(1, self.depth):
+            out += below(self._values[lo + t], x)
+        return out
+
+
 def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
                         table: PrimeTable) -> Solutions:
     """All ordered triples with residual <= eta, in (p3, p1, p2) order.
 
-    For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta; the
-    sorted values l2 p2 are binary-searched per p1, in windows widened by
-    the float64 error bound.  Every candidate's residual is then formed in
-    double-double, and three decisions are taken on it under the certified
-    bound of `_dd_residuals`: admission (residual <= eta), the guard-band flag
-    (|residual - eta| <= 1e-14 eta) and the correct rounding of the stored
-    float residual.  A candidate that any of them leaves undecided is
-    decided on its 50-digit residual, so the result equals a 50-digit
-    enumeration exactly.
+    For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta, widened
+    by the float64 error bound.  l1 p1 is monotone in p1, so the p1 whose
+    window can meet the values l2 p2 at all form one contiguous range, found
+    by two scalar searches; only that range is probed, each window's ends
+    through a `CellIndex` over the sorted l2 p2, which returns
+    np.searchsorted's bounds bit for bit.  Every candidate's residual is
+    then formed in double-double, and three decisions are taken on it under
+    the certified bound of `_dd_residuals`: admission (residual <= eta), the
+    guard-band flag (|residual - eta| <= 1e-14 eta) and the correct rounding
+    of the stored float residual.  A candidate that any of them leaves
+    undecided is decided on its 50-digit residual, so the result equals a
+    50-digit enumeration exactly.
     """
     lin = instance.linear_range(X)
     pw = instance.power_range(X)
@@ -219,6 +274,9 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
     order = np.argsort(vals2, kind="stable")
     sorted2 = vals2[order]
     sorted2_lo = vals2_lo[order]
+    index = CellIndex(sorted2)
+    # a1 made ascending in the p1 index, for the two range searches
+    a1_up, sign1 = (a1, 1.0) if l1 > 0 else (-a1, -1.0)
 
     L1, L2, L3, OM = _mp_lambdas(instance)
     slack = 64.0 * np.finfo(np.float64).eps * (
@@ -234,16 +292,24 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
     candidates = fallbacks = 0
     for p3, lg3 in zip(p3s, logs3):
         t = omega - l3 * float(p3) ** instance.k
-        lows = t - a1 - lo_shift
-        highs = t - a1 + lo_shift
-        i_lo = np.searchsorted(sorted2, lows, side="left")
-        i_hi = np.searchsorted(sorted2, highs, side="right")
+        # a window meets [sorted2[0], sorted2[-1]] only if a1 lies in
+        # [t - lo_shift - sorted2[-1], t + lo_shift - sorted2[0]]; a second
+        # lo_shift covers the rounding of both tests, which is below slack
+        reach = sorted((sign1 * (t - 2.0 * lo_shift - sorted2[-1]),
+                        sign1 * (t + 2.0 * lo_shift - sorted2[0])))
+        start = int(np.searchsorted(a1_up, reach[0], side="left"))
+        stop = int(np.searchsorted(a1_up, reach[1], side="right"))
+        if start >= stop:
+            continue
+        rel = t - a1[start:stop]
+        i_lo = index.search(rel - lo_shift, side="left")
+        i_hi = index.search(rel + lo_shift, side="right")
         counts = i_hi - i_lo
         hit = np.nonzero(counts > 0)[0]
         if len(hit) == 0:
             continue
         counts = counts[hit]
-        i = np.repeat(hit, counts)
+        i = np.repeat(hit + start, counts)
         j = np.arange(len(i)) + np.repeat(i_lo[hit] - (np.cumsum(counts) - counts),
                                           counts)
         l3p = L3 * _p3_power_mp(int(p3), instance.k)
@@ -269,13 +335,18 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
         i2 = order[j[keep]]
         cols.append((p1s[i1], p1s[i2], np.full(len(keep), p3), res[keep],
                      logs1[i1] * logs1[i2] * lg3, boundary[keep]))
+    del index  # free the cell table before the columns are assembled
     if not cols:
         return Solutions.empty()
-    p1, p2, p3, res, weight, boundary = (np.concatenate(c) for c in zip(*cols))
-    srt = np.lexsort((p2, p1, p3))
-    return Solutions(p1[srt], p2[srt], p3[srt], res[srt], weight[srt],
-                     boundary[srt], candidates=candidates,
-                     exact_fallbacks=fallbacks)
+    columns = [np.concatenate(c) for c in zip(*cols)]
+    p1, p2, p3 = columns[:3]
+    # p3 and p1 ascend already, and p2 within them when l2 > 0: sort only
+    # when the rows are out of (p3, p1, p2) order
+    d3, d1, d2 = np.diff(p3), np.diff(p1), np.diff(p2)
+    if not np.all((d3 > 0) | (d3 == 0) & ((d1 > 0) | (d1 == 0) & (d2 > 0))):
+        srt = np.lexsort((p2, p1, p3))
+        columns = [c[srt] for c in columns]
+    return Solutions(*columns, candidates=candidates, exact_fallbacks=fallbacks)
 
 
 def weighted_count(solutions: Solutions, eta: float) -> float:
@@ -293,29 +364,40 @@ def duality_tail_bound(instance: ProblemInstance, X: float, B: float,
 
 
 def solution_integral(instance: ProblemInstance, X: float, eta: float,
-                      interval: tuple[float, float],
-                      table: PrimeTable) -> complex:
+                      interval: tuple[float, float], table: PrimeTable,
+                      whole_line: bool = False) -> complex:
     """Trapezoid integral over `interval` of
 
-        S1(l1 a) S1(l2 a) Sk(l3 a) K_eta(a) e(-omega a),
+        S1(l1 a) S1(l2 a) Sk(l3 a) K_eta(a) e(-omega a).
 
-    on the grid for bandwidth X max(1, max|l|).  The imaginary part of a
-    symmetric-interval run is a discretization diagnostic: the integrand's
-    Hermitian symmetry makes the true value real.
+    On an arc the grid is 64x oversampled for the bandwidth X max(1, max|l|).
+    With `whole_line` the interval truncates the real-line integral, which
+    is the weighted count of the solutions (the duality estimate).  The
+    integrand's Fourier transform is then a sum of tents of half-width eta
+    at the triple frequencies l1 p1 + l2 p2 + l3 p3^k - omega, all within
+    F = sum of the max|frequency| of each factor + |omega|; the grid takes
+    the Nyquist step of the band F + eta, on which the trapezoid sum over
+    the whole line equals the weighted count exactly.  The imaginary part
+    of a symmetric-interval run is a discretization diagnostic: the
+    integrand's Hermitian symmetry makes the true value real.
     """
     lo, hi = float(interval[0]), float(interval[1])
-    band = X * max(1.0, max(abs(l) for l in instance.lambdas))
     lin = instance.linear_range(X)
     ensembles = [sum_freqs("prime", lin, table, scale=instance.lambda1),
                  sum_freqs("prime", lin, table, scale=instance.lambda2),
                  sum_freqs("prime", instance.power_range(X), table,
                            scale=instance.lambda3)]
+    if whole_line:
+        band = sum(float(np.max(np.abs(fh) + np.abs(fl), initial=0.0))
+                   for fh, fl, _ in ensembles) + abs(instance.omega) + eta
+    else:
+        band = X * max(1.0, max(abs(l) for l in instance.lambdas))
 
     def integrand(alphas, s1, s2, s3):
         om = phase_frac(np.float64(-instance.omega), 0.0, alphas)
         return s1 * s2 * s3 * (fejer_kernel(alphas, eta) * np.exp(_TWO_PI_I * om))
 
-    return trapezoid(ensembles, lo, hi, band, integrand)
+    return trapezoid(ensembles, lo, hi, band, integrand, whole_line)
 
 
 @dataclass

@@ -312,3 +312,11 @@ def test_cli_config_errors_exit_2(tmp_path):
         res = _cli(["--out", str(tmp_path / "f"), *args], tmp_path)
         assert res.returncode == 2, res.stderr
         assert message in res.stderr and "Traceback" not in res.stderr
+    # a non-finite abscissa, for each pointwise sum
+    for kind in ("S", "U", "T"):
+        for alpha in ("nan", "inf"):
+            res = _cli(["--out", str(tmp_path / "a"), "expsum", "--kind", kind,
+                        "--k", "2", "--X", "100", "--alpha", alpha], tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert (f"alpha must be finite, got {alpha}" in res.stderr
+                    and "Traceback" not in res.stderr)

@@ -1,4 +1,8 @@
+import itertools
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,13 +13,13 @@ from mpmath import mp
 from dhlab import expsums
 from dhlab.arcs import choose_parameters
 from dhlab.errors import DomainError
-from dhlab.harness import ExperimentConfig
+from dhlab.harness import INTERMEDIATE, ExperimentConfig
 from dhlab.precision import two_prod
-from dhlab.primes import primes_in_range
-from dhlab.solver import (BOUNDARY_BAND, ProblemInstance, Solutions, _certify,
-                          _dd_residuals, _p3_power_mp, duality_tail_bound,
-                          enumerate_solutions, main_term_scan,
-                          solution_integral, weighted_count)
+from dhlab.primes import SumRange, primes_in_range, sieve
+from dhlab.solver import (BOUNDARY_BAND, CellIndex, ProblemInstance,
+                          Solutions, _certify, _dd_residuals, _p3_power_mp,
+                          duality_tail_bound, enumerate_solutions,
+                          main_term_scan, solution_integral, weighted_count)
 
 INST = ProblemInstance(1.0, 1.0, -1.0, 2.0, 0.0, delta=0.01, epsilon=0.01)
 
@@ -314,3 +318,146 @@ def test_certified_decisions_are_exact(eta):
             if a:
                 assert b == (abs(res - eta_mp) <= band)
                 assert abs(r_hi) == float(res)
+
+
+def _searchsorted_cases(values, needles):
+    index = CellIndex(values)
+    for side in ("left", "right"):
+        got = index.search(needles, side=side)
+        want = np.searchsorted(values, needles, side=side)
+        assert np.array_equal(got, want), side
+
+
+_SORTED = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60).map(
+    lambda v: np.sort(np.array(v, dtype=np.float64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_SORTED, repeat=st.integers(1, 3),
+       extra=st.lists(st.floats(-2e6, 2e6), max_size=20))
+def test_cell_index_matches_searchsorted(values, repeat, extra):
+    # members (repeated, so some cells hold several equal values), their
+    # neighbouring floats, points outside [values[0], values[-1]] and
+    # arbitrary points
+    values = np.sort(np.repeat(values, repeat))
+    needles = np.concatenate([
+        values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf),
+        [values[0] - 1.0, values[-1] + 1.0, -1e300, 1e300], extra])
+    _searchsorted_cases(values, needles)
+
+
+def test_cell_index_edge_layouts():
+    one = np.array([29.0])
+    _searchsorted_cases(one, np.array([28.0, np.nextafter(29.0, 0.0), 29.0,
+                                       np.nextafter(29.0, 30.0), 30.0]))
+    # a gap of one ulp next to a span of 1e6: the cell count is capped, so
+    # cells hold many values
+    tight = np.sort(np.concatenate([[1.0, np.nextafter(1.0, 2.0)],
+                                    np.linspace(2.0, 1e6, 50)]))
+    index = CellIndex(tight)
+    assert index.depth > 1
+    assert len(index.first) <= CellIndex.MAX_CELLS_PER_VALUE * len(tight) + 4
+    _searchsorted_cases(tight, np.concatenate([
+        tight, np.nextafter(tight, 0.0), np.nextafter(tight, np.inf),
+        np.linspace(-1.0, 1.1e6, 997)]))
+    # the theorem's sorted sqrt(2) p, whose smallest gap is 2 sqrt(2)
+    primes = primes_in_range(SumRange(1.0, 0.1, 5e4), sieve(5 * 10**4 + 1))
+    vals = two_prod(math.sqrt(2.0), np.array([p for p, _ in primes],
+                                             dtype=np.float64))[0]
+    _searchsorted_cases(vals, np.concatenate([
+        vals, np.nextafter(vals, 0.0), np.nextafter(vals, np.inf),
+        np.linspace(vals[0] - 3.0, vals[-1] + 3.0, 20011)]))
+
+
+@pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=3)))
+def test_enumeration_matches_brute_force_every_sign(table_1e6, signs):
+    # every sign pattern of (l1, l2, l3), with omega placed near the value
+    # of one triple so that each pattern has solutions
+    l1, l2, l3 = (s * c for s, c in zip(signs, (1.25, math.sqrt(0.5), 0.8)))
+    omega = l1 * 43 + l2 * 31 + l3 * 5**2 + 0.1
+    inst = ProblemInstance(l1, l2, l3, 2.0, omega, delta=0.05)
+    for eta in (0.3, 1.7):
+        sols = enumerate_solutions(inst, 60.0, eta, table_1e6)
+        brute = _by_output_order(brute_force_solutions(inst, 60.0, eta,
+                                                       table_1e6))
+        assert len(brute) >= 1
+        assert [(s.triple, s.residual, s.weight, s.boundary) for s in sols] == [
+            (t, r, w, b) for t, r, w, b in brute]
+
+
+def test_enumeration_one_prime_window(table_1e6, tmp_path):
+    # delta = 0.8 at X = 30 leaves p1 = p2 = 29 and p3 = 5 alone, so the
+    # cell index holds one value and has no smallest gap
+    for omega, want in ((0.0, []), (33.0, [(29, 29, 5)])):
+        inst = ProblemInstance(1.0, 1.0, -1.0, 2.0, omega, delta=0.8)
+        sols = enumerate_solutions(inst, 30.0, 0.5, table_1e6)
+        assert [s.triple for s in sols] == want
+    res = subprocess.run(
+        [sys.executable, "-m", "dhlab.cli", "--out", str(tmp_path), "solve",
+         "--lambdas", "1,1,-1", "--k", "2", "--X", "30", "--delta", "0.8",
+         "--eta", "0.5"], cwd=tmp_path, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["count"] == 0
+
+
+def _detector_trapezoids(inst, X, eta, B, n, omegas, table):
+    """Trapezoid sums with n panels over [-B, B] of the detector integrand,
+    one per omega, built here from the grid values of its three factors."""
+    h = 2.0 * B / n
+    lin = inst.linear_range(X)
+    ensembles = [expsums.sum_freqs("prime", lin, table, scale=inst.lambda1),
+                 expsums.sum_freqs("prime", lin, table, scale=inst.lambda2),
+                 expsums.sum_freqs("prime", inst.power_range(X), table,
+                                   scale=inst.lambda3)]
+    gens = [expsums.iter_grid_values(*e, -B, h, n + 1) for e in ensembles]
+    acc = np.zeros(len(omegas), dtype=complex)
+    for blocks in zip(*gens):
+        start = blocks[0][0]
+        s1, s2, s3 = (b for _, b in blocks)
+        j = start + np.arange(len(s1))
+        a = -B + j * h
+        g = s1 * s2 * s3 * expsums.fejer_kernel(a, eta)
+        g *= np.where((j == 0) | (j == n), 0.5 * h, h)
+        for m, om in enumerate(omegas):
+            acc[m] += np.sum(g * np.exp(-2j * np.pi * om * a))
+    return acc
+
+
+@pytest.mark.parametrize("X", [125.0, 1728.0])
+def test_duality_integral_nyquist_step(table_1e6, X):
+    # the theorem's instance and duality row (eta at t*2^0, B = 10/eta)
+    omegas = (0.0, -0.43423172578768765, 3.7)
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.0)
+    eta = choose_parameters(inst, X).eta
+    B = 10.0 / eta
+    new = [solution_integral(ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0,
+                                             om), X, eta, (-B, B), table_1e6,
+                             whole_line=True) for om in omegas]
+    # against the previous rule, 64x oversampling of X max|l|
+    n64 = math.ceil(2.0 * B * 64.0 * X * math.sqrt(2.0))
+    old = _detector_trapezoids(inst, X, eta, B, n64, omegas, table_1e6)
+    for a, b in zip(new, old):
+        assert abs(a.real - b.real) <= 1e-9 * abs(b.real)
+    # the band is tight: at half the Nyquist rate the value aliases
+    lin = [p for p, _ in primes_in_range(inst.linear_range(X), table_1e6)]
+    pw = [p for p, _ in primes_in_range(inst.power_range(X), table_1e6)]
+    for om, a in zip(omegas, new):
+        band = max(lin) * (1.0 + math.sqrt(2.0)) + max(pw) ** 2 + abs(om) + eta
+        half = _detector_trapezoids(inst, X, eta, B,
+                                    math.ceil(B * band), [om], table_1e6)[0]
+        assert abs(half.real - a.real) > 0.1 * abs(a.real)
+
+
+def test_arc_integrals_keep_their_step(table_1e6):
+    # the major and intermediate arcs are finite, so Poisson summation does
+    # not cover them: both keep 64x oversampling, and so these values
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.0)
+    rows = main_term_scan(inst, [500.0, 1000.0, 2000.0], table_1e6)
+    assert [r.major_integral for r in rows] == [
+        316.08099866637014 + 7.402077136169061e-13j,
+        1417.0888681734377 - 3.309296314326527e-13j,
+        3359.5977302845927 - 3.290485470671035e-12j]
+    cfg = ExperimentConfig(instance=ProblemInstance(1.0, math.sqrt(2.0), -1.0,
+                                                    3.0, 0.0))
+    assert [INTERMEDIATE.row(cfg, table_1e6, X)["value"]
+            for X in (1000.0, 8000.0)] == [0.8548055793364058, 14.39066099212765]
