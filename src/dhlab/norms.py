@@ -6,6 +6,13 @@ so it agrees with an exhaustive enumeration term for term.  The moment
 integrals are trapezoid sums on the 64x-oversampled grids of
 `expsums.trapezoid_step`, which for periodic integrands of bandwidth below
 the sampling rate is exact up to rounding.
+
+The kernel-weighted moments go by Fourier duality instead: K_eta
+transforms to a tent, so over the whole line |S|^p K_eta integrates to a
+finite sum over pairs of frequencies of S^(p/2), for integer k eta times
+the weighted count of equal (p/2)-fold sums of k-th powers.  A finite
+interval takes off a trapezoid head and a tail past hi, summed in closed
+form (p = 2) or estimated by its mean term within a certified bound.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, InsufficientTableError
-from .expsums import (fejer_kernel, iter_grid_values, sum_freqs, trapezoid,
-                      trapezoid_step)
+from .expsums import (MAX_GRID_VALUES, fejer_kernel, fejer_kernel_hat,
+                      sum_freqs, trapezoid)
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -216,63 +223,188 @@ def _kernel_bound(p: int, eta: float, X: float, k: float) -> float:
     raise DomainError(f"exponent must be one of 2, 4, 8, got {p}")
 
 
-def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
-                  rng: SumRange, table: PrimeTable) -> MomentReport:
-    """Integral of |S_k(lam * alpha)|^p K_eta(alpha) over [lo, hi].
+_EXACT_TAIL_PAIRS = 1 << 16  # most pairs whose tail terms are summed in closed form
 
-    Past 1/eta the kernel decays like alpha^-2.  For integer k the sum is
-    periodic with period 1/|lam| there, so a straight trapezoid covers the
-    head up to 1/eta and one sampled period serves the whole tail.
-    Otherwise [lo, hi] is one trapezoid.  Both grids follow trapezoid_step,
-    and an over-large one is refused before any value is evaluated.
-    """
+
+def _reflect(lo: float, hi: float) -> tuple[float, float]:
+    """[lo, hi] or its mirror image [-hi, -lo], whichever has |lo| <= hi:
+    the integrand |S(lam a)|^p K_eta(a) is even."""
+    return (-hi, -lo) if hi <= 0 or -lo > hi else (lo, hi)
+
+
+def _kernel_args(p: int, lam: float, lo: float, hi: float, eta: float,
+                 rng: SumRange) -> float:
+    """Validate kernel_moment's arguments; return the comparison bound."""
     if not 0 < eta < 1:
         raise DomainError(f"eta must be in (0,1), got {eta}")
-    if hi <= lo:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
+    if not (math.isfinite(lam) and lam != 0):
+        raise DomainError(f"lam must be finite and nonzero, got {lam}")
+    if not (math.isfinite(lo) and lo < hi):
+        raise DomainError(f"need finite lo < hi (hi may be inf), got [{lo}, {hi}]")
+    return _kernel_bound(p, eta, rng.X, rng.k)
+
+
+def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
+    """(t, c, whole) for |S(lam a)|^p = |sum c e(t lam a)|^2, S the prime
+    sum of `rng`, or None where the sums would pass MAX_GRID_VALUES.
+
+    t: the sorted distinct frequencies of S^(p/2) at scale 1, exact int64
+    for integer k, else float64 sums of the high parts; c: their
+    coefficients.  whole: the integral over the whole line of |S(lam
+    a)|^p K_eta(a).  K_eta transforms to the tent max(0, eta - |xi|), so
+    whole is the sum over i, j of c_i c_j max(0, eta - |lam (t_i - t_j)|),
+    whose pairs closer than eta/|lam| are found by two searches over t.
+    """
+    fh, fl, c = sum_freqs("prime", rng, table)
+    # integer powers are hi/lo pairs of integers
+    t = fh.astype(np.int64) + fl.astype(np.int64) if float(rng.k).is_integer() else fh
+    for _ in range(p.bit_length() - 2):  # p = 2, 4, 8: 0, 1, 2 squarings
+        if len(t) ** 2 > MAX_GRID_VALUES:
+            return None
+        t, inv = np.unique((t[:, None] + t[None, :]).ravel(), return_inverse=True)
+        c = np.bincount(inv.ravel(), weights=np.outer(c, c).ravel())
+    r = eta / abs(lam)
+    a = np.searchsorted(t, t - r, side="right")
+    n = np.searchsorted(t, t + r, side="left") - a
+    if int(n.sum()) > MAX_GRID_VALUES:
+        return None
+    i = np.repeat(np.arange(len(t)), n)
+    j = a[i] + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
+    whole = math.fsum(c[i] * c[j] * fejer_kernel_hat(lam * (t[i] - t[j]), eta))
+    return t, c, whole
+
+
+def _cos_tails(lam: float, ds, R: float, eta: float) -> list[float]:
+    """T(lam d) for each d in ds, at 50 digits, where T(xi) is the integral
+    over [R, inf) of cos(2 pi xi a) K_eta(a) da.  K_eta(a) = (1 - cos 2 pi
+    eta a) / (2 pi^2 a^2), so T(xi) = (2 J(xi) - J(xi + eta) - J(xi - eta))
+    / (4 pi^2) with
+
+        J(nu) = int_R^inf cos(c a) a^-2 da = cos(cR)/R - c (pi/2 - Si(cR)),
+
+    c = 2 pi |nu| (by parts).  The two terms of J cancel to about
+    1/(c R^2), hence the working precision."""
+    with mp.workdps(50):
+        R, eta, lam = mp.mpf(R), mp.mpf(eta), mp.mpf(lam)
+        two_pi, half_pi, scale = 2 * mp.pi, mp.pi / 2, 4 * mp.pi**2
+
+        def J(nu):
+            c = two_pi * abs(nu)
+            return mp.cos(c * R) / R - c * (half_pi - mp.si(c * R))
+
+        return [float((2 * J(xi) - J(xi + eta) - J(xi - eta)) / scale)
+                for xi in (lam * d for d in ds)]
+
+
+def _remainder_bound(t, c, lam: float, eta: float, R: float) -> float:
+    """Certified bound on |sum over i != j of c_i c_j T(lam (t_i - t_j))|,
+    the part of the tail past R that its mean term sum c^2 T(0) leaves out.
+
+    By parts, |int_R^inf cos(2 pi nu a) a^-2 da| <= m(nu) = min(1/R,
+    1/(pi |nu| R^2)), so |T(xi)| <= B(|xi|) = (m(|xi|) + m(max(0, |xi| -
+    eta))) / (2 pi^2), nonincreasing.  The partners of each t_i are grouped
+    in shells |xi| in [0, eta) and [eta 2^s, eta 2^(s+1)), each charged B
+    at its inner edge; the shell masses are differences of one cumulative
+    sum of c at searched edges."""
+    if len(t) < 2:
+        return 0.0
+    a = abs(lam)
+
+    def m(nu):
+        return 1.0 / R if nu <= 0 else min(1.0 / R, 1.0 / (math.pi * nu * R * R))
+
+    def B(x):
+        return (m(x) + m(x - eta)) / (2.0 * math.pi**2)
+
+    cum = np.concatenate(([0.0], np.cumsum(c)))
+
+    def mass(x):  # sum of c_j over |lam (t_j - t_i)| < x, for every i
+        return (cum[np.searchsorted(t, t + x / a, side="left")]
+                - cum[np.searchsorted(t, t - x / a, side="right")])
+
+    span = a * float(t[-1] - t[0])
+    inner = mass(eta)
+    total = float(np.dot(c, inner - c)) * B(0.0)
+    x = eta
+    while x <= span:
+        outer = mass(2.0 * x)
+        total += float(np.dot(c, outer - inner)) * B(x)
+        inner, x = outer, 2.0 * x
+    return total
+
+
+def _tail_by_pairs(p: int, n: int) -> bool:
+    """Whether kernel_moment sums the tail pair by pair: p = 2 with at
+    most _EXACT_TAIL_PAIRS pairs of its n frequencies."""
+    return p == 2 and n * (n - 1) // 2 <= _EXACT_TAIL_PAIRS
+
+
+def kernel_tail_bound(p: int, lam: float, lo: float, hi: float, eta: float,
+                      rng: SumRange, table: PrimeTable) -> float:
+    """Certified bound on the error of kernel_moment's tail estimate for
+    the same arguments: the oscillating remainder past hi (after
+    reflection) that the mean term leaves out.  0 where no tail is
+    estimated: hi = inf, a p = 2 tail summed pair by pair, and the
+    trapezoid fallback."""
+    _kernel_args(p, lam, lo, hi, eta, rng)
+    hi = _reflect(lo, hi)[1]
+    ident = _identity(p, lam, eta, rng, table)
+    if ident is None or hi == math.inf or _tail_by_pairs(p, len(ident[0])):
+        return 0.0
+    return _remainder_bound(*ident[:2], lam, eta, hi)
+
+
+def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
+                  rng: SumRange, table: PrimeTable) -> MomentReport:
+    """Integral of |S_k(lam * alpha)|^p K_eta(alpha) over [lo, hi], hi
+    possibly inf, by Fourier duality.
+
+    With [lo, hi] reflected so that |lo| <= hi (the integrand is even),
+
+        value = whole / 2 - sign(lo) int_0^|lo| - int_hi^inf,
+
+    where whole, the integral over the whole line, is a finite sum over
+    the frequencies t and coefficients c of S^(p/2) (see _identity).  For
+    integer k and |lam| >= eta every nonzero |lam (t_i - t_j)| is at least
+    eta, so whole = eta sum c^2: eta times the weighted count of equal
+    (p/2)-fold sums of k-th powers of primes.
+
+    Head: one trapezoid over [0, |lo|].  Tail: each pair's
+    c_i c_j int_hi^inf cos(2 pi lam (t_i - t_j) a) K_eta(a) da in closed
+    form (p = 2, up to _EXACT_TAIL_PAIRS pairs), else the mean term sum c^2
+    int_hi^inf K_eta, off by at most kernel_tail_bound.  Where the sums
+    pass MAX_GRID_VALUES, [lo, hi] is one trapezoid instead.  Bad
+    arguments, an unsupported p and over-large grids are refused before
+    any value is evaluated.
+    """
+    bound = _kernel_args(p, lam, lo, hi, eta, rng)
     X = rng.X
     band = X * max(1.0, abs(lam))
-    split = min(hi, max(lo, 1.0 / eta))
-    periodic = float(rng.k).is_integer() and hi > split
-    top = split if periodic else hi
-    if periodic:  # refuse an over-large sample before the head is evaluated
-        period = 1.0 / abs(lam)
-        n, h = trapezoid_step(0.0, period, band)
-
     f = sum_freqs("prime", rng, table, scale=lam)
-    partials = []
 
-    if top > lo:
-        partials.append(trapezoid(
-            [f], lo, top, band,
-            lambda alphas, s: np.abs(s) ** p * fejer_kernel(alphas, eta)))
+    def integrand(alphas, s):
+        return np.abs(s) ** p * fejer_kernel(alphas, eta)
 
-    if periodic:
-        fvals = np.concatenate([np.abs(block) ** p for _, block
-                                in iter_grid_values(*f, split, h, n)])
-        # past ~8/eta the kernel's oscillation is slow on the period
-        # scale, so the period mean of |sum|^p decouples from it
-        near_hi = min(hi, max(8.0 / eta, split + 4.0 * period))
-        m_whole = int((near_hi - split) / period)
-        rem_start = split + m_whole * period
-        # (start, node count) of each sampled period, then the partial one
-        spans = [(split + m * period, n) for m in range(m_whole)]
-        if near_hi >= hi and hi > rem_start:
-            spans.append((rem_start, min(n, int(math.ceil((hi - rem_start) / h)))))
-        offsets = np.arange(n) * h
-        acc = [float(np.dot(fvals[:c], fejer_kernel(s + offsets[:c], eta))) * h
-               for s, c in spans]
-        if hi > near_hi:
-            fbar = float(np.mean(fvals))
-            kstep = min(1.0 / (8.0 * eta), max((hi - rem_start) / 1000.0, 1e-3))
-            m = max(2, int(math.ceil((hi - rem_start) / kstep)))
-            grid = np.linspace(rem_start, hi, m + 1)
-            kv = fejer_kernel(grid, eta)
-            acc.append(fbar * float(np.trapezoid(kv, grid)))
-        partials.append(math.fsum(acc))
-
-    value = math.fsum(partials)
-    bound = _kernel_bound(p, eta, X, rng.k)
+    a, b = _reflect(lo, hi)
+    ident = _identity(p, lam, eta, rng, table)
+    if ident is None:
+        if b == math.inf:
+            raise DomainError(f"p = {p} at X = {X} needs the trapezoid, "
+                              "which needs a finite hi")
+        value = trapezoid([f], lo, hi, band, integrand)
+    else:
+        t, c, whole = ident
+        head = trapezoid([f], 0.0, abs(a), band, integrand) if a != 0 else 0.0
+        if b == math.inf:
+            tail = 0.0
+        elif _tail_by_pairs(p, len(t)):
+            i, j = np.triu_indices(len(t), 1)
+            T = _cos_tails(lam, [0] + (t[j] - t[i]).tolist(), b, eta)
+            tail = math.fsum([math.fsum(c * c) * T[0]]
+                             + (2.0 * c[i] * c[j] * T[1:]).tolist())
+        else:
+            tail = math.fsum(c * c) * _cos_tails(lam, [0], b, eta)[0]
+        value = 0.5 * whole - math.copysign(head, a) - tail
     return MomentReport(exponent=p, lo=lo, hi=hi, value=value, bound=bound,
                         ratio=value / bound if bound > 0 else math.inf,
                         X=X, k=rng.k, eta=eta)

@@ -20,7 +20,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 import pytest
 
-from dhlab import expsums, norms
+from dhlab import expsums
 from dhlab.primes import sieve
 
 
@@ -40,4 +40,3 @@ def no_grid_values(monkeypatch):
     def refuse(*args):
         raise AssertionError("grid values evaluated")
     monkeypatch.setattr(expsums, "iter_grid_values", refuse)
-    monkeypatch.setattr(norms, "iter_grid_values", refuse)

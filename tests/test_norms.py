@@ -1,13 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from dhlab import expsums
+from dhlab import expsums, norms
+from dhlab.arcs import choose_parameters
 from dhlab.errors import DomainError
+from dhlab.expsums import fejer_kernel, sum_freqs, trapezoid
+from dhlab.harness import ExperimentConfig
 from dhlab.norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
-                         moment_integral, selberg_integral)
+                         kernel_tail_bound, moment_integral, selberg_integral)
 from dhlab.primes import SumRange, theta_many, window_arrays
 
 
@@ -105,10 +111,10 @@ def test_integrals_refuse_before_evaluating(table_1e6, no_grid_values):
         (cap, lambda: moment_integral("S1", 2, (-3000.0, 3000.0),
                                       SumRange(1, 0.1, 1000.0), table_1e6)),
         (cap, lambda: exp_sum_gap_l2(0.5, SumRange(2, 0.1, 1e7), table_1e6)),
-        # non-integer k: [lo, hi] is one trapezoid
-        (cap, lambda: kernel_moment(2, 1.0, 0.0, 5000.0, 0.5,
+        # the identity's head [0, lo] over the cap, for non-integer and
+        # integer k
+        (cap, lambda: kernel_moment(2, 1.0, 5000.0, 6000.0, 0.5,
                                     SumRange(2.5, 0.1, 1000.0), table_1e6)),
-        # integer k: a small head, but a one-period sample over the cap
         (cap, lambda: kernel_moment(2, 1.0, 1.99, 10.0, 0.5,
                                     SumRange(2, 0.1, 1e7), table_1e6)),
         ("specific to k = 3", lambda: moment_integral(
@@ -261,12 +267,164 @@ def test_moment_report_json(table_1e6):
     assert blob["ratio"] == pytest.approx(blob["value"] / blob["bound"])
 
 
-def test_kernel_moment_tail_paths_agree(table_1e6):
-    # periodic tail shortcut (integer k) against direct gridding on a
-    # nearby non-integer k plus itself at a forced non-periodic call
-    rng = SumRange(2.0, 0.1, 500.0)
-    eta = 0.2
-    rep = kernel_moment(2, 1.0, 0.01, 30.0, eta, rng, table_1e6)
-    rng_frac = SumRange(2.0 + 1e-9, 0.1, 500.0)
-    rep_frac = kernel_moment(2, 1.0, 0.01, 30.0, eta, rng_frac, table_1e6)
-    assert rep.value == pytest.approx(rep_frac.value, rel=0.02)
+def _direct(p, lam, lo, hi, eta, rng, table):
+    """Trapezoid of |S(lam a)|^p K_eta(a) over all of [lo, hi]."""
+    f = sum_freqs("prime", rng, table, scale=lam)
+    return trapezoid([f], lo, hi, rng.X * max(1.0, abs(lam)),
+                     lambda a, s: np.abs(s) ** p * fejer_kernel(a, eta))
+
+
+def _trapezoid_gap(p, lam, lo, hi, eta, rng, table):
+    """Bound on |identity - direct trapezoid| from the trapezoids' grids,
+    set from the Euler-Maclaurin leading terms h^2/12 g'(a) of g = |S|^p
+    K_eta, with |S| <= sum w, |dS(lam a)/da| <= 2 pi band sum w, K_eta(a)
+    <= min(eta^2, (pi a)^-2) and |K_eta'(a)| <= min(pi eta^3, eta/(pi a^2)
+    + 2/(pi^2 a^3)), the decaying forms taken from a = 1 on.  The head
+    [0, |lo|] and the direct grid share the lo end up to their step
+    mismatch; hi is the direct grid's alone.  Doubled for the higher-order
+    terms."""
+    band = rng.X * max(1.0, abs(lam))
+    sw = float(np.sum(window_arrays(rng, table)[1]))
+
+    def dg(a):
+        K, dK = eta**2, math.pi * eta**3
+        if a >= 1.0:
+            K = min(K, 1.0 / (math.pi * a) ** 2)
+            dK = min(dK, eta / (math.pi * a * a) + 2.0 / (math.pi**2 * a**3))
+        return sw**p * (2.0 * math.pi * p * band * K + dK)
+
+    h2 = expsums.trapezoid_step(lo, hi, band)[1]
+    h1 = expsums.trapezoid_step(0.0, abs(lo), band)[1] if lo else h2
+    return 2.0 * (abs(h1**2 - h2**2) * dg(abs(lo)) + h2**2 * dg(hi)) / 12.0
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=st.sampled_from([2, 4]), k=st.sampled_from([2.0, 3.0]),
+       X=st.floats(300.0, 1500.0), eta=st.floats(0.05, 0.9),
+       lam_over_eta=st.floats(1.0, 4.0), sign=st.sampled_from([-1.0, 1.0]),
+       lo=st.floats(-0.03, 0.03), hi=st.floats(2.0, 8.0))
+def test_kernel_moment_identity_matches_direct_trapezoid(
+        table_1e6, p, k, X, eta, lam_over_eta, sign, lo, hi):
+    # the identity against one trapezoid over all of [lo, hi], within the
+    # certified tail remainder plus the trapezoids' own grid error
+    lam = sign * min(2.0, eta * lam_over_eta)
+    rng = SumRange(k, 0.1, X)
+    got = kernel_moment(p, lam, lo, hi, eta, rng, table_1e6).value
+    want = _direct(p, lam, lo, hi, eta, rng, table_1e6)
+    tol = (kernel_tail_bound(p, lam, lo, hi, eta, rng, table_1e6)
+           + _trapezoid_gap(p, lam, lo, hi, eta, rng, table_1e6)
+           + 1e-12 * abs(want))
+    assert abs(got - want) <= tol
+    if p == 2:
+        assert kernel_tail_bound(p, lam, lo, hi, eta, rng, table_1e6) == 0.0
+
+
+def test_kernel_moment_default_config_matches_direct_trapezoid(table_1e6):
+    # the weighted checks' own interval [P/X, R] at X = 1000
+    inst = ExperimentConfig().instance
+    X = 1000.0
+    d = choose_parameters(inst, X)
+    rng = inst.power_range(X)
+    args = (inst.lambda3, d.major[1], d.R, d.eta, rng, table_1e6)
+    for p in (2, 4):
+        got = kernel_moment(p, *args).value
+        want = _direct(p, *args)
+        slack = kernel_tail_bound(p, *args) + 1e-9 * want
+        assert abs(got - want) <= slack, (p, got, want)
+
+
+def test_kernel_moment_fourth_whole_line_counts_equal_pair_sums(table_1e6):
+    # [0, inf) is half the whole line: eta/2 times the weighted count of
+    # p1^k + p2^k = p3^k + p4^k, enumerated over all quadruples
+    for k, X, lam in ((2.0, 3000.0, -1.0), (3.0, 30000.0, 0.7)):
+        rng = SumRange(k, 0.1, X)
+        ps, logs = window_arrays(rng, table_1e6)
+        pw = {int(q): int(q) ** int(k) for q in ps}
+        w = dict(zip(pw, logs))
+        count = math.fsum(w[a] * w[b] * w[c] * w[e]
+                          for a, b, c, e in itertools.product(pw, repeat=4)
+                          if pw[a] + pw[b] == pw[c] + pw[e])
+        eta = 0.3
+        got = kernel_moment(4, lam, 0.0, math.inf, eta, rng, table_1e6).value
+        assert got == pytest.approx(0.5 * eta * count, rel=1e-12)
+
+
+def test_kernel_moment_refuses_bad_input_first(table_1e6, no_grid_values,
+                                                monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frequencies assembled")
+    monkeypatch.setattr(norms, "sum_freqs", refuse)
+    rng = SumRange(2.0, 0.1, 1000.0)
+    for p, lam, lo, hi in (
+            (2, 0.0, 0.01, 10.0),          # zero frequency scale
+            (2, math.nan, 0.01, 10.0),
+            (2, 1.0, math.nan, 10.0),
+            (2, 1.0, 0.01, math.nan),
+            (2, 1.0, -math.inf, 10.0),
+            (2, 1.0, 10.0, 10.0),          # empty interval
+            (3, 1.0, 0.01, 10.0),          # no bound for p = 3
+            (8, 1.0, 0.01, 10.0)):         # eighth moment needs k = 3
+        with pytest.raises(DomainError):
+            kernel_moment(p, lam, lo, hi, 0.5, rng, table_1e6)
+
+
+def test_kernel_moment_trapezoid_fallback(table_1e6, monkeypatch):
+    # sums past MAX_GRID_VALUES: [lo, hi] is one trapezoid, no tail is
+    # estimated, and hi = inf is refused before any value is evaluated
+    monkeypatch.setattr(norms, "MAX_GRID_VALUES", 10)
+    args = (SumRange(2.0, 0.1, 1000.0), table_1e6)
+    rep = kernel_moment(4, -1.0, 0.01, 6.0, 0.5, *args)
+    assert rep.value == _direct(4, -1.0, 0.01, 6.0, 0.5, *args)
+    assert kernel_tail_bound(4, -1.0, 0.01, 6.0, 0.5, *args) == 0.0
+    monkeypatch.setattr(expsums, "iter_grid_values", None)
+    with pytest.raises(DomainError, match="finite hi"):
+        kernel_moment(4, -1.0, 0.01, math.inf, 0.5, *args)
+
+
+def test_kernel_moment_infinite_hi_is_exact(table_1e6):
+    # no tail at hi = inf: [0, inf) is eta/2 sum w^2, and [-inf, inf) by
+    # reflection of [lo, inf) adds the head back
+    rng = SumRange(2.0, 0.1, 2000.0)
+    _, logs = window_arrays(rng, table_1e6)
+    eta = 0.4
+    for p in (2, 4):
+        assert kernel_tail_bound(p, -1.0, 0.0, math.inf, eta, rng, table_1e6) == 0.0
+    half = kernel_moment(2, -1.0, 0.0, math.inf, eta, rng, table_1e6).value
+    assert half == pytest.approx(0.5 * eta * math.fsum(logs**2), rel=1e-14)
+    rep = kernel_moment(2, -1.0, 0.02, math.inf, eta, rng, table_1e6)
+    assert rep.hi == math.inf and 0 < rep.value < half
+
+
+def test_kernel_moment_reflection(table_1e6):
+    # the integrand is even: [lo, hi] and [-hi, -lo] agree, and [-a, b]
+    # exceeds [a, b] by twice the integral over [0, a]
+    rng = SumRange(2.0, 0.1, 1000.0)
+    args = (rng, table_1e6)
+    for p in (2, 4):
+        v = lambda lo, hi: kernel_moment(p, 1.3, lo, hi, 0.5, *args).value
+        assert v(-6.0, -0.02) == v(0.02, 6.0)
+        assert v(-0.02, 6.0) - v(0.02, 6.0) == pytest.approx(
+            2.0 * _direct(p, 1.3, 0.0, 0.02, 0.5, *args), rel=1e-12)
+
+
+def test_kernel_moment_head_only_grid(table_1e6, monkeypatch):
+    # the weighted checks at X = 4000 evaluate the head [0, P/X] alone:
+    # about 1.9k nodes each, where the 64x trapezoid over [P/X, R] ran to
+    # millions
+    seen = []
+    grid = expsums.iter_grid_values
+
+    def counting(fh, fl, weights, alpha0, step, count):
+        seen.append(count)
+        return grid(fh, fl, weights, alpha0, step, count)
+
+    monkeypatch.setattr(expsums, "iter_grid_values", counting)
+    inst = ExperimentConfig().instance
+    X = 4000.0
+    d = choose_parameters(inst, X)
+    head = expsums.trapezoid_step(0.0, d.major[1], X)[0] + 1
+    for p in (2, 4):
+        kernel_moment(p, inst.lambda3, d.major[1], d.R, d.eta,
+                      inst.power_range(X), table_1e6)
+    assert seen == [head, head]
+    assert head < 2000
