@@ -67,17 +67,6 @@ class ArcDecomposition:
     minor: tuple[float, float]  # +/-[lower edge, R]
     window_feasible: bool = True
 
-    def locate(self, alpha: float) -> str:
-        """Region containing alpha; boundaries go to the lower-|alpha| side."""
-        a = abs(alpha)
-        if a <= self.major[1]:
-            return "major"
-        if self.intermediate is not None and a <= self.intermediate[1]:
-            return "intermediate"
-        if a <= self.R:
-            return "minor"
-        return "trivial"
-
     def to_json(self) -> dict:
         return {**asdict(self), "trivial": f"|alpha| > {self.R}"}
 
@@ -135,5 +124,13 @@ def choose_parameters(instance, X: float) -> ArcDecomposition:
 
 
 def locate(alpha: float, d: ArcDecomposition) -> str:
-    """Region of the decomposition containing alpha (module-level alias)."""
-    return d.locate(alpha)
+    """Region of the decomposition containing alpha; boundaries go to the
+    lower-|alpha| side."""
+    a = abs(alpha)
+    if a <= d.major[1]:
+        return "major"
+    if d.intermediate is not None and a <= d.intermediate[1]:
+        return "intermediate"
+    if a <= d.R:
+        return "minor"
+    return "trivial"

@@ -21,7 +21,7 @@ from .diophantine import convergents, find_rational_witness
 from .errors import DhlabError
 from .expsums import eval_grid, integer_exp_sum, integral_exp_sum, prime_exp_sum
 from .norms import count_quadruples, moment_integral
-from .primes import SumRange, sieve, theta
+from .primes import PrimeTable, SumRange, sieve, theta
 from .solver import (ProblemInstance, duality_tail_bound, enumerate_solutions,
                      solution_integral, weighted_count, write_solutions_csv)
 
@@ -82,6 +82,11 @@ def _load_config(ctx) -> harness.ExperimentConfig:
     return harness.ExperimentConfig.from_dict({}, seed=seed)
 
 
+def _table(rng: SumRange) -> PrimeTable:
+    """The primes through the window of `rng`, a validated SumRange."""
+    return sieve(math.ceil(rng.hi) + 1)
+
+
 def _out_path(ctx, name: str) -> str:
     out = ctx.obj.get("out") or "."
     os.makedirs(out, exist_ok=True)
@@ -116,7 +121,7 @@ def expsum_cmd(ctx, kind, k, delta, X, alpha, grid, csv_path):
     rng = SumRange(k, delta, X)
     if (alpha is None) == (grid is None):
         raise click.UsageError("give exactly one of --alpha or --grid")
-    table = sieve(int(math.ceil(rng.hi)) + 1) if kind == "S" else None
+    table = _table(rng) if kind == "S" else None
     if alpha is not None:
         a = _real(alpha)
         if kind == "S":
@@ -152,7 +157,7 @@ def expsum_cmd(ctx, kind, k, delta, X, alpha, grid, csv_path):
 def moments_cmd(kind, p, k, delta, X, lo, hi):
     """Trapezoid moment integral of |sum|^p with its comparison bound."""
     rng = SumRange(k, delta, X)
-    table = sieve(int(math.ceil(rng.hi)) + 1)
+    table = _table(rng)
     rep = moment_integral(kind, int(p), (lo, hi), rng, table)
     _echo_json(rep.to_json())
 
@@ -163,8 +168,8 @@ def moments_cmd(kind, p, k, delta, X, lo, hi):
 @click.option("--gamma", type=float, required=True)
 def quadruples_cmd(N, k, gamma):
     """Exact count of |n1^k + n2^k - n3^k - n4^k| < gamma on (N, 2N]."""
-    qc = count_quadruples(N, k, gamma)
-    _echo_json({"N": N, "k": k, "gamma": gamma, "count": qc.count})
+    count = count_quadruples(N, k, gamma)
+    _echo_json({"N": N, "k": k, "gamma": gamma, "count": count})
 
 
 @main.command("cf")
@@ -212,28 +217,24 @@ def arcs_cmd(k, X, epsilon, delta, lambdas):
 @click.option("--k", type=float, required=True)
 @click.option("--omega", type=str, default="0")
 @click.option("--delta", type=float, default=0.1)
-@click.option("--epsilon", type=float, default=0.01)
 @click.option("--bigx", "--X", "X", type=float, required=True)
 @click.option("--eta", type=float, required=True)
 @click.option("--duality-b", "duality_b", type=float, default=None,
               help="Half-width B for the detector-integral cross-check.")
 @click.pass_context
-def solve_cmd(ctx, lambdas, k, omega, delta, epsilon, X, eta, duality_b):
+def solve_cmd(ctx, lambdas, k, omega, delta, X, eta, duality_b):
     """Enumerate prime solutions and summarize counts and integrals."""
-    inst = ProblemInstance(*lambdas, k, _real(omega), delta=delta,
-                           epsilon=epsilon)
-    table = sieve(int(X) + 1)
-    sols = enumerate_solutions(inst, X, eta, table)
-    w = weighted_count(sols, eta)
-    csv_path = _out_path(ctx, "solutions.csv")
-    write_solutions_csv(csv_path, sols)
-    summary = {"X": X, "eta": eta, "count": len(sols), "weighted_count": w,
-               "sign_feasible": not inst.same_sign}
-    if duality_b is not None:
+    inst = ProblemInstance(*lambdas, k, _real(omega), delta=delta)
+    table = _table(inst.linear_range(X))
+    summary = {"X": X, "eta": eta, "sign_feasible": not inst.same_sign}
+    if duality_b is not None:  # first: a bad B is refused before enumerating
         val = solution_integral(inst, X, eta, (-duality_b, duality_b), table,
                                  whole_line=True)
         summary.update(I_real=val.real, I_imag=val.imag,
                        tail_bound=duality_tail_bound(inst, X, duality_b, table))
+    sols = enumerate_solutions(inst, X, eta, table)
+    write_solutions_csv(_out_path(ctx, "solutions.csv"), sols)
+    summary.update(count=len(sols), weighted_count=weighted_count(sols, eta))
     path = _out_path(ctx, "summary.json")
     harness.write_summary(path, summary)
     _echo_json(summary)
@@ -285,7 +286,7 @@ def theorem_cmd(ctx):
 def measure_cmd(ctx, lambdas, k, X, z1, z2, y, samples):
     """Monte-Carlo measure of simultaneous large values of the linear sums."""
     inst = ProblemInstance(*lambdas, k, 0.0)
-    table = sieve(int(X) + 1)
+    table = _table(inst.linear_range(X))
     seed = ctx.obj.get("seed") or 0
     ms = harness.sample_large_sum_measure(inst, X, z1, z2, y, samples, seed,
                                           table)

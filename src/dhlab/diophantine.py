@@ -55,12 +55,6 @@ class Expansion:
     def __iter__(self):
         return iter(self.convergents)
 
-    def __len__(self):
-        return len(self.convergents)
-
-    def __getitem__(self, i):
-        return self.convergents[i]
-
     def write_csv(self, path) -> None:
         import csv
 

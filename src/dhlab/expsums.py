@@ -51,8 +51,8 @@ import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, PhaseBudgetError
-from .precision import (dd_add, dd_scale, phase_frac, pow_dd, two_prod,
-                        two_sum)
+from .precision import (TWO_PI_I, U, dd_add, dd_scale, higham_gamma,
+                        phase_frac, pow_dd, two_prod, two_sum)
 from .primes import PrimeTable, SumRange, integers_in_range, window_arrays
 
 RESYNC = 1024  # max grid points per row of the rotation recurrence
@@ -65,23 +65,15 @@ PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
 MAX_TRAPEZOID_POINTS = 1 << 28  # most nodes of one streamed trapezoid
 MAX_GRID_VALUES = 1 << 24  # most values eval_grid holds (256 MB complex128)
 
-_TWO_PI_I = 2j * np.pi
-_U = 2.0**-53  # unit roundoff of float64
-
-
-def _gamma(m: int) -> float:
-    """Higham's gamma_m = m u / (1 - m u)."""
-    return m * _U / (1 - m * _U)
-
 
 def _fft_rounding(M: int) -> float:
     """Relative 2-norm error t eta / (1 - t eta) of a computed length-M
     power-of-two FFT, t = log2 M, eta = mu + gamma_4 (sqrt(2) + mu) with
     twiddle error mu = 4u (Higham, Accuracy and Stability, 2nd ed.,
     Thm 24.2)."""
-    mu = 4 * _U
+    mu = 4 * U
     t = math.log2(M)
-    eta = mu + _gamma(4) * (math.sqrt(2) + mu)
+    eta = mu + higham_gamma(4) * (math.sqrt(2) + mu)
     return t * eta / (1 - t * eta)
 
 
@@ -135,14 +127,7 @@ def _integer_freqs(rng: SumRange, scale: float):
 
 
 def _assemble_freqs(ns, weights, rng: SumRange, scale: float):
-    if float(rng.k).is_integer() and rng.X < 2**53:  # n^k <= X is exact
-        fh = np.asarray(ns ** int(rng.k), dtype=np.float64)
-        fl = np.zeros_like(fh)
-    else:  # hi/lo pairs, exact for integer powers past 2^53
-        fh = np.empty(len(ns), dtype=np.float64)
-        fl = np.empty(len(ns), dtype=np.float64)
-        for i, n in enumerate(ns):
-            fh[i], fl[i] = pow_dd(float(n), rng.k)
+    fh, fl = pow_dd(ns, rng.k)
     if scale != 1.0:
         fh, fl = dd_scale(fh, fl, scale)
     return fh, fl, weights
@@ -168,11 +153,11 @@ def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
     return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
 
-def integer_exp_sum(alpha: float, rng: SumRange, scale: float = 1.0,
+def integer_exp_sum(alpha: float, rng: SumRange,
                     alpha_lo: float = 0.0) -> complex:
-    """Sum of e(scale * n^k * alpha) over integers in the window of `rng`."""
+    """Sum of e(n^k * alpha) over integers in the window of `rng`."""
     _require_finite(alpha, alpha_lo)
-    f = sum_freqs("integer", rng, scale=scale)
+    f = sum_freqs("integer", rng)
     return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
 
@@ -267,7 +252,7 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
         return
     n_terms = len(fh)
     B = _plan_block(count, n_terms)
-    rot = np.exp(_TWO_PI_I * phase_frac(fh, fl, step))
+    rot = np.exp(TWO_PI_I * phase_frac(fh, fl, step))
     V = np.empty((n_terms, B), dtype=np.complex128)
     V[:, 0] = 1.0
     for b in range(1, B):
@@ -282,8 +267,8 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
             r = np.arange(r0, min(r0 + rows, r_end))
             bh, bl = dd_add(alpha0, 0.0, *two_prod(r * float(B), step))
             phases = phase_frac(fh[:, None], fl[:, None], bh[None, :], bl[None, :])
-            U = weights[:, None] * np.exp(_TWO_PI_I * phases)
-            products.append((U.T @ V).ravel())
+            bases = weights[:, None] * np.exp(TWO_PI_I * phases)
+            products.append((bases.T @ V).ravel())
         S = products[0] if len(products) == 1 else np.concatenate(products)
         yield start, S[start - r_first * B : stop - r_first * B]
 
@@ -291,7 +276,8 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
 def trapezoid_step(lo: float, hi: float, band: float,
                    whole_line: bool = False) -> tuple[int, float]:
     """Panel count n and step h = (hi - lo) / n of the trapezoid grid over
-    [lo, hi].  Grids of more than MAX_TRAPEZOID_POINTS nodes are refused.
+    [lo, hi], for finite lo < hi.  Grids of more than MAX_TRAPEZOID_POINTS
+    nodes are refused.
 
     On a finite arc, `band` is the integrand's bandwidth (X max(1, |scale|)
     for a sum over p^k <= X at frequency scale `scale`), oversampled 64x:
@@ -304,8 +290,8 @@ def trapezoid_step(lo: float, hi: float, band: float,
     1/h > band.  So the grid takes the Nyquist step h < 1/band, and the
     truncation to [lo, hi] is the only error left.
     """
-    if hi <= lo:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
     if whole_line:
         n = math.floor((hi - lo) * band) + 1
     else:
@@ -361,7 +347,7 @@ def eval_points(fh, fl, weights, alphas: np.ndarray,
     for s in range(0, len(alphas), chunk):
         a = alphas[s : s + chunk]
         ph = phase_frac(fh[:, None], fl[:, None], a[None, :], alpha_lo)
-        out[s : s + len(a)] = weights @ np.exp(_TWO_PI_I * ph)
+        out[s : s + len(a)] = weights @ np.exp(TWO_PI_I * ph)
     return out
 
 
@@ -386,10 +372,10 @@ def points_error_bound(fh, fl, weights, amax: float,
         return 0.0
     w_abs = math.fsum(np.abs(weights))
     f_max = float(np.max(np.abs(fh)))
-    lo = (_U * f_max * amax + float(np.max(np.abs(fl))) * amax
+    lo = (U * f_max * amax + float(np.max(np.abs(fl))) * amax
           + f_max * abs(alpha_lo))
-    return w_abs * (_U * (2 * math.pi * (2 + 5 * lo) + 3)
-                    + math.sqrt(2) * _gamma(n + 2))
+    return w_abs * (U * (2 * math.pi * (2 + 5 * lo) + 3)
+                    + math.sqrt(2) * higham_gamma(n + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +441,15 @@ class TaylorTables:
         stages (the property tests check the bound against 50-digit sums).
         """
         R, B = TAYLOR_TERMS, len(self.blocks)
-        x_err = _U * _U * abs(scale) * amax + 2.01 * _U * abs(scale * alpha_lo)
+        x_err = U * U * abs(scale) * amax + 2.01 * U * abs(scale * alpha_lo)
         total = 0.0
         for b in self.blocks:
             M = b.table.shape[1]
-            rho = math.pi * b.width * (0.5 / M + _U)
+            rho = math.pi * b.width * (0.5 / M + U)
             er = math.exp(rho)
             total += (b.w_abs * er * rho**R / math.factorial(R)
                       + math.sqrt(M) * b.w_l2 * er * _fft_rounding(M)
-                      + b.w_abs * er * _gamma(8 * R + 64 + B)
+                      + b.w_abs * er * higham_gamma(8 * R + 64 + B)
                       + 2 * math.pi * b.w_abs * (abs(b.n0) + b.width) * x_err)
         return total
 
@@ -474,44 +460,34 @@ def taylor_tables(freqs: np.ndarray, weights: np.ndarray) -> TaylorTables:
     freqs = np.asarray(freqs, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     blocks = []
-    if len(freqs):
-        edges = freqs[0] + TAYLOR_BLOCK * np.arange(
-            1, (freqs[-1] - freqs[0]) // TAYLOR_BLOCK + 1)
-        cuts = np.searchsorted(freqs, edges)
-        for ns, w in zip(np.split(freqs, cuts), np.split(weights, cuts)):
-            if len(ns):
-                blocks.append(_taylor_block(ns, w))
+    for cut, n0, width, w_abs, w_l2 in _cut_windows(freqs, weights,
+                                                     TAYLOR_BLOCK):
+        m = freqs[cut] - n0
+        M = 1 << (4 * width - 1).bit_length()
+        t = (m - (width - 1) / 2) / (width / 2)
+        a = np.zeros((TAYLOR_TERMS, M))
+        col = weights[cut]
+        for r in range(TAYLOR_TERMS):
+            a[r, m] = col
+            col = col * t / (r + 1)
+        # norm="forward" leaves the inverse unscaled: sum_m a_m e(mj/M)
+        table = np.fft.ifft(a, axis=1, norm="forward")
+        blocks.append(_TaylorBlock(n0, width, table, w_abs, w_l2))
     return TaylorTables(tuple(blocks))
-
-
-def _taylor_block(ns, w) -> _TaylorBlock:
-    m = ns - ns[0]
-    width = int(m[-1]) + 1
-    M = 1 << (4 * width - 1).bit_length()
-    t = (m - (width - 1) / 2) / (width / 2)
-    a = np.zeros((TAYLOR_TERMS, M))
-    col = w
-    for r in range(TAYLOR_TERMS):
-        a[r, m] = col
-        col = col * t / (r + 1)
-    # norm="forward" leaves the inverse transform unscaled: sum_m a_m e(mj/M)
-    table = np.fft.ifft(a, axis=1, norm="forward")
-    return _TaylorBlock(int(ns[0]), width, table, math.fsum(np.abs(w)),
-                        math.sqrt(math.fsum(w * w)))
 
 
 def prime_taylor_tables(rng: SumRange, table: PrimeTable) -> TaylorTables:
     """Tables of the prime window of `rng` (frequencies p^k, weights log p),
     cached on `table` next to its frequency ensembles; any scale reuses
-    them.  Needs an integer k and X < 2^53."""
+    them.  Needs integer frequencies below 2^53 (integer k, X < 2^53)."""
     key = ("taylor", rng)
     out = table.freq_cache.get(key)
     if out is None:
-        if not float(rng.k).is_integer() or rng.X >= 2.0**53:
+        fh, fl, weights = sum_freqs("prime", rng, table)
+        if not _exact_integers(fh, fl):
             raise DomainError(f"Taylor tables need integer frequencies below "
                               f"2^53, got k = {rng.k}, X = {rng.X}")
-        ns, weights = window_arrays(rng, table)
-        out = taylor_tables(ns ** int(rng.k), weights)
+        out = taylor_tables(fh, weights)
         table.freq_cache[key] = out
     return out
 
@@ -544,7 +520,7 @@ def eval_taylor(tables: TaylorTables, alphas: np.ndarray, scale: float = 1.0,
         for r in range(TAYLOR_TERMS - 2, -1, -1):
             acc = acc * z + F[r]
         ph = phase_frac(float(b.n0), 0.0, xh, xl) + (b.width - 1) / 2 * delta
-        out += np.exp(_TWO_PI_I * ph) * acc
+        out += np.exp(TWO_PI_I * ph) * acc
     return out
 
 
@@ -613,7 +589,7 @@ class ChirpPlan:
             for w in self.windows:
                 a = np.zeros(L, dtype=np.complex128)
                 ph = phase_frac(w.freqs, 0.0, sh, sl) + w.m_chirp
-                a[w.slots] = w.weights * np.exp(_TWO_PI_I * ph)
+                a[w.slots] = w.weights * np.exp(TWO_PI_I * ph)
                 c = np.fft.ifft(np.fft.fft(a) * self.chirp_hat)
                 S += w.row[:nb] * c[:nb]
             yield start, S
@@ -660,22 +636,22 @@ class ChirpPlan:
         """
         d, L = self.step, len(self.chirp_hat)
         amax = abs(alpha0) + count * d
-        x_err = 5.01 * _U * _U * amax
+        x_err = 5.01 * U * U * amax
         phi = _fft_rounding(L)
-        g = math.sqrt(2) * _gamma(2)
-        beta = self.chirp_max * (1 + 2 * _U)
+        g = math.sqrt(2) * higham_gamma(2)
+        beta = self.chirp_max * (1 + 2 * U)
 
         def exp_err(delta):
-            return 2 * math.pi * (delta + 2 * _U) + 2 * _U
+            return 2 * math.pi * (delta + 2 * U) + 2 * U
 
-        e_b = exp_err(_U * (1 + 2.5 * _U * L * L * d))
+        e_b = exp_err(U * (1 + 2.5 * U * L * L * d))
         total = outputs = 0.0
         for w in self.windows:
             n0, N = abs(w.n0), w.width
-            e_a = exp_err(_U * (3 + 10 * _U * (n0 + N) * amax
-                                + 2.5 * _U * N * N * d)) + _U
-            e_p = exp_err(_U * (3 + 10 * _U * n0 * amax
-                                + 2.5 * _U * self.block**2 * d))
+            e_a = exp_err(U * (3 + 10 * U * (n0 + N) * amax
+                                + 2.5 * U * N * N * d)) + U
+            e_p = exp_err(U * (3 + 10 * U * n0 * amax
+                                + 2.5 * U * self.block**2 * d))
             a_l2 = w.w_l2 * (1 + e_a)
             e_c = (w.w_abs * (e_a + e_b * (1 + e_a))
                    + a_l2 * math.sqrt(L) * (1 + e_b) * phi
@@ -683,7 +659,28 @@ class ChirpPlan:
             total += ((w.w_abs + e_c) * (e_p + g * (1 + e_p)) + e_c
                       + 2 * math.pi * w.w_abs * (n0 + N) * x_err)
             outputs += (1 + g) * (1 + e_p) * (w.w_abs + e_c)
-        return total + _gamma(len(self.windows)) * outputs
+        return total + higham_gamma(len(self.windows)) * outputs
+
+
+def _exact_integers(fh, fl) -> bool:
+    """Whether the hi/lo frequencies are integers below 2^53, held exactly
+    in fh (fl == 0)."""
+    return bool(not np.any(fl) and np.all(np.abs(fh) < 2.0**53)
+                and np.all(fh == np.rint(fh)))
+
+
+def _cut_windows(n: np.ndarray, weights: np.ndarray, span: int):
+    """Cut ascending integer frequencies n into windows of equal
+    (n - n[0]) // span, each within span consecutive integers; yield
+    (slice, n0, width, sum |w|, ||w||_2) of each window, in order."""
+    if len(n) == 0:
+        return
+    firsts = np.flatnonzero(np.diff((n - n[0]) // span, prepend=-1))
+    ends = np.append(firsts[1:], len(n))
+    for s, e in zip(firsts.tolist(), ends.tolist()):
+        w = weights[s:e]
+        yield (slice(s, e), int(n[s]), int(n[e - 1] - n[s]) + 1,
+               math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w)))
 
 
 def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
@@ -691,35 +688,31 @@ def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
     nodes of spacing `step`, or None where the row recurrence serves:
     frequencies that are not distinct integers below 2^53 (fl == 0, fh
     integral), or too sparse for the FFTs to cost less (CHIRP_COST)."""
-    if (len(fh) == 0 or np.any(fl) or not np.all(np.abs(fh) < 2.0**53)
-            or not np.all(fh == np.rint(fh))):
+    if len(fh) == 0 or not _exact_integers(fh, fl):
         return None
     order = np.argsort(fh, kind="stable")
     n = fh[order]
     if np.any(n[1:] == n[:-1]):
         return None
-    firsts = np.flatnonzero(np.diff((n - n[0]) // CHIRP_SPAN, prepend=-1))
-    ends = np.append(firsts[1:], len(n))
-    width = int(np.max(n[ends - 1] - n[firsts])) + 1
+    cuts = list(_cut_windows(n, weights[order], CHIRP_SPAN))
+    width = max(c[2] for c in cuts)
     block = min(count, GRID_BLOCK)
     L = 1 << (width + block - 2).bit_length()
-    if len(n) * block < CHIRP_COST * len(firsts) * L * math.log2(2 * L):
+    if len(n) * block < CHIRP_COST * len(cuts) * L * math.log2(2 * L):
         return None
     d2 = 0.5 * step  # exact
     i = np.arange(block, dtype=np.float64)
     i_chirp = phase_frac(i * i, 0.0, d2)
     windows = []
-    for s, e in zip(firsts, ends):
-        m = n[s:e] - n[s]
-        w = weights[order[s:e]]
-        row = phase_frac(n[s], 0.0, *two_prod(i, step)) + i_chirp
+    for cut, n0, width, w_abs, w_l2 in cuts:
+        m = n[cut] - n0
+        row = phase_frac(float(n0), 0.0, *two_prod(i, step)) + i_chirp
         windows.append(_ChirpWindow(
-            int(n[s]), int(m[-1]) + 1, n[s:e], m.astype(np.int64), w,
-            phase_frac(m * m, 0.0, d2), np.exp(_TWO_PI_I * row),
-            math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w))))
+            n0, width, n[cut], m.astype(np.int64), weights[order[cut]],
+            phase_frac(m * m, 0.0, d2), np.exp(TWO_PI_I * row), w_abs, w_l2))
     k = np.arange(L, dtype=np.float64)
     k = np.where(k < block, k, k - L)
-    chirp_hat = np.fft.fft(np.exp(-_TWO_PI_I * phase_frac(k * k, 0.0, d2)))
+    chirp_hat = np.fft.fft(np.exp(-TWO_PI_I * phase_frac(k * k, 0.0, d2)))
     return ChirpPlan(step, block, tuple(windows), chirp_hat,
                      float(np.max(np.abs(chirp_hat))))
 
@@ -732,6 +725,7 @@ def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,
     Values match the pointwise evaluators at the exact nodes alpha0 + j*step
     (see SpectrumGrid.alpha_dd) to well within 1e-9 relative.
     """
+    _require_finite(alpha0)
     if not (step > 0 and count >= 1):
         raise DomainError(f"grid needs step > 0 and count >= 1, got step "
                           f"{step}, count {count}")

@@ -33,7 +33,7 @@ from .norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
                     moment_integral, selberg_integral)
 from .primes import PrimeTable, SumRange, sieve, window_arrays
 from .solver import (ProblemInstance, duality_tail_bound, enumerate_solutions,
-                     solution_integral)
+                     solution_integral, weighted_count)
 
 GROWTH_SLACK_EXP = 0.1  # allowed ratio growth per step: X^0.1
 
@@ -247,10 +247,10 @@ def _quadruples(cfg, table, X) -> dict:
     N = int(X ** (1.0 / k))
     if N < 2:
         return _skip(k, "window too small")
-    qc = count_quadruples(N, k, cfg.gamma)
+    count = count_quadruples(N, k, cfg.gamma)
     bound = (X ** (2.0 / k) + cfg.gamma * X ** (4.0 / k - 1.0)) * X**0.1
-    return dict(k=k, eta=None, value=float(qc.count), bound=bound,
-                ratio=qc.count / bound)
+    return dict(k=k, eta=None, value=float(count), bound=bound,
+                ratio=count / bound)
 
 
 def _moment(p: int, cfg, table, X) -> dict:
@@ -498,7 +498,7 @@ def run_theorem_experiment(config: ExperimentConfig,
         etas = [(f"t*2^{j}", d.eta * 2.0**j) for j in config.eta_grid]
         eta_max = max(e for _, e in etas)
         sols = enumerate_solutions(inst, float(X), eta_max, table)
-        residuals, weights = sols.residual, sols.weight
+        residuals = sols.residual
         # the first smallest residual is the sample of every eta level that
         # has a solution
         min_res = best = None
@@ -508,10 +508,8 @@ def run_theorem_experiment(config: ExperimentConfig,
             min_eta[float(X)] = min(e for _, e in etas if e >= min_res)
 
         for kind, eta in sorted(etas, key=lambda t: t[1]):
-            inside = residuals <= eta
-            count = int(np.count_nonzero(inside))
-            wsum = float(np.sum(weights[inside] *
-                                np.maximum(0.0, eta - residuals[inside])))
+            count = int(np.count_nonzero(residuals <= eta))
+            wsum = weighted_count(sols, eta)
             sample = (int(sols.p1[best]), int(sols.p2[best]),
                       int(sols.p3[best])) if count else None
             status = "PASS"

@@ -1,9 +1,9 @@
 """Moment integrals and counting machinery behind the bound suite.
 
-The quadruple counter is exact: integer arithmetic when k is an integer,
-and correctly-rounded powers with boundary-safe window counting otherwise,
-so it agrees with an exhaustive enumeration term for term.  The moment
-integrals are trapezoid sums on the 64x-oversampled grids of
+The quadruple counter returns an exact int: integer arithmetic when k is
+an integer, and correctly-rounded powers with boundary-safe window counting
+otherwise, so it agrees with an exhaustive enumeration term for term.  The
+moment integrals are trapezoid sums on the 64x-oversampled grids of
 `expsums.trapezoid_step`, which for periodic integrands of bandwidth below
 the sampling rate is exact up to rounding.
 
@@ -18,7 +18,7 @@ form (p = 2) or estimated by its mean term within a certified bound.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from mpmath import mp
@@ -26,34 +26,29 @@ from mpmath import mp
 from .errors import DomainError, InsufficientTableError
 from .expsums import (MAX_GRID_VALUES, fejer_kernel, fejer_kernel_hat,
                       sum_freqs, trapezoid)
+from .precision import pow_dd
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass
-class QuadrupleCount:
-    """Result of the near-equal-pair-sums count on (N, 2N]."""
-
-    N: int
-    k: float
-    gamma: float
-    count: int
-
-
-@dataclass
 class MomentReport:
-    """One moment integral with its comparison bound."""
+    """One moment integral with its comparison bound; ratio = value / bound
+    (inf where the bound is not positive)."""
 
     exponent: int
     lo: float
     hi: float
     value: float
     bound: float
-    ratio: float
+    ratio: float = field(init=False)
     X: float
     k: float
     eta: float | None = None
+
+    def __post_init__(self):
+        self.ratio = self.value / self.bound if self.bound > 0 else math.inf
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -68,10 +63,10 @@ def _power_values(N: int, k: float) -> np.ndarray:
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     if float(k).is_integer():
         return ns ** int(k)
-    return np.array([float(mp.power(int(n), mp.mpf(k))) for n in ns])
+    return pow_dd(ns, k)[0]
 
 
-def count_quadruples(N: int, k: float, gamma: float) -> QuadrupleCount:
+def count_quadruples(N: int, k: float, gamma: float) -> int:
     """Count ordered (n1,n2,n3,n4), N < ni <= 2N, |n1^k+n2^k-n3^k-n4^k| < gamma.
 
     Strictly below gamma.  Meet in the middle: sort the N^2 ordered pair
@@ -79,8 +74,8 @@ def count_quadruples(N: int, k: float, gamma: float) -> QuadrupleCount:
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
-    if not gamma > 0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     vals = _power_values(N, k)
     sums = np.sort((vals[:, None] + vals[None, :]).ravel())
 
@@ -89,8 +84,7 @@ def count_quadruples(N: int, k: float, gamma: float) -> QuadrupleCount:
         g = int(math.ceil(gamma)) - 1 if float(gamma).is_integer() else int(math.floor(gamma))
         lo = np.searchsorted(sums, sums - g, side="left")
         hi = np.searchsorted(sums, sums + g, side="right")
-        total = int(np.sum(hi - lo))
-        return QuadrupleCount(N=N, k=k, gamma=gamma, count=total)
+        return int(np.sum(hi - lo))
 
     # float sums: interior window certain, boundary shells re-tested with
     # the same comparison an exhaustive enumeration would use
@@ -106,7 +100,7 @@ def count_quadruples(N: int, k: float, gamma: float) -> QuadrupleCount:
         for z0, z1 in ((sh_lo[a], in_lo[a]), (max(in_hi[a], in_lo[a]), sh_hi[a])):
             if z1 > z0:
                 total += int(np.count_nonzero(np.abs(sums[z0:z1] - s) < gamma))
-    return QuadrupleCount(N=N, k=k, gamma=gamma, count=total)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +135,6 @@ def moment_integral(kind: str, p: int, interval: tuple[float, float],
     value = trapezoid([sum_freqs("prime", rng, table)], lo, hi, rng.X,
                       lambda alphas, s: np.abs(s) ** p)
     return MomentReport(exponent=p, lo=lo, hi=hi, value=value, bound=bound,
-                        ratio=value / bound if bound > 0 else math.inf,
                         X=rng.X, k=rng.k)
 
 
@@ -158,7 +151,6 @@ def exp_sum_gap_l2(Y: float, rng: SumRange, table: PrimeTable) -> MomentReport:
     j = selberg_integral(rng, 1.0 / (2.0 * Y), table)
     bound = X ** (2.0 / k - 2.0) * logX**2 / Y + Y**2 * X + Y**2 * j
     return MomentReport(exponent=2, lo=-Y, hi=Y, value=value, bound=bound,
-                        ratio=value / bound if bound > 0 else math.inf,
                         X=X, k=k)
 
 
@@ -406,5 +398,4 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
             tail = math.fsum(c * c) * _cos_tails(lam, [0], b, eta)[0]
         value = 0.5 * whole - math.copysign(head, a) - tail
     return MomentReport(exponent=p, lo=lo, hi=hi, value=value, bound=bound,
-                        ratio=value / bound if bound > 0 else math.inf,
                         X=X, k=rng.k, eta=eta)

@@ -20,6 +20,13 @@ from mpmath import mp
 mp.dps = 50
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
+U = 2.0**-53  # unit roundoff of float64
+TWO_PI_I = 2j * np.pi
+
+
+def higham_gamma(m: int) -> float:
+    """Higham's gamma_m = m u / (1 - m u)."""
+    return m * U / (1 - m * U)
 
 
 def two_sum(a, b):
@@ -75,20 +82,26 @@ def dd_from_mpf(x) -> tuple[float, float]:
     return hi, lo
 
 
-def pow_dd(base: float, exponent: float) -> tuple[float, float]:
-    """base**exponent as a hi/lo pair, computed in mpmath.
+def pow_dd(ns, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """n**k for each integer n >= 1 of `ns`, as hi/lo float64 arrays.
 
-    Integer exponents of integer-valued bases whose power stays below 2^53
-    short-circuit to exact float64.
+    Integer k: each power split exactly into hi/lo (int64 below 2^62, so
+    lo is 0 below 2^53; Python integers past it).  Other k: the 50-digit
+    power, split once.
     """
-    if float(exponent).is_integer() and float(base).is_integer():
-        v = int(base) ** int(exponent)
-        if v < 2**53:
-            return float(v), 0.0
-        hi = float(v)
-        return hi, float(v - int(hi))
-    v = mp.power(mp.mpf(base), mp.mpf(exponent))
-    return dd_from_mpf(v)
+    ns = np.asarray(ns, dtype=np.int64)
+    if float(k).is_integer():
+        k = int(k)
+        if int(np.max(ns, initial=1)) ** k < 2**62:
+            v = ns**k
+            hi = v.astype(np.float64)
+            return hi, (v - hi.astype(np.int64)).astype(np.float64)
+        pairs = ((float(v), float(v - int(float(v))))
+                 for v in (int(n) ** k for n in ns))
+    else:
+        pairs = (dd_from_mpf(mp.power(int(n), mp.mpf(k))) for n in ns)
+    hl = np.fromiter(pairs, np.dtype((np.float64, 2)), len(ns))
+    return np.ascontiguousarray(hl[:, 0]), np.ascontiguousarray(hl[:, 1])
 
 
 def dd_scale(hi, lo, s: float):

@@ -66,8 +66,8 @@ class SumRange:
             raise DomainError(f"k must be positive, got {self.k}")
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0,1), got {self.delta}")
-        if not self.X > 0:
-            raise DomainError(f"X must be positive, got {self.X}")
+        if not 0 < self.X < math.inf:
+            raise DomainError(f"X must be positive and finite, got {self.X}")
 
     @property
     def lo(self) -> float:

@@ -11,10 +11,10 @@ and only the candidates that bound leaves undecided are rechecked in 50-digit
 arithmetic, so the admitted set and stored residuals are those of a 50-digit
 enumeration.  A 1e-14 * eta guard band flags records that sit essentially on
 the boundary.  By Fourier inversion the weighted count
-sum(w * max(0, eta - residual)) equals the real-line integral of
+W = sum(w * max(0, eta - residual)) equals the real-line integral of
 S1(l1 a) S1(l2 a) Sk(l3 a) K_eta(a) e(-omega a), which `solution_integral`
 approximates on a finite interval; the pair is the package's central
-correctness check.
+correctness check; `weighted_count` computes W.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ from mpmath import mp
 
 from .arcs import choose_parameters
 from .errors import DomainError
-from .expsums import (fejer_kernel, fejer_kernel_hat, prime_exp_sum, sum_freqs,
-                      trapezoid)
-from .precision import dd_from_mpf, phase_frac, two_prod, two_sum
+from .expsums import fejer_kernel, prime_exp_sum, sum_freqs, trapezoid
+from .precision import TWO_PI_I, U, dd_from_mpf, phase_frac, two_prod, two_sum
 from .primes import PrimeTable, SumRange, window_arrays
 
-_TWO_PI_I = 2j * np.pi
 BOUNDARY_BAND = 1e-14
 
 
@@ -136,9 +134,6 @@ def _p3_power_mp(p3: int, k: float):
     return mp.power(int(p3), mp.mpf(k))
 
 
-_U = 2.0**-53  # unit roundoff of float64
-
-
 def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag):
     """Residuals l1 p1 + l2 p2 + base as (r_hi, err), |R - r_hi| <= err.
 
@@ -166,7 +161,7 @@ def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag):
     s1, e1 = two_sum(a1_hi, a2_hi)
     s2, e2 = two_sum(s1, b_hi)
     r_hi, r_lo = two_sum(s2, (a1_lo + a2_lo) + (b_lo + (e1 + e2)))
-    return r_hi, np.abs(r_lo) + 16.0 * _U * _U * (mag + abs(b_hi))
+    return r_hi, np.abs(r_lo) + 16.0 * U * U * (mag + abs(b_hi))
 
 
 def _certify(r_hi, err, eta, band_hi, band_lo):
@@ -181,7 +176,7 @@ def _certify(r_hi, err, eta, band_hi, band_lo):
     gap = eta - res  # exact wherever it is small (Sterbenz)
     over_band = gap - band_hi
     admit = gap > 0
-    band_tol = 2.0 * (err + abs(band_lo) + 2.0 * _U * np.abs(gap))
+    band_tol = 2.0 * (err + abs(band_lo) + 2.0 * U * np.abs(gap))
     # |r_hi| is the correctly rounded |R| when R cannot reach a midpoint;
     # the gap below a power of two is the smaller one
     half_ulp = 0.5 * (res - np.nextafter(res, 0.0))
@@ -214,7 +209,8 @@ class CellIndex:
         span = float(values[-1] - values[0])
         w = float(np.min(gaps[gaps > 0], initial=np.inf))
         w = max(w, span / (self.MAX_CELLS_PER_VALUE * n))
-        self._scale = 1.0 / w  # 0 for one value or all equal: one cell
+        # one cell for one value, all equal, or a span too small to invert
+        self._scale = 1.0 / w if 1.0 / w < math.inf else 0.0
         self._shift = -float(values[0]) * self._scale
         self._top = float(np.floor(span * self._scale) + 2)
         cells = self._cells(values)
@@ -259,6 +255,8 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
     undecided is decided on its 50-digit residual, so the result equals a
     50-digit enumeration exactly.
     """
+    if not 0.0 <= eta < math.inf:
+        raise DomainError(f"eta must be finite and >= 0, got {eta}")
     lin = instance.linear_range(X)
     pw = instance.power_range(X)
     p1s, logs1 = window_arrays(lin, table)
@@ -350,8 +348,12 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
 
 
 def weighted_count(solutions: Solutions, eta: float) -> float:
-    """sum of weight * fejer_kernel_hat(residual, eta) over the records."""
-    return math.fsum(solutions.weight * fejer_kernel_hat(solutions.residual, eta))
+    """W = sum of weight * max(0, eta - residual) over the records with
+    residual <= eta, summed by np.sum in record order."""
+    r = solutions.residual
+    inside = r <= eta
+    return float(np.sum(solutions.weight[inside] *
+                        np.maximum(0.0, eta - r[inside])))
 
 
 def duality_tail_bound(instance: ProblemInstance, X: float, B: float,
@@ -381,6 +383,8 @@ def solution_integral(instance: ProblemInstance, X: float, eta: float,
     of a symmetric-interval run is a discretization diagnostic: the
     integrand's Hermitian symmetry makes the true value real.
     """
+    if not 0.0 < eta < math.inf:  # K_0 vanishes: no detector
+        raise DomainError(f"eta must be positive and finite, got {eta}")
     lo, hi = float(interval[0]), float(interval[1])
     lin = instance.linear_range(X)
     ensembles = [sum_freqs("prime", lin, table, scale=instance.lambda1),
@@ -395,7 +399,7 @@ def solution_integral(instance: ProblemInstance, X: float, eta: float,
 
     def integrand(alphas, s1, s2, s3):
         om = phase_frac(np.float64(-instance.omega), 0.0, alphas)
-        return s1 * s2 * s3 * (fejer_kernel(alphas, eta) * np.exp(_TWO_PI_I * om))
+        return s1 * s2 * s3 * (fejer_kernel(alphas, eta) * np.exp(TWO_PI_I * om))
 
     return trapezoid(ensembles, lo, hi, band, integrand, whole_line)
 
@@ -412,23 +416,8 @@ class MainTermRow:
     degenerate: bool = False
 
 
-@dataclass
-class MainTermScan:
-    rows: list[MainTermRow]
-    bounded_below: bool  # all ratios positive, none collapsing toward zero
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def __len__(self):
-        return len(self.rows)
-
-
 def main_term_scan(instance: ProblemInstance, X_list,
-                   table: PrimeTable) -> MainTermScan:
+                   table: PrimeTable) -> list[MainTermRow]:
     """Detector integral over the major region per X, against eta^2 X^(1+1/k).
 
     Ratios staying positive and bounded below across the list is the
@@ -446,11 +435,7 @@ def main_term_scan(instance: ProblemInstance, X_list,
             expected_scale=scale, ratio=val.real / scale,
             degenerate=degenerate,
         ))
-    ratios = [r.ratio for r in rows]
-    bounded = bool(ratios) and all(r > 0 for r in ratios) and (
-        min(ratios) >= 0.05 * max(ratios)
-    )
-    return MainTermScan(rows=rows, bounded_below=bounded)
+    return rows
 
 
 def write_solutions_csv(path, solutions: Solutions) -> None:

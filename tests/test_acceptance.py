@@ -75,8 +75,8 @@ def test_criterion_1_duality_identity(table_1e6):
 
 def test_criterion_2_quadruple_counter():
     t0 = time.perf_counter()
-    ok = count_quadruples(2, 2.0, 0.5).count == 6
-    ok = ok and count_quadruples(2, 2.0, 8.0).count == 14
+    ok = count_quadruples(2, 2.0, 0.5) == 6
+    ok = ok and count_quadruples(2, 2.0, 8.0) == 14
 
     def oracle(N, k, gamma):
         ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
@@ -93,7 +93,7 @@ def test_criterion_2_quadruple_counter():
         N = int(rng.integers(2, 51))
         k = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
         gamma = float(rng.uniform(0.01, (2 * N) ** k / 4))
-        if count_quadruples(N, k, gamma).count != oracle(N, k, gamma):
+        if count_quadruples(N, k, gamma) != oracle(N, k, gamma):
             mismatches += 1
     elapsed = time.perf_counter() - t0
     _verdict(2, ok and mismatches == 0 and elapsed < 30.0,

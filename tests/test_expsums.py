@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from dhlab import expsums
-from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid, _plan_block,
-                           chirp_plan, eval_grid, eval_points, eval_taylor,
+from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid,
+                           _cut_windows, _plan_block, chirp_plan, eval_grid, eval_points, eval_taylor,
                            fejer_kernel, fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
                            prime_taylor_tables, sum_freqs, taylor_tables,
                            trapezoid, trapezoid_step)
-from dhlab.precision import dd_add, two_prod
+from dhlab.precision import dd_add, dd_from_mpf, pow_dd, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
 
@@ -282,6 +282,18 @@ def test_grid_budget_refusal(table_1e6, no_grid_values):
                   count=expsums.MAX_GRID_VALUES + 1)
 
 
+def test_non_finite_grid_and_interval_refused(table_1e6, no_grid_values):
+    rng = SumRange(1, 0.1, 1000)
+    for alpha0 in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            eval_grid("prime", rng, table_1e6, alpha0=alpha0, step=1e-3,
+                      count=10)
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                   (-math.inf, 0.0), (1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(DomainError, match="finite lo < hi"):
+            trapezoid_step(lo, hi, 1000.0)
+
+
 def test_grid_csv_schema(tmp_path, table_1e6):
     rng = SumRange(2, 0.25, 100)
     g = eval_grid("prime", rng, table_1e6, alpha0=0.0, step=0.25, count=4)
@@ -458,6 +470,48 @@ def test_cubes_past_2_53_against_50_digit_sums(kind):
     exact = complex(mp.fsum(mp.mpf(float(w)) * mp.expjpi(2 * n**3 * mp.mpf(alpha))
                             for n, w in zip(ns, f[2])))
     assert abs(v - exact) <= points_error_bound(*f, alpha)
+
+
+def test_pow_dd_against_50_digit_powers():
+    # non-integer k: the 50-digit power, split once
+    ns = np.array([1, 2, 3, 97, 10**5, 123457, 999983])
+    hi, lo = pow_dd(ns, 2.5)
+    assert list(zip(hi.tolist(), lo.tolist())) == [
+        dd_from_mpf(mp.power(int(n), mp.mpf(2.5))) for n in ns]
+    # integer k: exact hi/lo splits of n^3, below 2^53 (lo = 0), in a window
+    # that straddles it (208063^3 < 2^53 < 208064^3), past it near 2.1e5,
+    # and past 2^62, where the int64 powers give way to Python integers
+    for ns in (np.arange(1, 2000), np.arange(207_900, 208_200),
+               np.arange(209_990, 210_010), np.arange(1_664_500, 1_664_530)):
+        hi, lo = pow_dd(ns, 3.0)
+        for n, h, l in zip(ns.tolist(), hi.tolist(), lo.tolist()):
+            assert h == float(n**3) and int(h) + int(l) == n**3
+            assert l == 0.0 or n**3 > 2**53
+    assert len(pow_dd(np.empty(0, dtype=np.int64), 2.5)[0]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(ns=st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=80,
+                   unique=True),
+       span=st.sampled_from([1, 7, 1 << 14, 1 << 16]), as_float=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_cut_windows_against_grouping(ns, span, as_float, seed):
+    # the one window cut of the Taylor tables and the chirp plan, against
+    # grouping by (n - n0) // span term by term
+    ns = np.sort(np.array(ns, dtype=np.int64))
+    w = np.random.default_rng(seed).standard_normal(len(ns))
+    groups = {}
+    for i, n in enumerate(ns.tolist()):
+        groups.setdefault((n - int(ns[0])) // span, []).append(i)
+    got = list(_cut_windows(ns.astype(np.float64) if as_float else ns, w,
+                            span))
+    assert len(got) == len(groups)
+    for (cut, n0, width, w_abs, w_l2), idx in zip(got, groups.values()):
+        assert (cut.start, cut.stop) == (idx[0], idx[-1] + 1)
+        assert n0 == ns[idx[0]]
+        assert width == ns[idx[-1]] - ns[idx[0]] + 1 <= span
+        assert w_abs == math.fsum(abs(w[i]) for i in idx)
+        assert w_l2 == math.sqrt(math.fsum(w[i] * w[i] for i in idx))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ prints for sqrt 2, `dhlab arcs` for k = 3, X = 1e6 and `dhlab sieve` for
 theta up to 1e5.  A change that moves any byte of them must say why and
 re-record the file."""
 
+import csv
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,8 @@ from pathlib import Path
 from dhlab.harness import (ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, write_suite_csv,
                            write_theorem_csv)
+from dhlab.primes import sieve
+from dhlab.solver import enumerate_solutions, weighted_count
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -30,9 +34,35 @@ def test_theorem_csv_matches_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "theorem_seed0.csv").read_bytes()
 
 
-def _cli(args, cwd):
+def test_theorem_weighted_count_is_solver_weighted_count():
+    # one definition of W: each weighted_count cell of theorem.csv is
+    # weighted_count over an enumeration at that row's eta, bit for bit
+    inst = ExperimentConfig().instance
+    with open(GOLDEN / "theorem_seed0.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["eta_kind"] != "-"]
+    assert len(rows) == 32
+    table = sieve(int(max(float(r["X"]) for r in rows)) + 1)
+    for r in rows:
+        X, eta = float(r["X"]), float(r["eta"])
+        w = weighted_count(enumerate_solutions(inst, X, eta, table), eta)
+        assert repr(w) == r["weighted_count"], (X, eta)
+
+
+def _cli(args, cwd, env=None):
     return subprocess.run([sys.executable, "-m", "dhlab.cli", *args],
-                          cwd=cwd, capture_output=True, check=True)
+                          cwd=cwd, capture_output=True, check=True, env=env)
+
+
+def test_cli_theorem_pins_blas_threads(tmp_path):
+    # the CLI pins BLAS to one thread itself, so theorem.csv does not depend
+    # on the caller's environment.  Only a multi-core machine can catch a
+    # regression: on one core every thread count gives the same bits.
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+        "NUMEXPR_NUM_THREADS")}
+    _cli(["--out", str(tmp_path), "theorem"], tmp_path, env)
+    assert ((tmp_path / "theorem.csv").read_bytes()
+            == (GOLDEN / "theorem_seed0.csv").read_bytes())
 
 
 def test_solve_outputs_match_golden(tmp_path):

@@ -312,6 +312,32 @@ def test_cli_config_errors_exit_2(tmp_path):
         res = _cli(["--out", str(tmp_path / "f"), *args], tmp_path)
         assert res.returncode == 2, res.stderr
         assert message in res.stderr and "Traceback" not in res.stderr
+    # non-finite and out-of-domain values, refused before any work
+    solve = ["solve", "--lambdas", "1,sqrt2,-1", "--k", "2"]
+    refusals = [
+        ("alpha must be finite, got nan",
+         ["expsum", "--k", "1", "--X", "1000", "--grid", "nan,1e-3,10"]),
+        ("eta must be finite and >= 0, got nan",
+         solve + ["--X", "100", "--eta", "nan"]),
+        ("eta must be finite and >= 0, got inf",
+         solve + ["--X", "100", "--eta", "inf"]),
+        ("need finite lo < hi",
+         solve + ["--X", "100", "--eta", "0.5", "--duality-b", "nan"]),
+        ("X must be positive and finite, got nan",
+         solve + ["--X", "nan", "--eta", "0.5"]),
+        ("need finite lo < hi",
+         ["moments", "--k", "2", "--X", "1000", "--lo", "nan", "--hi", "0.1"]),
+        ("need finite lo < hi",
+         ["moments", "--k", "2", "--X", "1000", "--lo", "0", "--hi", "inf"]),
+        ("X must be positive and finite, got nan",
+         ["measure", "--X", "nan", "--z1", "1", "--z2", "1", "--y", "0.1"]),
+        ("gamma must be positive and finite, got inf",
+         ["quadruples", "--n", "5", "--k", "2", "--gamma", "inf"]),
+    ]
+    for message, args in refusals:
+        res = _cli(["--out", str(tmp_path / "r"), *args], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr and "Traceback" not in res.stderr
     # a non-finite abscissa, for each pointwise sum
     for kind in ("S", "U", "T"):
         for alpha in ("nan", "inf"):

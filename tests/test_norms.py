@@ -51,13 +51,13 @@ def quadruple_loop_oracle(N, k, gamma):
 def test_quadruples_hand_counts():
     # n in {3,4}: pair sums 18,25,25,32 -> 6 equal pairs; gamma=8 adds the
     # |18-25| and |25-32| combinations (8 ordered) for 14
-    assert count_quadruples(2, 2.0, 0.5).count == 6
-    assert count_quadruples(2, 2.0, 8.0).count == 14
+    assert count_quadruples(2, 2.0, 0.5) == 6
+    assert count_quadruples(2, 2.0, 8.0) == 14
 
 
 def test_quadruples_diagonal_lower_bound():
     for N, k in ((5, 2.0), (8, 1.5)):
-        assert count_quadruples(N, k, 1e-9).count >= N * N
+        assert count_quadruples(N, k, 1e-9) >= N * N
 
 
 def test_quadruples_loop_oracle_agreement():
@@ -71,27 +71,28 @@ def test_quadruples_match_oracle_random():
         N = int(rng.integers(2, 28))
         k = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
         gamma = float(rng.uniform(0.01, 4.0 * (2 * N) ** k / 8))
-        assert count_quadruples(N, k, gamma).count == quadruple_oracle(N, k, gamma)
+        assert count_quadruples(N, k, gamma) == quadruple_oracle(N, k, gamma)
 
 
 def test_quadruples_boundary_integers():
     # integer data sits exactly on boundaries; strict < must exclude them
     for gamma in (1.0, 7.0, 8.0, 14.0):
-        assert count_quadruples(2, 2.0, gamma).count == quadruple_oracle(2, 2.0, gamma)
+        assert count_quadruples(2, 2.0, gamma) == quadruple_oracle(2, 2.0, gamma)
 
 
 def test_quadruples_swap_symmetry():
     # swapping the (n1,n2) and (n3,n4) roles leaves the count fixed; recount
     # with the sum array reversed
     qc = count_quadruples(9, 2.5, 2.0)
-    assert qc.count == quadruple_oracle(9, 2.5, 2.0)  # oracle is swap-symmetric
+    assert qc == quadruple_oracle(9, 2.5, 2.0)  # oracle is swap-symmetric
 
 
 def test_quadruples_validation():
     with pytest.raises(DomainError):
         count_quadruples(0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        count_quadruples(3, 2.0, 0.0)
+    for gamma in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            count_quadruples(3, 2.0, gamma)
 
 
 def test_moment_orthogonality_diagonal(table_1e6):
@@ -119,6 +120,11 @@ def test_integrals_refuse_before_evaluating(table_1e6, no_grid_values):
                                     SumRange(2, 0.1, 1e7), table_1e6)),
         ("specific to k = 3", lambda: moment_integral(
             "Sk", 8, (0.0, 1.0), SumRange(2, 0.1, 1e6), table_1e6)),
+        # non-finite ends
+        ("finite lo < hi", lambda: moment_integral(
+            "Sk", 2, (math.nan, 0.1), SumRange(2, 0.1, 1e3), table_1e6)),
+        ("finite lo < hi", lambda: moment_integral(
+            "Sk", 2, (0.0, math.inf), SumRange(2, 0.1, 1e3), table_1e6)),
     ]
     for message, call in calls:
         with pytest.raises(DomainError, match=message):

@@ -164,5 +164,6 @@ def test_sum_range_validation():
         SumRange(0, 0.5, 10)
     with pytest.raises(ValueError):
         SumRange(2, 1.5, 10)
-    with pytest.raises(ValueError):
-        SumRange(2, 0.5, -1)
+    for X in (-1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SumRange(2, 0.5, X)

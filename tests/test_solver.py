@@ -144,6 +144,20 @@ def test_solution_integral_refuses_over_cap_grid(table_1e6, no_grid_values):
         solution_integral(INST, 100.0, 0.5, (-B, B), table_1e6)
 
 
+def test_eta_refused_before_any_work(table_1e6, no_grid_values):
+    # eta = 0 still enumerates exact solutions; the detector needs eta > 0
+    for eta in (math.nan, -1.0, math.inf):
+        with pytest.raises(DomainError, match="eta must be"):
+            enumerate_solutions(INST, 100.0, eta, table_1e6)
+    for eta in (math.nan, -1.0, math.inf, 0.0):
+        with pytest.raises(DomainError, match="eta must be"):
+            solution_integral(INST, 100.0, eta, (-10.0, 10.0), table_1e6,
+                              whole_line=True)
+    with pytest.raises(DomainError, match="finite lo < hi"):
+        solution_integral(INST, 100.0, 0.5, (-math.nan, math.nan), table_1e6,
+                          whole_line=True)
+
+
 def test_main_term_scan(table_1e6):
     inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.0)
     rows = main_term_scan(inst, [500.0, 1000.0, 2000.0], table_1e6)
@@ -350,6 +364,9 @@ def test_cell_index_edge_layouts():
     one = np.array([29.0])
     _searchsorted_cases(one, np.array([28.0, np.nextafter(29.0, 0.0), 29.0,
                                        np.nextafter(29.0, 30.0), 30.0]))
+    # a subnormal span, whose inverse overflows: one cell
+    sub = np.array([0.0, 2.2250738585e-311])
+    _searchsorted_cases(sub, np.array([-1.0, 0.0, 1e-311, sub[1], 1.0]))
     # a gap of one ulp next to a span of 1e6: the cell count is capped, so
     # cells hold many values
     tight = np.sort(np.concatenate([[1.0, np.nextafter(1.0, 2.0)],
