@@ -276,16 +276,16 @@ def theorem_cmd(ctx):
 
 @main.command("measure")
 @click.option("--lambdas", default="1,sqrt2,-1", callback=_lambdas)
-@click.option("--k", type=float, default=2.0)
 @click.option("--bigx", "--X", "X", type=float, required=True)
 @click.option("--z1", type=float, required=True)
 @click.option("--z2", type=float, required=True)
 @click.option("--y", type=float, required=True)
 @click.option("--samples", type=int, default=20000)
 @click.pass_context
-def measure_cmd(ctx, lambdas, k, X, z1, z2, y, samples):
-    """Monte-Carlo measure of simultaneous large values of the linear sums."""
-    inst = ProblemInstance(*lambdas, k, 0.0)
+def measure_cmd(ctx, lambdas, X, z1, z2, y, samples):
+    """Monte-Carlo measure of simultaneous large values of the linear sums
+    S1(l1 a) and S1(l2 a) (l3 and k play no part)."""
+    inst = ProblemInstance(*lambdas, 2.0, 0.0)  # the sampler reads no k
     table = _table(inst.linear_range(X))
     seed = ctx.obj.get("seed") or 0
     ms = harness.sample_large_sum_measure(inst, X, z1, z2, y, samples, seed,

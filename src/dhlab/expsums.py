@@ -12,23 +12,28 @@ plus evaluators of sum w_n e(n alpha), one per abscissa layout and class
 of frequencies:
 
   layout     frequencies              evaluator       error bound
-  ---------  -----------------------  --------------  ------------------------
+  ---------  -----------------------  --------------  --------------------------
   grid       dense distinct integers  ChirpPlan       ChirpPlan.error_bound
+  grid       many, any                TaylorGridPlan  TaylorGridPlan.error_bound
   grid       all others               row recurrence  none (spot checks)
   scattered  integers                 eval_taylor     TaylorTables.error_bound
   scattered  any (the reference)      eval_points     points_error_bound
 
-where chirp_plan's cost model decides what is dense.
+where chirp_plan's cost model decides what is dense and taylor_grid_plan's
+what is many.
 
-iter_grid_values serves both grid rows and yields the same fixed blocks
-either way.  The row recurrence e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d)
+iter_grid_values serves the three grid rows and yields the same fixed
+blocks on each.  The row recurrence e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d)
 advances per term along a row of at most 1024 grid points, and every row
 restarts from the phase of its exact double-double base a0 + r*d, so each
 value belongs to the node a0 + j*d itself and rounding drift never
 accumulates past one row; rows are batched into a complex matrix product.
 For integer frequencies dense enough that the FFTs cost less, the chirp-z
 transform (Rabiner, Schafer & Rader, 1969; Bluestein, 1970) turns each
-block of the grid into one convolution.
+block of the grid into one convolution.  For ensembles of any frequencies
+large enough that FFTs cost less, TaylorGridPlan expands each block in a
+Taylor series off FFT tables of the frequencies rounded to the grid's
+dual lattice.
 
 eval_taylor interpolates scattered points off FFT tables (band-limited
 Taylor interpolation: Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996;
@@ -240,13 +245,16 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
     Every block holds GRID_BLOCK points (the last one the remainder),
     whatever the evaluator, so generators over different ensembles on the
     same grid yield aligned blocks.  Integer frequencies dense enough for
-    chirp_plan go through its chirp-z convolution; all others through the
-    row recurrence, where a row that straddles a block edge is evaluated
-    for both blocks.  Summation order is fixed either way, so results are
-    reproducible.
+    chirp_plan go through its chirp-z convolution; other ensembles large
+    enough for taylor_grid_plan through its Taylor tables; all others
+    through the row recurrence, where a row that straddles a block edge is
+    evaluated for both blocks.  Summation order is fixed on every path, so
+    results are reproducible.
     """
     _check_budget(fh, alpha0, step, count)
     plan = chirp_plan(fh, fl, weights, step, count)
+    if plan is None:
+        plan = taylor_grid_plan(fh, fl, weights, step, count)
     if plan is not None:
         yield from plan.blocks(alpha0, count)
         return
@@ -715,6 +723,178 @@ def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
     chirp_hat = np.fft.fft(np.exp(-TWO_PI_I * phase_frac(k * k, 0.0, d2)))
     return ChirpPlan(step, block, tuple(windows), chirp_hat,
                      float(np.max(np.abs(chirp_hat))))
+
+
+# ---------------------------------------------------------------------------
+# uniform grids of any frequencies: Taylor series off FFT tables
+
+TAYLOR_GRID_TERMS = 24  # R: truncation <= sum|w| (pi/2)^R / R! e^(pi/2) ~ 4e-19 sum|w|
+# taylor_grid_plan takes the table path when terms * block >= TAYLOR_GRID_COST
+# * R M log2(2M), weighing the recurrence's complex multiply-adds per block
+# against R inverse FFTs of length M.  Fitted from single-threaded timings of
+# both paths over 2^18 nodes of step 1e-6 of sqrt(2) p (2-vCPU VM, numpy
+# 2.4), where the two meet near 2,250 terms: 1,229 terms, recurrence 0.129 s
+# vs tables 0.240 s; 2,262: 0.246 s vs 0.246 s; 5,133: 0.479 s vs 0.201 s;
+# 9,592: 0.749 s vs 0.206 s.  On grids of a few thousand nodes the tables
+# win from about 100 terms on (1,024 nodes, 109 terms: 3.6 ms vs 1.3 ms),
+# so there the model errs towards the recurrence, where both cost
+# milliseconds.
+TAYLOR_GRID_COST = 5.5
+
+
+@dataclass(frozen=True, eq=False)
+class TaylorGridPlan:
+    """Taylor-series evaluation of sum w_n e(f_n alpha) on a grid of
+    spacing d, for any real frequencies f_n = fh_n + fl_n (the type-1
+    counterpart of eval_taylor: Anderson & Dahleh, SIAM J. Sci. Comput. 17,
+    1996; cf. Dutt & Rokhlin, ibid. 14, 1993).
+
+    With x_n = frac(f_n d) in double-double, m_n = rint(x_n M), delta_n =
+    x_n - m_n/M and t_n = 2 M delta_n in [-1, 1], a block of J nodes
+    alpha_s + j d, j < J, centre c = (J-1)/2, gives
+
+        S_j = sum_r z_j^r F_r(j),   z_j = 2 pi i (j - c) / (2M),
+        F_r(j) = sum_m e(m j / M) sum_{m_n = m} c_n t_n^r / r!,
+        c_n = w_n e(f_n alpha_s + delta_n c),
+
+    one inverse FFT of length M (the power of two >= block) per table row,
+    summed by Horner one row at a time, |z_j t_n| <= pi/2.  The terms are
+    held in ascending slot order m_n mod M with their R powers t_n^r / r!;
+    no array grows with the grid or holds terms x nodes values.
+    """
+
+    step: float
+    block: int  # most points of one block: min(count, GRID_BLOCK)
+    size: int  # M
+    freq_hi: np.ndarray
+    freq_lo: np.ndarray
+    weights: np.ndarray
+    delta: np.ndarray  # delta_n
+    powers: np.ndarray  # (R, terms): t_n^r / r!
+    slots: np.ndarray  # the occupied slots m mod M, ascending
+    firsts: np.ndarray  # each occupied slot's first term
+    slot_terms: int  # most terms in one slot
+    w_abs: float
+    w_l2: float
+
+    def blocks(self, alpha0: float, count: int):
+        """Yield (start_index, values) blocks of the sum on alpha0 + j d,
+        j < count, as iter_grid_values does."""
+        M = self.size
+        bins = np.zeros(M, dtype=np.complex128)
+        for start in range(0, count, GRID_BLOCK):
+            nb = min(GRID_BLOCK, count - start)
+            c = (nb - 1) / 2
+            sh, sl = dd_add(alpha0, 0.0, *two_prod(float(start), self.step))
+            ph = phase_frac(self.freq_hi, self.freq_lo, sh, sl)
+            coef = self.weights * np.exp(TWO_PI_I * (ph + self.delta * c))
+            z = 1j * ((math.pi / M) * (np.arange(nb) - c))
+            S = None
+            for r in range(TAYLOR_GRID_TERMS - 1, -1, -1):
+                a = coef * self.powers[r]
+                bins[self.slots] = np.add.reduceat(a, self.firsts)
+                # norm="forward" leaves the inverse unscaled: sum_m b_m e(mj/M)
+                F = np.fft.ifft(bins, norm="forward")[:nb]
+                if S is None:
+                    S = F
+                else:
+                    S *= z
+                    S += F
+            yield start, S
+
+    def error_bound(self, alpha0: float, count: int) -> float:
+        """Certified bound on |G - S| and on ||G| - |S|| for every value G
+        of blocks(alpha0, count), where S = sum w_n e(f_n alpha) at the exact
+        node alpha = alpha0 + j d.
+
+        With u = 2^-53, gamma_m = m u / (1 - m u), R = TAYLOR_GRID_TERMS,
+        J = block, K the most terms in one slot, amax = |alpha0| + count d,
+        f and f_lo the largest |fh| and |fl|, rho = pi (J-1)/(2M) (1 + (2M
+        + 8) u) the bound of |z_j t_n| as computed, and per block
+
+            e_c = 2 pi u (5 + 5 L) + 3 u,   L = 2.01 u f amax + f_lo amax,
+                                   c_n to within |w_n| e_c (phase_frac's
+                                   phase error u (1 + 5 L) as in
+                                   points_error_bound, delta_n c and its
+                                   sum 2 u, 2 pi i theta and exp 4 pi u +
+                                   2 u, the product with w_n u)
+            e_in = e_c + gamma_{2R+1} + sqrt(2) gamma_K
+                                   a bin of row r to within e_in sum|w|
+                                   t^r / r! (powers gamma_2R, product u,
+                                   slot sums)
+            E_F = sum|w| e_in + sqrt(M) phi (sqrt(K) ||w||_2
+                  + e_in sum|w|) (1 + e_in)
+                                   an entry of F_r to within E_F t^r / r!
+                                   (Higham, Accuracy and Stability, 2nd ed.,
+                                   Thm 24.2, phi = _fft_rounding(M), on
+                                   bins of 2-norm <= sqrt(K) ||a_r||_2)
+
+        the bound is
+
+            e^rho (sum|w| rho^R / R!                Taylor truncation
+                   + E_F                            table rows
+                   + gamma_{6R+3} (sum|w| + E_F))   Horner in a rounded z
+                                                    (gamma_4R + gamma_2R)
+                                                    and np.abs
+          + 2 pi sum|w| ((f + f_lo) 5.01 u^2 amax   block base in
+                                                    double-double
+                         + J (x_err + u (1/(2M) + 2u)))
+                                                    x_n and delta_n, times j
+
+        with x_err = 1.01 u^2 f d + 2.01 u f_lo d, the error of x_n formed
+        as two_prod(fh, d) + fl d.
+        """
+        R, M, J, d = TAYLOR_GRID_TERMS, self.size, self.block, self.step
+        amax = abs(alpha0) + count * d
+        f = float(np.max(np.abs(self.freq_hi)))
+        f_lo = float(np.max(np.abs(self.freq_lo)))
+        K = self.slot_terms
+        rho = math.pi * (J - 1) / (2 * M) * (1 + (2 * M + 8) * U)
+        L = 2.01 * U * f * amax + f_lo * amax
+        e_c = 2 * math.pi * U * (5 + 5 * L) + 3 * U
+        e_in = e_c + higham_gamma(2 * R + 1) + math.sqrt(2) * higham_gamma(K)
+        e_f = (self.w_abs * e_in
+               + math.sqrt(M) * _fft_rounding(M)
+               * (math.sqrt(K) * self.w_l2 + e_in * self.w_abs) * (1 + e_in))
+        x_err = 1.01 * U * U * f * d + 2.01 * U * f_lo * d
+        horner = higham_gamma(6 * R + 3) * (self.w_abs + e_f)
+        return (math.exp(rho) * (self.w_abs * rho**R / math.factorial(R)
+                                 + e_f + horner)
+                + 2 * math.pi * self.w_abs
+                * ((f + f_lo) * 5.01 * U * U * amax
+                   + J * (x_err + U * (0.5 / M + 2 * U))))
+
+
+def taylor_grid_plan(fh, fl, weights, step: float,
+                     count: int) -> TaylorGridPlan | None:
+    """The Taylor-table plan of the grid sum of (fh, fl, weights) over
+    count nodes of spacing `step`, or None where the row recurrence costs
+    less (TAYLOR_GRID_COST) or there are no terms."""
+    n = len(fh)
+    block = min(count, GRID_BLOCK)
+    M = 1 << (block - 1).bit_length()
+    R = TAYLOR_GRID_TERMS
+    if n == 0 or n * block < TAYLOR_GRID_COST * R * M * math.log2(2 * M):
+        return None
+    p, e = two_prod(fh, step)
+    xh, xl = two_sum(p - np.rint(p), e + fl * step)
+    m = np.rint(xh * M)
+    delta = (xh - m / M) + xl  # xh - m/M is exact
+    slots = m.astype(np.int64) % M
+    order = np.argsort(slots, kind="stable")
+    slots, delta = slots[order], delta[order]
+    firsts = np.flatnonzero(np.diff(slots, prepend=-1))
+    t = 2 * M * delta
+    powers = np.empty((R, n))
+    col = np.ones(n)
+    for r in range(R):
+        powers[r] = col
+        col = col * t / (r + 1)
+    w = weights[order]
+    return TaylorGridPlan(
+        step, block, M, fh[order], fl[order], w, delta, powers, slots[firsts],
+        firsts, int(np.max(np.diff(firsts, append=n))), math.fsum(np.abs(w)),
+        math.sqrt(math.fsum(w * w)))
 
 
 def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,

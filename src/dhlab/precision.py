@@ -99,7 +99,8 @@ def pow_dd(ns, k: float) -> tuple[np.ndarray, np.ndarray]:
         pairs = ((float(v), float(v - int(float(v))))
                  for v in (int(n) ** k for n in ns))
     else:
-        pairs = (dd_from_mpf(mp.power(int(n), mp.mpf(k))) for n in ns)
+        k = mp.mpf(k)
+        pairs = (dd_from_mpf(mp.power(int(n), k)) for n in ns)
     hl = np.fromiter(pairs, np.dtype((np.float64, 2)), len(ns))
     return np.ascontiguousarray(hl[:, 0]), np.ascontiguousarray(hl[:, 1])
 

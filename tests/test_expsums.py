@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dhlab.errors import DomainError, InsufficientTableError, PhaseBudgetError
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -15,8 +15,8 @@ from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid,
                            fejer_kernel, fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
-                           prime_taylor_tables, sum_freqs, taylor_tables,
-                           trapezoid, trapezoid_step)
+                           prime_taylor_tables, sum_freqs, taylor_grid_plan,
+                           taylor_tables, trapezoid, trapezoid_step)
 from dhlab.precision import dd_add, dd_from_mpf, pow_dd, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
@@ -214,14 +214,18 @@ def test_grid_values_at_exact_nodes(table_1e6):
 def test_grid_blocks_fixed_for_any_row_size(table_1e5):
     # 9592 terms give rows of 874 points, which do not divide a block; the
     # blocks stay GRID_BLOCK long and the straddling row is evaluated twice.
-    # Scale sqrt(2) makes the frequencies non-integral, so the row
-    # recurrence runs rather than the chirp-z path
+    # Scale sqrt(2) makes the frequencies non-integral, so the chirp-z path
+    # declines them, and the Taylor-grid cost model is pinned to the row
+    # recurrence, which this many terms would otherwise leave
     rng, scale = SumRange(1, 1e-9, 1e5), math.sqrt(2.0)
     f = sum_freqs("prime", rng, table_1e5, scale=scale)
     count = 70000
     assert len(f[0]) == 9592 and _plan_block(count, 9592) == 874
     assert chirp_plan(*f, 1e-6, count) is None
-    blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "TAYLOR_GRID_COST", math.inf)
+        assert taylor_grid_plan(*f, 1e-6, count) is None
+        blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
     assert [start for start, _ in blocks] == [0, GRID_BLOCK]
     g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count,
                      values=np.concatenate([b for _, b in blocks]))
@@ -604,14 +608,137 @@ def test_chirp_path_selection(table_1e5):
         ah, al = g.alpha_dd(j)
         want = eval_points(*f, [ah], al)[0]
         assert abs(g.values[j] - want) <= bound + points_error_bound(*f, 0.1, al)
+    # the grid takes the chirp-z path without asking for a Taylor-grid plan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "taylor_grid_plan", None)  # any call fails
+        start, block = next(iter_grid_values(*f, 0.0, 1e-6, 10**6))
+    assert start == 0 and len(block) == GRID_BLOCK
     # the theorem detector's 230-term stream at X = 1728, and the lemma
     # suite's largest ensemble (44 integers), keep the row recurrence
     inst = ExperimentConfig().instance
     lin = sum_freqs("prime", inst.linear_range(1728.0), table_1e5,
                     scale=inst.lambda1)
     assert len(lin[0]) == 230 and chirp_plan(*lin, 4e-6, 10**7) is None
+    assert taylor_grid_plan(*lin, 4e-6, 10**7) is None
     lemma = sum_freqs("integer", SumRange(2.0, 0.1, 4000.0))
     assert len(lemma[0]) == 44 and chirp_plan(*lemma, 1e-4, 51201) is None
+    assert taylor_grid_plan(*lemma, 1e-4, 51201) is None
     # a repeated frequency would collide in the convolution's input
     twice = (np.repeat(f[0], 2), np.repeat(f[1], 2), np.repeat(f[2], 2))
     assert chirp_plan(*twice, 1e-6, 10**6) is None
+
+
+# ---------------------------------------------------------------------------
+# Taylor-grid path against eval_points and 50-digit sums
+
+@st.composite
+def _any_grid_ensembles(draw):
+    # non-integer k, a non-integer scale, and integer cubes past 2^53 (whose
+    # frequencies carry a low part), each on a grid inside the phase budget
+    which = draw(st.sampled_from(["k2.5", "sqrt2", "cubes"]))
+    delta = draw(st.sampled_from([1e-9, 0.1, 0.5]))
+    if which == "k2.5":
+        kind, scale = "prime", draw(st.sampled_from([1.0, -1.0]))
+        rng = SumRange(2.5, delta, draw(st.floats(10.0, 1e12)))
+    elif which == "sqrt2":
+        kind, scale = "prime", math.sqrt(2.0)
+        rng = SumRange(1.0, delta, draw(st.floats(2.0, 9e4)))
+    else:
+        kind, scale = "integer", 1.0
+        rng = SumRange(3.0, 0.999, draw(st.floats(9.1e15, 1e17)))
+    reach = min(50.0, 2.0**45 / (rng.X * abs(scale)))
+    alpha0 = draw(st.floats(-reach / 2, reach / 2))
+    step = draw(st.floats(1e-9, 1.0)) * reach / 400
+    return kind, rng, scale, alpha0, step
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=_any_grid_ensembles(), count=st.integers(1, 200),
+       block=st.sampled_from([7, 48, GRID_BLOCK]))
+@example(ensemble=("prime", SumRange(2.5, 0.1, 1e10), 1.0, 0.3, 1e-3),
+         count=1, block=GRID_BLOCK)
+def test_taylor_grid_within_certified_bounds(table_1e5, ensemble, count,
+                                             block):
+    kind, rng, scale, alpha0, step = ensemble
+    f = sum_freqs(kind, rng, table_1e5 if kind == "prime" else None, scale)
+    with pytest.MonkeyPatch.context() as patch:
+        # the Taylor-grid path for every ensemble, in blocks small enough
+        # for the counts drawn here to cross them
+        patch.setattr(expsums, "CHIRP_COST", math.inf)
+        patch.setattr(expsums, "TAYLOR_GRID_COST", 0.0)
+        patch.setattr(expsums, "GRID_BLOCK", block)
+        plan = taylor_grid_plan(*f, step, count)
+        blocks = list(iter_grid_values(*f, alpha0, step, count))
+    assert [s for s, _ in blocks] == list(range(0, count, block))
+    got = np.concatenate([b for _, b in blocks])
+    if len(f[0]) == 0:
+        assert plan is None and np.all(got == 0)
+        return
+    assert plan.powers.shape == (expsums.TAYLOR_GRID_TERMS, len(f[0]))
+    amax = abs(alpha0) + count * step
+    bound = plan.error_bound(alpha0, count)
+    for j, (ah, al) in enumerate(_grid_nodes(alpha0, step, range(count))):
+        want = eval_points(*f, [ah], al)[0]
+        assert abs(got[j] - want) <= bound + points_error_bound(*f, amax, al)
+
+
+def _mp_freq_sum(fh, fl, weights, alpha):
+    # the frequencies fh + fl taken as exact, at 50 digits
+    return complex(mp.fsum(mp.mpf(float(w)) * mp.expjpi(
+        2 * (mp.mpf(float(h)) + mp.mpf(float(l))) * alpha)
+        for h, l, w in zip(fh, fl, weights)))
+
+
+@pytest.mark.parametrize("freqs,alpha0,step,count,js", [
+    ("sqrt2", 0.1371, 1e-3, 150, (0, 63, 64, 149)),
+    ("k2.5", -17.25, 1e-6, 130, (0, 64, 127, 129)),
+    ("cubes", 1e-3, 3e-9, 70, (0, 33, 69)),
+    ("k2.5", 999.9, 0.01, 1, (0,)),
+    ("sqrt2", 0.31, 1e-6, GRID_BLOCK + 5, (0, GRID_BLOCK - 1, GRID_BLOCK,
+                                          GRID_BLOCK + 4)),
+    ("k2.5", 0.31, 1e-6, GRID_BLOCK + 5, (GRID_BLOCK - 1, GRID_BLOCK + 4)),
+])
+def test_taylor_grid_bound_against_50_digit_sums(freqs, alpha0, step, count,
+                                                 js):
+    if freqs == "sqrt2":
+        ns = np.arange(2, 302)
+        fh, fl = two_prod(ns.astype(np.float64), math.sqrt(2.0))
+    elif freqs == "k2.5":
+        ns = np.arange(900, 3400)
+        fh, fl = pow_dd(ns, 2.5)
+    else:  # cubes past 2^53, with low parts
+        ns = np.arange(215_000, 215_300)
+        fh, fl = pow_dd(ns, 3.0)
+        assert np.any(fl)
+    weights = np.log(ns + 1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "TAYLOR_GRID_COST", 0.0)
+        if count < GRID_BLOCK:  # several blocks
+            patch.setattr(expsums, "GRID_BLOCK", 64)
+        plan = taylor_grid_plan(fh, fl, weights, step, count)
+        got = np.concatenate([b for _, b in iter_grid_values(
+            fh, fl, weights, alpha0, step, count)])
+    bound = plan.error_bound(alpha0, count)
+    for j in js:
+        exact = _mp_freq_sum(fh, fl, weights,
+                             mp.mpf(alpha0) + j * mp.mpf(step))
+        assert abs(got[j] - exact) <= bound
+        assert abs(abs(got[j]) - abs(exact)) <= bound
+
+
+def test_taylor_grid_path_selection():
+    # the spectrum workload's k = 2.5 grid: 9592 primes on 2^18 nodes (the
+    # ensembles that keep the other paths are in test_chirp_path_selection)
+    table = sieve(10**5 + 1)  # the window ends a hair past 1e5
+    count = 1 << 18
+    f = sum_freqs("prime", SumRange(2.5, 1e-13, 1e5**2.5), table)
+    assert len(f[0]) == 9592 and chirp_plan(*f, 1e-6, count) is None
+    plan = taylor_grid_plan(*f, 1e-6, count)
+    assert plan is not None and plan.size == GRID_BLOCK
+    bound = plan.error_bound(0.9, count)
+    assert bound <= 1e-11 * plan.w_abs
+    for start, block in iter_grid_values(*f, 0.9, 1e-6, GRID_BLOCK + 3):
+        j = start + len(block) - 1
+        (ah, al), = _grid_nodes(0.9, 1e-6, [j])
+        want = eval_points(*f, [ah], al)[0]
+        assert abs(block[-1] - want) <= bound + points_error_bound(*f, 1.0, al)

@@ -305,6 +305,9 @@ def test_cli_config_errors_exit_2(tmp_path):
                                 "--lambdas", "1,x,-1"],
         "got '1,2,3,4'": ["measure", "--lambdas", "1,2,3,4", "--X", "100",
                           "--z1", "1", "--z2", "1", "--y", "0.1"],
+        # the sampler reads only the linear sums: it takes no k
+        "No such option '--k'": ["measure", "--k", "2", "--X", "100",
+                                "--z1", "1", "--z2", "1", "--y", "0.1"],
         "(> 268435456)": ["moments", "--kind", "S1", "--p", "2", "--k", "1",
                           "--X", "1000", "--lo", "-3000", "--hi", "3000"],
     }
