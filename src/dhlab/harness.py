@@ -32,8 +32,8 @@ from .expsums import (eval_points, eval_taylor, points_error_bound,
 from .norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
                     moment_integral, selberg_integral)
 from .primes import PrimeTable, SumRange, sieve, window_arrays
-from .solver import (ProblemInstance, duality_tail_bound, enumerate_solutions,
-                     solution_integral, weighted_count)
+from .solver import (ProblemInstance, duality_tail_bound, level_sums,
+                     solution_integral)
 
 GROWTH_SLACK_EXP = 0.1  # allowed ratio growth per step: X^0.1
 
@@ -496,22 +496,16 @@ def run_theorem_experiment(config: ExperimentConfig,
             continue
         d = choose_parameters(inst, float(X))
         etas = [(f"t*2^{j}", d.eta * 2.0**j) for j in config.eta_grid]
-        eta_max = max(e for _, e in etas)
-        sols = enumerate_solutions(inst, float(X), eta_max, table)
-        residuals = sols.residual
+        sums = level_sums(inst, float(X), [e for _, e in etas], table)
         # the first smallest residual is the sample of every eta level that
         # has a solution
-        min_res = best = None
-        if len(residuals):
-            best = int(np.argmin(residuals))
-            min_res = float(residuals[best])
+        min_res = sums.min_residual
+        if min_res is not None:
             min_eta[float(X)] = min(e for _, e in etas if e >= min_res)
 
-        for kind, eta in sorted(etas, key=lambda t: t[1]):
-            count = int(np.count_nonzero(residuals <= eta))
-            wsum = weighted_count(sols, eta)
-            sample = (int(sols.p1[best]), int(sols.p2[best]),
-                      int(sols.p3[best])) if count else None
+        for (kind, eta), count, wsum in sorted(
+                zip(etas, sums.counts, sums.weighted), key=lambda t: t[0][1]):
+            sample = sums.sample if count else None
             status = "PASS"
             note = base_note
             duality_gap = tail = None

@@ -6,6 +6,8 @@ reduction below goes through an error-free two-term (hi/lo) product split,
 which keeps the fractional part accurate to ~1e-16 absolute for phases up
 to ~1e20.  Frequencies that are not exactly representable (p^k for
 non-integer k) are carried as hi/lo pairs computed once in mpmath.
+`fixed_sum` and `exact_sum` sum float64 arrays exactly, so that a total
+does not depend on the order or the chunks in which its terms arrive.
 
 mpmath's global precision is pinned here, at import, to 50 significant
 digits (>= the 30 the boundary and admission contracts require).  Nothing
@@ -16,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 from mpmath import mp
+
+from .errors import DomainError
 
 mp.dps = 50
 
@@ -116,6 +120,51 @@ def dd_add(a_hi, a_lo, b_hi, b_lo):
     s, e = two_sum(a_hi, b_hi)
     e = e + (a_lo + b_lo)
     return two_sum(s, e)
+
+
+_FIXED_BITS = 1126  # every finite float64 is a multiple of 2^-1126 here
+_FIXED_BLOCK = 1 << 26  # bin sums of 27-bit halves stay below 2^53
+
+
+def fixed_sum(values) -> int:
+    """The exact sum of float64 values, as an integer multiple of 2^-1126.
+
+    Each finite value is m 2^e (np.frexp) = M 2^(e-53) with M = m 2^53 an
+    integer below 2^53 in magnitude, split as M = hi 2^26 + lo into two
+    integers below 2^27.  np.bincount sums the halves per exponent in
+    float64, exactly while a block holds at most 2^26 values, and the bins
+    are shifted into one Python integer.  The result does not depend on the
+    order of the values or on how they are split into calls.  Non-finite
+    values raise DomainError.
+    """
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(values).all():
+        raise DomainError("exact sum of non-finite values")
+    total = 0
+    for s in range(0, len(values), _FIXED_BLOCK):
+        m, e = np.frexp(values[s:s + _FIXED_BLOCK])
+        m *= 2.0**27
+        hi = np.trunc(m)
+        lo = (m - hi) * 2.0**26
+        bins = e + (_FIXED_BITS - 53)  # e >= -1073, so bins >= 0
+        sum_hi = np.bincount(bins, weights=hi)
+        sum_lo = np.bincount(bins, weights=lo)
+        for b in np.flatnonzero(sum_hi != 0.0).tolist():
+            total += int(sum_hi[b]) << (b + 26)
+        for b in np.flatnonzero(sum_lo != 0.0).tolist():
+            total += int(sum_lo[b]) << b
+    return total
+
+
+def fixed_to_float(total: int) -> float:
+    """A fixed_sum result rounded once to float64 (to nearest, ties even)."""
+    return total / (1 << _FIXED_BITS)  # Python's int division rounds correctly
+
+
+def exact_sum(values) -> float:
+    """The exactly rounded sum of float64 values: math.fsum's result, in any
+    order of the values."""
+    return fixed_to_float(fixed_sum(values))
 
 
 def kahan_cumsum(values: np.ndarray) -> np.ndarray:

@@ -14,12 +14,18 @@ the boundary.  By Fourier inversion the weighted count
 W = sum(w * max(0, eta - residual)) equals the real-line integral of
 S1(l1 a) S1(l2 a) Sk(l3 a) K_eta(a) e(-omega a), which `solution_integral`
 approximates on a finite interval; the pair is the package's central
-correctness check; `weighted_count` computes W.
+correctness check.  `weighted_count` computes W, rounded once from its exact
+sum, so it does not depend on the order of the records.
+
+The enumeration is one generator of column chunks in (p3, p1, p2) order:
+`enumerate_solutions` joins them, and `level_sums` reduces them to counts
+and W at several widths without holding the records.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +34,8 @@ from mpmath import mp
 from .arcs import choose_parameters
 from .errors import DomainError
 from .expsums import fejer_kernel, prime_exp_sum, sum_freqs, trapezoid
-from .precision import TWO_PI_I, U, dd_from_mpf, phase_frac, two_prod, two_sum
+from .precision import (TWO_PI_I, U, dd_from_mpf, exact_sum, fixed_sum,
+                        fixed_to_float, phase_frac, two_prod, two_sum)
 from .primes import PrimeTable, SumRange, window_arrays
 
 BOUNDARY_BAND = 1e-14
@@ -208,16 +215,20 @@ class CellIndex:
         gaps = np.diff(values)
         span = float(values[-1] - values[0])
         w = float(np.min(gaps[gaps > 0], initial=np.inf))
+        del gaps
         w = max(w, span / (self.MAX_CELLS_PER_VALUE * n))
         # one cell for one value, all equal, or a span too small to invert
         self._scale = 1.0 / w if 1.0 / w < math.inf else 0.0
         self._shift = -float(values[0]) * self._scale
         self._top = float(np.floor(span * self._scale) + 2)
-        cells = self._cells(values)
-        counts = np.bincount(cells, minlength=int(self._top) + 1)
-        self.depth = int(counts.max())
-        self.first = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=self.first[1:])
+        # cells ascend with the values; first[c] = m for the cells c in
+        # (cells[m-1], cells[m]], so first is one int32 repeat of 0..n over
+        # the member steps, with cells[-1] = -1 and cells[n] = top + 1, and
+        # depth is the longest run between two nonzero steps
+        steps = np.diff(self._cells(values), prepend=-1,
+                        append=int(self._top) + 1)
+        self.depth = int(np.max(np.diff(np.flatnonzero(steps)), initial=1))
+        self.first = np.repeat(np.arange(n + 1, dtype=np.int32), steps)
         # NaN pads past the end compare false on either side
         self._values = np.concatenate([values, np.full(self.depth, np.nan)])
 
@@ -238,9 +249,15 @@ class CellIndex:
         return out
 
 
-def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
-                        table: PrimeTable) -> Solutions:
-    """All ordered triples with residual <= eta, in (p3, p1, p2) order.
+PROBE_BLOCK = 1 << 15  # p1 probed at a time: bounds the candidate arrays
+CHUNK_RECORDS = 1 << 17  # admitted records level_sums reduces at a time
+
+
+def iter_solution_chunks(instance: ProblemInstance, X: float, eta: float,
+                         table: PrimeTable) -> Iterator[Solutions]:
+    """The triples with residual <= eta, as consecutive Solutions chunks in
+    (p3, p1, p2) order: one per p3 and block of PROBE_BLOCK p1 that has
+    candidates.
 
     For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta, widened
     by the float64 error bound.  l1 p1 is monotone in p1, so the p1 whose
@@ -253,7 +270,9 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
     guard-band flag (|residual - eta| <= 1e-14 eta) and the correct rounding
     of the stored float residual.  A candidate that any of them leaves
     undecided is decided on its 50-digit residual, so the result equals a
-    50-digit enumeration exactly.
+    50-digit enumeration exactly.  Each chunk counts its own candidates and
+    exact fallbacks; a block with candidates but no admitted triple yields
+    an empty chunk.
     """
     if not 0.0 <= eta < math.inf:
         raise DomainError(f"eta must be finite and >= 0, got {eta}")
@@ -262,7 +281,7 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
     p1s, logs1 = window_arrays(lin, table)
     p3s, logs3 = window_arrays(pw, table)
     if len(p1s) == 0 or len(p3s) == 0:
-        return Solutions.empty()
+        return
     l1, l2, l3 = instance.lambdas
     omega = instance.omega
 
@@ -272,6 +291,7 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
     order = np.argsort(vals2, kind="stable")
     sorted2 = vals2[order]
     sorted2_lo = vals2_lo[order]
+    del ps, vals2, vals2_lo  # the generator keeps its locals while it lives
     index = CellIndex(sorted2)
     # a1 made ascending in the p1 index, for the two range searches
     a1_up, sign1 = (a1, 1.0) if l1 > 0 else (-a1, -1.0)
@@ -286,8 +306,6 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
     band_hi, band_lo = two_prod(BOUNDARY_BAND, eta)  # == band, exactly
     lin_mag = (abs(l1) + abs(l2)) * float(p1s[-1]) + eta
 
-    cols = []
-    candidates = fallbacks = 0
     for p3, lg3 in zip(p3s, logs3):
         t = omega - l3 * float(p3) ** instance.k
         # a window meets [sorted2[0], sorted2[-1]] only if a1 lies in
@@ -299,61 +317,134 @@ def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
         stop = int(np.searchsorted(a1_up, reach[1], side="right"))
         if start >= stop:
             continue
-        rel = t - a1[start:stop]
-        i_lo = index.search(rel - lo_shift, side="left")
-        i_hi = index.search(rel + lo_shift, side="right")
-        counts = i_hi - i_lo
-        hit = np.nonzero(counts > 0)[0]
-        if len(hit) == 0:
-            continue
-        counts = counts[hit]
-        i = np.repeat(hit + start, counts)
-        j = np.arange(len(i)) + np.repeat(i_lo[hit] - (np.cumsum(counts) - counts),
-                                          counts)
         l3p = L3 * _p3_power_mp(int(p3), instance.k)
         base = l3p - OM
-        r_hi, err = _dd_residuals(a1[i], a1_lo[i], sorted2[j], sorted2_lo[j],
-                                  base, lin_mag)
-        admit, boundary, decided = _certify(r_hi, err, eta, band_hi, band_lo)
-        res = np.abs(r_hi)
-        undecided = np.nonzero(~decided)[0]
-        for c in undecided:
-            p1 = int(p1s[i[c]])
-            p2 = int(p1s[order[j[c]]])
-            exact = abs(mp.fsum((L1 * p1, L2 * p2, l3p, -OM)))
-            admit[c] = bool(exact <= eta_mp)
-            if admit[c]:
-                res[c] = float(exact)
-                boundary[c] = bool(abs(exact - eta_mp) <= band)
-        candidates += len(i)
-        fallbacks += len(undecided)
+        for b0 in range(start, stop, PROBE_BLOCK):
+            rel = t - a1[b0:min(b0 + PROBE_BLOCK, stop)]
+            i_lo = index.search(rel - lo_shift, side="left")
+            i_hi = index.search(rel + lo_shift, side="right")
+            counts = i_hi - i_lo
+            hit = np.nonzero(counts > 0)[0]
+            if len(hit) == 0:
+                continue
+            counts = counts[hit]
+            i = np.repeat(hit + b0, counts)
+            j = np.arange(len(i)) + np.repeat(
+                i_lo[hit] - (np.cumsum(counts) - counts), counts)
+            r_hi, err = _dd_residuals(a1[i], a1_lo[i], sorted2[j],
+                                      sorted2_lo[j], base, lin_mag)
+            admit, boundary, decided = _certify(r_hi, err, eta, band_hi,
+                                                band_lo)
+            res = np.abs(r_hi)
+            undecided = np.nonzero(~decided)[0]
+            for c in undecided:
+                p1 = int(p1s[i[c]])
+                p2 = int(p1s[order[j[c]]])
+                exact = abs(mp.fsum((L1 * p1, L2 * p2, l3p, -OM)))
+                admit[c] = bool(exact <= eta_mp)
+                if admit[c]:
+                    res[c] = float(exact)
+                    boundary[c] = bool(abs(exact - eta_mp) <= band)
 
-        keep = np.nonzero(admit)[0]
-        i1 = i[keep]
-        i2 = order[j[keep]]
-        cols.append((p1s[i1], p1s[i2], np.full(len(keep), p3), res[keep],
-                     logs1[i1] * logs1[i2] * lg3, boundary[keep]))
-    del index  # free the cell table before the columns are assembled
-    if not cols:
+            keep = np.nonzero(admit)[0]
+            if l2 < 0:  # p2 descends within each p1: put it in order
+                keep = keep[np.lexsort((order[j[keep]], i[keep]))]
+            i1 = i[keep]
+            i2 = order[j[keep]]
+            yield Solutions(p1s[i1], p1s[i2], np.full(len(keep), p3),
+                            res[keep], logs1[i1] * logs1[i2] * lg3,
+                            boundary[keep], candidates=len(i),
+                            exact_fallbacks=len(undecided))
+
+
+def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
+                        table: PrimeTable) -> Solutions:
+    """All ordered triples with residual <= eta, in (p3, p1, p2) order: the
+    chunks of `iter_solution_chunks`, joined."""
+    chunks = list(iter_solution_chunks(instance, X, eta, table))
+    if not chunks:
         return Solutions.empty()
-    columns = [np.concatenate(c) for c in zip(*cols)]
-    p1, p2, p3 = columns[:3]
-    # p3 and p1 ascend already, and p2 within them when l2 > 0: sort only
-    # when the rows are out of (p3, p1, p2) order
-    d3, d1, d2 = np.diff(p3), np.diff(p1), np.diff(p2)
-    if not np.all((d3 > 0) | (d3 == 0) & ((d1 > 0) | (d1 == 0) & (d2 > 0))):
-        srt = np.lexsort((p2, p1, p3))
-        columns = [c[srt] for c in columns]
-    return Solutions(*columns, candidates=candidates, exact_fallbacks=fallbacks)
+    names = ("p1", "p2", "p3", "residual", "weight", "boundary")
+    columns = [np.concatenate([getattr(c, n) for c in chunks]) for n in names]
+    return Solutions(*columns,
+                     candidates=sum(c.candidates for c in chunks),
+                     exact_fallbacks=sum(c.exact_fallbacks for c in chunks))
+
+
+def _within(residual: np.ndarray, weight: np.ndarray, eta: float):
+    """The residuals and weights of the records with residual <= eta, and
+    their terms w * max(0, eta - residual) of W."""
+    inside = residual <= eta
+    r, w = residual[inside], weight[inside]
+    return r, w, w * np.maximum(0.0, eta - r)
 
 
 def weighted_count(solutions: Solutions, eta: float) -> float:
     """W = sum of weight * max(0, eta - residual) over the records with
-    residual <= eta, summed by np.sum in record order."""
-    r = solutions.residual
-    inside = r <= eta
-    return float(np.sum(solutions.weight[inside] *
-                        np.maximum(0.0, eta - r[inside])))
+    residual <= eta, rounded once (precision.exact_sum): the same bits in
+    any record order."""
+    return exact_sum(_within(solutions.residual, solutions.weight, eta)[2])
+
+
+@dataclass(frozen=True)
+class LevelSums:
+    """Counts and weighted counts W of one enumeration at several widths,
+    with its smallest residual and the first triple (p1, p2, p3), in
+    (p3, p1, p2) order, that reaches it."""
+
+    counts: tuple[int, ...]
+    weighted: tuple[float, ...]
+    min_residual: float | None
+    sample: tuple[int, int, int] | None
+
+
+def level_sums(instance: ProblemInstance, X: float, etas,
+               table: PrimeTable) -> LevelSums:
+    """Per eta of `etas`, the count and `weighted_count` of the triples with
+    residual <= eta, from one enumeration at max(etas).
+
+    The chunks are reduced CHUNK_RECORDS records at a time and W is summed
+    exactly (precision.fixed_sum), so the values equal those of the whole
+    enumeration bit for bit while memory stays that of the prime windows.
+    """
+    etas = tuple(float(e) for e in etas)
+    counts = [0] * len(etas)
+    sums = [0] * len(etas)
+    best, sample = math.inf, None
+    held: list[Solutions] = []
+    n_held = 0
+
+    def reduce(chunks):
+        nonlocal best, sample
+        res = np.concatenate([c.residual for c in chunks])
+        b = int(np.argmin(res))
+        if res[b] < best:  # strictly: an earlier chunk keeps a tie
+            best = float(res[b])
+            for c in chunks:
+                if b < len(c):
+                    sample = (int(c.p1[b]), int(c.p2[b]), int(c.p3[b]))
+                    break
+                b -= len(c)
+        # the levels nest, so each filters the records of the one above it
+        r, w = res, np.concatenate([c.weight for c in chunks])
+        for n in sorted(range(len(etas)), key=lambda n: -etas[n]):
+            r, w, terms = _within(r, w, etas[n])
+            counts[n] += len(terms)
+            sums[n] += fixed_sum(terms)
+
+    for chunk in iter_solution_chunks(instance, X, max(etas), table):
+        if len(chunk):
+            held.append(chunk)
+            n_held += len(chunk)
+        if n_held >= CHUNK_RECORDS:
+            reduce(held)
+            held, n_held = [], 0
+    if held:
+        reduce(held)
+    return LevelSums(counts=tuple(counts),
+                     weighted=tuple(fixed_to_float(s) for s in sums),
+                     min_residual=None if sample is None else best,
+                     sample=sample)
 
 
 def duality_tail_bound(instance: ProblemInstance, X: float, B: float,

@@ -3,6 +3,8 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,16 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from dhlab import expsums
+from dhlab import expsums, solver
 from dhlab.arcs import choose_parameters
 from dhlab.errors import DomainError
-from dhlab.harness import INTERMEDIATE, ExperimentConfig
+from dhlab.harness import (INTERMEDIATE, ExperimentConfig,
+                           run_theorem_experiment)
 from dhlab.precision import two_prod
 from dhlab.primes import SumRange, primes_in_range, sieve
 from dhlab.solver import (BOUNDARY_BAND, CellIndex, ProblemInstance,
                           Solutions, _certify, _dd_residuals, _p3_power_mp,
                           duality_tail_bound, enumerate_solutions,
-                          main_term_scan, solution_integral, weighted_count)
+                          level_sums, main_term_scan, solution_integral,
+                          weighted_count)
 
 INST = ProblemInstance(1.0, 1.0, -1.0, 2.0, 0.0, delta=0.01, epsilon=0.01)
 
@@ -384,6 +388,146 @@ def test_cell_index_edge_layouts():
     _searchsorted_cases(vals, np.concatenate([
         vals, np.nextafter(vals, 0.0), np.nextafter(vals, np.inf),
         np.linspace(vals[0] - 3.0, vals[-1] + 3.0, 20011)]))
+
+
+def _old_cell_table(index, values):
+    """The reference cell table: int64 member counts per cell by
+    np.bincount, summed by np.cumsum into an int32 `first`."""
+    counts = np.bincount(index._cells(values), minlength=int(index._top) + 1)
+    first = np.zeros(len(counts) + 1, dtype=np.int32)
+    np.cumsum(counts, out=first[1:])
+    return first, int(counts.max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_SORTED, repeat=st.integers(1, 4), tight=st.booleans(),
+       extra=st.lists(st.floats(-2e6, 2e6), max_size=20))
+def test_cell_table_matches_bincount_construction(values, repeat, tight,
+                                                   extra):
+    # duplicates, and (with `tight`) a gap of one ulp that makes the
+    # MAX_CELLS_PER_VALUE cap set the cell width
+    if tight:
+        values = np.append(values, np.nextafter(values[-1], np.inf))
+    values = np.sort(np.repeat(values, repeat))
+    index = CellIndex(values)
+    first, depth = _old_cell_table(index, values)
+    assert index.first.dtype == np.int32
+    assert np.array_equal(index.first, first)
+    assert index.depth == depth
+    needles = np.concatenate([values, np.nextafter(values, -np.inf),
+                              np.nextafter(values, np.inf), extra])
+    for side in ("left", "right"):
+        assert np.array_equal(index.search(needles, side=side),
+                              np.searchsorted(values, needles, side=side))
+
+
+def test_cell_table_allocates_no_int64_table():
+    # the cap is active (random values: the smallest gap is far below the
+    # mean), so the table has about 16 cells per value; an int64 array of
+    # cell-count length next to the int32 table would take 12 bytes a cell
+    values = np.sort(np.random.default_rng(7).uniform(0.0, 1e6, 20000))
+    tracemalloc.start()
+    try:
+        index = CellIndex(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(index.first) >= 15 * len(values)
+    assert peak < 8 * len(index.first)
+
+
+def _level_oracle(full, etas):
+    """Per-level counts and W, the smallest residual and its first triple,
+    read off a whole enumeration."""
+    counts = [int(np.count_nonzero(full.residual <= e)) for e in etas]
+    weighted = [weighted_count(full, e) for e in etas]
+    if not len(full):
+        return counts, weighted, None, None
+    b = int(np.argmin(full.residual))
+    return (counts, weighted, float(full.residual[b]),
+            (int(full.p1[b]), int(full.p2[b]), int(full.p3[b])))
+
+
+def _assert_levels_match(inst, X, etas, table, chunk, block):
+    full = enumerate_solutions(inst, X, max(etas), table)
+    counts, weighted, min_res, sample = _level_oracle(full, etas)
+    with mock.patch.object(solver, "CHUNK_RECORDS", chunk), \
+            mock.patch.object(solver, "PROBE_BLOCK", block):
+        got = level_sums(inst, X, etas, table)
+        blocked = enumerate_solutions(inst, X, max(etas), table)
+    assert got.counts == tuple(counts)
+    assert [repr(w) for w in got.weighted] == [repr(w) for w in weighted]
+    assert got.min_residual == min_res
+    assert got.sample == sample
+    # probing in smaller blocks changes no column, count or fallback
+    for name in ("p1", "p2", "p3", "residual", "weight", "boundary"):
+        a, b = getattr(full, name), getattr(blocked, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert (blocked.candidates, blocked.exact_fallbacks) == (
+        full.candidates, full.exact_fallbacks)
+    return full
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+       coefs=st.tuples(_COEF, _COEF, _COEF),
+       signs=st.tuples(st.booleans(), st.booleans()),
+       X=st.floats(40.0, 300.0), triple=st.tuples(*[st.integers(0, 10**6)] * 3),
+       offset=st.floats(-0.5, 0.5),
+       etas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
+       chunk=st.integers(1, 7), block=st.integers(1, 7))
+def test_level_sums_match_enumeration(table_1e6, k, coefs, signs, X, triple,
+                                      offset, etas, chunk, block):
+    # l1 and l2 of either sign (l3 opposite to l1), omega near the value of
+    # one triple of the windows, and chunk and probe blocks of 1 to 7
+    l1 = coefs[0] if signs[0] else -coefs[0]
+    l2 = coefs[1] if signs[1] else -coefs[1]
+    l3 = -math.copysign(coefs[2], l1)
+    base = ProblemInstance(l1, l2, l3, k, 0.0, delta=0.05)
+    lin = [p for p, _ in primes_in_range(base.linear_range(X), table_1e6)]
+    pw = [p for p, _ in primes_in_range(base.power_range(X), table_1e6)]
+    if not lin or not pw:
+        return
+    q1, q2, q3 = (lin[triple[0] % len(lin)], lin[triple[1] % len(lin)],
+                  pw[triple[2] % len(pw)])
+    omega = l1 * q1 + l2 * q2 + l3 * float(q3) ** k + offset
+    inst = ProblemInstance(l1, l2, l3, k, omega, delta=0.05)
+    _assert_levels_match(inst, X, etas, table_1e6, chunk, block)
+
+
+def test_level_sums_first_of_tied_minima(table_1e6):
+    # 1, 1, -1 at omega = 0: many triples have residual exactly 0, so the
+    # sample is the first of a tie, whatever the chunks
+    for chunk in range(1, 8):
+        full = _assert_levels_match(INST, 200.0, [0.0, 0.5, 1.5], table_1e6,
+                                    chunk, chunk)
+        assert np.count_nonzero(full.residual == 0.0) > 1
+    assert level_sums(INST, 200.0, [0.25, 0.5], table_1e6).sample == (2, 2, 2)
+    # no solution at all
+    none = level_sums(ProblemInstance(1.0, 1.0, 1.0, 2.0, -1.0), 500.0,
+                      [0.25], table_1e6)
+    assert none.counts == (0,) and none.weighted == (0.0,)
+    assert none.min_residual is None and none.sample is None
+
+
+def test_theorem_memory_does_not_grow_with_records():
+    # raising the eta grid 4x admits about 4x the records at X = 70^3; the
+    # theorem holds at most a chunk of them (here 2048), so its traced peak
+    # stays that of the prime windows
+    table = sieve(343001)
+    peaks, counts = [], []
+    with mock.patch.object(solver, "CHUNK_RECORDS", 2048):
+        for grid in ((0,), (2,)):
+            cfg = ExperimentConfig(eta_grid=grid, duality_max_x=0.0)
+            tracemalloc.start()
+            try:
+                rep = run_theorem_experiment(cfg, table)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            counts.append(rep.rows[-1].count)
+    assert counts[1] > 3.5 * counts[0] > 70000
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 @pytest.mark.parametrize("signs", list(itertools.product((1, -1), repeat=3)))
