@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
@@ -130,28 +131,24 @@ class Solutions:
             yield SolutionRecord(*row)
 
 
-def _mp_lambdas(instance: ProblemInstance):
-    return (mp.mpf(instance.lambda1), mp.mpf(instance.lambda2),
-            mp.mpf(instance.lambda3), mp.mpf(instance.omega))
-
-
 def _p3_power_mp(p3: int, k: float):
     if float(k).is_integer():
         return mp.mpf(int(p3) ** int(k))
     return mp.power(int(p3), mp.mpf(k))
 
 
-def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag):
-    """Residuals l1 p1 + l2 p2 + base as (r_hi, err), |R - r_hi| <= err.
+def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag, exact_base=False):
+    """Residuals l1 p1 + l2 p2 + base as (r_hi, err, rounded): |R - r_hi| <=
+    err, and float(|R|) == |r_hi| where `rounded`.
 
     l1 p1 = a1_hi + a1_lo and l2 p2 = a2_hi + a2_lo exactly (two_prod);
-    `base` is the 50-digit l3 p3^k - omega; `mag` bounds |l1 p1| + |l2 p2|.
-    R is the residual the 50-digit path computes: mp.fsum of l1 p1, l2 p2,
-    l3 p3^k and -omega, which rounds their exact sum once to 169 bits.
-    Each term is exact at 169 bits (for integer k), so R is the correctly
-    rounded residual even under total cancellation.  Callers add eta into
-    `mag`, so that err also covers the 169-bit rounding of |R| - eta in the
-    band test.
+    `base` is the 50-digit l3 p3^k - omega, split by dd_from_mpf; `mag`
+    bounds |l1 p1| + |l2 p2|.  R is the residual the 50-digit path
+    computes: mp.fsum of l1 p1, l2 p2, l3 p3^k and -omega, which rounds
+    their exact sum once to 169 bits.  Each term is exact at 169 bits (for
+    integer k), so R is the correctly rounded residual even under total
+    cancellation.  Callers add eta into `mag`, so that err also covers the
+    169-bit rounding of |R| - eta in the band test.
 
     The bound: base splits as bh + bl with |base - bh - bl| <= u^2 |bh|
     (u = 2^-53), and two_sum makes a1_hi + a2_hi + bh = s2 + e1 + e2 exactly
@@ -163,16 +160,38 @@ def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag):
     of its magnitude, so R lies within 2^-167 M of that.  err = |r_lo| +
     16 u^2 M covers both, with the slack absorbing the float64 rounding of
     err itself.
+
+    Rounding: `_rounds_alike`, or where `exact_base` (bh + bl is l3 p3^k -
+    omega exactly) and no low-part addition rounds: r_hi + r_lo is then the
+    exact residual, so R itself at a tie (54 bits), which two_sum rounded
+    half to even as float(R) does; off a tie |r_lo| is 2^-54 half an ulp
+    inside it, far beyond R's 2^-169.
     """
-    b_hi, b_lo = dd_from_mpf(base)
+    b_hi, b_lo = base
     s1, e1 = two_sum(a1_hi, a2_hi)
     s2, e2 = two_sum(s1, b_hi)
-    r_hi, r_lo = two_sum(s2, (a1_lo + a2_lo) + (b_lo + (e1 + e2)))
-    return r_hi, np.abs(r_lo) + 16.0 * U * U * (mag + abs(b_hi))
+    lo_a, lo_b = a1_lo + a2_lo, b_lo + (e1 + e2)
+    r_hi, r_lo = two_sum(s2, lo_a + lo_b)
+    err = np.abs(r_lo) + 16.0 * U * U * (mag + abs(b_hi))
+    rounded = _rounds_alike(r_hi, err)
+    if exact_base:
+        c = np.flatnonzero(~rounded)
+        rounded[c] = ((two_sum(a1_lo[c], a2_lo[c])[1] == 0)
+                      & (two_sum(e1[c], e2[c])[1] == 0)
+                      & (two_sum(b_lo, e1[c] + e2[c])[1] == 0)
+                      & (two_sum(lo_a[c], lo_b[c])[1] == 0))
+    return r_hi, err, rounded
 
 
-def _certify(r_hi, err, eta, band_hi, band_lo):
-    """(admit, boundary, decided) for residuals known as |R - r_hi| <= err.
+def _rounds_alike(r_hi, err):
+    """Whether every R with |R - r_hi| <= err has float(|R|) == |r_hi|."""
+    res = np.abs(r_hi)  # the gap below a power of two is the smaller one
+    return err < 0.5 * (res - np.nextafter(res, 0.0))
+
+
+def _certify(r_hi, err, rounded, eta, band_hi, band_lo):
+    """(admit, boundary, decided) for residuals known as |R - r_hi| <= err,
+    with float(|R|) == |r_hi| where `rounded`.
 
     Where `decided`, admit is |R| <= eta, boundary is
     |R| >= eta - (band_hi + band_lo) on admitted entries, and float(|R|) is
@@ -184,69 +203,67 @@ def _certify(r_hi, err, eta, band_hi, band_lo):
     over_band = gap - band_hi
     admit = gap > 0
     band_tol = 2.0 * (err + abs(band_lo) + 2.0 * U * np.abs(gap))
-    # |r_hi| is the correctly rounded |R| when R cannot reach a midpoint;
-    # the gap below a power of two is the smaller one
-    half_ulp = 0.5 * (res - np.nextafter(res, 0.0))
     decided = (np.abs(gap) > 2.0 * err) & (
-        ~admit | (np.abs(over_band) > band_tol) & (err < half_ulp))
+        ~admit | (np.abs(over_band) > band_tol) & rounded)
     return admit, over_band <= 0, decided
 
 
-class CellIndex:
-    """np.searchsorted over a sorted float64 array, through a cell table.
+class Lattice:
+    """The candidates of `iter_solution_chunks`, found on the integer line.
 
-    The map cell(v) = trunc(clip(v r - s0 r, 0, top)), with s0 the first
-    value, r = 1/w and w the smallest positive gap, evaluated in float64,
-    sends every member to a cell of at most `depth` members (measured here;
-    1 or 2 when w is the smallest gap), and `first[c]` counts the members
-    in cells below c.  Each correctly rounded step is monotone, so cell is
-    too: members in cells below cell(x) are < x and those above are > x.
-    The bound of x is therefore first[cell(x)] plus one comparison against
-    each of the next `depth` entries, which equals np.searchsorted's bit for
-    bit.  The cell count is capped at MAX_CELLS_PER_VALUE per member, so a
-    window whose smallest gap is far below its mean gets wider, deeper
-    cells instead of a huge table.
+    `candidates(t, b0, b1)` returns the pairs (i, j) of window indices with
+    fl(rel - s) <= fl(l2 p2) <= fl(rel + s), rel = fl(t - a1[i]) and s =
+    lo_shift, in (i, p2) order: np.searchsorted's pairs over the sorted
+    l2 p2, for either sign of l2.  `slot[q - q0]` is the window index of
+    the prime 2q + 1, or -1, which both ends hold for the clip of np.take.  A
+    probe reads the nd = floor(hw + w/2) + 1 slots from ceil(y), y = (c - hw
+    - w - 1)/2 - q0 with c = (t - a1)/l2; only its hits take the float test.
+    2 takes the slot of 1, which w = 1 (if 2 is in the window) reaches.
+
+    The certificate of hw = s/|l2| + tol, for u = 2^-53 and M a bound of
+    |t/l2| + |a1/l2| + the largest prime + 2|q0| + hw + 2: the float test's
+    three roundings put an admitted p2 within s/|l2| + e of c, e <= 3.01uM.
+    y = fl(K - c1), c1 = fl(a1/l2)/2, K = fl(fl(t/l2)/2 - shift) and shift
+    = fl(fl(fl(hw + w) + 1)/2 + q0), is seven roundings of at most uM/2
+    from its exact value Y.  With tol = 65uM (M counted with s/|l2| for hw),
+    an admitted p2 in slot q - q0 (2q + 1, or 1 for 2, which w pays for)
+    has q - q0 >= Y + (tol - e)/2 - uM > y, so q - q0 >= ceil(y), and
+    q - q0 - ceil(y) <= s/|l2| + w/2 + tol/2 + 6.52uM < fl(hw + w/2), so it
+    is below nd.  An interval wider than the table reads all of it: nd is
+    capped at its length and y clipped to [0, nd].
     """
 
-    MAX_CELLS_PER_VALUE = 16
+    def __init__(self, p1s, a1, a2, l2, lo_shift, t_max):
+        self.a1, self.a2, self.l2, self.lo_shift = a1, a2, l2, lo_shift
+        q0 = (int(p1s[0]) - 1) // 2 - 1  # 2 lands on the slot of 1
+        q = (p1s - 1) // 2 - q0
+        self.slot = np.full(int(q[-1]) + 2, -1, dtype=np.int32)
+        self.slot[q] = np.arange(len(p1s), dtype=np.int32)
+        w = 1.0 if p1s[0] == 2 else 0.0
+        M = ((t_max + float(np.max(np.abs(a1))) + lo_shift) / abs(l2)
+             + float(p1s[-1]) + 2.0 * abs(q0) + 3.0)
+        if not M < math.inf:
+            raise DomainError(f"l2 = {l2} too small to probe on the integers")
+        hw = lo_shift / abs(l2) + 65.0 * U * M
+        self.nd = int(min(hw + 0.5 * w, len(self.slot) - 1)) + 1
+        self.shift = ((hw + w) + 1.0) * 0.5 + q0
+        self.c1 = a1 / (2.0 * l2)  # fl(a1/l2)/2: halving commutes with fl
 
-    def __init__(self, values: np.ndarray):
-        n = len(values)
-        gaps = np.diff(values)
-        span = float(values[-1] - values[0])
-        w = float(np.min(gaps[gaps > 0], initial=np.inf))
-        del gaps
-        w = max(w, span / (self.MAX_CELLS_PER_VALUE * n))
-        # one cell for one value, all equal, or a span too small to invert
-        self._scale = 1.0 / w if 1.0 / w < math.inf else 0.0
-        self._shift = -float(values[0]) * self._scale
-        self._top = float(np.floor(span * self._scale) + 2)
-        # cells ascend with the values; first[c] = m for the cells c in
-        # (cells[m-1], cells[m]], so first is one int32 repeat of 0..n over
-        # the member steps, with cells[-1] = -1 and cells[n] = top + 1, and
-        # depth is the longest run between two nonzero steps
-        steps = np.diff(self._cells(values), prepend=-1,
-                        append=int(self._top) + 1)
-        self.depth = int(np.max(np.diff(np.flatnonzero(steps)), initial=1))
-        self.first = np.repeat(np.arange(n + 1, dtype=np.int32), steps)
-        # NaN pads past the end compare false on either side
-        self._values = np.concatenate([values, np.full(self.depth, np.nan)])
-
-    def _cells(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # overflow saturates to a clip end
-            c = x * self._scale
-        c += self._shift
-        np.clip(c, 0.0, self._top, out=c)
-        return c.astype(np.intp)
-
-    def search(self, x: np.ndarray, side: str = "left") -> np.ndarray:
-        """np.searchsorted(values, x, side) for finite x."""
-        lo = self.first[self._cells(x)]
-        below = np.less if side == "left" else np.less_equal
-        out = lo + below(self._values[lo], x)
-        for t in range(1, self.depth):
-            out += below(self._values[lo + t], x)
-        return out
+    def candidates(self, t, b0, b1):
+        """The pairs (i, j) at target t for the p1 of indices b0 .. b1-1."""
+        y = np.subtract(t / self.l2 * 0.5 - self.shift, self.c1[b0:b1])
+        if self.nd == len(self.slot):
+            np.clip(y, 0.0, self.nd, out=y)
+        s = np.ceil(y, out=y).astype(np.intp)
+        if self.nd > 1:
+            s = (s[:, None] + np.arange(self.nd)).ravel()
+        g = np.take(self.slot, s, mode="clip")
+        f = np.flatnonzero(g >= 0)
+        i, j = f // self.nd + b0, g[f].astype(np.intp)
+        rel, v = t - self.a1[i], self.a2[j]
+        keep = np.flatnonzero((rel - self.lo_shift <= v)
+                              & (v <= rel + self.lo_shift))
+        return i[keep], j[keep]
 
 
 PROBE_BLOCK = 1 << 15  # p1 probed at a time: bounds the candidate arrays
@@ -260,100 +277,81 @@ def iter_solution_chunks(instance: ProblemInstance, X: float, eta: float,
     candidates.
 
     For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta, widened
-    by the float64 error bound.  l1 p1 is monotone in p1, so the p1 whose
-    window can meet the values l2 p2 at all form one contiguous range, found
-    by two scalar searches; only that range is probed, each window's ends
-    through a `CellIndex` over the sorted l2 p2, which returns
-    np.searchsorted's bounds bit for bit.  Every candidate's residual is
-    then formed in double-double, and three decisions are taken on it under
-    the certified bound of `_dd_residuals`: admission (residual <= eta), the
-    guard-band flag (|residual - eta| <= 1e-14 eta) and the correct rounding
-    of the stored float residual.  A candidate that any of them leaves
-    undecided is decided on its 50-digit residual, so the result equals a
-    50-digit enumeration exactly.  Each chunk counts its own candidates and
-    exact fallbacks; a block with candidates but no admitted triple yields
-    an empty chunk.
+    by the float64 error bound.  l1 p1 is monotone in p1, so only the one
+    contiguous range of p1 whose window can meet the values l2 p2 is
+    probed, on the integer line of p2 (`Lattice`).  Each candidate's
+    residual is formed in double-double, and its admission, guard-band flag
+    (|residual - eta| <= 1e-14 eta) and stored rounding are decided under
+    the certified bounds of `_dd_residuals` and `_certify`, or, where they
+    leave one open, on its 50-digit residual: the result equals a 50-digit
+    enumeration exactly.  Each chunk counts its own candidates and exact
+    fallbacks; a block with candidates but no admitted triple yields an
+    empty chunk.
     """
     if not 0.0 <= eta < math.inf:
         raise DomainError(f"eta must be finite and >= 0, got {eta}")
-    lin = instance.linear_range(X)
-    pw = instance.power_range(X)
-    p1s, logs1 = window_arrays(lin, table)
-    p3s, logs3 = window_arrays(pw, table)
+    p1s, logs1 = window_arrays(instance.linear_range(X), table)
+    p3s, logs3 = window_arrays(instance.power_range(X), table)
     if len(p1s) == 0 or len(p3s) == 0:
         return
-    l1, l2, l3 = instance.lambdas
-    omega = instance.omega
+    l1, l2, l3, omega = *instance.lambdas, instance.omega
 
-    ps = p1s.astype(np.float64)
-    a1, a1_lo = two_prod(l1, ps)
-    vals2, vals2_lo = two_prod(l2, ps)
-    order = np.argsort(vals2, kind="stable")
-    sorted2 = vals2[order]
-    sorted2_lo = vals2_lo[order]
-    del ps, vals2, vals2_lo  # the generator keeps its locals while it lives
-    index = CellIndex(sorted2)
+    a1, a1_lo = two_prod(l1, p1s.astype(np.float64))
+    a2, a2_lo = two_prod(l2, p1s.astype(np.float64))
+    ts = [omega - l3 * float(p3) ** instance.k for p3 in p3s]
+
+    L1, L2, L3, OM = (mp.mpf(v) for v in (l1, l2, l3, omega))
+    # widened by the float64 error bound 2^-46 ((|l1|+|l2|+|l3|) X + |omega|)
+    lo_shift = eta + 128.0 * U * ((abs(l1) + abs(l2) + abs(l3)) * float(X)
+                                  + abs(omega))
+    lattice = Lattice(p1s, a1, a2, l2, lo_shift, max(map(abs, ts)))
+    v_lo, v_hi = sorted((a2[0], a2[-1]))
     # a1 made ascending in the p1 index, for the two range searches
     a1_up, sign1 = (a1, 1.0) if l1 > 0 else (-a1, -1.0)
-
-    L1, L2, L3, OM = _mp_lambdas(instance)
-    slack = 64.0 * np.finfo(np.float64).eps * (
-        (abs(l1) + abs(l2) + abs(l3)) * float(X) + abs(omega)
-    )
-    lo_shift = eta + slack
     eta_mp = mp.mpf(eta)
     band = mp.mpf(BOUNDARY_BAND) * eta_mp
     band_hi, band_lo = two_prod(BOUNDARY_BAND, eta)  # == band, exactly
     lin_mag = (abs(l1) + abs(l2)) * float(p1s[-1]) + eta
 
-    for p3, lg3 in zip(p3s, logs3):
-        t = omega - l3 * float(p3) ** instance.k
-        # a window meets [sorted2[0], sorted2[-1]] only if a1 lies in
-        # [t - lo_shift - sorted2[-1], t + lo_shift - sorted2[0]]; a second
-        # lo_shift covers the rounding of both tests, which is below slack
-        reach = sorted((sign1 * (t - 2.0 * lo_shift - sorted2[-1]),
-                        sign1 * (t + 2.0 * lo_shift - sorted2[0])))
+    for p3, lg3, t in zip(p3s, logs3, ts):
+        # a window meets [v_lo, v_hi] only if a1 lies in
+        # [t - lo_shift - v_hi, t + lo_shift - v_lo]; a second lo_shift
+        # covers the rounding of both tests, which is below that bound
+        reach = sorted((sign1 * (t - 2.0 * lo_shift - v_hi),
+                        sign1 * (t + 2.0 * lo_shift - v_lo)))
         start = int(np.searchsorted(a1_up, reach[0], side="left"))
         stop = int(np.searchsorted(a1_up, reach[1], side="right"))
         if start >= stop:
             continue
         l3p = L3 * _p3_power_mp(int(p3), instance.k)
-        base = l3p - OM
+        base = dd_from_mpf(l3p - OM)
+        exact_base = float(instance.k).is_integer() and (
+            sum(map(Fraction, base))
+            == Fraction(l3) * int(p3) ** int(instance.k) - Fraction(omega))
         for b0 in range(start, stop, PROBE_BLOCK):
-            rel = t - a1[b0:min(b0 + PROBE_BLOCK, stop)]
-            i_lo = index.search(rel - lo_shift, side="left")
-            i_hi = index.search(rel + lo_shift, side="right")
-            counts = i_hi - i_lo
-            hit = np.nonzero(counts > 0)[0]
-            if len(hit) == 0:
+            i, j = lattice.candidates(t, b0, min(b0 + PROBE_BLOCK, stop))
+            if len(i) == 0:
                 continue
-            counts = counts[hit]
-            i = np.repeat(hit + b0, counts)
-            j = np.arange(len(i)) + np.repeat(
-                i_lo[hit] - (np.cumsum(counts) - counts), counts)
-            r_hi, err = _dd_residuals(a1[i], a1_lo[i], sorted2[j],
-                                      sorted2_lo[j], base, lin_mag)
-            admit, boundary, decided = _certify(r_hi, err, eta, band_hi,
-                                                band_lo)
+            r_hi, err, rounded = _dd_residuals(
+                a1[i], a1_lo[i], a2[j], a2_lo[j], base, lin_mag, exact_base)
+            admit, boundary, decided = _certify(r_hi, err, rounded, eta,
+                                                band_hi, band_lo)
             res = np.abs(r_hi)
             undecided = np.nonzero(~decided)[0]
             for c in undecided:
-                p1 = int(p1s[i[c]])
-                p2 = int(p1s[order[j[c]]])
+                p1, p2 = int(p1s[i[c]]), int(p1s[j[c]])
                 exact = abs(mp.fsum((L1 * p1, L2 * p2, l3p, -OM)))
                 admit[c] = bool(exact <= eta_mp)
                 if admit[c]:
                     res[c] = float(exact)
                     boundary[c] = bool(abs(exact - eta_mp) <= band)
 
-            keep = np.nonzero(admit)[0]
-            if l2 < 0:  # p2 descends within each p1: put it in order
-                keep = keep[np.lexsort((order[j[keep]], i[keep]))]
-            i1 = i[keep]
-            i2 = order[j[keep]]
-            yield Solutions(p1s[i1], p1s[i2], np.full(len(keep), p3),
-                            res[keep], logs1[i1] * logs1[i2] * lg3,
-                            boundary[keep], candidates=len(i),
+            n = len(i)
+            if not admit.all():
+                keep = np.nonzero(admit)[0]
+                i, j, res, boundary = i[keep], j[keep], res[keep], boundary[keep]
+            yield Solutions(p1s[i], p1s[j], np.full(len(i), p3), res,
+                            logs1[i] * logs1[j] * lg3, boundary, candidates=n,
                             exact_fallbacks=len(undecided))
 
 

@@ -1,23 +1,27 @@
 """Byte-for-byte regression against recorded artifacts.
 
 tests/golden holds `lemmas.csv` of the default config at seed 0,
-`theorem.csv` of the default config (cap 3.5e5), the `solutions.csv` and
+`theorem.csv` of the default config (cap 3.5e5) and of the same instance at
+k = 1.5 (cap 1e6) and k = 3 (cap 4.9e6), the `solutions.csv` and
 `summary.json` of one `dhlab solve` run, and the JSON that `dhlab cf`
 prints for sqrt 2, `dhlab arcs` for k = 3, X = 1e6 and `dhlab sieve` for
 theta up to 1e5.  A change that moves any byte of them must say why and
 re-record the file."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from dhlab.harness import (ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, write_suite_csv,
                            write_theorem_csv)
 from dhlab.primes import sieve
-from dhlab.solver import enumerate_solutions, weighted_count
+from dhlab.solver import ProblemInstance, enumerate_solutions, weighted_count
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -32,6 +36,19 @@ def test_theorem_csv_matches_golden(tmp_path):
     out = tmp_path / "theorem.csv"
     write_theorem_csv(out, run_theorem_experiment(ExperimentConfig(seed=0)))
     assert out.read_bytes() == (GOLDEN / "theorem_seed0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("k, cap, name", [
+    (1.5, 1e6, "theorem_k1.5_cap1e6.csv"),
+    (3.0, 4.9e6, "theorem_k3_cap4.9e6.csv")])
+def test_theorem_csv_at_other_k_matches_golden(tmp_path, k, cap, name):
+    # the ends of the paper's range 1 < k <= 3, for (1, sqrt 2, -1) at
+    # omega = 0
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, k, 0.0)
+    out = tmp_path / "theorem.csv"
+    write_theorem_csv(out, run_theorem_experiment(
+        ExperimentConfig(instance=inst, cap=cap)))
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_theorem_weighted_count_is_solver_weighted_count():

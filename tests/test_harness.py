@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from dhlab import cli
 from dhlab.expsums import eval_points, sum_freqs
 from dhlab.harness import (CHECKS, ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, sample_large_sum_measure,
@@ -266,7 +267,18 @@ def test_cli_theorem_and_exit_codes(tmp_path):
     assert res.returncode == 2, res.stderr
 
 
-def test_cli_config_errors_exit_2(tmp_path):
+def _cli_in_process(args, capsys, monkeypatch):
+    """Exit code and stderr of `dhlab args`, run through the entry point
+    in this process."""
+    monkeypatch.setattr(sys, "argv", ["dhlab", *args])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run_main()
+    return exit_.value.code, capsys.readouterr().err
+
+
+def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
+    # the refusals run in process; `--threads 2 lemmas` runs as a real
+    # subprocess, so the module entry point is exercised too
     cases = {
         "unknown": ({**MINI.to_json(), "threads": 2, "x_valuez": [1]},
                     "threads, x_valuez"),
@@ -278,20 +290,22 @@ def test_cli_config_errors_exit_2(tmp_path):
     for name, (blob, message) in cases.items():
         cfgp = tmp_path / f"{name}.json"
         cfgp.write_text(json.dumps(blob))
-        res = _cli(["--config", str(cfgp), "--out", str(tmp_path / name),
-                    "lemmas"], tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert message in res.stderr and "Traceback" not in res.stderr
+        code, err = _cli_in_process(["--config", str(cfgp), "--out",
+                                     str(tmp_path / name), "lemmas"],
+                                    capsys, monkeypatch)
+        assert code == 2, err
+        assert message in err and "Traceback" not in err
     res = _cli(["--threads", "2", "lemmas"], tmp_path)
     assert res.returncode == 2, res.stderr
     # grid requests the evaluator cannot honour: a zero step, and more
     # values than one grid may hold (2^25 and 1e13, refused before
     # allocating them)
     for grid in ("0,0,10", "0,1e-30,33554432", "0,1e-30,10000000000000"):
-        res = _cli(["--out", str(tmp_path / "g"), "expsum", "--kind", "S",
-                    "--k", "1", "--X", "100", "--grid", grid], tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert "grid needs" in res.stderr and "Traceback" not in res.stderr
+        code, err = _cli_in_process(["--out", str(tmp_path / "g"), "expsum",
+                                     "--kind", "S", "--k", "1", "--X", "100",
+                                     "--grid", grid], capsys, monkeypatch)
+        assert code == 2, err
+        assert "grid needs" in err and "Traceback" not in err
     # bad flags: a window outside the domain, a word for a number, two
     # coefficients for three, and a trapezoid past the node cap
     flags = {
@@ -312,9 +326,10 @@ def test_cli_config_errors_exit_2(tmp_path):
                           "--X", "1000", "--lo", "-3000", "--hi", "3000"],
     }
     for message, args in flags.items():
-        res = _cli(["--out", str(tmp_path / "f"), *args], tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert message in res.stderr and "Traceback" not in res.stderr
+        code, err = _cli_in_process(["--out", str(tmp_path / "f"), *args],
+                                    capsys, monkeypatch)
+        assert code == 2, err
+        assert message in err and "Traceback" not in err
     # non-finite and out-of-domain values, refused before any work
     solve = ["solve", "--lambdas", "1,sqrt2,-1", "--k", "2"]
     refusals = [
@@ -338,14 +353,17 @@ def test_cli_config_errors_exit_2(tmp_path):
          ["quadruples", "--n", "5", "--k", "2", "--gamma", "inf"]),
     ]
     for message, args in refusals:
-        res = _cli(["--out", str(tmp_path / "r"), *args], tmp_path)
-        assert res.returncode == 2, res.stderr
-        assert message in res.stderr and "Traceback" not in res.stderr
+        code, err = _cli_in_process(["--out", str(tmp_path / "r"), *args],
+                                    capsys, monkeypatch)
+        assert code == 2, err
+        assert message in err and "Traceback" not in err
     # a non-finite abscissa, for each pointwise sum
     for kind in ("S", "U", "T"):
         for alpha in ("nan", "inf"):
-            res = _cli(["--out", str(tmp_path / "a"), "expsum", "--kind", kind,
-                        "--k", "2", "--X", "100", "--alpha", alpha], tmp_path)
-            assert res.returncode == 2, res.stderr
-            assert (f"alpha must be finite, got {alpha}" in res.stderr
-                    and "Traceback" not in res.stderr)
+            code, err = _cli_in_process(
+                ["--out", str(tmp_path / "a"), "expsum", "--kind", kind,
+                 "--k", "2", "--X", "100", "--alpha", alpha],
+                capsys, monkeypatch)
+            assert code == 2, err
+            assert (f"alpha must be finite, got {alpha}" in err
+                    and "Traceback" not in err)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 import subprocess
 import sys
 import tracemalloc
@@ -17,13 +18,13 @@ from dhlab.arcs import choose_parameters
 from dhlab.errors import DomainError
 from dhlab.harness import (INTERMEDIATE, ExperimentConfig,
                            run_theorem_experiment)
-from dhlab.precision import two_prod
-from dhlab.primes import SumRange, primes_in_range, sieve
-from dhlab.solver import (BOUNDARY_BAND, CellIndex, ProblemInstance,
+from dhlab.precision import dd_from_mpf, two_prod
+from dhlab.primes import SumRange, primes_in_range, sieve, window_arrays
+from dhlab.solver import (BOUNDARY_BAND, Lattice, ProblemInstance,
                           Solutions, _certify, _dd_residuals, _p3_power_mp,
-                          duality_tail_bound, enumerate_solutions,
-                          level_sums, main_term_scan, solution_integral,
-                          weighted_count)
+                          _rounds_alike, duality_tail_bound,
+                          enumerate_solutions, level_sums, main_term_scan,
+                          solution_integral, weighted_count)
 
 INST = ProblemInstance(1.0, 1.0, -1.0, 2.0, 0.0, delta=0.01, epsilon=0.01)
 
@@ -265,8 +266,8 @@ def test_fast_path_decides_theorem_instance(table_1e6, omega):
                          st.floats(-10.0, -0.1)),
        omega=st.floats(-1e3, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_dd_residual_error_bound(table_1e6, k, lambdas, omega, seed):
-    # the certified bound holds against the 50-digit residual on arbitrary
-    # (not only admitted) triples, up to p ~ 1e6
+    # the certified bound and the stored rounding hold against the 50-digit
+    # residual on arbitrary (not only admitted) triples, up to p ~ 1e6
     l1, l2, l3 = lambdas
     if l2 == 0.0:
         return
@@ -279,11 +280,18 @@ def test_dd_residual_error_bound(table_1e6, k, lambdas, omega, seed):
     a2, a2_lo = two_prod(l2, p2.astype(np.float64))
     base = mp.mpf(l3) * _p3_power_mp(p3, k) - mp.mpf(omega)
     mag = (abs(l1) + abs(l2)) * float(primes[-1])
-    r_hi, err = _dd_residuals(a1, a1_lo, a2, a2_lo, base, mag)
+    split = dd_from_mpf(base)
+    exact_base = float(k).is_integer() and (
+        sum(map(Fraction, split))
+        == Fraction(l3) * p3 ** int(k) - Fraction(omega))
+    r_hi, err, rounded = _dd_residuals(a1, a1_lo, a2, a2_lo, split, mag,
+                                       exact_base)
     assert np.all(err <= 1e-15 * (np.abs(r_hi) + 1.0) + 1e-20 * mag)
-    for q1, q2, h, e in zip(p1.tolist(), p2.tolist(), r_hi, err):
+    for q1, q2, h, e, r in zip(p1.tolist(), p2.tolist(), r_hi, err, rounded):
         exact = (mp.mpf(l1) * q1 + base) + mp.mpf(l2) * q2
         assert abs(exact - mp.mpf(h)) <= e
+        if r:
+            assert abs(h) == float(abs(exact))
 
 
 def _critical_points(r_hi, eta):
@@ -319,8 +327,9 @@ def test_certified_decisions_are_exact(eta):
                          for q in critical]
                 cases += [(r_hi, err, critical) for err in errs]
     band_hi, band_lo = two_prod(BOUNDARY_BAND, eta)
-    admit, boundary, decided = _certify(np.array([c[0] for c in cases]),
-                                        np.array([c[1] for c in cases]),
+    r_hi = np.array([c[0] for c in cases])
+    err = np.array([c[1] for c in cases])
+    admit, boundary, decided = _certify(r_hi, err, _rounds_alike(r_hi, err),
                                         eta, band_hi, band_lo)
     assert decided.any() and not decided.all()
     eta_mp = mp.mpf(eta)
@@ -338,102 +347,130 @@ def test_certified_decisions_are_exact(eta):
                 assert abs(r_hi) == float(res)
 
 
-def _searchsorted_cases(values, needles):
-    index = CellIndex(values)
-    for side in ("left", "right"):
-        got = index.search(needles, side=side)
-        want = np.searchsorted(values, needles, side=side)
-        assert np.array_equal(got, want), side
-
-
-_SORTED = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60).map(
-    lambda v: np.sort(np.array(v, dtype=np.float64)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(values=_SORTED, repeat=st.integers(1, 3),
-       extra=st.lists(st.floats(-2e6, 2e6), max_size=20))
-def test_cell_index_matches_searchsorted(values, repeat, extra):
-    # members (repeated, so some cells hold several equal values), their
-    # neighbouring floats, points outside [values[0], values[-1]] and
-    # arbitrary points
-    values = np.sort(np.repeat(values, repeat))
-    needles = np.concatenate([
-        values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf),
-        [values[0] - 1.0, values[-1] + 1.0, -1e300, 1e300], extra])
-    _searchsorted_cases(values, needles)
+@given(l1=st.floats(0.1, 10.0), l2=st.floats(0.05, 10.0),
+       signs=st.tuples(st.booleans(), st.booleans()),
+       width=st.floats(0.0, 3.0), X=st.floats(3.0, 3000.0),
+       delta=st.one_of(st.floats(0.0005, 0.01), st.floats(0.01, 0.9)),
+       picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                                st.floats(-4.0, 4.0)), min_size=1, max_size=3),
+       block=st.sampled_from([3, 50, 1 << 15]))
+def test_lattice_matches_searchsorted(table_1e6, l1, l2, signs, width, X,
+                                      delta, picks, block):
+    # both signs; |l2| from 0.05 to 10 and eta up to 3 |l2|, so intervals
+    # of up to 7 integers; windows down to [1, 3], which hold the even
+    # prime 2; targets near attained values, on the window edges (where the
+    # float test's rounding decides), off every value, and probes whose
+    # interval misses the window
+    l1 = l1 if signs[0] else -l1
+    l2 = l2 if signs[1] else -l2
+    p1s, _ = window_arrays(SumRange(1.0, delta, X), table_1e6)
+    if len(p1s) == 0:
+        return
+    ps = p1s.astype(np.float64)
+    a1, a2 = two_prod(l1, ps)[0], two_prod(l2, ps)[0]
+    lo_shift = width * abs(l2) + 1e-12
+    ts = []
+    for a, b, off in picks:
+        v = a1[a % len(ps)] + a2[b % len(ps)]
+        ts += [v + off * abs(l2), v - lo_shift, v + lo_shift]
+    _assert_lattice_is_searchsorted(p1s, a1, a2, l2, lo_shift, ts, block)
 
 
-def test_cell_index_edge_layouts():
-    one = np.array([29.0])
-    _searchsorted_cases(one, np.array([28.0, np.nextafter(29.0, 0.0), 29.0,
-                                       np.nextafter(29.0, 30.0), 30.0]))
-    # a subnormal span, whose inverse overflows: one cell
-    sub = np.array([0.0, 2.2250738585e-311])
-    _searchsorted_cases(sub, np.array([-1.0, 0.0, 1e-311, sub[1], 1.0]))
-    # a gap of one ulp next to a span of 1e6: the cell count is capped, so
-    # cells hold many values
-    tight = np.sort(np.concatenate([[1.0, np.nextafter(1.0, 2.0)],
-                                    np.linspace(2.0, 1e6, 50)]))
-    index = CellIndex(tight)
-    assert index.depth > 1
-    assert len(index.first) <= CellIndex.MAX_CELLS_PER_VALUE * len(tight) + 4
-    _searchsorted_cases(tight, np.concatenate([
-        tight, np.nextafter(tight, 0.0), np.nextafter(tight, np.inf),
-        np.linspace(-1.0, 1.1e6, 997)]))
-    # the theorem's sorted sqrt(2) p, whose smallest gap is 2 sqrt(2)
-    primes = primes_in_range(SumRange(1.0, 0.1, 5e4), sieve(5 * 10**4 + 1))
-    vals = two_prod(math.sqrt(2.0), np.array([p for p, _ in primes],
-                                             dtype=np.float64))[0]
-    _searchsorted_cases(vals, np.concatenate([
-        vals, np.nextafter(vals, 0.0), np.nextafter(vals, np.inf),
-        np.linspace(vals[0] - 3.0, vals[-1] + 3.0, 20011)]))
+def _assert_lattice_is_searchsorted(p1s, a1, a2, l2, lo_shift, ts, block):
+    # oracle: np.searchsorted over the sorted l2 p2, each window's p2 in
+    # ascending order
+    lattice = Lattice(p1s, a1, a2, l2, lo_shift, max(map(abs, ts)))
+    order = np.argsort(a2, kind="stable")
+    sorted2 = a2[order]
+    for t in ts:
+        rel = t - a1
+        lo = np.searchsorted(sorted2, rel - lo_shift, side="left")
+        hi = np.searchsorted(sorted2, rel + lo_shift, side="right")
+        want_i = np.repeat(np.arange(len(p1s)), hi - lo)
+        start = np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+        want_j = order[start + np.arange(len(want_i))]
+        want_j = want_j[np.lexsort((want_j, want_i))]
+        got = [lattice.candidates(t, b0, min(b0 + block, len(p1s)))
+               for b0 in range(0, len(p1s), block)]
+        assert np.array_equal(np.concatenate([g[0] for g in got]), want_i)
+        assert np.array_equal(np.concatenate([g[1] for g in got]), want_j)
 
 
-def _old_cell_table(index, values):
-    """The reference cell table: int64 member counts per cell by
-    np.bincount, summed by np.cumsum into an int32 `first`."""
-    counts = np.bincount(index._cells(values), minlength=int(index._top) + 1)
-    first = np.zeros(len(counts) + 1, dtype=np.int32)
-    np.cumsum(counts, out=first[1:])
-    return first, int(counts.max())
+def test_lattice_interval_wider_than_the_table(table_1e6):
+    # |l2| = 1e-3 at eta = 1: each interval is 2000 integers wide, more
+    # than the table of the window [53, 97], which is then read whole
+    p1s, _ = window_arrays(SumRange(1.0, 0.5, 100.0), table_1e6)
+    ps = p1s.astype(np.float64)
+    for l2 in (1e-3, -1e-3):
+        a1, a2 = two_prod(1.5, ps)[0], two_prod(l2, ps)[0]
+        lattice = Lattice(p1s, a1, a2, l2, 1.0, 200.0)
+        assert lattice.nd == len(lattice.slot)
+        ts = [a1[3] + a2[5], a1[0] + 0.9, a1[-1] - 0.95, a1[7] + 1.0 + a2[-1]]
+        _assert_lattice_is_searchsorted(p1s, a1, a2, l2, 1.0, ts, 5)
+    # an l2 whose integer line overflows float64 is refused, not misread
+    with pytest.raises(DomainError):
+        enumerate_solutions(ProblemInstance(1.0, 1e-310, -1.0, 2.0, 0.0),
+                            100.0, 1.0, table_1e6)
 
 
-@settings(max_examples=200, deadline=None)
-@given(values=_SORTED, repeat=st.integers(1, 4), tight=st.booleans(),
-       extra=st.lists(st.floats(-2e6, 2e6), max_size=20))
-def test_cell_table_matches_bincount_construction(values, repeat, tight,
-                                                   extra):
-    # duplicates, and (with `tight`) a gap of one ulp that makes the
-    # MAX_CELLS_PER_VALUE cap set the cell width
-    if tight:
-        values = np.append(values, np.nextafter(values[-1], np.inf))
-    values = np.sort(np.repeat(values, repeat))
-    index = CellIndex(values)
-    first, depth = _old_cell_table(index, values)
-    assert index.first.dtype == np.int32
-    assert np.array_equal(index.first, first)
-    assert index.depth == depth
-    needles = np.concatenate([values, np.nextafter(values, -np.inf),
-                              np.nextafter(values, np.inf), extra])
-    for side in ("left", "right"):
-        assert np.array_equal(index.search(needles, side=side),
-                              np.searchsorted(values, needles, side=side))
-
-
-def test_cell_table_allocates_no_int64_table():
-    # the cap is active (random values: the smallest gap is far below the
-    # mean), so the table has about 16 cells per value; an int64 array of
-    # cell-count length next to the int32 table would take 12 bytes a cell
-    values = np.sort(np.random.default_rng(7).uniform(0.0, 1e6, 20000))
+def test_lattice_slot_table_is_odd_only_int32(table_1e6):
+    # the slot table costs 2 bytes per integer of the window (4 per odd
+    # integer); an int64 array of window length would add 4 or 8 more
+    p1s, _ = window_arrays(SumRange(1.0, 0.1, 1e6), table_1e6)
+    ps = p1s.astype(np.float64)
+    span = int(p1s[-1] - p1s[0])
     tracemalloc.start()
     try:
-        index = CellIndex(values)
+        lattice = Lattice(p1s, ps, math.sqrt(2.0) * ps, math.sqrt(2.0), 1.0,
+                          1e6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(index.first) >= 15 * len(values)
-    assert peak < 8 * len(index.first)
+    assert lattice.slot.dtype == np.int32
+    assert lattice.slot.nbytes <= 2 * span + 16
+    # besides the table, at most three arrays of 8 bytes a prime
+    assert peak < 2 * span + 24 * len(p1s) + 4096
+
+
+def test_tie_rounding_needs_exact_low_sums():
+    # l1 p1 = 1 + 2^-52 and base 2, with 2^-110 more in l2 p2 or in the
+    # base: the low parts sum to 2^-52 in float64, a tie that two_sum
+    # rounds down to 3, but the exact residual lies above the midpoint and
+    # rounds up.  Without the 2^-110 the tie is exact, and two_sum's
+    # rounding half to even is float(R)
+    one = np.array([1.0])
+    tiny = 2.0**-110
+    for a2_lo, b_lo in ((tiny, 0.0), (0.0, tiny), (0.0, 0.0)):
+        r_hi, err, rounded = _dd_residuals(
+            one, one * 2.0**-52, 0.0 * one, a2_lo * one, (2.0, b_lo), 4.0,
+            exact_base=True)
+        R = mp.fsum((1, mp.mpf(2)**-52, mp.mpf(a2_lo), 2, mp.mpf(b_lo)))
+        exact = a2_lo == b_lo
+        assert rounded[0] == exact
+        assert (r_hi[0] == float(R)) == exact
+
+
+@pytest.mark.parametrize("omega, eta", [(0.3, 0.9), (0.0, 3.14)])
+def test_exact_ties_decided_on_the_fast_path(table_1e6, omega, eta):
+    # (1, fl(sqrt 2), -1): the residuals are multiples of 2^-54, odd ones
+    # among them at omega = 0, so many lie exactly half an ulp from two
+    # floats (in [0.5, 1) and in [2, 4)).  The double-double pair is then
+    # the exact residual and rounds half to even, as float(R) does
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, omega)
+    sols = enumerate_solutions(inst, 343000.0, eta, table_1e6)
+    assert sols.candidates > 45000
+    assert sols.exact_fallbacks <= 1e-4 * sols.candidates
+    l1, l2, l3 = (mp.mpf(l) for l in inst.lambdas)
+    ties = 0
+    for n in range(0, len(sols), 97):
+        p1, p2, p3 = (int(c[n]) for c in (sols.p1, sols.p2, sols.p3))
+        exact = abs(mp.fsum((l1 * p1, l2 * p2, l3 * p3**2, -mp.mpf(omega))))
+        r = sols.residual[n]
+        ties += exact - mp.mpf(r) in (mp.mpf(np.spacing(r)) / 2,
+                                      -mp.mpf(np.spacing(r)) / 2)
+        assert r == float(exact)
+    assert ties > 50
 
 
 def _level_oracle(full, etas):
@@ -548,7 +585,7 @@ def test_enumeration_matches_brute_force_every_sign(table_1e6, signs):
 
 def test_enumeration_one_prime_window(table_1e6, tmp_path):
     # delta = 0.8 at X = 30 leaves p1 = p2 = 29 and p3 = 5 alone, so the
-    # cell index holds one value and has no smallest gap
+    # slot table holds one prime between two empty slots
     for omega, want in ((0.0, []), (33.0, [(29, 29, 5)])):
         inst = ProblemInstance(1.0, 1.0, -1.0, 2.0, omega, delta=0.8)
         sols = enumerate_solutions(inst, 30.0, 0.5, table_1e6)
