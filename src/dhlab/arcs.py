@@ -67,6 +67,11 @@ class ArcDecomposition:
     minor: tuple[float, float]  # +/-[lower edge, R]
     window_feasible: bool = True
 
+    @property
+    def main_term_scale(self) -> float:
+        """The main-term scale eta^2 X^(1+1/k)."""
+        return self.eta * self.eta * self.X ** (1.0 + 1.0 / self.k)
+
     def to_json(self) -> dict:
         return {**asdict(self), "trivial": f"|alpha| > {self.R}"}
 

@@ -14,7 +14,7 @@ class InsufficientTableError(DhlabError, ValueError):
 
 
 class PhaseBudgetError(DhlabError, ValueError):
-    """Grid evaluation refused: the phase range exceeds the recurrence budget."""
+    """Grid evaluation refused: phase range over expsums.PHASE_BUDGET."""
 
 
 class ParameterError(DhlabError, ValueError):

@@ -22,12 +22,11 @@ of frequencies:
 where chirp_plan's cost model decides what is dense and taylor_grid_plan's
 what is many.
 
-iter_grid_values serves the three grid rows and yields the same fixed
-blocks on each.  The row recurrence e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d)
-advances per term along a row of at most 1024 grid points, and every row
-restarts from the phase of its exact double-double base a0 + r*d, so each
-value belongs to the node a0 + j*d itself and rounding drift never
-accumulates past one row; rows are batched into a complex matrix product.
+iter_grid_values serves the three grid rows on the fixed blocks of
+_grid_blocks.  The row recurrence e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d)
+advances per term along rows of 1024 grid points, each restarted from the
+phase of its exact double-double base a0 + r*d, so each value belongs to
+the node a0 + j*d itself and rounding drift never accumulates past a row.
 For integer frequencies dense enough that the FFTs cost less, the chirp-z
 transform (Rabiner, Schafer & Rader, 1969; Bluestein, 1970) turns each
 block of the grid into one convolution.  For ensembles of any frequencies
@@ -60,12 +59,8 @@ from .precision import (TWO_PI_I, U, dd_add, dd_scale, higham_gamma,
                         phase_frac, pow_dd, two_prod, two_sum)
 from .primes import PrimeTable, SumRange, integers_in_range, window_arrays
 
-RESYNC = 1024  # max grid points per row of the rotation recurrence
+RESYNC = 1024  # grid points per row of the rotation recurrence
 GRID_BLOCK = 1 << 16  # points per block yielded by iter_grid_values
-# rows per grid matrix product: as many as keep terms x rows within
-# _PRODUCT_TERMS, and never fewer than _PRODUCT_ROWS (bounds its memory)
-_PRODUCT_TERMS = 1 << 20
-_PRODUCT_ROWS = 64
 PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
 MAX_TRAPEZOID_POINTS = 1 << 28  # most nodes of one streamed trapezoid
 MAX_GRID_VALUES = 1 << 24  # most values eval_grid holds (256 MB complex128)
@@ -208,7 +203,7 @@ class SpectrumGrid:
     def alpha_dd(self, j: int) -> tuple[float, float]:
         """Exact two-term abscissa alpha0 + j*step of grid point j, the
         node its stored value was evaluated at."""
-        return dd_add(self.alpha0, 0.0, *two_prod(float(j), self.step))
+        return _node(self.alpha0, self.step, float(j))
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -222,9 +217,19 @@ class SpectrumGrid:
                                   map(abs, v.tolist())))
 
 
-def _plan_block(count: int, n_terms: int) -> int:
-    cap = max(128, (1 << 23) // max(1, n_terms))
-    return max(1, min(RESYNC, count, cap))
+def _node(alpha0: float, step: float, j):
+    """Exact two-term node alpha0 + j*step, j float(s) holding integers."""
+    return dd_add(alpha0, 0.0, *two_prod(j, step))
+
+
+def _grid_blocks(alpha0: float, step: float, count: int):
+    """Yield (start, length, base) of each block of GRID_BLOCK nodes of
+    alpha0 + j*step, j < count (the last the remainder), base = node start
+    in double-double.  Every grid evaluator draws its blocks here, so
+    ensembles on the same grid yield aligned blocks."""
+    for start in range(0, count, GRID_BLOCK):
+        base = _node(alpha0, step, float(start))
+        yield start, min(GRID_BLOCK, count - start), base
 
 
 def _check_budget(fh, alpha0: float, step: float, count: int) -> None:
@@ -247,8 +252,7 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
     same grid yield aligned blocks.  Integer frequencies dense enough for
     chirp_plan go through its chirp-z convolution; other ensembles large
     enough for taylor_grid_plan through its Taylor tables; all others
-    through the row recurrence, where a row that straddles a block edge is
-    evaluated for both blocks.  Summation order is fixed on every path, so
+    through the row recurrence.  Summation order is fixed on every path, so
     results are reproducible.
     """
     _check_budget(fh, alpha0, step, count)
@@ -258,27 +262,21 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
     if plan is not None:
         yield from plan.blocks(alpha0, count)
         return
-    n_terms = len(fh)
-    B = _plan_block(count, n_terms)
+    B = min(RESYNC, count)
     rot = np.exp(TWO_PI_I * phase_frac(fh, fl, step))
-    V = np.empty((n_terms, B), dtype=np.complex128)
+    V = np.empty((len(fh), B), dtype=np.complex128)
     V[:, 0] = 1.0
     for b in range(1, B):
         np.multiply(V[:, b - 1], rot, out=V[:, b])
-
-    rows = max(_PRODUCT_ROWS, _PRODUCT_TERMS // max(1, n_terms))
-    for start in range(0, count, GRID_BLOCK):
-        stop = min(count, start + GRID_BLOCK)
-        r_first, r_end = start // B, -(-stop // B)
-        products = []
-        for r0 in range(r_first, r_end, rows):
-            r = np.arange(r0, min(r0 + rows, r_end))
-            bh, bl = dd_add(alpha0, 0.0, *two_prod(r * float(B), step))
-            phases = phase_frac(fh[:, None], fl[:, None], bh[None, :], bl[None, :])
-            bases = weights[:, None] * np.exp(TWO_PI_I * phases)
-            products.append((bases.T @ V).ravel())
-        S = products[0] if len(products) == 1 else np.concatenate(products)
-        yield start, S[start - r_first * B : stop - r_first * B]
+    # taylor_grid_plan takes every ensemble of 4,488 terms or more, so V
+    # holds at most 4,487 x RESYNC values (73 MB); rows start at the first
+    # node of their block, every B nodes
+    for start, nb, _ in _grid_blocks(alpha0, step, count):
+        r = np.arange(start, start + nb, B, dtype=np.float64)
+        bh, bl = _node(alpha0, step, r)
+        phases = phase_frac(fh[:, None], fl[:, None], bh[None, :], bl[None, :])
+        bases = weights[:, None] * np.exp(TWO_PI_I * phases)
+        yield start, (bases.T @ V).ravel()[:nb]
 
 
 def trapezoid_step(lo: float, hi: float, band: float,
@@ -590,9 +588,7 @@ class ChirpPlan:
         j < count, as iter_grid_values does.  Sub-windows are accumulated
         in ascending order."""
         L = len(self.chirp_hat)
-        for start in range(0, count, GRID_BLOCK):
-            nb = min(GRID_BLOCK, count - start)
-            sh, sl = dd_add(alpha0, 0.0, *two_prod(float(start), self.step))
+        for start, nb, (sh, sl) in _grid_blocks(alpha0, self.step, count):
             S = np.zeros(nb, dtype=np.complex128)
             for w in self.windows:
                 a = np.zeros(L, dtype=np.complex128)
@@ -782,10 +778,8 @@ class TaylorGridPlan:
         j < count, as iter_grid_values does."""
         M = self.size
         bins = np.zeros(M, dtype=np.complex128)
-        for start in range(0, count, GRID_BLOCK):
-            nb = min(GRID_BLOCK, count - start)
+        for start, nb, (sh, sl) in _grid_blocks(alpha0, self.step, count):
             c = (nb - 1) / 2
-            sh, sl = dd_add(alpha0, 0.0, *two_prod(float(start), self.step))
             ph = phase_frac(self.freq_hi, self.freq_lo, sh, sl)
             coef = self.weights * np.exp(TWO_PI_I * (ph + self.delta * c))
             z = 1j * ((math.pi / M) * (np.arange(nb) - c))

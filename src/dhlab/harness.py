@@ -322,7 +322,7 @@ def _intermediate(cfg, table, X) -> dict:
     inst = cfg.instance
     d = choose_parameters(inst, X)
     val = abs(solution_integral(inst, X, d.eta, d.intermediate, table))
-    scale = d.eta**2 * X ** (1.0 + 1.0 / inst.k)
+    scale = d.main_term_scale
     return dict(k=inst.k, eta=d.eta, value=val, bound=scale, ratio=val / scale)
 
 

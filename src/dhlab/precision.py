@@ -86,12 +86,19 @@ def dd_from_mpf(x) -> tuple[float, float]:
     return hi, lo
 
 
+def pow_mp(n: int, k: float):
+    """n**k at 50 digits: the exact power for integer k, else mp.power."""
+    if float(k).is_integer():
+        return mp.mpf(int(n) ** int(k))
+    return mp.power(int(n), mp.mpf(k))
+
+
 def pow_dd(ns, k: float) -> tuple[np.ndarray, np.ndarray]:
     """n**k for each integer n >= 1 of `ns`, as hi/lo float64 arrays.
 
     Integer k: each power split exactly into hi/lo (int64 below 2^62, so
-    lo is 0 below 2^53; Python integers past it).  Other k: the 50-digit
-    power, split once.
+    lo is 0 below 2^53; Python integers past it).  Other k: pow_mp, split
+    once.
     """
     ns = np.asarray(ns, dtype=np.int64)
     if float(k).is_integer():
@@ -103,8 +110,7 @@ def pow_dd(ns, k: float) -> tuple[np.ndarray, np.ndarray]:
         pairs = ((float(v), float(v - int(float(v))))
                  for v in (int(n) ** k for n in ns))
     else:
-        k = mp.mpf(k)
-        pairs = (dd_from_mpf(mp.power(int(n), k)) for n in ns)
+        pairs = (dd_from_mpf(pow_mp(n, k)) for n in ns)
     hl = np.fromiter(pairs, np.dtype((np.float64, 2)), len(ns))
     return np.ascontiguousarray(hl[:, 0]), np.ascontiguousarray(hl[:, 1])
 

@@ -36,7 +36,7 @@ from .arcs import choose_parameters
 from .errors import DomainError
 from .expsums import fejer_kernel, prime_exp_sum, sum_freqs, trapezoid
 from .precision import (TWO_PI_I, U, dd_from_mpf, exact_sum, fixed_sum,
-                        fixed_to_float, phase_frac, two_prod, two_sum)
+                        fixed_to_float, phase_frac, pow_mp, two_prod, two_sum)
 from .primes import PrimeTable, SumRange, window_arrays
 
 BOUNDARY_BAND = 1e-14
@@ -129,12 +129,6 @@ class Solutions:
                 self.boundary)
         for row in zip(*(c.tolist() for c in cols)):
             yield SolutionRecord(*row)
-
-
-def _p3_power_mp(p3: int, k: float):
-    if float(k).is_integer():
-        return mp.mpf(int(p3) ** int(k))
-    return mp.power(int(p3), mp.mpf(k))
 
 
 def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag, exact_base=False):
@@ -323,7 +317,7 @@ def iter_solution_chunks(instance: ProblemInstance, X: float, eta: float,
         stop = int(np.searchsorted(a1_up, reach[1], side="right"))
         if start >= stop:
             continue
-        l3p = L3 * _p3_power_mp(int(p3), instance.k)
+        l3p = L3 * pow_mp(p3, instance.k)
         base = dd_from_mpf(l3p - OM)
         exact_base = float(instance.k).is_integer() and (
             sum(map(Fraction, base))
@@ -518,7 +512,7 @@ def main_term_scan(instance: ProblemInstance, X_list,
     for X in X_list:
         d = choose_parameters(instance, X)
         val = solution_integral(instance, X, d.eta, d.major, table)
-        scale = d.eta * d.eta * X ** (1.0 + 1.0 / instance.k)
+        scale = d.main_term_scale
         rows.append(MainTermRow(
             X=float(X), eta=d.eta, major_integral=val,
             expected_scale=scale, ratio=val.real / scale,

@@ -11,7 +11,7 @@ from mpmath import mp
 
 from dhlab import expsums
 from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid,
-                           _cut_windows, _plan_block, chirp_plan, eval_grid, eval_points, eval_taylor,
+                           _cut_windows, chirp_plan, eval_grid, eval_points, eval_taylor,
                            fejer_kernel, fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
@@ -211,25 +211,35 @@ def test_grid_values_at_exact_nodes(table_1e6):
         assert abs(g.values[j] - direct) <= 1e-9 * max(abs(direct), 1.0)
 
 
-def test_grid_blocks_fixed_for_any_row_size(table_1e5):
-    # 9592 terms give rows of 874 points, which do not divide a block; the
-    # blocks stay GRID_BLOCK long and the straddling row is evaluated twice.
-    # Scale sqrt(2) makes the frequencies non-integral, so the chirp-z path
-    # declines them, and the Taylor-grid cost model is pinned to the row
-    # recurrence, which this many terms would otherwise leave
-    rng, scale = SumRange(1, 1e-9, 1e5), math.sqrt(2.0)
+def test_taylor_grid_plan_takes_large_ensembles(table_1e5):
+    # the row recurrence never receives 4,488 terms or more, at any block
+    # size, which bounds its rotation table; the bound is tightest for
+    # blocks just past a power of two, 32,769 of them on 65,536 slots
+    f = sum_freqs("prime", SumRange(1, 1e-9, 1e5), table_1e5,
+                  scale=math.sqrt(2.0))
+    f = tuple(a[:4488] for a in f)
+    assert len(f[0]) == 4488
+    counts = [1, 2, 3, 100, 1024, 1025, 4097, 16385, 32768,
+              *range(32769, 32776), 49153, 65535, 65536]
+    for count in counts:
+        assert taylor_grid_plan(*f, 1e-6, count) is not None, count
+
+
+def test_recurrence_block_edges_match_points(table_1e5):
+    # 1,229 non-integral frequencies: the chirp-z path declines them and
+    # they are too few for the Taylor tables, so the row recurrence serves
+    # the grid; its rows restart at every block edge
+    rng, scale = SumRange(1, 1e-9, 1e4), math.sqrt(2.0)
     f = sum_freqs("prime", rng, table_1e5, scale=scale)
     count = 70000
-    assert len(f[0]) == 9592 and _plan_block(count, 9592) == 874
+    assert len(f[0]) == 1229
     assert chirp_plan(*f, 1e-6, count) is None
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "TAYLOR_GRID_COST", math.inf)
-        assert taylor_grid_plan(*f, 1e-6, count) is None
-        blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
+    assert taylor_grid_plan(*f, 1e-6, count) is None
+    blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
     assert [start for start, _ in blocks] == [0, GRID_BLOCK]
     g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count,
                      values=np.concatenate([b for _, b in blocks]))
-    for j in (65535, 65536, 65537, 74 * 874, 75 * 874):
+    for j in (0, 65535, 65536, 65537, count - 1):
         ah, al = g.alpha_dd(j)
         direct = prime_exp_sum(ah, rng, table_1e5, scale=scale, alpha_lo=al)
         assert abs(g.values[j] - direct) <= 1e-9 * max(abs(direct), 1.0)

@@ -18,10 +18,10 @@ from dhlab.arcs import choose_parameters
 from dhlab.errors import DomainError
 from dhlab.harness import (INTERMEDIATE, ExperimentConfig,
                            run_theorem_experiment)
-from dhlab.precision import dd_from_mpf, two_prod
+from dhlab.precision import dd_from_mpf, pow_mp, two_prod
 from dhlab.primes import SumRange, primes_in_range, sieve, window_arrays
 from dhlab.solver import (BOUNDARY_BAND, Lattice, ProblemInstance,
-                          Solutions, _certify, _dd_residuals, _p3_power_mp,
+                          Solutions, _certify, _dd_residuals,
                           _rounds_alike, duality_tail_bound,
                           enumerate_solutions, level_sums, main_term_scan,
                           solution_integral, weighted_count)
@@ -278,7 +278,7 @@ def test_dd_residual_error_bound(table_1e6, k, lambdas, omega, seed):
     p3 = int(rng.choice(primes[:170]))
     a1, a1_lo = two_prod(l1, p1.astype(np.float64))
     a2, a2_lo = two_prod(l2, p2.astype(np.float64))
-    base = mp.mpf(l3) * _p3_power_mp(p3, k) - mp.mpf(omega)
+    base = mp.mpf(l3) * pow_mp(p3, k) - mp.mpf(omega)
     mag = (abs(l1) + abs(l2)) * float(primes[-1])
     split = dd_from_mpf(base)
     exact_base = float(k).is_integer() and (
