@@ -61,8 +61,8 @@ class Expansion:
         with open(path, "w", newline="") as fh:
             out = csv.writer(fh)
             out.writerow(["index", "a", "q", "residual"])
-            for c in self.convergents:
-                out.writerow([c.index, c.a, c.q, repr(c.residual)])
+            out.writerows((c.index, c.a, c.q, c.residual)
+                          for c in self.convergents)
 
 
 def _residual_exact(num: int, den: int, a: int, q: int) -> float:

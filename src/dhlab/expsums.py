@@ -415,11 +415,10 @@ class TaylorTables:
 
     blocks: tuple[_TaylorBlock, ...]
 
-    def error_bound(self, amax: float, scale: float = 1.0,
-                    alpha_lo: float = 0.0) -> float:
+    def error_bound(self, amax: float, scale: float = 1.0) -> float:
         """Certified bound on |T - S| and on ||T| - |S|| for T =
-        eval_taylor(self, alphas, scale, alpha_lo) at any |alphas| <= amax,
-        where S = sum w_n e(n beta), beta = scale (alpha + alpha_lo) exactly.
+        eval_taylor(self, alphas, scale) at any |alphas| <= amax, where
+        S = sum w_n e(n beta), beta = scale alpha exactly.
 
         With u = 2^-53, gamma_m = m u / (1 - m u), B blocks, and per block
         rho = pi N (1/(2M) + u) <= pi/8 (1 + 2^-40), the bound of |z| =
@@ -440,14 +439,14 @@ class TaylorTables:
                                                    block accumulation
           + 2 pi sum|w| (|n0| + N) x_err           frac(beta) off by x_err
 
-        with x_err = u^2 |scale| amax + 2.01 u |scale alpha_lo|, the error of
-        beta formed as two_prod(scale, alpha) + scale alpha_lo.
+        with x_err = u^2 |scale| amax, the error of beta formed as
+        two_prod(scale, alpha).
         Theorem 24.2 is stated for radix-2 Cooley-Tukey; numpy's pocketfft
         runs radix-4 passes for powers of two, taken to obey it with t
         stages (the property tests check the bound against 50-digit sums).
         """
         R, B = TAYLOR_TERMS, len(self.blocks)
-        x_err = U * U * abs(scale) * amax + 2.01 * U * abs(scale * alpha_lo)
+        x_err = U * U * abs(scale) * amax
         total = 0.0
         for b in self.blocks:
             M = b.table.shape[1]
@@ -498,14 +497,14 @@ def prime_taylor_tables(rng: SumRange, table: PrimeTable) -> TaylorTables:
     return out
 
 
-def eval_taylor(tables: TaylorTables, alphas: np.ndarray, scale: float = 1.0,
-                alpha_lo: float = 0.0) -> np.ndarray:
-    """sum w_n e(n beta) at beta = scale * (alphas + alpha_lo), within
-    tables.error_bound(max|alphas|, scale, alpha_lo).
+def eval_taylor(tables: TaylorTables, alphas: np.ndarray,
+                scale: float = 1.0) -> np.ndarray:
+    """sum w_n e(n beta) at beta = scale * alphas, within
+    tables.error_bound(max|alphas|, scale).
 
-    x = frac(beta) is formed in double-double from two_prod(scale, alpha)
-    plus scale * alpha_lo; per block j = rint(x M), delta = x - j/M (the
-    difference x_hi - j/M is exact), |delta| <= 1/(2M), and
+    x = frac(beta) is formed in double-double from two_prod(scale, alpha);
+    per block j = rint(x M), delta = x - j/M (the difference x_hi - j/M is
+    exact), |delta| <= 1/(2M), and
 
         S_block = e(n0 x + c delta) sum_r F_r(j) z^r,   z = 2 pi i delta h,
 
@@ -514,7 +513,7 @@ def eval_taylor(tables: TaylorTables, alphas: np.ndarray, scale: float = 1.0,
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     bh, bl = two_prod(scale, alphas)
-    xh, xl = two_sum(bh - np.rint(bh), bl + scale * alpha_lo)
+    xh, xl = two_sum(bh - np.rint(bh), bl)
     out = np.zeros(len(alphas), dtype=np.complex128)
     for b in tables.blocks:
         M = b.table.shape[1]

@@ -1,8 +1,11 @@
 """Experiment orchestration: the bound suite, measure sampling, scaling runs.
 
 Every experiment is driven by an ExperimentConfig and a seed, and writes
-CSV rows plus a JSON summary through deterministic formatters: two runs
-with the same config and seed are byte-identical.
+CSV rows plus a JSON summary: two runs with the same config and seed are
+byte-identical.  Each table's row dataclass is its schema (the header is
+its field names, in order) and the csv module formats the cells: str(v),
+which for a float (numpy float64 included) is its shortest round-trip repr,
+and an empty cell for None.
 
 The bound suite evaluates one named check per supporting operation, each
 over its scale sweep, and reports value / bound ratios.  A ratio row passes
@@ -18,7 +21,8 @@ import csv
 import json
 import math
 from collections.abc import Callable
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import (MISSING, asdict, astuple, dataclass, field, fields,
+                         replace)
 from functools import partial
 from typing import NamedTuple
 
@@ -29,19 +33,13 @@ from .diophantine import cube_sequence, find_rational_witness, vaughan_ratio
 from .errors import DhlabError
 from .expsums import (eval_points, eval_taylor, points_error_bound,
                       prime_taylor_tables, sum_freqs)
-from .norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
-                    moment_integral, selberg_integral)
+from .norms import (MomentReport, count_quadruples, exp_sum_gap_l2,
+                    kernel_moment, moment_integral, selberg_integral)
 from .primes import PrimeTable, SumRange, sieve, window_arrays
 from .solver import (ProblemInstance, duality_tail_bound, level_sums,
                      solution_integral)
 
 GROWTH_SLACK_EXP = 0.1  # allowed ratio growth per step: X^0.1
-
-LEMMA_COLUMNS = ["check", "X", "k", "eta", "value", "bound", "ratio",
-                 "growth", "allowed_growth", "status", "note"]
-THEOREM_COLUMNS = ["X", "q", "eta_kind", "eta", "count", "weighted_count",
-                   "min_residual", "p1", "p2", "p3", "duality_gap",
-                   "tail_bound", "status", "note"]
 
 
 @dataclass
@@ -106,7 +104,8 @@ def _check_keys(cls, raw: dict, what: str) -> None:
 
 @dataclass
 class CheckRow:
-    """One (check, X) ratio row of the bound suite."""
+    """One (check, X) ratio row of the bound suite; the fields are the
+    lemmas.csv columns."""
 
     check: str
     X: float
@@ -223,13 +222,16 @@ def _skip(k: float, note: str) -> dict:
                 status="SKIP", note=note)
 
 
+def _from_report(r: MomentReport) -> dict:
+    return dict(k=r.k, eta=r.eta, value=r.value, bound=r.bound, ratio=r.ratio)
+
+
 def _gap_l2(cfg, table, X) -> dict:
     inst = cfg.instance
     rng = inst.power_range(X)
     if _window_empty(rng, table):
         return _skip(inst.k, "empty prime window")
-    r = exp_sum_gap_l2(cfg.gap_y, rng, table)
-    return dict(k=inst.k, eta=None, value=r.value, bound=r.bound, ratio=r.ratio)
+    return _from_report(exp_sum_gap_l2(cfg.gap_y, rng, table))
 
 
 def _selberg_envelope(cfg, table, X) -> dict:
@@ -254,9 +256,8 @@ def _quadruples(cfg, table, X) -> dict:
 
 
 def _moment(p: int, cfg, table, X) -> dict:
-    inst = cfg.instance
-    r = moment_integral("Sk", p, (-cfg.tau, cfg.tau), inst.power_range(X), table)
-    return dict(k=inst.k, eta=None, value=r.value, bound=r.bound, ratio=r.ratio)
+    return _from_report(moment_integral("Sk", p, (-cfg.tau, cfg.tau),
+                                        cfg.instance.power_range(X), table))
 
 
 def _rational_point(cfg, table, X) -> dict:
@@ -287,17 +288,15 @@ def _witness(cfg, table, X) -> dict:
 def _weighted(p: int, cfg, table, X) -> dict:
     inst = cfg.instance
     d = choose_parameters(inst, X)
-    r = kernel_moment(p, inst.lambda3, d.major[1], d.R, d.eta,
-                      inst.power_range(X), table)
-    return dict(k=inst.k, eta=d.eta, value=r.value, bound=r.bound, ratio=r.ratio)
+    return _from_report(kernel_moment(p, inst.lambda3, d.major[1], d.R, d.eta,
+                                      inst.power_range(X), table))
 
 
 def _eighth_moment(cfg, table, X) -> dict:
     rng = SumRange(3.0, cfg.instance.delta, X)
     if _window_empty(rng, table):
         return _skip(3.0, "empty cube window")
-    r = moment_integral("Sk", 8, (0.0, 1.0), rng, table)
-    return dict(k=3.0, eta=None, value=r.value, bound=r.bound, ratio=r.ratio)
+    return _from_report(moment_integral("Sk", 8, (0.0, 1.0), rng, table))
 
 
 def _measure(cfg, table, X) -> dict:
@@ -433,18 +432,27 @@ def run_lemma_suite(config: ExperimentConfig,
 
 @dataclass
 class TheoremRow:
+    """One (X, eta) row of the cube-sequence experiment; the fields are the
+    theorem.csv columns, and their defaults those of a SKIP row."""
+
     X: float
     q: int
-    eta_kind: str
-    eta: float
-    count: int
-    weighted: float
-    min_residual: float | None
-    sample: tuple[int, int, int] | None
-    duality_gap: float | None
-    tail_bound: float | None
-    status: str
+    eta_kind: str = "-"
+    eta: float = math.nan
+    count: int = 0
+    weighted_count: float = 0.0
+    min_residual: float | None = None
+    p1: int | None = None  # (p1, p2, p3): the sample solution, if any
+    p2: int | None = None
+    p3: int | None = None
+    duality_gap: float | None = None
+    tail_bound: float | None = None
+    status: str = "PASS"
     note: str = ""
+
+    @property
+    def sample(self) -> tuple[int, int, int] | None:
+        return None if self.p1 is None else (self.p1, self.p2, self.p3)
 
 
 @dataclass
@@ -476,23 +484,14 @@ def run_theorem_experiment(config: ExperimentConfig,
 
     rows: list[TheoremRow] = []
     min_eta: dict[float, float] = {}
-    note_flags = []
-    if rational:
-        note_flags.append("ratio is rational in double precision")
-    if sign_flag:
-        note_flags.append("coefficients all share a sign")
-    base_note = "; ".join(note_flags)
+    flags = [note for flag, note in (
+        (rational, "ratio is rational in double precision"),
+        (sign_flag, "coefficients all share a sign")) if flag]
 
     for q, X in seq:
         if X < 100:
-            skip_note = "X below parameter floor (100)"
-            if base_note:
-                skip_note = base_note + "; " + skip_note
-            rows.append(TheoremRow(X=float(X), q=q, eta_kind="-", eta=math.nan,
-                                   count=0, weighted=0.0, min_residual=None,
-                                   sample=None, duality_gap=None,
-                                   tail_bound=None, status="SKIP",
-                                   note=skip_note))
+            rows.append(TheoremRow(float(X), q, status="SKIP", note="; ".join(
+                flags + ["X below parameter floor (100)"])))
             continue
         d = choose_parameters(inst, float(X))
         etas = [(f"t*2^{j}", d.eta * 2.0**j) for j in config.eta_grid]
@@ -505,57 +504,41 @@ def run_theorem_experiment(config: ExperimentConfig,
 
         for (kind, eta), count, wsum in sorted(
                 zip(etas, sums.counts, sums.weighted), key=lambda t: t[0][1]):
-            sample = sums.sample if count else None
-            status = "PASS"
-            note = base_note
-            duality_gap = tail = None
+            p1, p2, p3 = sums.sample if count else (None, None, None)
+            row = TheoremRow(float(X), q, eta_kind=kind, eta=eta, count=count,
+                             weighted_count=wsum, min_residual=min_res,
+                             p1=p1, p2=p2, p3=p3, note="; ".join(flags))
             if kind == "t*2^0" and X <= config.duality_max_x:
                 B = 10.0 / eta
                 val = solution_integral(inst, float(X), eta, (-B, B), table,
                                          whole_line=True)
-                duality_gap = abs(val.real - wsum)
-                tail = duality_tail_bound(inst, float(X), B, table)
-                if not duality_gap <= 0.02 * max(wsum, 1e-12) + tail:
-                    status = "FAIL"
-                    note = (note + "; " if note else "") + "duality gap above tolerance"
-            rows.append(TheoremRow(X=float(X), q=q, eta_kind=kind, eta=eta,
-                                   count=count, weighted=wsum,
-                                   min_residual=min_res, sample=sample,
-                                   duality_gap=duality_gap, tail_bound=tail,
-                                   status=status, note=note))
+                gap = row.duality_gap = abs(val.real - wsum)
+                tail = row.tail_bound = duality_tail_bound(inst, float(X), B,
+                                                           table)
+                if not gap <= 0.02 * max(wsum, 1e-12) + tail:
+                    row.status = "FAIL"
+                    row.note = "; ".join(flags + ["duality gap above tolerance"])
+            rows.append(row)
     return TheoremReport(rows=rows, min_eta=min_eta, rational_flag=rational,
                          sign_flag=sign_flag)
 
 
 # ---------------------------------------------------------------------------
-# deterministic writers
+# writers
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(float(v))  # a numpy float64 would print as np.float64(...)
-    return str(v)
+def _write_rows(path, row_type, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow([f.name for f in fields(row_type)])
+        out.writerows(map(astuple, rows))
 
 
 def write_suite_csv(path, report: SuiteReport) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(LEMMA_COLUMNS)
-        for r in report.rows:
-            out.writerow([_fmt(getattr(r, c)) for c in LEMMA_COLUMNS])
+    _write_rows(path, CheckRow, report.rows)
 
 
 def write_theorem_csv(path, report: TheoremReport) -> None:
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(THEOREM_COLUMNS)
-        for r in report.rows:
-            p1, p2, p3 = r.sample if r.sample else ("", "", "")
-            out.writerow([_fmt(r.X), r.q, r.eta_kind, _fmt(r.eta), r.count,
-                          _fmt(r.weighted), _fmt(r.min_residual), p1, p2, p3,
-                          _fmt(r.duality_gap), _fmt(r.tail_bound), r.status,
-                          r.note])
+    _write_rows(path, TheoremRow, report.rows)
 
 
 def summary_dict(config: ExperimentConfig,

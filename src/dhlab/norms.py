@@ -76,12 +76,23 @@ def count_quadruples(N: int, k: float, gamma: float) -> int:
         raise DomainError(f"N must be >= 1, got {N}")
     if not 0 < gamma < math.inf:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    if not 0 < k < math.inf:
+        raise DomainError(f"k must be positive and finite, got {k}")
+    # pair sums below 2^62 keep them and their windows exact in int64;
+    # float sums need room below overflow (2^1024) for the window margins
+    if float(k).is_integer():
+        if k > 61 or 2 * (2 * N) ** int(k) >= 2**62:
+            raise DomainError(f"pair sums of {2 * N}^{k:g} reach 2^62")
+    elif k * math.log2(2 * N) > 1000:
+        raise DomainError(f"pair sums of {2 * N}^{k:g} near float64 overflow")
     vals = _power_values(N, k)
     sums = np.sort((vals[:, None] + vals[None, :]).ravel())
 
     if sums.dtype.kind == "i":
-        # integer sums: |d| < gamma  <=>  |d| <= g with g integral
+        # integer sums: |d| < gamma  <=>  |d| <= g with g integral; no
+        # difference exceeds the span of the sums
         g = int(math.ceil(gamma)) - 1 if float(gamma).is_integer() else int(math.floor(gamma))
+        g = min(g, int(sums[-1] - sums[0]))
         lo = np.searchsorted(sums, sums - g, side="left")
         hi = np.searchsorted(sums, sums + g, side="right")
         return int(np.sum(hi - lo))

@@ -528,6 +528,5 @@ def write_solutions_csv(path, solutions: Solutions) -> None:
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh)
         out.writerow(["p1", "p2", "p3", "residual", "weight"])
-        for p1, p2, p3, res, w in zip(s.p1.tolist(), s.p2.tolist(), s.p3.tolist(),
-                                      s.residual.tolist(), s.weight.tolist()):
-            out.writerow([p1, p2, p3, repr(res), repr(w)])
+        out.writerows(zip(s.p1.tolist(), s.p2.tolist(), s.p3.tolist(),
+                          s.residual.tolist(), s.weight.tolist()))

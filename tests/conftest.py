@@ -1,6 +1,6 @@
-"""Shared fixtures.  BLAS thread pinning must happen before numpy loads:
-the performance acceptance criterion is stated single-threaded, and fixed
-thread counts keep reductions bit-reproducible.
+"""Shared fixtures.  Importing `dhlab` pins BLAS to one thread before
+numpy loads: the performance acceptance criterion is stated
+single-threaded, and fixed thread counts keep reductions bit-reproducible.
 
 The absolute ``src`` directory is prepended to ``PYTHONPATH`` so that CLI
 subprocesses import the same ``dhlab`` as the test process, whatever their
@@ -9,10 +9,6 @@ child's cwd and an uninstalled package would not be found there."""
 
 import os
 from pathlib import Path
-
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(var, "1")
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(

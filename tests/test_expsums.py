@@ -424,22 +424,20 @@ def _windows(draw):
 @settings(max_examples=60, deadline=None)
 @given(window=_windows(), scale=_SCALES,
        block=st.sampled_from([16, 100, 1 << 14]),
-       alphas=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
-       lo_scale=st.floats(-1.0, 1.0))
-def test_taylor_within_certified_bounds(window, scale, block, alphas, lo_scale):
+       alphas=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+def test_taylor_within_certified_bounds(window, scale, block, alphas):
     ns, weights = window
     alphas = np.asarray(alphas)
-    alpha_lo = lo_scale * 2.0**-60 * max(1.0, float(np.max(np.abs(alphas))))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expsums, "TAYLOR_BLOCK", block)  # multi-block windows
         tabs = taylor_tables(ns, weights)
     assert all(b.width <= block for b in tabs.blocks)
     amax = float(np.max(np.abs(alphas)))
     f = _points_ensemble(ns, weights, scale)
-    got = eval_taylor(tabs, alphas, scale, alpha_lo)
-    want = eval_points(*f, alphas, alpha_lo)
-    assert np.all(np.abs(got - want) <= tabs.error_bound(amax, scale, alpha_lo)
-                  + points_error_bound(*f, amax, alpha_lo))
+    got = eval_taylor(tabs, alphas, scale)
+    want = eval_points(*f, alphas)
+    assert np.all(np.abs(got - want) <= tabs.error_bound(amax, scale)
+                  + points_error_bound(*f, amax))
 
 
 @pytest.mark.parametrize("start,span,scale,alpha,alpha_lo", [
@@ -452,13 +450,15 @@ def test_certified_bounds_against_50_digit_sums(start, span, scale, alpha,
                                                 alpha_lo):
     ns = np.arange(start, start + span)
     weights = np.log(ns + 1.0)
-    exact = _mp_sum(ns, weights, scale, alpha, alpha_lo)
+    exact = _mp_sum(ns, weights, scale, alpha, 0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expsums, "TAYLOR_BLOCK", 1000)
         tabs = taylor_tables(ns, weights)
-    t = eval_taylor(tabs, [alpha], scale, alpha_lo)[0]
-    assert abs(t - exact) <= tabs.error_bound(abs(alpha), scale, alpha_lo)
-    assert abs(abs(t) - abs(exact)) <= tabs.error_bound(abs(alpha), scale, alpha_lo)
+    t = eval_taylor(tabs, [alpha], scale)[0]
+    assert abs(t - exact) <= tabs.error_bound(abs(alpha), scale)
+    assert abs(abs(t) - abs(exact)) <= tabs.error_bound(abs(alpha), scale)
+    # eval_points keeps alpha_lo: check its share of the bound exactly
+    exact = _mp_sum(ns, weights, scale, alpha, alpha_lo)
     f = _points_ensemble(ns, weights, scale)
     e = eval_points(*f, [alpha], alpha_lo)[0]
     assert abs(e - exact) <= points_error_bound(*f, abs(alpha), alpha_lo)

@@ -1,8 +1,9 @@
 """Byte-for-byte regression against recorded artifacts.
 
 tests/golden holds `lemmas.csv` of the default config at seed 0,
-`theorem.csv` of the default config (cap 3.5e5) and of the same instance at
-k = 1.5 (cap 1e6) and k = 3 (cap 4.9e6), the `solutions.csv` and
+`theorem.csv` of the default config (cap 3.5e5), of the same instance at
+k = 1.5 (cap 1e6) and k = 3 (cap 4.9e6), and of the sign-flagged
+(1, sqrt 2, 1) at k = 2 (cap 2000), the `solutions.csv` and
 `summary.json` of one `dhlab solve` run, and the JSON that `dhlab cf`
 prints for sqrt 2, `dhlab arcs` for k = 3, X = 1e6 and `dhlab sieve` for
 theta up to 1e5.  A change that moves any byte of them must say why and
@@ -49,6 +50,17 @@ def test_theorem_csv_at_other_k_matches_golden(tmp_path, k, cap, name):
     write_theorem_csv(out, run_theorem_experiment(
         ExperimentConfig(instance=inst, cap=cap)))
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_theorem_csv_with_flags_matches_golden(tmp_path):
+    # (1, sqrt 2, 1): every row carries the sign flag, joined to the floor
+    # note on the SKIP rows; X = 125 and 1728 have duality cells
+    inst = ProblemInstance(1.0, math.sqrt(2.0), 1.0, 2.0, 0.0)
+    out = tmp_path / "theorem.csv"
+    write_theorem_csv(out, run_theorem_experiment(
+        ExperimentConfig(instance=inst, cap=2000.0)))
+    assert (out.read_bytes()
+            == (GOLDEN / "theorem_flags_cap2000.csv").read_bytes())
 
 
 def test_theorem_weighted_count_is_solver_weighted_count():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dhlab import cli
+from dhlab import cli, harness
 from dhlab.expsums import eval_points, sum_freqs
 from dhlab.harness import (CHECKS, ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, sample_large_sum_measure,
@@ -172,6 +173,30 @@ def test_theorem_flags_rational_and_sign():
     assert rep.sign_flag
     notes = " ".join(r.note for r in rep.rows)
     assert "rational" in notes
+
+
+def test_theorem_duality_failure_row(tmp_path, monkeypatch):
+    # W is 0 on this sign-flagged instance; an integral of 1 with no tail
+    # allowance fails each duality row, and its note joins both parts
+    monkeypatch.setattr(harness, "duality_tail_bound", lambda *a: 0.0)
+    monkeypatch.setattr(harness, "solution_integral", lambda *a, **kw: 1.0)
+    cfg = ExperimentConfig(
+        instance=ProblemInstance(1.0, math.sqrt(2.0), 1.0, 2.0, 0.0),
+        cap=2000.0)
+    rep = run_theorem_experiment(cfg)
+    note = "coefficients all share a sign; duality gap above tolerance"
+    fails = [r for r in rep.rows if r.status == "FAIL"]
+    assert [(r.X, r.eta_kind, r.note) for r in fails] == [
+        (125.0, "t*2^0", note), (1728.0, "t*2^0", note)]
+    assert not rep.ok
+    path = tmp_path / "theorem.csv"
+    write_theorem_csv(path, rep)
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["status"] == "FAIL"]
+    assert [(r["X"], r["eta_kind"], r["duality_gap"], r["tail_bound"],
+             r["note"]) for r in rows] == [
+        ("125.0", "t*2^0", "1.0", "0.0", note),
+        ("1728.0", "t*2^0", "1.0", "0.0", note)]
 
 
 def test_theorem_csv_deterministic(tmp_path):
@@ -351,12 +376,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
          ["measure", "--X", "nan", "--z1", "1", "--z2", "1", "--y", "0.1"]),
         ("gamma must be positive and finite, got inf",
          ["quadruples", "--n", "5", "--k", "2", "--gamma", "inf"]),
-    ]
+        ("pair sums of 200^10 reach 2^62",
+         ["quadruples", "--n", "100", "--k", "10", "--gamma", "1e18"]),
+        ("pair sums of 60^14 reach 2^62",
+         ["quadruples", "--n", "30", "--k", "14", "--gamma", "3e18"]),
+    ] + [(f"k must be positive and finite, got {k}",
+          ["quadruples", "--n", "100", "--k", k, "--gamma", "1"])
+         for k in ("-2.0", "nan", "inf")]
     for message, args in refusals:
         code, err = _cli_in_process(["--out", str(tmp_path / "r"), *args],
                                     capsys, monkeypatch)
         assert code == 2, err
         assert message in err and "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
     # a non-finite abscissa, for each pointwise sum
     for kind in ("S", "U", "T"):
         for alpha in ("nan", "inf"):

@@ -93,6 +93,15 @@ def test_quadruples_validation():
     for gamma in (0.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             count_quadruples(3, 2.0, gamma)
+    # k off its domain, and pair sums past 2^62 (int64) or near float64
+    # overflow, refused before the pair sums are formed
+    for N, k in ((100, -2.0), (100, 0.0), (100, math.nan), (100, math.inf),
+                 (100, 10.0), (30, 14.0), (1, 61.0), (3, 1e20), (100, 200.5)):
+        with pytest.raises(DomainError):
+            count_quadruples(N, k, 1.0)
+    # a window wider than every pair difference counts all N^4 quadruples
+    assert count_quadruples(20, 3.0, 1e300) == 20**4
+    assert count_quadruples(1, 60.0, 1.0) == 1
 
 
 def test_moment_orthogonality_diagonal(table_1e6):
