@@ -136,7 +136,12 @@ def expsum_cmd(ctx, kind, k, delta, X, alpha, grid, csv_path):
     parts = grid.split(",")
     if len(parts) != 3:
         raise click.UsageError("--grid wants alpha0,step,count")
-    a0, step, count = _real(parts[0]), _real(parts[1]), int(parts[2])
+    a0, step = _real(parts[0]), _real(parts[1])
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise click.UsageError(f"--grid count must be an integer, got "
+                               f"{parts[2]!r}") from None
     if kind == "T":
         raise click.UsageError("grid evaluation supports kinds S and U")
     g = eval_grid("prime" if kind == "S" else "integer", rng, table,

@@ -135,7 +135,7 @@ def find_rational_witness(lambda_alpha: float, Q: float) -> RationalWitness:
     A candidate is always returned; `meets_dirichlet` records whether the
     1/Q target was met.
     """
-    if Q < 1:
+    if not Q >= 1:  # NaN fails too
         raise DomainError(f"Q must be >= 1, got {Q}")
     best = [c for c in convergents(lambda_alpha, _MAX_DEPTH) if c.q <= Q][-1]
     return RationalWitness(a=best.a, q=best.q, residual=best.residual,

@@ -46,7 +46,6 @@ reference the others are tested against.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,9 +93,9 @@ def fejer_kernel_hat(alpha, eta: float) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# frequency/weight assembly, cached per window: prime ensembles on their
-# PrimeTable, so they live exactly as long as it does; integer ensembles,
-# which need no table, on (window, scale)
+# frequency/weight assembly: prime ensembles are cached on their PrimeTable,
+# so they live exactly as long as it does; integer ensembles, which need no
+# table, are built per call
 
 def sum_freqs(kind: str, rng: SumRange, table: PrimeTable | None = None,
               scale: float = 1.0):
@@ -116,14 +115,10 @@ def sum_freqs(kind: str, rng: SumRange, table: PrimeTable | None = None,
             table.freq_cache[key] = out
         return out
     if kind == "integer":
-        return _integer_freqs(rng, float(scale))
+        ns = integers_in_range(rng)
+        return _assemble_freqs(ns, np.ones(len(ns), dtype=np.float64), rng,
+                               float(scale))
     raise ValueError(f"unknown kind {kind!r}")
-
-
-@functools.lru_cache(maxsize=64)
-def _integer_freqs(rng: SumRange, scale: float):
-    ns = integers_in_range(rng)
-    return _assemble_freqs(ns, np.ones(len(ns), dtype=np.float64), rng, scale)
 
 
 def _assemble_freqs(ns, weights, rng: SumRange, scale: float):
@@ -459,6 +454,15 @@ class TaylorTables:
         return total
 
 
+def _taylor_rows(first, t, R: int) -> np.ndarray:
+    """The R rows first t^r / r!, r < R, each from the one before."""
+    rows = np.empty((R, len(t)))
+    rows[0] = first
+    for r in range(1, R):
+        rows[r] = rows[r - 1] * t / r
+    return rows
+
+
 def taylor_tables(freqs: np.ndarray, weights: np.ndarray) -> TaylorTables:
     """Tables of sum w_n e(n beta) for ascending integer frequencies
     `freqs` (|n| < 2^53) with float weights."""
@@ -471,10 +475,7 @@ def taylor_tables(freqs: np.ndarray, weights: np.ndarray) -> TaylorTables:
         M = 1 << (4 * width - 1).bit_length()
         t = (m - (width - 1) / 2) / (width / 2)
         a = np.zeros((TAYLOR_TERMS, M))
-        col = weights[cut]
-        for r in range(TAYLOR_TERMS):
-            a[r, m] = col
-            col = col * t / (r + 1)
+        a[:, m] = _taylor_rows(weights[cut], t, TAYLOR_TERMS)
         # norm="forward" leaves the inverse unscaled: sum_m a_m e(mj/M)
         table = np.fft.ifft(a, axis=1, norm="forward")
         blocks.append(_TaylorBlock(n0, width, table, w_abs, w_l2))
@@ -877,12 +878,7 @@ def taylor_grid_plan(fh, fl, weights, step: float,
     order = np.argsort(slots, kind="stable")
     slots, delta = slots[order], delta[order]
     firsts = np.flatnonzero(np.diff(slots, prepend=-1))
-    t = 2 * M * delta
-    powers = np.empty((R, n))
-    col = np.ones(n)
-    for r in range(R):
-        powers[r] = col
-        col = col * t / (r + 1)
+    powers = _taylor_rows(1.0, 2 * M * delta, R)
     w = weights[order]
     return TaylorGridPlan(
         step, block, M, fh[order], fl[order], w, delta, powers, slots[firsts],

@@ -12,7 +12,8 @@ transforms to a tent, so over the whole line |S|^p K_eta integrates to a
 finite sum over pairs of frequencies of S^(p/2), for integer k eta times
 the weighted count of equal (p/2)-fold sums of k-th powers.  A finite
 interval takes off a trapezoid head and a tail past hi, summed in closed
-form (p = 2) or estimated by its mean term within a certified bound.
+form (p = 2) or estimated by its mean term within a certified bound,
+which the report carries as its tail_bound.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 @dataclass
 class MomentReport:
     """One moment integral with its comparison bound; ratio = value / bound
-    (inf where the bound is not positive)."""
+    (inf where the bound is not positive).  tail_bound, set by kernel_moment
+    alone, certifies the error of its tail estimate."""
 
     exponent: int
     lo: float
@@ -46,6 +48,7 @@ class MomentReport:
     X: float
     k: float
     eta: float | None = None
+    tail_bound: float | None = None
 
     def __post_init__(self):
         self.ratio = self.value / self.bound if self.bound > 0 else math.inf
@@ -229,24 +232,6 @@ def _kernel_bound(p: int, eta: float, X: float, k: float) -> float:
 _EXACT_TAIL_PAIRS = 1 << 16  # most pairs whose tail terms are summed in closed form
 
 
-def _reflect(lo: float, hi: float) -> tuple[float, float]:
-    """[lo, hi] or its mirror image [-hi, -lo], whichever has |lo| <= hi:
-    the integrand |S(lam a)|^p K_eta(a) is even."""
-    return (-hi, -lo) if hi <= 0 or -lo > hi else (lo, hi)
-
-
-def _kernel_args(p: int, lam: float, lo: float, hi: float, eta: float,
-                 rng: SumRange) -> float:
-    """Validate kernel_moment's arguments; return the comparison bound."""
-    if not 0 < eta < 1:
-        raise DomainError(f"eta must be in (0,1), got {eta}")
-    if not (math.isfinite(lam) and lam != 0):
-        raise DomainError(f"lam must be finite and nonzero, got {lam}")
-    if not (math.isfinite(lo) and lo < hi):
-        raise DomainError(f"need finite lo < hi (hi may be inf), got [{lo}, {hi}]")
-    return _kernel_bound(p, eta, rng.X, rng.k)
-
-
 def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
     """(t, c, whole) for |S(lam a)|^p = |sum c e(t lam a)|^2, S the prime
     sum of `rng`, or None where the sums would pass MAX_GRID_VALUES.
@@ -336,27 +321,6 @@ def _remainder_bound(t, c, lam: float, eta: float, R: float) -> float:
     return total
 
 
-def _tail_by_pairs(p: int, n: int) -> bool:
-    """Whether kernel_moment sums the tail pair by pair: p = 2 with at
-    most _EXACT_TAIL_PAIRS pairs of its n frequencies."""
-    return p == 2 and n * (n - 1) // 2 <= _EXACT_TAIL_PAIRS
-
-
-def kernel_tail_bound(p: int, lam: float, lo: float, hi: float, eta: float,
-                      rng: SumRange, table: PrimeTable) -> float:
-    """Certified bound on the error of kernel_moment's tail estimate for
-    the same arguments: the oscillating remainder past hi (after
-    reflection) that the mean term leaves out.  0 where no tail is
-    estimated: hi = inf, a p = 2 tail summed pair by pair, and the
-    trapezoid fallback."""
-    _kernel_args(p, lam, lo, hi, eta, rng)
-    hi = _reflect(lo, hi)[1]
-    ident = _identity(p, lam, eta, rng, table)
-    if ident is None or hi == math.inf or _tail_by_pairs(p, len(ident[0])):
-        return 0.0
-    return _remainder_bound(*ident[:2], lam, eta, hi)
-
-
 def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
                   rng: SumRange, table: PrimeTable) -> MomentReport:
     """Integral of |S_k(lam * alpha)|^p K_eta(alpha) over [lo, hi], hi
@@ -375,21 +339,30 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
     Head: one trapezoid over [0, |lo|].  Tail: each pair's
     c_i c_j int_hi^inf cos(2 pi lam (t_i - t_j) a) K_eta(a) da in closed
     form (p = 2, up to _EXACT_TAIL_PAIRS pairs), else the mean term sum c^2
-    int_hi^inf K_eta, off by at most kernel_tail_bound.  Where the sums
-    pass MAX_GRID_VALUES, [lo, hi] is one trapezoid instead.  Bad
+    int_hi^inf K_eta, off by at most _remainder_bound, which the report
+    carries as tail_bound (0 where no tail is estimated: hi = inf, a tail
+    summed pair by pair, and the trapezoid fallback).  Where the sums pass
+    MAX_GRID_VALUES, [lo, hi] is one trapezoid instead.  Bad
     arguments, an unsupported p and over-large grids are refused before
     any value is evaluated.
     """
-    bound = _kernel_args(p, lam, lo, hi, eta, rng)
+    if not 0 < eta < 1:
+        raise DomainError(f"eta must be in (0,1), got {eta}")
+    if not (math.isfinite(lam) and lam != 0):
+        raise DomainError(f"lam must be finite and nonzero, got {lam}")
+    if not (math.isfinite(lo) and lo < hi):
+        raise DomainError(f"need finite lo < hi (hi may be inf), got [{lo}, {hi}]")
     X = rng.X
+    bound = _kernel_bound(p, eta, X, rng.k)
     band = X * max(1.0, abs(lam))
     f = sum_freqs("prime", rng, table, scale=lam)
 
     def integrand(alphas, s):
         return np.abs(s) ** p * fejer_kernel(alphas, eta)
 
-    a, b = _reflect(lo, hi)
+    a, b = (-hi, -lo) if hi <= 0 or -lo > hi else (lo, hi)
     ident = _identity(p, lam, eta, rng, table)
+    tail_bound = 0.0
     if ident is None:
         if b == math.inf:
             raise DomainError(f"p = {p} at X = {X} needs the trapezoid, "
@@ -400,13 +373,14 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
         head = trapezoid([f], 0.0, abs(a), band, integrand) if a != 0 else 0.0
         if b == math.inf:
             tail = 0.0
-        elif _tail_by_pairs(p, len(t)):
+        elif p == 2 and len(t) * (len(t) - 1) // 2 <= _EXACT_TAIL_PAIRS:
             i, j = np.triu_indices(len(t), 1)
             T = _cos_tails(lam, [0] + (t[j] - t[i]).tolist(), b, eta)
             tail = math.fsum([math.fsum(c * c) * T[0]]
                              + (2.0 * c[i] * c[j] * T[1:]).tolist())
         else:
             tail = math.fsum(c * c) * _cos_tails(lam, [0], b, eta)[0]
+            tail_bound = _remainder_bound(t, c, lam, eta, b)
         value = 0.5 * whole - math.copysign(head, a) - tail
     return MomentReport(exponent=p, lo=lo, hi=hi, value=value, bound=bound,
-                        X=X, k=rng.k, eta=eta)
+                        X=X, k=rng.k, eta=eta, tail_bound=tail_bound)

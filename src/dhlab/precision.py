@@ -6,8 +6,9 @@ reduction below goes through an error-free two-term (hi/lo) product split,
 which keeps the fractional part accurate to ~1e-16 absolute for phases up
 to ~1e20.  Frequencies that are not exactly representable (p^k for
 non-integer k) are carried as hi/lo pairs computed once in mpmath.
-`fixed_sum` and `exact_sum` sum float64 arrays exactly, so that a total
-does not depend on the order or the chunks in which its terms arrive.
+`fixed_sum` sums float64 arrays exactly, so that a total does not depend
+on the order or the chunks in which its terms arrive; `fixed_to_float`
+rounds it once, to math.fsum's result.
 
 mpmath's global precision is pinned here, at import, to 50 significant
 digits (>= the 30 the boundary and admission contracts require).  Nothing
@@ -163,14 +164,9 @@ def fixed_sum(values) -> int:
 
 
 def fixed_to_float(total: int) -> float:
-    """A fixed_sum result rounded once to float64 (to nearest, ties even)."""
+    """A fixed_sum result rounded once to float64 (to nearest, ties even):
+    math.fsum's result, in any order of the values."""
     return total / (1 << _FIXED_BITS)  # Python's int division rounds correctly
-
-
-def exact_sum(values) -> float:
-    """The exactly rounded sum of float64 values: math.fsum's result, in any
-    order of the values."""
-    return fixed_to_float(fixed_sum(values))
 
 
 def kahan_cumsum(values: np.ndarray) -> np.ndarray:

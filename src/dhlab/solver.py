@@ -35,7 +35,7 @@ from mpmath import mp
 from .arcs import choose_parameters
 from .errors import DomainError
 from .expsums import fejer_kernel, prime_exp_sum, sum_freqs, trapezoid
-from .precision import (TWO_PI_I, U, dd_from_mpf, exact_sum, fixed_sum,
+from .precision import (TWO_PI_I, U, dd_from_mpf, fixed_sum,
                         fixed_to_float, phase_frac, pow_mp, two_prod, two_sum)
 from .primes import PrimeTable, SumRange, window_arrays
 
@@ -55,6 +55,10 @@ class ProblemInstance:
     epsilon: float = 0.01
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "lambda3", "omega"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if 0.0 in (self.lambda1, self.lambda2, self.lambda3):
             raise DomainError("coefficients must be nonzero")
         if not 1.0 < self.k <= 3.0:
@@ -373,9 +377,10 @@ def _within(residual: np.ndarray, weight: np.ndarray, eta: float):
 
 def weighted_count(solutions: Solutions, eta: float) -> float:
     """W = sum of weight * max(0, eta - residual) over the records with
-    residual <= eta, rounded once (precision.exact_sum): the same bits in
-    any record order."""
-    return exact_sum(_within(solutions.residual, solutions.weight, eta)[2])
+    residual <= eta, summed exactly (precision.fixed_sum) and rounded once:
+    the same bits in any record order, and those of level_sums."""
+    terms = _within(solutions.residual, solutions.weight, eta)[2]
+    return fixed_to_float(fixed_sum(terms))
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,13 @@ def test_witness_examples():
     w = find_rational_witness(SQRT2, 12.0)
     assert (w.a, w.q) in ((17, 12), (7, 5))
     assert w.residual <= 1.0 / 12.0
+    # Q = inf takes the deepest convergent; a NaN or sub-1 Q is refused
+    deepest = list(convergents(SQRT2, 40))[-1]
+    w = find_rational_witness(SQRT2, math.inf)
+    assert (w.a, w.q) == (deepest.a, deepest.q)
+    for Q in (math.nan, 0.5, -math.inf):
+        with pytest.raises(DomainError, match="Q must be >= 1"):
+            find_rational_witness(SQRT2, Q)
 
 
 @st.composite

@@ -311,6 +311,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
                                                   "k": 4.0}}, "k must be"),
         "missing": ({"instance": {"k": 2.0, "omega": 0.0}},
                     "missing instance key(s): lambda1, lambda2, lambda3"),
+        "nan_lambda2": ({**MINI.to_json(),
+                         "instance": {**MINI.to_json()["instance"],
+                                      "lambda2": math.nan}},
+                        "lambda2 must be finite, got nan"),
     }
     for name, (blob, message) in cases.items():
         cfgp = tmp_path / f"{name}.json"
@@ -349,6 +353,11 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
                                 "--z1", "1", "--z2", "1", "--y", "0.1"],
         "(> 268435456)": ["moments", "--kind", "S1", "--p", "2", "--k", "1",
                           "--X", "1000", "--lo", "-3000", "--hi", "3000"],
+        # a grid count that is not an integer
+        "count must be an integer, got 'abc'": [
+            "expsum", "--k", "1", "--X", "100", "--grid", "0,1e-3,abc"],
+        "count must be an integer, got '1e3'": [
+            "expsum", "--k", "1", "--X", "100", "--grid", "0,1e-3,1e3"],
     }
     for message, args in flags.items():
         code, err = _cli_in_process(["--out", str(tmp_path / "f"), *args],
@@ -376,6 +385,18 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
          ["measure", "--X", "nan", "--z1", "1", "--z2", "1", "--y", "0.1"]),
         ("gamma must be positive and finite, got inf",
          ["quadruples", "--n", "5", "--k", "2", "--gamma", "inf"]),
+        ("lambda2 must be finite, got nan",
+         ["arcs", "--k", "2", "--X", "1000", "--lambdas", "1,nan,-1"]),
+        ("lambda2 must be finite, got inf",
+         ["solve", "--lambdas", "1,inf,-1", "--k", "2", "--X", "100",
+          "--eta", "0.5"]),
+        ("omega must be finite, got nan",
+         ["solve", "--lambdas", "1,1,-1", "--k", "2", "--omega", "nan",
+          "--X", "100", "--eta", "0.5"]),
+        ("l2 = 1e-310 too small to probe on the integers",
+         ["solve", "--lambdas", "1,1e-310,-1", "--k", "2", "--X", "100",
+          "--eta", "0.5"]),
+        ("Q must be >= 1, got nan", ["cf", "--x", "1", "--witness-q", "nan"]),
         ("pair sums of 200^10 reach 2^62",
          ["quadruples", "--n", "100", "--k", "10", "--gamma", "1e18"]),
         ("pair sums of 60^14 reach 2^62",

@@ -13,7 +13,7 @@ from dhlab.errors import DomainError
 from dhlab.expsums import fejer_kernel, sum_freqs, trapezoid
 from dhlab.harness import ExperimentConfig
 from dhlab.norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
-                         kernel_tail_bound, moment_integral, selberg_integral)
+                         moment_integral, selberg_integral)
 from dhlab.primes import SumRange, theta_many, window_arrays
 
 
@@ -277,8 +277,9 @@ def test_moment_report_json(table_1e6):
     rep = moment_integral("Sk", 2, (-0.1, 0.1), rng, table_1e6)
     blob = rep.to_json()
     assert set(blob) == {"exponent", "lo", "hi", "value", "bound", "ratio",
-                         "X", "k", "eta"}
+                         "X", "k", "eta", "tail_bound"}
     assert blob["exponent"] == 2 and blob["eta"] is None
+    assert blob["tail_bound"] is None
     assert blob["ratio"] == pytest.approx(blob["value"] / blob["bound"])
 
 
@@ -324,14 +325,14 @@ def test_kernel_moment_identity_matches_direct_trapezoid(
     # certified tail remainder plus the trapezoids' own grid error
     lam = sign * min(2.0, eta * lam_over_eta)
     rng = SumRange(k, 0.1, X)
-    got = kernel_moment(p, lam, lo, hi, eta, rng, table_1e6).value
+    rep = kernel_moment(p, lam, lo, hi, eta, rng, table_1e6)
     want = _direct(p, lam, lo, hi, eta, rng, table_1e6)
-    tol = (kernel_tail_bound(p, lam, lo, hi, eta, rng, table_1e6)
+    tol = (rep.tail_bound
            + _trapezoid_gap(p, lam, lo, hi, eta, rng, table_1e6)
            + 1e-12 * abs(want))
-    assert abs(got - want) <= tol
+    assert abs(rep.value - want) <= tol
     if p == 2:
-        assert kernel_tail_bound(p, lam, lo, hi, eta, rng, table_1e6) == 0.0
+        assert rep.tail_bound == 0.0
 
 
 def test_kernel_moment_default_config_matches_direct_trapezoid(table_1e6):
@@ -342,10 +343,12 @@ def test_kernel_moment_default_config_matches_direct_trapezoid(table_1e6):
     rng = inst.power_range(X)
     args = (inst.lambda3, d.major[1], d.R, d.eta, rng, table_1e6)
     for p in (2, 4):
-        got = kernel_moment(p, *args).value
+        rep = kernel_moment(p, *args)
         want = _direct(p, *args)
-        slack = kernel_tail_bound(p, *args) + 1e-9 * want
-        assert abs(got - want) <= slack, (p, got, want)
+        slack = rep.tail_bound + 1e-9 * want
+        assert abs(rep.value - want) <= slack, (p, rep.value, want)
+        # p = 2 sums its tail pair by pair; p = 4 takes the mean term
+        assert (rep.tail_bound > 0.0) == (p == 4)
 
 
 def test_kernel_moment_fourth_whole_line_counts_equal_pair_sums(table_1e6):
@@ -390,7 +393,7 @@ def test_kernel_moment_trapezoid_fallback(table_1e6, monkeypatch):
     args = (SumRange(2.0, 0.1, 1000.0), table_1e6)
     rep = kernel_moment(4, -1.0, 0.01, 6.0, 0.5, *args)
     assert rep.value == _direct(4, -1.0, 0.01, 6.0, 0.5, *args)
-    assert kernel_tail_bound(4, -1.0, 0.01, 6.0, 0.5, *args) == 0.0
+    assert rep.tail_bound == 0.0
     monkeypatch.setattr(expsums, "iter_grid_values", None)
     with pytest.raises(DomainError, match="finite hi"):
         kernel_moment(4, -1.0, 0.01, math.inf, 0.5, *args)
@@ -403,7 +406,8 @@ def test_kernel_moment_infinite_hi_is_exact(table_1e6):
     _, logs = window_arrays(rng, table_1e6)
     eta = 0.4
     for p in (2, 4):
-        assert kernel_tail_bound(p, -1.0, 0.0, math.inf, eta, rng, table_1e6) == 0.0
+        rep = kernel_moment(p, -1.0, 0.0, math.inf, eta, rng, table_1e6)
+        assert rep.tail_bound == 0.0
     half = kernel_moment(2, -1.0, 0.0, math.inf, eta, rng, table_1e6).value
     assert half == pytest.approx(0.5 * eta * math.fsum(logs**2), rel=1e-14)
     rep = kernel_moment(2, -1.0, 0.02, math.inf, eta, rng, table_1e6)

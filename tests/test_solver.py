@@ -186,6 +186,13 @@ def test_instance_validation():
         ProblemInstance(1.0, 1.0, -1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         ProblemInstance(1.0, 1.0, -1.0, 3.5, 0.0)
+    # non-finite coefficients and omega are refused by name
+    for i, name in zip((0, 1, 2, 4), ("lambda1", "lambda2", "lambda3", "omega")):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = [1.0, 1.0, -1.0, 2.0, 0.0]
+            args[i] = bad
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                ProblemInstance(*args)
     assert ProblemInstance(1.0, 1.0, 1.0, 2.0, 0.0).same_sign
 
 
@@ -408,10 +415,12 @@ def test_lattice_interval_wider_than_the_table(table_1e6):
         assert lattice.nd == len(lattice.slot)
         ts = [a1[3] + a2[5], a1[0] + 0.9, a1[-1] - 0.95, a1[7] + 1.0 + a2[-1]]
         _assert_lattice_is_searchsorted(p1s, a1, a2, l2, 1.0, ts, 5)
-    # an l2 whose integer line overflows float64 is refused, not misread
-    with pytest.raises(DomainError):
-        enumerate_solutions(ProblemInstance(1.0, 1e-310, -1.0, 2.0, 0.0),
-                            100.0, 1.0, table_1e6)
+    # a finite l2 whose integer line overflows float64 is refused, not
+    # misread
+    for l2 in (1e-310, -1e-310):
+        inst = ProblemInstance(1.0, l2, -1.0, 2.0, 0.0)
+        with pytest.raises(DomainError, match="too small to probe"):
+            enumerate_solutions(inst, 100.0, 1.0, table_1e6)
 
 
 def test_lattice_slot_table_is_odd_only_int32(table_1e6):
