@@ -13,14 +13,14 @@ of frequencies:
 
   layout     frequencies              evaluator       error bound
   ---------  -----------------------  --------------  --------------------------
-  grid       dense distinct integers  ChirpPlan       ChirpPlan.error_bound
+  grid       dense integers, <= 2^17  ChirpPlan       ChirpPlan.error_bound
   grid       many, any                TaylorGridPlan  TaylorGridPlan.error_bound
   grid       all others               row recurrence  none (spot checks)
   scattered  integers                 eval_taylor     TaylorTables.error_bound
   scattered  any (the reference)      eval_points     points_error_bound
 
-where chirp_plan's cost model decides what is dense and taylor_grid_plan's
-what is many.
+where chirp_plan's cost model decides what is dense, in windows of at
+most CHIRP_SPAN = 2^17 integers, and taylor_grid_plan's what is many.
 
 iter_grid_values serves the three grid rows on the fixed blocks of
 _grid_blocks.  The row recurrence e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d)
@@ -29,10 +29,10 @@ phase of its exact double-double base a0 + r*d, so each value belongs to
 the node a0 + j*d itself and rounding drift never accumulates past a row.
 For integer frequencies dense enough that the FFTs cost less, the chirp-z
 transform (Rabiner, Schafer & Rader, 1969; Bluestein, 1970) turns each
-block of the grid into one convolution.  For ensembles of any frequencies
-large enough that FFTs cost less, TaylorGridPlan expands each block in a
-Taylor series off FFT tables of the frequencies rounded to the grid's
-dual lattice.
+block of the grid into one convolution over the whole window.  For
+ensembles of any frequencies large enough that FFTs cost less,
+TaylorGridPlan expands each block in a Taylor series off FFT tables of
+the frequencies rounded to the grid's dual lattice.
 
 eval_taylor interpolates scattered points off FFT tables (band-limited
 Taylor interpolation: Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996;
@@ -128,11 +128,19 @@ def _assemble_freqs(ns, weights, rng: SumRange, scale: float):
     return fh, fl, weights
 
 
-def _require_finite(alpha: float, alpha_lo: float = 0.0) -> None:
-    # a NaN or infinite abscissa has no phase: refuse it, do not sum NaNs
+def require_phase(alpha: float, alpha_lo: float = 0.0, fh=None) -> None:
+    """Refuse an abscissa alpha (+ alpha_lo) that has no phase: NaN or
+    infinite, or, given frequencies fh, so large that phase_frac's product
+    with one of them overflows (two_prod's Veltkamp split scales each
+    factor by 2^27 + 1), which would sum NaNs."""
     if not (math.isfinite(alpha) and math.isfinite(alpha_lo)):
         lo = f" + {alpha_lo}" if alpha_lo else ""
         raise DomainError(f"alpha must be finite, got {alpha}{lo}")
+    if fh is not None:
+        fmax = float(np.max(np.abs(fh), initial=0.0))
+        p, e = two_prod(fmax, abs(float(alpha)) + abs(float(alpha_lo)))
+        if not (math.isfinite(p) and math.isfinite(e)):
+            raise DomainError(f"alpha {alpha:g} too large for float64 phases")
 
 
 def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
@@ -143,16 +151,16 @@ def prime_exp_sum(alpha: float, rng: SumRange, table: PrimeTable,
     phases far beyond 2^53 keep full fractional accuracy.  `alpha_lo` is an
     optional low-order part of the abscissa for exact two-term inputs.
     """
-    _require_finite(alpha, alpha_lo)
     f = sum_freqs("prime", rng, table, scale)
+    require_phase(alpha, alpha_lo, f[0])
     return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
 
 def integer_exp_sum(alpha: float, rng: SumRange,
                     alpha_lo: float = 0.0) -> complex:
     """Sum of e(n^k * alpha) over integers in the window of `rng`."""
-    _require_finite(alpha, alpha_lo)
     f = sum_freqs("integer", rng)
+    require_phase(alpha, alpha_lo, f[0])
     return complex(eval_points(*f, [alpha], alpha_lo)[0])
 
 
@@ -168,7 +176,7 @@ def integral_exp_sum(alpha: float, rng: SumRange) -> complex:
     through c; it is evaluated at mpmath's 50 digits and rounded once.
     """
     alpha = float(alpha)
-    _require_finite(alpha)
+    require_phase(alpha)
     lo, hi = rng.lo, rng.hi
     if alpha == 0.0:
         return complex(hi - lo)
@@ -244,16 +252,15 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
 
     Every block holds GRID_BLOCK points (the last one the remainder),
     whatever the evaluator, so generators over different ensembles on the
-    same grid yield aligned blocks.  Integer frequencies dense enough for
-    chirp_plan go through its chirp-z convolution; other ensembles large
-    enough for taylor_grid_plan through its Taylor tables; all others
-    through the row recurrence.  Summation order is fixed on every path, so
-    results are reproducible.
+    same grid yield aligned blocks.  Integer frequencies within CHIRP_SPAN
+    and dense enough for chirp_plan go through its chirp-z convolution;
+    other ensembles large enough for taylor_grid_plan through its Taylor
+    tables; all others through the row recurrence.  Summation order is
+    fixed on every path, so results are reproducible.
     """
     _check_budget(fh, alpha0, step, count)
-    plan = chirp_plan(fh, fl, weights, step, count)
-    if plan is None:
-        plan = taylor_grid_plan(fh, fl, weights, step, count)
+    plan = (chirp_plan(fh, fl, weights, step, count)
+            or taylor_grid_plan(fh, fl, weights, step, count))
     if plan is not None:
         yield from plan.blocks(alpha0, count)
         return
@@ -463,6 +470,20 @@ def _taylor_rows(first, t, R: int) -> np.ndarray:
     return rows
 
 
+def _cut_windows(n: np.ndarray, weights: np.ndarray, span: int):
+    """Cut ascending integer frequencies n into windows of equal
+    (n - n[0]) // span, each within span consecutive integers; yield
+    (slice, n0, width, sum |w|, ||w||_2) of each window, in order."""
+    if len(n) == 0:
+        return
+    firsts = np.flatnonzero(np.diff((n - n[0]) // span, prepend=-1))
+    ends = np.append(firsts[1:], len(n))
+    for s, e in zip(firsts.tolist(), ends.tolist()):
+        w = weights[s:e]
+        yield (slice(s, e), int(n[s]), int(n[e - 1] - n[s]) + 1,
+               math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w)))
+
+
 def taylor_tables(freqs: np.ndarray, weights: np.ndarray) -> TaylorTables:
     """Tables of sum w_n e(n beta) for ascending integer frequencies
     `freqs` (|n| < 2^53) with float weights."""
@@ -503,9 +524,9 @@ def eval_taylor(tables: TaylorTables, alphas: np.ndarray,
     """sum w_n e(n beta) at beta = scale * alphas, within
     tables.error_bound(max|alphas|, scale).
 
-    x = frac(beta) is formed in double-double from two_prod(scale, alpha);
-    per block j = rint(x M), delta = x - j/M (the difference x_hi - j/M is
-    exact), |delta| <= 1/(2M), and
+    x = frac(beta) is formed in double-double from two_prod(scale, alpha),
+    both parts reduced mod 1; per block j = rint(x M), delta = x - j/M
+    (x_hi - j/M is exact), |delta| <= 1/(2M), and
 
         S_block = e(n0 x + c delta) sum_r F_r(j) z^r,   z = 2 pi i delta h,
 
@@ -514,7 +535,7 @@ def eval_taylor(tables: TaylorTables, alphas: np.ndarray,
     """
     alphas = np.asarray(alphas, dtype=np.float64)
     bh, bl = two_prod(scale, alphas)
-    xh, xl = two_sum(bh - np.rint(bh), bl)
+    xh, xl = two_sum(bh - np.rint(bh), bl - np.rint(bl))
     out = np.zeros(len(alphas), dtype=np.complex128)
     for b in tables.blocks:
         M = b.table.shape[1]
@@ -533,28 +554,16 @@ def eval_taylor(tables: TaylorTables, alphas: np.ndarray,
 # ---------------------------------------------------------------------------
 # uniform grids of integer frequencies: chirp-z convolution
 
-CHIRP_SPAN = 1 << 16  # max consecutive integers one sub-window spans
-# chirp_plan takes the FFT path when terms * block >= CHIRP_COST * windows *
-# L log2(2L), weighing the recurrence's complex multiply-adds per block
-# against the FFT pair's butterflies.  Fitted from single-threaded timings
-# of both paths over grids of 64 X + 1 points (2-vCPU VM, numpy 2.4): the
-# FFT costs less from a ratio of about 17 on.  269 terms, span 1,722 (ratio
-# 7.5): recurrence 0.009 s vs FFT 0.031 s; 550 terms, span 3,988 (15.3):
-# 0.036 s vs 0.041 s; 862 terms, span 7,471 (23.9): 0.128 s vs 0.070 s;
-# 1,229 terms, span 9,972 (34.1): 0.182 s vs 0.068 s.
+CHIRP_SPAN = 1 << 17  # widest window of consecutive integers chirp_plan takes
+# chirp_plan takes the FFT path when terms * block >= CHIRP_COST * L log2(2L),
+# weighing the recurrence's complex multiply-adds per block against the FFT
+# pair's butterflies.  Fitted from single-threaded timings of both paths
+# over grids of 64 X + 1 points (2-vCPU VM, numpy 2.4): the FFT costs less
+# from a ratio of about 17 on.  269 terms, span 1,722 (ratio 7.5):
+# recurrence 0.009 s vs FFT 0.031 s; 550 terms, span 3,988 (15.3): 0.036 s
+# vs 0.041 s; 862 terms, span 7,471 (23.9): 0.128 s vs 0.070 s; 1,229
+# terms, span 9,972 (34.1): 0.182 s vs 0.068 s.
 CHIRP_COST = 18.0
-
-
-class _ChirpWindow(NamedTuple):
-    n0: int  # first frequency; the window spans n0 .. n0 + width - 1
-    width: int
-    freqs: np.ndarray  # its frequencies n, float64 (exact)
-    slots: np.ndarray  # their offsets m = n - n0, int64
-    weights: np.ndarray
-    m_chirp: np.ndarray  # frac(m^2 d / 2)
-    row: np.ndarray  # e(n0 i d + i^2 d / 2), i < block
-    w_abs: float  # sum |w| over the window
-    w_l2: float  # ||w||_2 over the window
 
 
 @dataclass(frozen=True, eq=False)
@@ -563,40 +572,42 @@ class ChirpPlan:
     frequencies n on a grid of spacing d (Rabiner, Schafer & Rader, IEEE
     Trans. Audio Electroacoust. 17, 1969; Bluestein, ibid. 18, 1970).
 
-    The frequencies are cut into sub-windows of at most CHIRP_SPAN
-    consecutive integers n = n0 + m.  For a block of nodes alpha_i =
-    alpha_s + i d, i < block, m i = (m^2 + i^2 - (i - m)^2) / 2 gives
+    The frequencies n = n0 + m lie in one window of width N <= CHIRP_SPAN
+    consecutive integers.  For a block of nodes alpha_i = alpha_s + i d,
+    i < block, m i = (m^2 + i^2 - (i - m)^2) / 2 gives
 
         S_i = e(n0 i d + i^2 d/2) sum_m a_m b_{i-m},
         a_m = w_m e(n alpha_s + m^2 d/2),   b_k = e(-k^2 d/2),
 
     a linear convolution computed as one FFT and one inverse FFT of length
-    L, the power of two >= width + block - 1.  The transform of b and each
-    sub-window's prefactor row depend on d alone and are kept here.  Arrays
-    hold L, block or a sub-window's term count values; none grows with
-    the width of the window.
+    L, the power of two >= N + block - 1, in place.  The transform of b
+    and the prefactor row depend on d alone and are kept here.  Arrays
+    hold L, block or term count values.
     """
 
     step: float
     block: int  # most points of one block: min(count, GRID_BLOCK)
-    windows: tuple[_ChirpWindow, ...]
+    n0: int  # first frequency; the window spans n0 .. n0 + width - 1
+    width: int
+    freqs: np.ndarray  # the frequencies n, ascending, float64 (exact)
+    slots: np.ndarray  # their offsets m = n - n0, int64
+    weights: np.ndarray
+    m_chirp: np.ndarray  # frac(m^2 d / 2)
+    row: np.ndarray  # e(n0 i d + i^2 d / 2), i < block
     chirp_hat: np.ndarray  # FFT of b_k, k = -(width-1) .. block-1 (mod L)
-    chirp_max: float  # max |chirp_hat|, as computed
 
     def blocks(self, alpha0: float, count: int):
         """Yield (start_index, values) blocks of the sum on alpha0 + j d,
-        j < count, as iter_grid_values does.  Sub-windows are accumulated
-        in ascending order."""
+        j < count, as iter_grid_values does."""
         L = len(self.chirp_hat)
         for start, nb, (sh, sl) in _grid_blocks(alpha0, self.step, count):
-            S = np.zeros(nb, dtype=np.complex128)
-            for w in self.windows:
-                a = np.zeros(L, dtype=np.complex128)
-                ph = phase_frac(w.freqs, 0.0, sh, sl) + w.m_chirp
-                a[w.slots] = w.weights * np.exp(TWO_PI_I * ph)
-                c = np.fft.ifft(np.fft.fft(a) * self.chirp_hat)
-                S += w.row[:nb] * c[:nb]
-            yield start, S
+            a = np.zeros(L, dtype=np.complex128)
+            ph = phase_frac(self.freqs, 0.0, sh, sl) + self.m_chirp
+            a[self.slots] = self.weights * np.exp(TWO_PI_I * ph)
+            np.fft.fft(a, out=a)
+            a *= self.chirp_hat
+            np.fft.ifft(a, out=a)
+            yield start, self.row[:nb] * a[:nb]
 
     def error_bound(self, alpha0: float, count: int) -> float:
         """Certified bound on |G - S| and on ||G| - |S|| for every value G
@@ -606,8 +617,7 @@ class ChirpPlan:
         With u = 2^-53, gamma_m = m u / (1 - m u), g = sqrt(2) gamma_2,
         phi = _fft_rounding(L), amax = |alpha0| + count d, and a phase
         computed within delta turns giving e() within E(delta) = 2 pi
-        (delta + 2u) + 2u (2 pi i theta and exp rounded), per sub-window of
-        width N from n0
+        (delta + 2u) + 2u (2 pi i theta and exp rounded),
 
             e_a = E(u (3 + 10 u (|n0| + N) amax + 2.5 u N^2 d)) + u
                                                      entries w_m e(.) of a
@@ -628,42 +638,39 @@ class ChirpPlan:
 
         (Higham, Thm 24.2, for all three), where beta = max|b-hat| of the
         computed chirp: a 2-norm error r in a's transform reaches c as at
-        most beta r / sqrt(L).  The bound is the sum over sub-windows of
+        most beta r / sqrt(L).  With p = e_p + g (1 + e_p) for the prefactor
+        and its product, the bound is
 
-            (sum|w| + E_c) (e_p + g (1 + e_p)) + E_c
+            (sum|w| + E_c) (p + u (1 + p)) + E_c
           + 2 pi sum|w| (|n0| + N) x_err,   x_err = 5.01 u^2 amax,
 
-        for the prefactor, its product, and the block base alpha_s formed
-        in double-double; plus gamma_W times the sum over the W sub-windows
-        of (1 + g)(1 + e_p)(sum|w| + E_c), for their accumulation and
-        np.abs.
+        where u (1 + p) covers np.abs and x_err the block base alpha_s
+        formed in double-double.
         """
-        d, L = self.step, len(self.chirp_hat)
+        d, L, N, n0 = self.step, len(self.chirp_hat), self.width, abs(self.n0)
+        w = self.weights
+        w_abs, w_l2 = math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w))
         amax = abs(alpha0) + count * d
         x_err = 5.01 * U * U * amax
         phi = _fft_rounding(L)
         g = math.sqrt(2) * higham_gamma(2)
-        beta = self.chirp_max * (1 + 2 * U)
+        beta = float(np.max(np.abs(self.chirp_hat))) * (1 + 2 * U)
 
         def exp_err(delta):
             return 2 * math.pi * (delta + 2 * U) + 2 * U
 
+        e_a = exp_err(U * (3 + 10 * U * (n0 + N) * amax
+                            + 2.5 * U * N * N * d)) + U
         e_b = exp_err(U * (1 + 2.5 * U * L * L * d))
-        total = outputs = 0.0
-        for w in self.windows:
-            n0, N = abs(w.n0), w.width
-            e_a = exp_err(U * (3 + 10 * U * (n0 + N) * amax
-                                + 2.5 * U * N * N * d)) + U
-            e_p = exp_err(U * (3 + 10 * U * n0 * amax
-                                + 2.5 * U * self.block**2 * d))
-            a_l2 = w.w_l2 * (1 + e_a)
-            e_c = (w.w_abs * (e_a + e_b * (1 + e_a))
-                   + a_l2 * math.sqrt(L) * (1 + e_b) * phi
-                   + a_l2 * beta * (1 + phi) * (1 + g) * (2 * phi + g))
-            total += ((w.w_abs + e_c) * (e_p + g * (1 + e_p)) + e_c
-                      + 2 * math.pi * w.w_abs * (n0 + N) * x_err)
-            outputs += (1 + g) * (1 + e_p) * (w.w_abs + e_c)
-        return total + higham_gamma(len(self.windows)) * outputs
+        e_p = exp_err(U * (3 + 10 * U * n0 * amax
+                            + 2.5 * U * self.block**2 * d))
+        a_l2 = w_l2 * (1 + e_a)
+        e_c = (w_abs * (e_a + e_b * (1 + e_a))
+               + a_l2 * math.sqrt(L) * (1 + e_b) * phi
+               + a_l2 * beta * (1 + phi) * (1 + g) * (2 * phi + g))
+        p = e_p + g * (1 + e_p)
+        return ((w_abs + e_c) * (p + U * (1 + p)) + e_c
+                + 2 * math.pi * w_abs * (n0 + N) * x_err)
 
 
 def _exact_integers(fh, fl) -> bool:
@@ -673,52 +680,35 @@ def _exact_integers(fh, fl) -> bool:
                 and np.all(fh == np.rint(fh)))
 
 
-def _cut_windows(n: np.ndarray, weights: np.ndarray, span: int):
-    """Cut ascending integer frequencies n into windows of equal
-    (n - n[0]) // span, each within span consecutive integers; yield
-    (slice, n0, width, sum |w|, ||w||_2) of each window, in order."""
-    if len(n) == 0:
-        return
-    firsts = np.flatnonzero(np.diff((n - n[0]) // span, prepend=-1))
-    ends = np.append(firsts[1:], len(n))
-    for s, e in zip(firsts.tolist(), ends.tolist()):
-        w = weights[s:e]
-        yield (slice(s, e), int(n[s]), int(n[e - 1] - n[s]) + 1,
-               math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w)))
-
-
 def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
     """The chirp-z plan of the grid sum of (fh, fl, weights) over count
-    nodes of spacing `step`, or None where the row recurrence serves:
+    nodes of spacing `step`, or None where another path serves:
     frequencies that are not distinct integers below 2^53 (fl == 0, fh
-    integral), or too sparse for the FFTs to cost less (CHIRP_COST)."""
+    integral), that span more than CHIRP_SPAN consecutive integers, or that
+    are too sparse for the FFTs to cost less (CHIRP_COST)."""
     if len(fh) == 0 or not _exact_integers(fh, fl):
         return None
     order = np.argsort(fh, kind="stable")
     n = fh[order]
-    if np.any(n[1:] == n[:-1]):
+    width = int(n[-1] - n[0]) + 1
+    if width > CHIRP_SPAN or np.any(n[1:] == n[:-1]):
         return None
-    cuts = list(_cut_windows(n, weights[order], CHIRP_SPAN))
-    width = max(c[2] for c in cuts)
     block = min(count, GRID_BLOCK)
     L = 1 << (width + block - 2).bit_length()
-    if len(n) * block < CHIRP_COST * len(cuts) * L * math.log2(2 * L):
+    if len(n) * block < CHIRP_COST * L * math.log2(2 * L):
         return None
+    n0 = int(n[0])
+    m = n - n0
     d2 = 0.5 * step  # exact
     i = np.arange(block, dtype=np.float64)
-    i_chirp = phase_frac(i * i, 0.0, d2)
-    windows = []
-    for cut, n0, width, w_abs, w_l2 in cuts:
-        m = n[cut] - n0
-        row = phase_frac(float(n0), 0.0, *two_prod(i, step)) + i_chirp
-        windows.append(_ChirpWindow(
-            n0, width, n[cut], m.astype(np.int64), weights[order[cut]],
-            phase_frac(m * m, 0.0, d2), np.exp(TWO_PI_I * row), w_abs, w_l2))
+    row = (phase_frac(float(n0), 0.0, *two_prod(i, step))
+           + phase_frac(i * i, 0.0, d2))
     k = np.arange(L, dtype=np.float64)
     k = np.where(k < block, k, k - L)
     chirp_hat = np.fft.fft(np.exp(-TWO_PI_I * phase_frac(k * k, 0.0, d2)))
-    return ChirpPlan(step, block, tuple(windows), chirp_hat,
-                     float(np.max(np.abs(chirp_hat))))
+    return ChirpPlan(step, block, n0, width, n, m.astype(np.int64),
+                     weights[order], phase_frac(m * m, 0.0, d2),
+                     np.exp(TWO_PI_I * row), chirp_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +884,7 @@ def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,
     Values match the pointwise evaluators at the exact nodes alpha0 + j*step
     (see SpectrumGrid.alpha_dd) to well within 1e-9 relative.
     """
-    _require_finite(alpha0)
+    require_phase(alpha0)
     if not (step > 0 and count >= 1):
         raise DomainError(f"grid needs step > 0 and count >= 1, got step "
                           f"{step}, count {count}")

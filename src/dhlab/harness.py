@@ -32,7 +32,7 @@ from .arcs import choose_parameters
 from .diophantine import cube_sequence, find_rational_witness, vaughan_ratio
 from .errors import DhlabError
 from .expsums import (eval_points, eval_taylor, points_error_bound,
-                      prime_taylor_tables, sum_freqs)
+                      prime_taylor_tables, require_phase, sum_freqs)
 from .norms import (MomentReport, count_quadruples, exp_sum_gap_l2,
                     kernel_moment, moment_integral, selberg_integral)
 from .primes import PrimeTable, SumRange, sieve, window_arrays
@@ -159,8 +159,9 @@ def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
     left undecided take eval_points' values and are counted in
     `exact_fallbacks`.
     """
-    if not (y > 0 and Z1 > 0 and Z2 > 0 and samples > 0):
-        raise DhlabError("y, Z1, Z2, samples must all be positive")
+    if not (all(0 < v < math.inf for v in (y, Z1, Z2)) and samples > 0):
+        raise DhlabError(f"y, Z1, Z2 must be positive and finite and samples "
+                         f"positive, got {y}, {Z1}, {Z2}, {samples}")
     rng = np.random.default_rng(seed)
     u = (np.arange(samples) + rng.random(samples)) / samples
     alphas = y * (1.0 + u)  # stratified over [y, 2y]
@@ -171,6 +172,7 @@ def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
     fallbacks = 0
     for scale, Z in ((instance.lambda1, Z1), (instance.lambda2, Z2)):
         f = sum_freqs("prime", lin, table, scale=scale)
+        require_phase(amax, fh=f[0])
         m = np.abs(eval_taylor(tables, alphas, scale))
         tol = tables.error_bound(amax, scale) + points_error_bound(*f, amax)
         near = np.abs(m - Z) <= tol

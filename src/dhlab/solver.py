@@ -135,7 +135,8 @@ class Solutions:
             yield SolutionRecord(*row)
 
 
-def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag, exact_base=False):
+def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag, exact_base=False,
+                  eta=math.inf):
     """Residuals l1 p1 + l2 p2 + base as (r_hi, err, rounded): |R - r_hi| <=
     err, and float(|R|) == |r_hi| where `rounded`.
 
@@ -163,7 +164,8 @@ def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag, exact_base=False):
     omega exactly) and no low-part addition rounds: r_hi + r_lo is then the
     exact residual, so R itself at a tie (54 bits), which two_sum rounded
     half to even as float(R) does; off a tie |r_lo| is 2^-54 half an ulp
-    inside it, far beyond R's 2^-169.
+    inside it, far beyond R's 2^-169.  If also r_lo == 0, R == r_hi and
+    err = 0, checked where |eta - |r_hi|| < 2 err (ties on eta).
     """
     b_hi, b_lo = base
     s1, e1 = two_sum(a1_hi, a2_hi)
@@ -173,11 +175,14 @@ def _dd_residuals(a1_hi, a1_lo, a2_hi, a2_lo, base, mag, exact_base=False):
     err = np.abs(r_lo) + 16.0 * U * U * (mag + abs(b_hi))
     rounded = _rounds_alike(r_hi, err)
     if exact_base:
-        c = np.flatnonzero(~rounded)
-        rounded[c] = ((two_sum(a1_lo[c], a2_lo[c])[1] == 0)
-                      & (two_sum(e1[c], e2[c])[1] == 0)
-                      & (two_sum(b_lo, e1[c] + e2[c])[1] == 0)
-                      & (two_sum(lo_a[c], lo_b[c])[1] == 0))
+        tie = (r_lo == 0) & (np.abs(eta - np.abs(r_hi)) < 2.0 * err)
+        c = np.flatnonzero(~rounded | tie)
+        exact = ((two_sum(a1_lo[c], a2_lo[c])[1] == 0)
+                 & (two_sum(e1[c], e2[c])[1] == 0)
+                 & (two_sum(b_lo, e1[c] + e2[c])[1] == 0)
+                 & (two_sum(lo_a[c], lo_b[c])[1] == 0))
+        rounded[c] |= exact
+        err[c[exact & (r_lo[c] == 0)]] = 0.0
     return r_hi, err, rounded
 
 
@@ -194,14 +199,15 @@ def _certify(r_hi, err, rounded, eta, band_hi, band_lo):
     Where `decided`, admit is |R| <= eta, boundary is
     |R| >= eta - (band_hi + band_lo) on admitted entries, and float(|R|) is
     |r_hi|, for every such R.  Each test demands a margin of twice the
-    uncertainty, which also covers the float64 rounding of the margins.
+    uncertainty (none at err == 0, where R == r_hi), which also covers the
+    float64 rounding of the margins.
     """
     res = np.abs(r_hi)
     gap = eta - res  # exact wherever it is small (Sterbenz)
     over_band = gap - band_hi
-    admit = gap > 0
+    admit = gap >= 0
     band_tol = 2.0 * (err + abs(band_lo) + 2.0 * U * np.abs(gap))
-    decided = (np.abs(gap) > 2.0 * err) & (
+    decided = (np.abs(gap) >= 2.0 * err) & (
         ~admit | (np.abs(over_band) > band_tol) & rounded)
     return admit, over_band <= 0, decided
 
@@ -331,7 +337,8 @@ def iter_solution_chunks(instance: ProblemInstance, X: float, eta: float,
             if len(i) == 0:
                 continue
             r_hi, err, rounded = _dd_residuals(
-                a1[i], a1_lo[i], a2[j], a2_lo[j], base, lin_mag, exact_base)
+                a1[i], a1_lo[i], a2[j], a2_lo[j], base, lin_mag, exact_base,
+                eta)
             admit, boundary, decided = _certify(r_hi, err, rounded, eta,
                                                 band_hi, band_lo)
             res = np.abs(r_hi)

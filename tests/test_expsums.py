@@ -11,8 +11,9 @@ from mpmath import mp
 
 from dhlab import expsums
 from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid,
-                           _cut_windows, chirp_plan, eval_grid, eval_points, eval_taylor,
-                           fejer_kernel, fejer_kernel_hat, integer_exp_sum,
+                           TaylorGridPlan, _cut_windows, chirp_plan,
+                           eval_grid, eval_points, eval_taylor, fejer_kernel,
+                           fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
                            prime_taylor_tables, sum_freqs, taylor_grid_plan,
@@ -425,6 +426,9 @@ def _windows(draw):
 @given(window=_windows(), scale=_SCALES,
        block=st.sampled_from([16, 100, 1 << 14]),
        alphas=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
+# abscissas whose product's low part is itself past 2^53, reduced mod 1 too
+@example(window=(np.arange(2, 300), np.log(np.arange(3.0, 301.0))),
+         scale=math.sqrt(2.0), block=1 << 14, alphas=[1e40, -1e290])
 def test_taylor_within_certified_bounds(window, scale, block, alphas):
     ns, weights = window
     alphas = np.asarray(alphas)
@@ -510,8 +514,8 @@ def test_pow_dd_against_50_digit_powers():
        span=st.sampled_from([1, 7, 1 << 14, 1 << 16]), as_float=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_cut_windows_against_grouping(ns, span, as_float, seed):
-    # the one window cut of the Taylor tables and the chirp plan, against
-    # grouping by (n - n0) // span term by term
+    # the window cut of the Taylor tables against grouping by
+    # (n - n0) // span term by term
     ns = np.sort(np.array(ns, dtype=np.int64))
     w = np.random.default_rng(seed).standard_normal(len(ns))
     groups = {}
@@ -549,23 +553,33 @@ def _grid_ensembles(draw):
        step=st.floats(1e-7, 0.1), count=st.integers(1, 200),
        block=st.sampled_from([7, 48, GRID_BLOCK]),
        span=st.sampled_from([1, 40, 1 << 16]))
+@example(ensemble=("integer", SumRange(3, 0.1, 1e5), -1.0), alpha0=0.3,
+         step=1e-3, count=50, block=7, span=40)
 def test_chirp_grid_within_certified_bounds(table_1e5, ensemble, alpha0, step,
                                             count, block, span):
     kind, rng, scale = ensemble
     f = sum_freqs(kind, rng, table_1e5 if kind == "prime" else None, scale)
     with pytest.MonkeyPatch.context() as patch:
-        # the chirp-z path for every ensemble, in blocks and sub-windows
-        # small enough for the counts and spans drawn here to cross them
+        # the chirp-z path for every ensemble it takes, in blocks small
+        # enough for the counts drawn here to cross them
         patch.setattr(expsums, "CHIRP_COST", 0.0)
         patch.setattr(expsums, "GRID_BLOCK", block)
-        patch.setattr(expsums, "CHIRP_SPAN", span)
         plan = chirp_plan(*f, step, count)
         blocks = list(iter_grid_values(*f, alpha0, step, count))
+        patch.setattr(expsums, "CHIRP_SPAN", span)
+        narrow = chirp_plan(*f, step, count)
     if len(f[0]) == 0:
-        assert plan is None and np.all(np.concatenate(
+        assert plan is None and narrow is None and np.all(np.concatenate(
             [b for _, b in blocks]) == 0)
         return
-    assert all(w.width <= span for w in plan.windows)
+    # chirp declines a window wider than its span, which the Taylor tables
+    # or the row recurrence then serve
+    width = int(np.max(f[0]) - np.min(f[0])) + 1
+    assert (narrow is None) == (width > span)
+    assert (plan is None) == (width > expsums.CHIRP_SPAN)
+    if plan is None:
+        return
+    assert (plan.n0, plan.width) == (int(np.min(f[0])), width)
     assert [s for s, _ in blocks] == list(range(0, count, block))
     got = np.concatenate([b for _, b in blocks])
     amax = abs(alpha0) + count * step
@@ -590,12 +604,15 @@ def test_chirp_bound_against_50_digit_sums(start, span, scale, alpha0, step,
     f = (ns.astype(np.float64), np.zeros(len(ns)), weights)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expsums, "CHIRP_COST", 0.0)
-        if count < GRID_BLOCK:  # several blocks, several sub-windows
+        if count < GRID_BLOCK:  # several blocks
             patch.setattr(expsums, "GRID_BLOCK", 64)
-            patch.setattr(expsums, "CHIRP_SPAN", 100)
         plan = chirp_plan(*f, step, count)
         got = np.concatenate([b for _, b in iter_grid_values(*f, alpha0, step,
                                                              count)])
+        # a span below the window's width sends it off the chirp-z path
+        patch.setattr(expsums, "CHIRP_SPAN", 100)
+        assert (chirp_plan(*f, step, count) is None) == (span > 100)
+    assert plan.width == span and len(plan.chirp_hat) >= span + plan.block - 1
     bound = plan.error_bound(alpha0, count)
     for j in js:
         exact = _mp_sum(ns, weights, 1.0, mp.mpf(alpha0) + j * mp.mpf(step), 0)
@@ -603,15 +620,15 @@ def test_chirp_bound_against_50_digit_sums(start, span, scale, alpha0, step,
         assert abs(abs(got[j]) - abs(exact)) <= bound
 
 
-def test_chirp_path_selection(table_1e5):
+def test_chirp_path_selection(table_1e5, table_1e6):
     from dhlab.harness import ExperimentConfig
-    # criterion 9: 9592 primes over a span of 99,990, two sub-windows
+    # criterion 9: 9592 primes over a span of 99,990, one window of 2^17
     f = sum_freqs("prime", SumRange(1.0, 1e-9, 1e5), table_1e5)
     plan = chirp_plan(*f, 1e-6, 10**6)
-    assert plan is not None and len(plan.windows) == 2
-    assert len(plan.chirp_hat) == 1 << 17
+    assert plan is not None and plan.width == 99990
+    assert len(plan.chirp_hat) == 1 << 18
     bound = plan.error_bound(0.0, 10**6)
-    assert bound <= 1e-11 * plan.windows[0].w_abs
+    assert bound <= 1e-11 * math.fsum(f[2])
     g = eval_grid("prime", SumRange(1.0, 1e-9, 1e5), table_1e5, alpha0=0.0,
                   step=1e-6, count=GRID_BLOCK + 10)
     for j in (0, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 9):
@@ -623,6 +640,11 @@ def test_chirp_path_selection(table_1e5):
         patch.setattr(expsums, "taylor_grid_plan", None)  # any call fails
         start, block = next(iter_grid_values(*f, 0.0, 1e-6, 10**6))
     assert start == 0 and len(block) == GRID_BLOCK
+    # a linear window wider than CHIRP_SPAN (25,567 primes over 297,000
+    # integers) goes to the Taylor tables
+    wide = sum_freqs("prime", SumRange(1.0, 0.01, 3e5), table_1e6)
+    assert len(wide[0]) == 25567 and chirp_plan(*wide, 1e-7, 1 << 20) is None
+    assert isinstance(taylor_grid_plan(*wide, 1e-7, 1 << 20), TaylorGridPlan)
     # the theorem detector's 230-term stream at X = 1728, and the lemma
     # suite's largest ensemble (44 integers), keep the row recurrence
     inst = ExperimentConfig().instance

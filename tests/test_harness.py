@@ -397,6 +397,21 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
          ["solve", "--lambdas", "1,1e-310,-1", "--k", "2", "--X", "100",
           "--eta", "0.5"]),
         ("Q must be >= 1, got nan", ["cf", "--x", "1", "--witness-q", "nan"]),
+        # abscissas whose phases overflow the error-free product
+        ("alpha 1.5e+300 too large", ["expsum", "--kind", "S", "--k", "2",
+                                      "--X", "1e6", "--alpha", "1.5e300"]),
+        ("alpha -1.7e+308 too large", ["expsum", "--kind", "U", "--k", "1",
+                                       "--X", "1e3", "--alpha", "-1.7e308"]),
+        # the sampler's non-finite inputs, and a band whose phases overflow
+        ("must be positive and finite and samples positive, got inf",
+         ["measure", "--X", "1000", "--z1", "10", "--z2", "10", "--y", "inf",
+          "--samples", "100"]),
+        ("must be positive and finite and samples positive, got 0.1, inf",
+         ["measure", "--X", "1000", "--z1", "inf", "--z2", "10", "--y", "0.1",
+          "--samples", "100"]),
+        ("too large for float64 phases",
+         ["measure", "--X", "1000", "--z1", "10", "--z2", "10", "--y", "1e300",
+          "--samples", "100"]),
         ("pair sums of 200^10 reach 2^62",
          ["quadruples", "--n", "100", "--k", "10", "--gamma", "1e18"]),
         ("pair sums of 60^14 reach 2^62",

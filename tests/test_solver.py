@@ -203,8 +203,12 @@ def test_boundary_band_flag(table_1e6):
     hits = [s for s in sols if s.triple == (2, 2, 2)]
     assert len(hits) == 1
     assert hits[0].boundary  # residual == eta within the guard band
-    # every candidate of this instance is a tie, so the fallback decides all
-    assert sols.exact_fallbacks == sols.candidates >= 1
+    # every candidate of this instance is a tie on eta whose double-double
+    # residual is exact, so the fast path decides all, as the oracle does
+    assert sols.exact_fallbacks == 0 and sols.candidates >= 1
+    brute = _by_output_order(brute_force_solutions(inst, 30.0, 0.1, table_1e6))
+    assert [(r.triple, r.residual, r.boundary) for r in sols] == [
+        (t, res, b) for t, res, _, b in brute]
 
 
 def test_cancelling_residual_matches_plain_50_digit_sum(table_1e6):
@@ -339,6 +343,10 @@ def test_certified_decisions_are_exact(eta):
     admit, boundary, decided = _certify(r_hi, err, _rounds_alike(r_hi, err),
                                         eta, band_hi, band_lo)
     assert decided.any() and not decided.all()
+    # err == 0 says R == r_hi: every such nonzero residual is decided, the
+    # ties |R| == eta among them too
+    assert decided[(err == 0) & (r_hi != 0)].all()
+    assert admit[(err == 0) & (np.abs(r_hi) == eta)].all()
     eta_mp = mp.mpf(eta)
     band = mp.mpf(BOUNDARY_BAND) * eta_mp
     for (r_hi, err, critical), a, b, d in zip(cases, admit, boundary, decided):
@@ -352,6 +360,25 @@ def test_certified_decisions_are_exact(eta):
             if a:
                 assert b == (abs(res - eta_mp) <= band)
                 assert abs(r_hi) == float(res)
+
+
+@pytest.mark.parametrize("lambdas, omega, X, eta", [
+    ((1.0, 1.0, -1.0), 0.0, 1e4, 3.0), ((-2.0, 0.5, 1.0), -1.0, 3e4, 1.5)])
+def test_ties_on_eta_decided_on_the_fast_path(table_1e6, lambdas, omega, X,
+                                              eta):
+    # residuals on a lattice of 2^-1: a third of the candidates lie exactly
+    # on eta, where the double-double residual is exact and decides them
+    inst = ProblemInstance(*lambdas, 2.0, omega)
+    sols = enumerate_solutions(inst, X, eta, table_1e6)
+    ties = sols.residual == eta
+    assert sols.exact_fallbacks == 0 and ties.sum() > 1500
+    assert sols.boundary[ties].all() and not sols.boundary[~ties].any()
+    # the same records as the 50-digit oracle, on a window it can afford
+    small = enumerate_solutions(inst, 300.0, eta, table_1e6)
+    brute = _by_output_order(brute_force_solutions(inst, 300.0, eta, table_1e6))
+    assert small.exact_fallbacks == 0 and len(small) == len(brute) > 20
+    assert [(r.triple, r.residual, r.boundary) for r in small] == [
+        (t, res, b) for t, res, _, b in brute]
 
 
 @settings(max_examples=200, deadline=None)
