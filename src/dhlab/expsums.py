@@ -15,7 +15,7 @@ of frequencies:
   ---------  -----------------------  --------------  --------------------------
   grid       dense integers, <= 2^17  ChirpPlan       ChirpPlan.error_bound
   grid       many, any                TaylorGridPlan  TaylorGridPlan.error_bound
-  grid       all others               row recurrence  none (spot checks)
+  grid       all others               row recurrence  recurrence_error_bound
   scattered  integers                 eval_taylor     TaylorTables.error_bound
   scattered  any (the reference)      eval_points     points_error_bound
 
@@ -74,6 +74,12 @@ def _fft_rounding(M: int) -> float:
     t = math.log2(M)
     eta = mu + higham_gamma(4) * (math.sqrt(2) + mu)
     return t * eta / (1 - t * eta)
+
+
+def _exp_err(delta: float) -> float:
+    """Error of a computed e(theta) whose phase is within delta turns:
+    2 pi (delta + 2u) + 2u, with 2 pi i theta and exp rounded."""
+    return 2 * math.pi * (delta + 2 * U) + 2 * U
 
 
 def fejer_kernel(alpha, eta: float) -> float | np.ndarray:
@@ -279,6 +285,60 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
         phases = phase_frac(fh[:, None], fl[:, None], bh[None, :], bl[None, :])
         bases = weights[:, None] * np.exp(TWO_PI_I * phases)
         yield start, (bases.T @ V).ravel()[:nb]
+
+
+def recurrence_error_bound(fh, fl, weights, alpha0: float, step: float,
+                           count: int) -> float:
+    """Certified bound on |G - S| and on ||G| - |S|| for every value G the
+    row recurrence of iter_grid_values yields on alpha0 + j step, j <
+    count, where S = sum w_n e(f_n alpha) at the exact node alpha = alpha0
+    + j step and the frequencies f_n = fh_n + fl_n are taken as exact.
+
+    With u = 2^-53, gamma_m = m u / (1 - m u), g = sqrt(2) gamma_2 (one
+    complex product), f and f_lo the largest |fh| and |fl|, amax = |alpha0|
+    + count step, B = min(RESYNC, count) and a phase computed within delta
+    turns giving e() within E(delta) = 2 pi (delta + 2u) + 2u (_exp_err):
+
+        e_r = E(u (1 + 5 (u f + f_lo) step))
+                          the rotation e(f_n step), phase_frac's phase
+                          error u (1 + 5 L) as in points_error_bound
+        e_V = ((1 + e_r) (1 + g))^(B-1) - 1
+                          V[n, b] = rot^b against e(f_n b step), b < B:
+                          v_b <= v_(b-1) (1 + e_r) (1 + g) + e_r + g (1 +
+                          e_r), v_0 = 0
+        e_B = E(u (1 + 5 (2.01 u f amax + f_lo amax))) (1 + u) + u
+                          the row base w_n e(f_n a_r) at the node a_r in
+                          double-double (|low part| <= u amax), times w_n
+        A = (1 + e_B) (1 + e_V)
+                          the most |base V| / |w_n|
+
+    each value of bases.T @ V is within
+
+        E = sum|w| (A - 1 + (1 + e_B) 2 pi (f + f_lo) x_err)
+          + sqrt(2) gamma_{n+2} sum|w| A,   x_err = 5.01 u^2 amax,
+
+    the last term the n-term complex dot product in any summation order
+    (Higham, Accuracy and Stability, 2nd ed., sec. 3.1) and x_err the row
+    base formed in double-double.  The bound is E + u (sum|w| + E), the
+    last u for np.abs.
+    """
+    n = len(fh)
+    if n == 0:
+        return 0.0
+    w_abs = math.fsum(np.abs(weights))
+    f = float(np.max(np.abs(fh)))
+    f_lo = float(np.max(np.abs(fl)))
+    amax = abs(alpha0) + count * step
+    g = math.sqrt(2) * higham_gamma(2)
+    e_r = _exp_err(U * (1 + 5 * (U * f + f_lo) * step))
+    e_v = ((1 + e_r) * (1 + g)) ** max(0, min(RESYNC, count) - 1) - 1
+    lo_b = 2.01 * U * f * amax + f_lo * amax
+    e_b = _exp_err(U * (1 + 5 * lo_b)) * (1 + U) + U
+    a = (1 + e_b) * (1 + e_v)
+    x_err = 5.01 * U * U * amax
+    e = (w_abs * (a - 1 + (1 + e_b) * 2 * math.pi * (f + f_lo) * x_err)
+         + math.sqrt(2) * higham_gamma(n + 2) * w_abs * a)
+    return e + U * (w_abs + e)
 
 
 def trapezoid_step(lo: float, hi: float, band: float,
@@ -655,15 +715,11 @@ class ChirpPlan:
         phi = _fft_rounding(L)
         g = math.sqrt(2) * higham_gamma(2)
         beta = float(np.max(np.abs(self.chirp_hat))) * (1 + 2 * U)
-
-        def exp_err(delta):
-            return 2 * math.pi * (delta + 2 * U) + 2 * U
-
-        e_a = exp_err(U * (3 + 10 * U * (n0 + N) * amax
-                            + 2.5 * U * N * N * d)) + U
-        e_b = exp_err(U * (1 + 2.5 * U * L * L * d))
-        e_p = exp_err(U * (3 + 10 * U * n0 * amax
-                            + 2.5 * U * self.block**2 * d))
+        e_a = _exp_err(U * (3 + 10 * U * (n0 + N) * amax
+                             + 2.5 * U * N * N * d)) + U
+        e_b = _exp_err(U * (1 + 2.5 * U * L * L * d))
+        e_p = _exp_err(U * (3 + 10 * U * n0 * amax
+                             + 2.5 * U * self.block**2 * d))
         a_l2 = w_l2 * (1 + e_a)
         e_c = (w_abs * (e_a + e_b * (1 + e_a))
                + a_l2 * math.sqrt(L) * (1 + e_b) * phi

@@ -62,7 +62,8 @@ class MomentReport:
 
 def _power_values(N: int, k: float) -> np.ndarray:
     """n**k for n in (N, 2N]: exact int64 when k is integral, else the
-    correctly rounded float64 (computed in 50-digit arithmetic)."""
+    correctly rounded float64 (pow_dd's hi: from integer roots for dyadic
+    k, from one 50-digit power otherwise)."""
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     if float(k).is_integer():
         return ns ** int(k)

@@ -5,7 +5,9 @@ reducing it mod 1 in plain float64 destroys the fractional part.  All phase
 reduction below goes through an error-free two-term (hi/lo) product split,
 which keeps the fractional part accurate to ~1e-16 absolute for phases up
 to ~1e20.  Frequencies that are not exactly representable (p^k for
-non-integer k) are carried as hi/lo pairs computed once in mpmath.
+non-integer k) are carried as hi/lo pairs, each correctly rounded from
+exact integer roots for dyadic k = m / 2^e (1.5, 2.5, 1.25, ...) and
+split from one 50-digit mpmath power for other k.
 `fixed_sum` sums float64 arrays exactly, so that a total does not depend
 on the order or the chunks in which its terms arrive; `fixed_to_float`
 rounds it once, to math.fsum's result.
@@ -16,6 +18,8 @@ else may change it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from mpmath import mp
@@ -87,19 +91,84 @@ def dd_from_mpf(x) -> tuple[float, float]:
     return hi, lo
 
 
+# k = m / 2^e takes nested integer square roots for e <= _ROOT_DEPTH: the
+# radicand n^m 2^(F 2^e) doubles in width with each level, past which one
+# mp.power costs less
+_ROOT_DEPTH = 4
+_DD_BITS = 120  # pow_dd: 2^-121 absolute, below hi/lo's 2^-106 relative
+
+
+def _dyadic(k: float) -> tuple[int, int] | None:
+    """(m, e) with k = m / 2^e, m > 0 and e <= _ROOT_DEPTH, or None."""
+    m, d = float(k).as_integer_ratio()  # d is a power of two
+    e = d.bit_length() - 1
+    return (m, e) if m > 0 and e <= _ROOT_DEPTH else None
+
+
+def _dyadic_root(n: int, m: int, e: int, F: int) -> int:
+    """2 floor(n^(m/2^e) 2^F) + s, s = 0 iff n^(m/2^e) 2^F is that integer.
+
+    floor(sqrt(floor(x))) = floor(sqrt(x)), so e nested math.isqrt of
+    n^m 2^(F 2^e) give the floor; a root past an inexact one is inexact.
+    With s a sticky bit, the result r is within 1 of n^k 2^(F+1) and on
+    it exactly when s = 0, so r rounds to p bits as n^k does whenever r
+    has at least p + 2 bits (F >= p for n >= 1): every rounding
+    boundary is then an even integer, and r is odd unless exact.
+    """
+    r = n**m << (F << e)
+    exact = True
+    for _ in range(e):
+        s = math.isqrt(r)
+        exact = exact and s * s == r
+        r = s
+    return 2 * r + (not exact)
+
+
+def _require_base(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise DomainError(f"n^k at non-integer k needs n >= 1, got {n}")
+    return n
+
+
 def pow_mp(n: int, k: float):
-    """n**k at 50 digits: the exact power for integer k, else mp.power."""
+    """n**k at mpmath's working precision: the exact power for integer k.
+    For dyadic k = m / 2^e with e <= _ROOT_DEPTH, the correctly rounded
+    power, from _dyadic_root at mp.prec fractional bits; for other k,
+    mp.power.  Non-integer k needs n >= 1 (DomainError otherwise)."""
     if float(k).is_integer():
         return mp.mpf(int(n) ** int(k))
-    return mp.power(int(n), mp.mpf(k))
+    n = _require_base(n)
+    me = _dyadic(k)
+    if me is None:
+        return mp.power(n, mp.mpf(k))
+    F = mp.prec
+    return mp.mpf((_dyadic_root(n, *me, F), -(F + 1)))
+
+
+def _root_pairs(ns: np.ndarray, m: int, e: int):
+    """Yield hi/lo of n^(m/2^e) for each n >= 1 of ns from r =
+    _dyadic_root at _DD_BITS fractional bits: hi = r / 2^(_DD_BITS+1),
+    rounded once by Python's int division, and lo the integer remainder r
+    - hi 2^(_DD_BITS+1) (n^k >= 1, so hi's ulp is a multiple of
+    2^-(_DD_BITS+1)), scaled and rounded once."""
+    sh = _DD_BITS + 1
+    scale = 1 << sh
+    for n in ns.tolist():
+        r = _dyadic_root(n, m, e, _DD_BITS)
+        hi = r / scale
+        p, q = hi.as_integer_ratio()  # q a power of two <= 2^52
+        yield hi, (r - (p << sh) // q) / scale
 
 
 def pow_dd(ns, k: float) -> tuple[np.ndarray, np.ndarray]:
     """n**k for each integer n >= 1 of `ns`, as hi/lo float64 arrays.
 
     Integer k: each power split exactly into hi/lo (int64 below 2^62, so
-    lo is 0 below 2^53; Python integers past it).  Other k: pow_mp, split
-    once.
+    lo is 0 below 2^53; Python integers past it).  Dyadic k = m / 2^e,
+    e <= _ROOT_DEPTH: _root_pairs, hi correctly rounded and hi + lo within
+    2^-121 + ulp(lo)/2 of n^k.  Other k: pow_mp, split once.  Non-integer
+    k needs every n >= 1 (DomainError otherwise).
     """
     ns = np.asarray(ns, dtype=np.int64)
     if float(k).is_integer():
@@ -111,7 +180,13 @@ def pow_dd(ns, k: float) -> tuple[np.ndarray, np.ndarray]:
         pairs = ((float(v), float(v - int(float(v))))
                  for v in (int(n) ** k for n in ns))
     else:
-        pairs = (dd_from_mpf(pow_mp(n, k)) for n in ns)
+        if len(ns):
+            _require_base(np.min(ns))
+        me = _dyadic(k)
+        if me is None:
+            pairs = (dd_from_mpf(pow_mp(n, k)) for n in ns)
+        else:
+            pairs = _root_pairs(ns, *me)
     hl = np.fromiter(pairs, np.dtype((np.float64, 2)), len(ns))
     return np.ascontiguousarray(hl[:, 0]), np.ascontiguousarray(hl[:, 1])
 

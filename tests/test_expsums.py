@@ -16,8 +16,9 @@ from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid,
                            fejer_kernel_hat, integer_exp_sum,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
-                           prime_taylor_tables, sum_freqs, taylor_grid_plan,
-                           taylor_tables, trapezoid, trapezoid_step)
+                           prime_taylor_tables, recurrence_error_bound,
+                           sum_freqs, taylor_grid_plan, taylor_tables,
+                           trapezoid, trapezoid_step)
 from dhlab.precision import dd_add, dd_from_mpf, pow_dd, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
@@ -240,10 +241,13 @@ def test_recurrence_block_edges_match_points(table_1e5):
     assert [start for start, _ in blocks] == [0, GRID_BLOCK]
     g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count,
                      values=np.concatenate([b for _, b in blocks]))
+    bound = recurrence_error_bound(*f, 0.3, 1e-6, count)
     for j in (0, 65535, 65536, 65537, count - 1):
         ah, al = g.alpha_dd(j)
         direct = prime_exp_sum(ah, rng, table_1e5, scale=scale, alpha_lo=al)
         assert abs(g.values[j] - direct) <= 1e-9 * max(abs(direct), 1.0)
+        assert abs(g.values[j] - direct) <= bound + points_error_bound(
+            *f, 0.3 + count * 1e-6, al)
 
 
 def test_trapezoid_matches_numpy(table_1e6):
@@ -493,9 +497,10 @@ def test_cubes_past_2_53_against_50_digit_sums(kind):
 def test_pow_dd_against_50_digit_powers():
     # non-integer k: the 50-digit power, split once
     ns = np.array([1, 2, 3, 97, 10**5, 123457, 999983])
-    hi, lo = pow_dd(ns, 2.5)
-    assert list(zip(hi.tolist(), lo.tolist())) == [
-        dd_from_mpf(mp.power(int(n), mp.mpf(2.5))) for n in ns]
+    for k in (1.5, 2.5):
+        hi, lo = pow_dd(ns, k)
+        assert list(zip(hi.tolist(), lo.tolist())) == [
+            dd_from_mpf(mp.power(int(n), mp.mpf(k))) for n in ns]
     # integer k: exact hi/lo splits of n^3, below 2^53 (lo = 0), in a window
     # that straddles it (208063^3 < 2^53 < 208064^3), past it near 2.1e5,
     # and past 2^62, where the int64 powers give way to Python integers
@@ -774,3 +779,56 @@ def test_taylor_grid_path_selection():
         (ah, al), = _grid_nodes(0.9, 1e-6, [j])
         want = eval_points(*f, [ah], al)[0]
         assert abs(block[-1] - want) <= bound + points_error_bound(*f, 1.0, al)
+
+
+# row recurrence against 50-digit sums
+
+@st.composite
+def _recurrence_ensembles(draw):
+    # integers, sqrt(2) multiples, k = 2.5 powers and cubes past 2^53 (with
+    # low parts), on grids whose phases stay within PHASE_BUDGET
+    kind = draw(st.sampled_from(["integer", "sqrt2", "k2.5", "cubes"]))
+    n0 = draw(st.integers(*{"integer": (1, 10**6), "sqrt2": (1, 10**5),
+                            "k2.5": (1, 3 * 10**5),
+                            "cubes": (208_100, 215_000)}[kind]))
+    ns = np.arange(n0, n0 + draw(st.integers(1, 40)))
+    if kind == "integer":
+        fh, fl = ns.astype(np.float64), np.zeros(len(ns))
+    elif kind == "sqrt2":
+        fh, fl = two_prod(ns.astype(np.float64), math.sqrt(2.0))
+    else:
+        fh, fl = pow_dd(ns, 2.5 if kind == "k2.5" else 3.0)
+    weights = draw(st.sampled_from([np.log(ns + 1.0), -np.ones(len(ns))]))
+    return fh, fl, weights
+
+
+@settings(max_examples=40, deadline=None)
+@given(ensemble=_recurrence_ensembles(), reach=st.floats(-1.0, 1.0),
+       width=st.floats(1e-6, 1.0),
+       count=st.integers(1, 2 * expsums.RESYNC + 9), data=st.data())
+@example(ensemble=(np.arange(2.0, 42.0), np.zeros(40),
+                   np.log(np.arange(3.0, 43.0))),
+         reach=0.9, width=1.0, count=2 * expsums.RESYNC + 9, data=None)
+def test_recurrence_bound_against_50_digit_sums(ensemble, reach, width,
+                                                count, data):
+    fh, fl, weights = ensemble
+    # alpha0 and the grid's reach scaled so that |f| amax <= 2^40
+    amax = 2.0**40 / float(np.max(np.abs(fh)))
+    alpha0, step = 0.5 * reach * amax, 0.5 * width * amax / count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "chirp_plan", lambda *args: None)
+        patch.setattr(expsums, "taylor_grid_plan", lambda *args: None)
+        got = np.concatenate([b for _, b in iter_grid_values(
+            fh, fl, weights, alpha0, step, count)])
+    bound = recurrence_error_bound(fh, fl, weights, alpha0, step, count)
+    w_abs = math.fsum(np.abs(weights))
+    assert bound <= 1e-11 * w_abs  # about RESYNC 24 u sum|w|
+    js = {0, count - 1, min(count - 1, expsums.RESYNC - 1),
+          min(count - 1, expsums.RESYNC)}
+    if data is not None:
+        js.add(data.draw(st.integers(0, count - 1)))
+    for j in sorted(js):
+        exact = _mp_freq_sum(fh, fl, weights,
+                             mp.mpf(alpha0) + j * mp.mpf(step))
+        assert abs(got[j] - exact) <= bound
+        assert abs(abs(got[j]) - abs(exact)) <= bound
