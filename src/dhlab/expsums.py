@@ -14,25 +14,24 @@ of frequencies:
   layout     frequencies              evaluator       error bound
   ---------  -----------------------  --------------  --------------------------
   grid       dense integers, <= 2^17  ChirpPlan       ChirpPlan.error_bound
-  grid       many, any                TaylorGridPlan  TaylorGridPlan.error_bound
+  grid       many, any                GaussGridPlan   GaussGridPlan.error_bound
   grid       all others               row recurrence  recurrence_error_bound
   scattered  integers                 eval_taylor     TaylorTables.error_bound
   scattered  any (the reference)      eval_points     points_error_bound
 
 where chirp_plan's cost model decides what is dense, in windows of at
-most CHIRP_SPAN = 2^17 integers, and taylor_grid_plan's what is many.
+most CHIRP_SPAN = 2^17 integers, and gauss_grid_plan's what is many.
 
 iter_grid_values serves the three grid rows on the fixed blocks of
 _grid_blocks.  The row recurrence e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d)
 advances per term along rows of 1024 grid points, each restarted from the
 phase of its exact double-double base a0 + r*d, so each value belongs to
 the node a0 + j*d itself and rounding drift never accumulates past a row.
-For integer frequencies dense enough that the FFTs cost less, the chirp-z
-transform (Rabiner, Schafer & Rader, 1969; Bluestein, 1970) turns each
-block of the grid into one convolution over the whole window.  For
-ensembles of any frequencies large enough that FFTs cost less,
-TaylorGridPlan expands each block in a Taylor series off FFT tables of
-the frequencies rounded to the grid's dual lattice.
+The chirp-z transform (Rabiner, Schafer & Rader, 1969; Bluestein, 1970)
+fills every node one convolution over the window leaves valid.
+GaussGridPlan spreads each block's terms onto an oversampled grid with a
+Gaussian and takes one inverse FFT (Dutt & Rokhlin, 1993; Greengard &
+Lee, 2004).
 
 eval_taylor interpolates scattered points off FFT tables (band-limited
 Taylor interpolation: Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996;
@@ -69,7 +68,8 @@ def _fft_rounding(M: int) -> float:
     """Relative 2-norm error t eta / (1 - t eta) of a computed length-M
     power-of-two FFT, t = log2 M, eta = mu + gamma_4 (sqrt(2) + mu) with
     twiddle error mu = 4u (Higham, Accuracy and Stability, 2nd ed.,
-    Thm 24.2)."""
+    Thm 24.2, stated for radix 2; numpy's pocketfft, radix 4 for powers of
+    two, is taken to obey it, and the tests check against 50-digit sums)."""
     mu = 4 * U
     t = math.log2(M)
     eta = mu + higham_gamma(4) * (math.sqrt(2) + mu)
@@ -259,14 +259,14 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
     Every block holds GRID_BLOCK points (the last one the remainder),
     whatever the evaluator, so generators over different ensembles on the
     same grid yield aligned blocks.  Integer frequencies within CHIRP_SPAN
-    and dense enough for chirp_plan go through its chirp-z convolution;
-    other ensembles large enough for taylor_grid_plan through its Taylor
-    tables; all others through the row recurrence.  Summation order is
+    and dense enough for chirp_plan go through its chirp-z convolutions;
+    other ensembles large enough for gauss_grid_plan through its Gaussian
+    gridding; all others through the row recurrence.  Summation order is
     fixed on every path, so results are reproducible.
     """
     _check_budget(fh, alpha0, step, count)
     plan = (chirp_plan(fh, fl, weights, step, count)
-            or taylor_grid_plan(fh, fl, weights, step, count))
+            or gauss_grid_plan(fh, fl, weights, step, count))
     if plan is not None:
         yield from plan.blocks(alpha0, count)
         return
@@ -276,9 +276,9 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
     V[:, 0] = 1.0
     for b in range(1, B):
         np.multiply(V[:, b - 1], rot, out=V[:, b])
-    # taylor_grid_plan takes every ensemble of 4,488 terms or more, so V
-    # holds at most 4,487 x RESYNC values (73 MB); rows start at the first
-    # node of their block, every B nodes
+    # gauss_grid_plan takes 418 terms or more on full blocks, so V holds
+    # at most 417 x RESYNC values (6.7 MB), 835 x RESYNC (13 MB) on blocks
+    # of 32,769 nodes; rows start every B nodes from their block's first
     for start, nb, _ in _grid_blocks(alpha0, step, count):
         r = np.arange(start, start + nb, B, dtype=np.float64)
         bh, bl = _node(alpha0, step, r)
@@ -503,9 +503,6 @@ class TaylorTables:
 
         with x_err = u^2 |scale| amax, the error of beta formed as
         two_prod(scale, alpha).
-        Theorem 24.2 is stated for radix-2 Cooley-Tukey; numpy's pocketfft
-        runs radix-4 passes for powers of two, taken to obey it with t
-        stages (the property tests check the bound against 50-digit sums).
         """
         R, B = TAYLOR_TERMS, len(self.blocks)
         x_err = U * U * abs(scale) * amax
@@ -519,15 +516,6 @@ class TaylorTables:
                       + b.w_abs * er * higham_gamma(8 * R + 64 + B)
                       + 2 * math.pi * b.w_abs * (abs(b.n0) + b.width) * x_err)
         return total
-
-
-def _taylor_rows(first, t, R: int) -> np.ndarray:
-    """The R rows first t^r / r!, r < R, each from the one before."""
-    rows = np.empty((R, len(t)))
-    rows[0] = first
-    for r in range(1, R):
-        rows[r] = rows[r - 1] * t / r
-    return rows
 
 
 def _cut_windows(n: np.ndarray, weights: np.ndarray, span: int):
@@ -555,8 +543,12 @@ def taylor_tables(freqs: np.ndarray, weights: np.ndarray) -> TaylorTables:
         m = freqs[cut] - n0
         M = 1 << (4 * width - 1).bit_length()
         t = (m - (width - 1) / 2) / (width / 2)
+        rows = np.empty((TAYLOR_TERMS, len(m)))  # w_m t_m^r / r!
+        rows[0] = weights[cut]
+        for r in range(1, TAYLOR_TERMS):
+            rows[r] = rows[r - 1] * t / r
         a = np.zeros((TAYLOR_TERMS, M))
-        a[:, m] = _taylor_rows(weights[cut], t, TAYLOR_TERMS)
+        a[:, m] = rows
         # norm="forward" leaves the inverse unscaled: sum_m a_m e(mj/M)
         table = np.fft.ifft(a, axis=1, norm="forward")
         blocks.append(_TaylorBlock(n0, width, table, w_abs, w_l2))
@@ -615,11 +607,11 @@ def eval_taylor(tables: TaylorTables, alphas: np.ndarray,
 # uniform grids of integer frequencies: chirp-z convolution
 
 CHIRP_SPAN = 1 << 17  # widest window of consecutive integers chirp_plan takes
-# chirp_plan takes the FFT path when terms * block >= CHIRP_COST * L log2(2L),
-# weighing the recurrence's complex multiply-adds per block against the FFT
-# pair's butterflies.  Fitted from single-threaded timings of both paths
-# over grids of 64 X + 1 points (2-vCPU VM, numpy 2.4): the FFT costs less
-# from a ratio of about 17 on.  269 terms, span 1,722 (ratio 7.5):
+# chirp_plan takes the FFT path when terms * P >= CHIRP_COST * L log2(2L),
+# weighing the recurrence's complex multiply-adds per convolution against
+# the FFT pair's butterflies.  Fitted from single-threaded timings of both
+# paths over grids of 64 X + 1 points (2-vCPU VM, numpy 2.4): the FFT costs
+# less from a ratio of about 17 on.  269 terms, span 1,722 (ratio 7.5):
 # recurrence 0.009 s vs FFT 0.031 s; 550 terms, span 3,988 (15.3): 0.036 s
 # vs 0.041 s; 862 terms, span 7,471 (23.9): 0.128 s vs 0.070 s; 1,229
 # terms, span 9,972 (34.1): 0.182 s vs 0.068 s.
@@ -633,41 +625,51 @@ class ChirpPlan:
     Trans. Audio Electroacoust. 17, 1969; Bluestein, ibid. 18, 1970).
 
     The frequencies n = n0 + m lie in one window of width N <= CHIRP_SPAN
-    consecutive integers.  For a block of nodes alpha_i = alpha_s + i d,
-    i < block, m i = (m^2 + i^2 - (i - m)^2) / 2 gives
+    consecutive integers.  For the nodes alpha_i = alpha_s + i d, i < P,
+    m i = (m^2 + i^2 - (i - m)^2) / 2 gives
 
         S_i = e(n0 i d + i^2 d/2) sum_m a_m b_{i-m},
         a_m = w_m e(n alpha_s + m^2 d/2),   b_k = e(-k^2 d/2),
 
-    a linear convolution computed as one FFT and one inverse FFT of length
-    L, the power of two >= N + block - 1, in place.  The transform of b
-    and the prefactor row depend on d alone and are kept here.  Arrays
-    hold L, block or term count values.
-    """
+    a linear convolution by one FFT and one inverse FFT of length L,
+    valid for every i < P = min(count, L - N + 1).  Convolution s starts
+    from its own base alpha_s = alpha0 + s P d in double-double, and
+    blocks() cuts the nodes into the blocks of _grid_blocks.  The
+    transform of b and the prefactor row depend on d alone, kept here."""
 
     step: float
-    block: int  # most points of one block: min(count, GRID_BLOCK)
+    nodes: int  # P
     n0: int  # first frequency; the window spans n0 .. n0 + width - 1
     width: int
     freqs: np.ndarray  # the frequencies n, ascending, float64 (exact)
     slots: np.ndarray  # their offsets m = n - n0, int64
     weights: np.ndarray
     m_chirp: np.ndarray  # frac(m^2 d / 2)
-    row: np.ndarray  # e(n0 i d + i^2 d / 2), i < block
-    chirp_hat: np.ndarray  # FFT of b_k, k = -(width-1) .. block-1 (mod L)
+    row: np.ndarray  # e(n0 i d + i^2 d / 2), i < P
+    chirp_hat: np.ndarray  # FFT of b_k, k = -(width-1) .. P-1 (mod L)
 
     def blocks(self, alpha0: float, count: int):
         """Yield (start_index, values) blocks of the sum on alpha0 + j d,
         j < count, as iter_grid_values does."""
-        L = len(self.chirp_hat)
-        for start, nb, (sh, sl) in _grid_blocks(alpha0, self.step, count):
-            a = np.zeros(L, dtype=np.complex128)
-            ph = phase_frac(self.freqs, 0.0, sh, sl) + self.m_chirp
-            a[self.slots] = self.weights * np.exp(TWO_PI_I * ph)
-            np.fft.fft(a, out=a)
-            a *= self.chirp_hat
-            np.fft.ifft(a, out=a)
-            yield start, self.row[:nb] * a[:nb]
+        P = self.nodes
+        a = np.empty(len(self.chirp_hat), dtype=np.complex128)
+        held = -1  # the first node of the convolution in a
+        for start, nb, _ in _grid_blocks(alpha0, self.step, count):
+            out = np.empty(nb, dtype=np.complex128)
+            for s in range(start - start % P, start + nb, P):
+                if s != held:  # the convolution from base node s
+                    a[:] = 0
+                    ph = phase_frac(self.freqs, 0.0, *_node(
+                        alpha0, self.step, float(s))) + self.m_chirp
+                    a[self.slots] = self.weights * np.exp(TWO_PI_I * ph)
+                    np.fft.fft(a, out=a)
+                    a *= self.chirp_hat
+                    np.fft.ifft(a, out=a)
+                    held = s
+                lo, hi = max(start, s), min(start + nb, s + P)
+                np.multiply(self.row[lo - s : hi - s], a[lo - s : hi - s],
+                            out=out[lo - start : hi - start])
+            yield start, out
 
     def error_bound(self, alpha0: float, count: int) -> float:
         """Certified bound on |G - S| and on ||G| - |S|| for every value G
@@ -682,7 +684,7 @@ class ChirpPlan:
             e_a = E(u (3 + 10 u (|n0| + N) amax + 2.5 u N^2 d)) + u
                                                      entries w_m e(.) of a
             e_b = E(u (1 + 2.5 u L^2 d))             entries of b
-            e_p = E(u (3 + 10 u |n0| amax + 2.5 u block^2 d))
+            e_p = E(u (3 + 10 u |n0| amax + 2.5 u P^2 d))
                                                      the prefactor
 
         (phase_frac's phase error u (1 + 5 lo), as in points_error_bound),
@@ -704,8 +706,8 @@ class ChirpPlan:
             (sum|w| + E_c) (p + u (1 + p)) + E_c
           + 2 pi sum|w| (|n0| + N) x_err,   x_err = 5.01 u^2 amax,
 
-        where u (1 + p) covers np.abs and x_err the block base alpha_s
-        formed in double-double.
+        where u (1 + p) covers np.abs and x_err the convolution's base
+        alpha_s formed in double-double.
         """
         d, L, N, n0 = self.step, len(self.chirp_hat), self.width, abs(self.n0)
         w = self.weights
@@ -719,7 +721,7 @@ class ChirpPlan:
                              + 2.5 * U * N * N * d)) + U
         e_b = _exp_err(U * (1 + 2.5 * U * L * L * d))
         e_p = _exp_err(U * (3 + 10 * U * n0 * amax
-                             + 2.5 * U * self.block**2 * d))
+                             + 2.5 * U * self.nodes**2 * d))
         a_l2 = w_l2 * (1 + e_a)
         e_c = (w_abs * (e_a + e_b * (1 + e_a))
                + a_l2 * math.sqrt(L) * (1 + e_b) * phi
@@ -741,7 +743,9 @@ def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
     nodes of spacing `step`, or None where another path serves:
     frequencies that are not distinct integers below 2^53 (fl == 0, fh
     integral), that span more than CHIRP_SPAN consecutive integers, or that
-    are too sparse for the FFTs to cost less (CHIRP_COST)."""
+    are too sparse for the FFTs to cost less (CHIRP_COST).  L is the power
+    of two >= width, up to the least >= width + min(count, GRID_BLOCK) - 1,
+    of least FFT work ceil(count / P) L log2(2L)."""
     if len(fh) == 0 or not _exact_integers(fh, fl):
         return None
     order = np.argsort(fh, kind="stable")
@@ -749,187 +753,183 @@ def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
     width = int(n[-1] - n[0]) + 1
     if width > CHIRP_SPAN or np.any(n[1:] == n[:-1]):
         return None
-    block = min(count, GRID_BLOCK)
-    L = 1 << (width + block - 2).bit_length()
-    if len(n) * block < CHIRP_COST * L * math.log2(2 * L):
+    top = (width + min(count, GRID_BLOCK) - 2).bit_length()
+    L = min((1 << e for e in range((width - 1).bit_length(), top + 1)),
+            key=lambda L: -(-count // min(count, L - width + 1))
+            * L * math.log2(2 * L))
+    P = min(count, L - width + 1)
+    if len(n) * P < CHIRP_COST * L * math.log2(2 * L):
         return None
     n0 = int(n[0])
     m = n - n0
     d2 = 0.5 * step  # exact
-    i = np.arange(block, dtype=np.float64)
+    i = np.arange(P, dtype=np.float64)
     row = (phase_frac(float(n0), 0.0, *two_prod(i, step))
            + phase_frac(i * i, 0.0, d2))
     k = np.arange(L, dtype=np.float64)
-    k = np.where(k < block, k, k - L)
+    k = np.where(k < P, k, k - L)
     chirp_hat = np.fft.fft(np.exp(-TWO_PI_I * phase_frac(k * k, 0.0, d2)))
-    return ChirpPlan(step, block, n0, width, n, m.astype(np.int64),
+    return ChirpPlan(step, P, n0, width, n, m.astype(np.int64),
                      weights[order], phase_frac(m * m, 0.0, d2),
                      np.exp(TWO_PI_I * row), chirp_hat)
 
 
 # ---------------------------------------------------------------------------
-# uniform grids of any frequencies: Taylor series off FFT tables
+# uniform grids of any frequencies: Gaussian gridding
 
-TAYLOR_GRID_TERMS = 24  # R: truncation <= sum|w| (pi/2)^R / R! e^(pi/2) ~ 4e-19 sum|w|
-# taylor_grid_plan takes the table path when terms * block >= TAYLOR_GRID_COST
-# * R M log2(2M), weighing the recurrence's complex multiply-adds per block
-# against R inverse FFTs of length M.  Fitted from single-threaded timings of
-# both paths over 2^18 nodes of step 1e-6 of sqrt(2) p (2-vCPU VM, numpy
-# 2.4), where the two meet near 2,250 terms: 1,229 terms, recurrence 0.129 s
-# vs tables 0.240 s; 2,262: 0.246 s vs 0.246 s; 5,133: 0.479 s vs 0.201 s;
-# 9,592: 0.749 s vs 0.206 s.  On grids of a few thousand nodes the tables
-# win from about 100 terms on (1,024 nodes, 109 terms: 3.6 ms vs 1.3 ms),
-# so there the model errs towards the recurrence, where both cost
-# milliseconds.
-TAYLOR_GRID_COST = 5.5
+GAUSS_SIGMA = 4  # sigma: a power of two; deconvolution below e^(pi^2 b / 64)
+GAUSS_B = 4.5  # b: aliasing sum|w| e^(-pi^2 b (1 - 1/sigma)) ~ 7e-15 sum|w|
+GAUSS_SPREAD = 12  # m: the tail past m bins, deconvolved, ~ 1e-15 sum|w|
+GAUSS_CHUNK = 1 << 9  # terms spread at once: work arrays of 512 x (2m+1)
+# gauss_grid_plan takes the Gaussian path when terms * block >= GAUSS_COST *
+# Mr log2(2 Mr), fitted from single-threaded timings over 2^18 nodes of step
+# 1e-6 of sqrt(2) p (2-vCPU VM, numpy 2.4): 230 terms, recurrence 0.026 s vs
+# Gaussian 0.063 s; 400: 0.035 vs 0.046 s; 500: 0.049 vs 0.039 s; 5,000:
+# 0.52 vs 0.053 s.  On 4,096 nodes Gaussian wins from 100 terms (3.7/0.8 ms).
+GAUSS_COST = 5.5
 
 
 @dataclass(frozen=True, eq=False)
-class TaylorGridPlan:
-    """Taylor-series evaluation of sum w_n e(f_n alpha) on a grid of
-    spacing d, for any real frequencies f_n = fh_n + fl_n (the type-1
-    counterpart of eval_taylor: Anderson & Dahleh, SIAM J. Sci. Comput. 17,
-    1996; cf. Dutt & Rokhlin, ibid. 14, 1993).
+class GaussGridPlan:
+    """Gaussian gridding of sum w_n e(f_n alpha) on a grid of spacing d,
+    for any real frequencies f_n = fh_n + fl_n: a type-1 nonuniform FFT
+    (Dutt & Rokhlin, SIAM J. Sci. Comput. 14, 1993; Greengard & Lee, SIAM
+    Rev. 46, 2004).  With x_n = frac(f_n d) in double-double, N the power
+    of two >= min(count, GRID_BLOCK) and >= 8, h = N/2 and k = j - h, a
+    block of nodes alpha_s + j d, j < N, is
 
-    With x_n = frac(f_n d) in double-double, m_n = rint(x_n M), delta_n =
-    x_n - m_n/M and t_n = 2 M delta_n in [-1, 1], a block of J nodes
-    alpha_s + j d, j < J, centre c = (J-1)/2, gives
+        S_j = sum_n c_n e(k x_n),   c_n = w_n e(f_n alpha_s + x_n h).
 
-        S_j = sum_r z_j^r F_r(j),   z_j = 2 pi i (j - c) / (2M),
-        F_r(j) = sum_m e(m j / M) sum_{m_n = m} c_n t_n^r / r!,
-        c_n = w_n e(f_n alpha_s + delta_n c),
-
-    one inverse FFT of length M (the power of two >= block) per table row,
-    summed by Horner one row at a time, |z_j t_n| <= pi/2.  The terms are
-    held in ascending slot order m_n mod M with their R powers t_n^r / r!;
-    no array grows with the grid or holds terms x nodes values.
-    """
+    Each c_n is spread onto the 2m+1 bins q (mod Mr = sigma N) nearest
+    Mr x_n with weight phi(q - Mr x_n), phi(v) = (pi b)^(-1/2) e^(-v^2/b),
+    and np.bincount sums the bins, GAUSS_CHUNK terms at a time in bin
+    order.  One inverse FFT gives G, and by Poisson summation S_j =
+    G[k mod Mr] e^(pi^2 b k^2 / Mr^2), up to aliasing and the tail."""
 
     step: float
-    block: int  # most points of one block: min(count, GRID_BLOCK)
-    size: int  # M
+    size: int  # N
     freq_hi: np.ndarray
     freq_lo: np.ndarray
     weights: np.ndarray
-    delta: np.ndarray  # delta_n
-    powers: np.ndarray  # (R, terms): t_n^r / r!
-    slots: np.ndarray  # the occupied slots m mod M, ascending
-    firsts: np.ndarray  # each occupied slot's first term
-    slot_terms: int  # most terms in one slot
-    w_abs: float
-    w_l2: float
+    shift: np.ndarray  # frac(x_n h)
+    centre: np.ndarray  # rint(Mr x_n) mod Mr, int64, ascending
+    offset: np.ndarray  # Mr x_n - rint(Mr x_n)
+    bin_terms: int  # K: the most terms whose windows share a bin
 
     def blocks(self, alpha0: float, count: int):
         """Yield (start_index, values) blocks of the sum on alpha0 + j d,
         j < count, as iter_grid_values does."""
-        M = self.size
-        bins = np.zeros(M, dtype=np.complex128)
+        m, Mr, h = GAUSS_SPREAD, GAUSS_SIGMA * self.size, self.size // 2
+        span, b = np.arange(2 * m + 1), GAUSS_B
+        deconv = np.exp((math.pi**2 * b / Mr**2) * np.square(np.arange(
+            -h, self.size - h, 1.0))) / math.sqrt(math.pi * b)  # phi's norm
+        ext = np.empty(Mr + 2 * m, dtype=np.complex128)  # bins -m .. Mr+m-1
+        grid = ext[m : m + Mr]
         for start, nb, (sh, sl) in _grid_blocks(alpha0, self.step, count):
-            c = (nb - 1) / 2
-            ph = phase_frac(self.freq_hi, self.freq_lo, sh, sl)
-            coef = self.weights * np.exp(TWO_PI_I * (ph + self.delta * c))
-            z = 1j * ((math.pi / M) * (np.arange(nb) - c))
-            S = None
-            for r in range(TAYLOR_GRID_TERMS - 1, -1, -1):
-                a = coef * self.powers[r]
-                bins[self.slots] = np.add.reduceat(a, self.firsts)
-                # norm="forward" leaves the inverse unscaled: sum_m b_m e(mj/M)
-                F = np.fft.ifft(bins, norm="forward")[:nb]
-                if S is None:
-                    S = F
-                else:
-                    S *= z
-                    S += F
-            yield start, S
+            ph = phase_frac(self.freq_hi, self.freq_lo, sh, sl) + self.shift
+            c = self.weights * np.exp(TWO_PI_I * ph)
+            ext[:] = 0
+            for s in range(0, len(c), GAUSS_CHUNK):
+                cut, first = slice(s, s + GAUSS_CHUNK), int(self.centre[s])
+                v = (span - m) - self.offset[cut, None]
+                phi = np.exp(v * v / -b)
+                bins = ((self.centre[cut, None] - first) + span).ravel()
+                part = slice(first, int(self.centre[cut][-1]) + 2 * m + 1)
+                for z, cz in ((ext.real, c.real), (ext.imag, c.imag)):
+                    z[part] += np.bincount(bins, (cz[cut, None] * phi).ravel(),
+                                           part.stop - first)
+            ext[Mr : Mr + m] += ext[:m]  # fold the overhangs, mod Mr
+            grid[:m] += ext[Mr + m :]
+            # norm="forward" leaves the inverse unscaled: sum_q g_q e(kq/Mr)
+            np.fft.ifft(grid, norm="forward", out=grid)
+            out = np.concatenate((grid[Mr - h :][:nb], grid[: max(0, nb - h)]))
+            out *= deconv[:nb]  # k = j - h mod Mr
+            yield start, out
 
     def error_bound(self, alpha0: float, count: int) -> float:
         """Certified bound on |G - S| and on ||G| - |S|| for every value G
         of blocks(alpha0, count), where S = sum w_n e(f_n alpha) at the exact
         node alpha = alpha0 + j d.
 
-        With u = 2^-53, gamma_m = m u / (1 - m u), R = TAYLOR_GRID_TERMS,
-        J = block, K the most terms in one slot, amax = |alpha0| + count d,
-        f and f_lo the largest |fh| and |fl|, rho = pi (J-1)/(2M) (1 + (2M
-        + 8) u) the bound of |z_j t_n| as computed, and per block
+        With u = 2^-53, gamma_m = m u / (1 - m u), K = bin_terms, amax =
+        |alpha0| + count d, f and f_lo the largest |fh| and |fl|, and sums
+        over s >= 1 (Poisson summation, as for S_j):
 
-            e_c = 2 pi u (5 + 5 L) + 3 u,   L = 2.01 u f amax + f_lo amax,
-                                   c_n to within |w_n| e_c (phase_frac's
-                                   phase error u (1 + 5 L) as in
-                                   points_error_bound, delta_n c and its
-                                   sum 2 u, 2 pi i theta and exp 4 pi u +
-                                   2 u, the product with w_n u)
-            e_in = e_c + gamma_{2R+1} + sqrt(2) gamma_K
-                                   a bin of row r to within e_in sum|w|
-                                   t^r / r! (powers gamma_2R, product u,
-                                   slot sums)
-            E_F = sum|w| e_in + sqrt(M) phi (sqrt(K) ||w||_2
-                  + e_in sum|w|) (1 + e_in)
-                                   an entry of F_r to within E_F t^r / r!
-                                   (Higham, Accuracy and Stability, 2nd ed.,
-                                   Thm 24.2, phi = _fft_rounding(M), on
-                                   bins of 2-norm <= sqrt(K) ||a_r||_2)
+            e_c = 2 pi u (5 + 5 L) + 3 u,   L = (2.01 u f + f_lo) amax
+                 c_n: phase_frac's u (1 + 5 L) (points_error_bound), x_n h
+                 and the sum 2u, 2 pi i theta and exp 4 pi u + 2u, w_n u
+            A = 2 sum e^(-pi^2 b (s^2 - s / sigma))   aliasing: the images
+                 e^(-pi^2 b (s - k/Mr)^2) times e^(pi^2 b k^2 / Mr^2)
+            T = 2 (pi b)^(-1/2) e^(-r^2/b) / (1 - e^(-(2m+1)/b)), r = m + 0.49
+                 phi over the bins left out, r + i or more from Mr x_n
+            P1 = 1 + 2 sum e^(-pi^2 b s^2),
+            P2 = ((2 pi b)^(-1/2) (1 + 2 sum e^(-pi^2 b s^2 / 2)))^(1/2)
+                 the largest sum and 2-norm of phi over the bins
+            e_in = e^a (1 + 2u) (1 + u) (1 + sqrt(2) gamma_K) - 1,  a bin:
+                 weights at offsets v <= m + 0.51 off by De = u (m + 1.02),
+                 a = (2 v De + De^2 + gamma_2 (v + De)^2) / b for v^2 / b,
+                 exp 2u; the products with c_n; sums of <= K terms
 
-        the bound is
-
-            e^rho (sum|w| rho^R / R!                Taylor truncation
-                   + E_F                            table rows
-                   + gamma_{6R+3} (sum|w| + E_F))   Horner in a rounded z
-                                                    (gamma_4R + gamma_2R)
-                                                    and np.abs
-          + 2 pi sum|w| ((f + f_lo) 5.01 u^2 amax   block base in
-                                                    double-double
-                         + J (x_err + u (1/(2M) + 2u)))
-                                                    x_n and delta_n, times j
-
-        with x_err = 1.01 u^2 f d + 2.01 u f_lo d, the error of x_n formed
-        as two_prod(fh, d) + fl d.
-        """
-        R, M, J, d = TAYLOR_GRID_TERMS, self.size, self.block, self.step
+        With D = e^(pi^2 b / (4 sigma^2)), G[k] e^(pi^2 b k^2 / Mr^2) is
+        within E = sum|w| (e_c + (1 + e_c) A) + D (1 + e_c) (sum|w| (T +
+        e_in P1) + sqrt(Mr) phi sqrt(K) ||w||_2 P2 (1 + e_in)) of S, the
+        last term Higham's Thm 24.2 (phi = _fft_rounding(Mr)) on a grid of
+        2-norm <= sqrt(K) ||c||_2 P2 (1 + e_in) (Cauchy-Schwarz in each
+        bin).  With p = gamma_10 + u (1 + gamma_10) for the deconvolution
+        and its product, and u (1 + p) for np.abs, the bound is E + (sum|w|
+        + E) (p + u (1 + p)) + 2 pi sum|w| ((f + f_lo) 5.01 u^2 amax + N
+        x_err): the block base in double-double, and x_n = two_prod(fh, d)
+        + fl d off by x_err = 1.01 u^2 f d + 2.01 u f_lo d, times j < N."""
+        N, m, b, sigma = self.size, GAUSS_SPREAD, GAUSS_B, GAUSS_SIGMA
+        Mr, d, K, w = sigma * N, self.step, self.bin_terms, self.weights
+        w_abs, w_l2 = math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w))
         amax = abs(alpha0) + count * d
-        f = float(np.max(np.abs(self.freq_hi)))
-        f_lo = float(np.max(np.abs(self.freq_lo)))
-        K = self.slot_terms
-        rho = math.pi * (J - 1) / (2 * M) * (1 + (2 * M + 8) * U)
-        L = 2.01 * U * f * amax + f_lo * amax
-        e_c = 2 * math.pi * U * (5 + 5 * L) + 3 * U
-        e_in = e_c + higham_gamma(2 * R + 1) + math.sqrt(2) * higham_gamma(K)
-        e_f = (self.w_abs * e_in
-               + math.sqrt(M) * _fft_rounding(M)
-               * (math.sqrt(K) * self.w_l2 + e_in * self.w_abs) * (1 + e_in))
+        f, f_lo = (float(np.max(np.abs(x)))
+                   for x in (self.freq_hi, self.freq_lo))
+        e_c = 2 * math.pi * U * (5 + 5 * (2.01 * U * f + f_lo) * amax) + 3 * U
+        s, pb = np.arange(1.0, 9.0), math.pi**2 * b  # later terms are 0.0
+        A, P1, P2 = (2 * float(np.sum(np.exp(-pb * c)))
+                     for c in (s * s - s / sigma, s * s, s * s / 2))
+        P1, P2 = 1 + P1, math.sqrt((1 + P2) / math.sqrt(2 * math.pi * b))
+        T = (2 / math.sqrt(math.pi * b) * math.exp(-(m + 0.49) ** 2 / b)
+             / (1 - math.exp(-(2 * m + 1) / b)))
+        v, de = m + 0.51, U * (m + 1.02)
+        a = (2 * v * de + de * de + higham_gamma(2) * (v + de) ** 2) / b
+        e_in = (math.exp(a) * (1 + 2 * U) * (1 + U)
+                * (1 + math.sqrt(2) * higham_gamma(K)) - 1)
+        e = (w_abs * (e_c + (1 + e_c) * A) + math.exp(pb / (4 * sigma**2))
+             * (1 + e_c) * (w_abs * (T + e_in * P1) + math.sqrt(Mr * K)
+                            * _fft_rounding(Mr) * w_l2 * P2 * (1 + e_in)))
+        p = higham_gamma(10) + U * (1 + higham_gamma(10))
         x_err = 1.01 * U * U * f * d + 2.01 * U * f_lo * d
-        horner = higham_gamma(6 * R + 3) * (self.w_abs + e_f)
-        return (math.exp(rho) * (self.w_abs * rho**R / math.factorial(R)
-                                 + e_f + horner)
-                + 2 * math.pi * self.w_abs
-                * ((f + f_lo) * 5.01 * U * U * amax
-                   + J * (x_err + U * (0.5 / M + 2 * U))))
+        return (e + (w_abs + e) * (p + U * (1 + p))
+                + 2 * math.pi * w_abs * ((f + f_lo) * 5.01 * U * U * amax
+                                         + N * x_err))
 
 
-def taylor_grid_plan(fh, fl, weights, step: float,
-                     count: int) -> TaylorGridPlan | None:
-    """The Taylor-table plan of the grid sum of (fh, fl, weights) over
+def gauss_grid_plan(fh, fl, weights, step: float,
+                    count: int) -> GaussGridPlan | None:
+    """The Gaussian-gridding plan of the grid sum of (fh, fl, weights) over
     count nodes of spacing `step`, or None where the row recurrence costs
-    less (TAYLOR_GRID_COST) or there are no terms."""
-    n = len(fh)
-    block = min(count, GRID_BLOCK)
-    M = 1 << (block - 1).bit_length()
-    R = TAYLOR_GRID_TERMS
-    if n == 0 or n * block < TAYLOR_GRID_COST * R * M * math.log2(2 * M):
+    less (GAUSS_COST) or there are no terms."""
+    m, J = GAUSS_SPREAD, min(count, GRID_BLOCK)
+    N = 1 << max(3, (J - 1).bit_length())  # Mr >= 2m + 1: no bin taken twice
+    Mr, h = GAUSS_SIGMA * N, N // 2
+    if len(fh) == 0 or len(fh) * J < GAUSS_COST * Mr * math.log2(2 * Mr):
         return None
     p, e = two_prod(fh, step)
     xh, xl = two_sum(p - np.rint(p), e + fl * step)
-    m = np.rint(xh * M)
-    delta = (xh - m / M) + xl  # xh - m/M is exact
-    slots = m.astype(np.int64) % M
-    order = np.argsort(slots, kind="stable")
-    slots, delta = slots[order], delta[order]
-    firsts = np.flatnonzero(np.diff(slots, prepend=-1))
-    powers = _taylor_rows(1.0, 2 * M * delta, R)
-    w = weights[order]
-    return TaylorGridPlan(
-        step, block, M, fh[order], fl[order], w, delta, powers, slots[firsts],
-        firsts, int(np.max(np.diff(firsts, append=n))), math.fsum(np.abs(w)),
-        math.sqrt(math.fsum(w * w)))
+    centre = np.rint(xh * Mr)  # xh Mr and xh h are exact: powers of two
+    offset = (xh * Mr - centre) + xl * Mr
+    shift = (xh * h - np.rint(xh * h)) + xl * h
+    centre = centre.astype(np.int64) & (Mr - 1)
+    order = np.argsort(centre, kind="stable")
+    fh, fl, weights, shift, centre, offset = (
+        v[order] for v in (fh, fl, weights, shift, centre, offset))
+    # K: the most centres in the 2m+1 bins from one centre on, mod Mr
+    K = np.searchsorted(np.append(centre, centre + Mr), centre + 2 * m, "right")
+    return GaussGridPlan(step, N, fh, fl, weights, shift, centre, offset,
+                         int(np.max(K - np.arange(len(K)))))
 
 
 def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
 
 from .errors import DomainError, EmptyDomainError, InsufficientTableError
-from .precision import kahan_cumsum
+from .precision import _dyadic, kahan_cumsum
 
 SEGMENT = 1 << 18  # fixed segment size: cache friendly, deterministic
 
@@ -135,11 +136,14 @@ def theta_many(xs: np.ndarray, table: PrimeTable) -> np.ndarray:
 
 
 def _in_window(p: int, rng: SumRange) -> bool:
-    """Exact boundary test delta*X <= p**k <= X for a single candidate."""
-    if float(rng.k).is_integer():
-        v = p ** int(rng.k)  # exact integer; int vs float compares exactly
-        return rng.delta * rng.X <= v <= rng.X
-    # 50-digit comparison of k*log p against the window in log space
+    """Exact boundary test delta*X <= p**k <= X for a single candidate: for
+    dyadic k = m / 2^e (integer k too) p^m against the float edges raised
+    to 2^e, in rationals; for other k, k log p at 50 digits."""
+    me = _dyadic(rng.k)
+    if me is not None:
+        m, e = me
+        return (Fraction(rng.delta * rng.X) ** (1 << e) <= p**m
+                <= Fraction(rng.X) ** (1 << e))
     t = mp.mpf(rng.k) * mp.log(p)
     return mp.log(rng.delta * rng.X) <= t <= mp.log(rng.X)
 

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from dhlab import expsums
-from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, SpectrumGrid,
-                           TaylorGridPlan, _cut_windows, chirp_plan,
+from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, GaussGridPlan,
+                           SpectrumGrid, _cut_windows, chirp_plan,
                            eval_grid, eval_points, eval_taylor, fejer_kernel,
-                           fejer_kernel_hat, integer_exp_sum,
+                           fejer_kernel_hat, gauss_grid_plan, integer_exp_sum,
                            integral_exp_sum, iter_grid_values,
                            points_error_bound, prime_exp_sum,
                            prime_taylor_tables, recurrence_error_bound,
-                           sum_freqs, taylor_grid_plan, taylor_tables,
-                           trapezoid, trapezoid_step)
+                           sum_freqs, taylor_tables, trapezoid,
+                           trapezoid_step)
 from dhlab.precision import dd_add, dd_from_mpf, pow_dd, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
@@ -213,30 +213,36 @@ def test_grid_values_at_exact_nodes(table_1e6):
         assert abs(g.values[j] - direct) <= 1e-9 * max(abs(direct), 1.0)
 
 
-def test_taylor_grid_plan_takes_large_ensembles(table_1e5):
-    # the row recurrence never receives 4,488 terms or more, at any block
-    # size, which bounds its rotation table; the bound is tightest for
-    # blocks just past a power of two, 32,769 of them on 65,536 slots
+def test_gauss_grid_plan_takes_large_ensembles(table_1e5):
+    # the largest ensemble the row recurrence accepts is 417 terms on full
+    # blocks and 835 on blocks of 32,769 nodes, so its rotation table holds
+    # at most 835 x RESYNC values; from 1,056 terms on, the Gaussian plan
+    # takes every block size
     f = sum_freqs("prime", SumRange(1, 1e-9, 1e5), table_1e5,
                   scale=math.sqrt(2.0))
-    f = tuple(a[:4488] for a in f)
-    assert len(f[0]) == 4488
-    counts = [1, 2, 3, 100, 1024, 1025, 4097, 16385, 32768,
-              *range(32769, 32776), 49153, 65535, 65536]
+    assert len(f[0]) >= 1056
+    for n, count in ((417, GRID_BLOCK), (835, 32769), (1055, 1)):
+        assert gauss_grid_plan(*(a[:n] for a in f), 1e-6, count) is None
+        assert gauss_grid_plan(*(a[: n + 1] for a in f), 1e-6, count)
+    counts = [1, 2, 3, 7, 8, 9, 100, 1024, 1025, 4097, 16385, 32768,
+              *range(32769, 32776), 49153, 65535, 65536, 10**6]
     for count in counts:
-        assert taylor_grid_plan(*f, 1e-6, count) is not None, count
+        plan = gauss_grid_plan(*(a[:1056] for a in f), 1e-6, count)
+        assert plan is not None, count
+        assert plan.size == max(8, 1 << (min(count, GRID_BLOCK) - 1)
+                                .bit_length())
 
 
 def test_recurrence_block_edges_match_points(table_1e5):
-    # 1,229 non-integral frequencies: the chirp-z path declines them and
-    # they are too few for the Taylor tables, so the row recurrence serves
+    # 367 non-integral frequencies: the chirp-z path declines them and
+    # they are too few for Gaussian gridding, so the row recurrence serves
     # the grid; its rows restart at every block edge
-    rng, scale = SumRange(1, 1e-9, 1e4), math.sqrt(2.0)
+    rng, scale = SumRange(1, 1e-9, 2500), math.sqrt(2.0)
     f = sum_freqs("prime", rng, table_1e5, scale=scale)
     count = 70000
-    assert len(f[0]) == 1229
+    assert len(f[0]) == 367
     assert chirp_plan(*f, 1e-6, count) is None
-    assert taylor_grid_plan(*f, 1e-6, count) is None
+    assert gauss_grid_plan(*f, 1e-6, count) is None
     blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
     assert [start for start, _ in blocks] == [0, GRID_BLOCK]
     g = SpectrumGrid(alpha0=0.3, step=1e-6, count=count,
@@ -599,8 +605,13 @@ def test_chirp_grid_within_certified_bounds(table_1e5, ensemble, alpha0, step,
     (900, 2500, -1.0, -17.25, 1e-6, 130, (0, 64, 127, 129)),
     (4000, 60, 1.0, 999.9, 0.01, 5, (0, 4)),
     (1, 40, -1.0, 0.5, 0.37, 70, (0, 33, 69)),
-    (2, 300, 1.0, 0.31, 1e-6, GRID_BLOCK + 5, (0, GRID_BLOCK - 1, GRID_BLOCK,
-                                               GRID_BLOCK + 4)),
+    # 38 convolutions of P = 1,749 nodes on full blocks
+    (2, 300, 1.0, 0.31, 1e-6, GRID_BLOCK + 5, (0, 1748, 1749, GRID_BLOCK - 1,
+                                               GRID_BLOCK, GRID_BLOCK + 4)),
+    # several convolutions of P = 213 nodes on blocks of 64: convolution
+    # edges fall inside blocks
+    (2, 300, 1.0, 0.1371, 1e-3, 500, (0, 63, 64, 212, 213, 255, 256, 425,
+                                      426, 499)),
 ])
 def test_chirp_bound_against_50_digit_sums(start, span, scale, alpha0, step,
                                            count, js):
@@ -617,7 +628,11 @@ def test_chirp_bound_against_50_digit_sums(start, span, scale, alpha0, step,
         # a span below the window's width sends it off the chirp-z path
         patch.setattr(expsums, "CHIRP_SPAN", 100)
         assert (chirp_plan(*f, step, count) is None) == (span > 100)
-    assert plan.width == span and len(plan.chirp_hat) >= span + plan.block - 1
+    L = len(plan.chirp_hat)
+    assert plan.width == span and plan.nodes == min(count, L - span + 1)
+    if count > 150:  # block edges inside convolutions
+        block = 64 if count < GRID_BLOCK else GRID_BLOCK
+        assert plan.nodes < count and plan.nodes % block != 0
     bound = plan.error_bound(alpha0, count)
     for j in js:
         exact = _mp_sum(ns, weights, 1.0, mp.mpf(alpha0) + j * mp.mpf(step), 0)
@@ -627,91 +642,114 @@ def test_chirp_bound_against_50_digit_sums(start, span, scale, alpha0, step,
 
 def test_chirp_path_selection(table_1e5, table_1e6):
     from dhlab.harness import ExperimentConfig
-    # criterion 9: 9592 primes over a span of 99,990, one window of 2^17
+    # criterion 9: 9592 primes over a span of 99,990, one window of 2^17,
+    # in 7 convolutions of length 2^18 that fill 162,155 nodes each
     f = sum_freqs("prime", SumRange(1.0, 1e-9, 1e5), table_1e5)
     plan = chirp_plan(*f, 1e-6, 10**6)
     assert plan is not None and plan.width == 99990
-    assert len(plan.chirp_hat) == 1 << 18
+    assert len(plan.chirp_hat) == 1 << 18 and plan.nodes == 162155
     bound = plan.error_bound(0.0, 10**6)
-    assert bound <= 1e-11 * math.fsum(f[2])
-    g = eval_grid("prime", SumRange(1.0, 1e-9, 1e5), table_1e5, alpha0=0.0,
-                  step=1e-6, count=GRID_BLOCK + 10)
-    for j in (0, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 9):
-        ah, al = g.alpha_dd(j)
-        want = eval_points(*f, [ah], al)[0]
-        assert abs(g.values[j] - want) <= bound + points_error_bound(*f, 0.1, al)
-    # the grid takes the chirp-z path without asking for a Taylor-grid plan
+    assert bound <= 1e-12 * math.fsum(f[2])
+    # the grid takes the chirp-z path without asking for a Gaussian plan
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "taylor_grid_plan", None)  # any call fails
-        start, block = next(iter_grid_values(*f, 0.0, 1e-6, 10**6))
-    assert start == 0 and len(block) == GRID_BLOCK
+        patch.setattr(expsums, "gauss_grid_plan", None)  # any call fails
+        blocks = list(iter_grid_values(*f, 0.0, 1e-6, 10**6))
+    assert [len(b) for _, b in blocks] == [GRID_BLOCK] * 15 + [16960]
+    got = np.concatenate([b for _, b in blocks])
+    js = (0, GRID_BLOCK - 1, GRID_BLOCK, 162154, 162155, 3 * GRID_BLOCK,
+          10**6 - 1)
+    for j, (ah, al) in zip(js, _grid_nodes(0.0, 1e-6, js)):
+        want = eval_points(*f, [ah], al)[0]
+        assert abs(got[j] - want) <= bound + points_error_bound(*f, 1.0, al)
+    # the second moment's grid at X = 1e4 (862 primes over 7,471 integers,
+    # 640,001 nodes) takes convolutions of 2^16, not 2^17
+    moment = sum_freqs("prime", SumRange(1.0, 0.25, 1e4), table_1e5)
+    n, h = trapezoid_step(0.0, 1.0, 1e4)
+    plan = chirp_plan(*moment, h, n + 1)
+    assert len(moment[0]) == 862 and len(plan.chirp_hat) == 1 << 16
+    assert plan.nodes == (1 << 16) - plan.width + 1
     # a linear window wider than CHIRP_SPAN (25,567 primes over 297,000
-    # integers) goes to the Taylor tables
+    # integers) goes to Gaussian gridding
     wide = sum_freqs("prime", SumRange(1.0, 0.01, 3e5), table_1e6)
     assert len(wide[0]) == 25567 and chirp_plan(*wide, 1e-7, 1 << 20) is None
-    assert isinstance(taylor_grid_plan(*wide, 1e-7, 1 << 20), TaylorGridPlan)
+    assert isinstance(gauss_grid_plan(*wide, 1e-7, 1 << 20), GaussGridPlan)
     # the theorem detector's 230-term stream at X = 1728, and the lemma
     # suite's largest ensemble (44 integers), keep the row recurrence
     inst = ExperimentConfig().instance
     lin = sum_freqs("prime", inst.linear_range(1728.0), table_1e5,
                     scale=inst.lambda1)
     assert len(lin[0]) == 230 and chirp_plan(*lin, 4e-6, 10**7) is None
-    assert taylor_grid_plan(*lin, 4e-6, 10**7) is None
+    assert gauss_grid_plan(*lin, 4e-6, 10**7) is None
     lemma = sum_freqs("integer", SumRange(2.0, 0.1, 4000.0))
     assert len(lemma[0]) == 44 and chirp_plan(*lemma, 1e-4, 51201) is None
-    assert taylor_grid_plan(*lemma, 1e-4, 51201) is None
+    assert gauss_grid_plan(*lemma, 1e-4, 51201) is None
     # a repeated frequency would collide in the convolution's input
     twice = (np.repeat(f[0], 2), np.repeat(f[1], 2), np.repeat(f[2], 2))
     assert chirp_plan(*twice, 1e-6, 10**6) is None
 
 
 # ---------------------------------------------------------------------------
-# Taylor-grid path against eval_points and 50-digit sums
+# Gaussian gridding against eval_points and 50-digit sums
 
 @st.composite
 def _any_grid_ensembles(draw):
-    # non-integer k, a non-integer scale, and integer cubes past 2^53 (whose
-    # frequencies carry a low part), each on a grid inside the phase budget
-    which = draw(st.sampled_from(["k2.5", "sqrt2", "cubes"]))
+    # non-integer k, a non-integer scale, integer cubes past 2^53 (whose
+    # frequencies carry a low part), integer squares, and integers on a
+    # dyadic step, whose x_n = frac(n step) cluster on few bins; each on a
+    # grid inside the phase budget
+    which = draw(st.sampled_from(["k2.5", "sqrt2", "cubes", "squares",
+                                  "clustered"]))
     delta = draw(st.sampled_from([1e-9, 0.1, 0.5]))
+    kind, scale = "prime", 1.0
     if which == "k2.5":
-        kind, scale = "prime", draw(st.sampled_from([1.0, -1.0]))
+        scale = draw(st.sampled_from([1.0, -1.0]))
         rng = SumRange(2.5, delta, draw(st.floats(10.0, 1e12)))
     elif which == "sqrt2":
-        kind, scale = "prime", math.sqrt(2.0)
+        scale = math.sqrt(2.0)
         rng = SumRange(1.0, delta, draw(st.floats(2.0, 9e4)))
-    else:
-        kind, scale = "integer", 1.0
+    elif which == "cubes":
+        kind = "integer"
         rng = SumRange(3.0, 0.999, draw(st.floats(9.1e15, 1e17)))
+    elif which == "squares":
+        rng = SumRange(2.0, delta, draw(st.floats(4.0, 1e10)))
+    else:
+        kind = "integer"
+        rng = SumRange(1.0, delta, draw(st.floats(1.0, 3000.0)))
     reach = min(50.0, 2.0**45 / (rng.X * abs(scale)))
     alpha0 = draw(st.floats(-reach / 2, reach / 2))
-    step = draw(st.floats(1e-9, 1.0)) * reach / 400
+    if which == "clustered":
+        step = 2.0 ** -draw(st.integers(1, 8))
+    else:
+        step = draw(st.floats(1e-9, 1.0)) * reach / 400
     return kind, rng, scale, alpha0, step
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(ensemble=_any_grid_ensembles(), count=st.integers(1, 200),
        block=st.sampled_from([7, 48, GRID_BLOCK]))
 @example(ensemble=("prime", SumRange(2.5, 0.1, 1e10), 1.0, 0.3, 1e-3),
          count=1, block=GRID_BLOCK)
-def test_taylor_grid_within_certified_bounds(table_1e5, ensemble, count,
-                                             block):
+@example(ensemble=("integer", SumRange(1.0, 1e-9, 3000.0), 1.0, 0.3,
+                   1 / 8), count=200, block=48)
+def test_gauss_grid_within_certified_bounds(table_1e5, ensemble, count,
+                                            block):
     kind, rng, scale, alpha0, step = ensemble
     f = sum_freqs(kind, rng, table_1e5 if kind == "prime" else None, scale)
     with pytest.MonkeyPatch.context() as patch:
-        # the Taylor-grid path for every ensemble, in blocks small enough
-        # for the counts drawn here to cross them
+        # the Gaussian path for every ensemble, in blocks small enough for
+        # the counts drawn here to cross them
         patch.setattr(expsums, "CHIRP_COST", math.inf)
-        patch.setattr(expsums, "TAYLOR_GRID_COST", 0.0)
+        patch.setattr(expsums, "GAUSS_COST", 0.0)
         patch.setattr(expsums, "GRID_BLOCK", block)
-        plan = taylor_grid_plan(*f, step, count)
+        plan = gauss_grid_plan(*f, step, count)
         blocks = list(iter_grid_values(*f, alpha0, step, count))
     assert [s for s, _ in blocks] == list(range(0, count, block))
     got = np.concatenate([b for _, b in blocks])
     if len(f[0]) == 0:
         assert plan is None and np.all(got == 0)
         return
-    assert plan.powers.shape == (expsums.TAYLOR_GRID_TERMS, len(f[0]))
+    assert np.all(np.diff(plan.centre) >= 0)
+    assert 1 <= plan.bin_terms <= len(f[0])
     amax = abs(alpha0) + count * step
     bound = plan.error_bound(alpha0, count)
     for j, (ah, al) in enumerate(_grid_nodes(alpha0, step, range(count))):
@@ -734,27 +772,34 @@ def _mp_freq_sum(fh, fl, weights, alpha):
     ("sqrt2", 0.31, 1e-6, GRID_BLOCK + 5, (0, GRID_BLOCK - 1, GRID_BLOCK,
                                           GRID_BLOCK + 4)),
     ("k2.5", 0.31, 1e-6, GRID_BLOCK + 5, (GRID_BLOCK - 1, GRID_BLOCK + 4)),
+    ("clustered", 0.3, 1 / 16, 100, (0, 1, 63, 64, 99)),
 ])
-def test_taylor_grid_bound_against_50_digit_sums(freqs, alpha0, step, count,
-                                                 js):
+def test_gauss_grid_bound_against_50_digit_sums(freqs, alpha0, step, count,
+                                                js):
     if freqs == "sqrt2":
         ns = np.arange(2, 302)
         fh, fl = two_prod(ns.astype(np.float64), math.sqrt(2.0))
     elif freqs == "k2.5":
         ns = np.arange(900, 3400)
         fh, fl = pow_dd(ns, 2.5)
-    else:  # cubes past 2^53, with low parts
+    elif freqs == "cubes":  # past 2^53, with low parts
         ns = np.arange(215_000, 215_300)
         fh, fl = pow_dd(ns, 3.0)
         assert np.any(fl)
+    else:  # integers on a step of 1/16: 25 terms at each of 16 x_n
+        ns = np.arange(1, 401)
+        fh, fl = ns.astype(np.float64), np.zeros(len(ns))
     weights = np.log(ns + 1.0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "TAYLOR_GRID_COST", 0.0)
+        patch.setattr(expsums, "CHIRP_COST", math.inf)
+        patch.setattr(expsums, "GAUSS_COST", 0.0)
         if count < GRID_BLOCK:  # several blocks
             patch.setattr(expsums, "GRID_BLOCK", 64)
-        plan = taylor_grid_plan(fh, fl, weights, step, count)
+        plan = gauss_grid_plan(fh, fl, weights, step, count)
         got = np.concatenate([b for _, b in iter_grid_values(
             fh, fl, weights, alpha0, step, count)])
+    if freqs == "clustered":  # x_n 16 bins apart: 2 x 25 terms reach a bin
+        assert plan.bin_terms == 50
     bound = plan.error_bound(alpha0, count)
     for j in js:
         exact = _mp_freq_sum(fh, fl, weights,
@@ -763,17 +808,19 @@ def test_taylor_grid_bound_against_50_digit_sums(freqs, alpha0, step, count,
         assert abs(abs(got[j]) - abs(exact)) <= bound
 
 
-def test_taylor_grid_path_selection():
+def test_gauss_grid_path_selection():
     # the spectrum workload's k = 2.5 grid: 9592 primes on 2^18 nodes (the
     # ensembles that keep the other paths are in test_chirp_path_selection)
     table = sieve(10**5 + 1)  # the window ends a hair past 1e5
     count = 1 << 18
     f = sum_freqs("prime", SumRange(2.5, 1e-13, 1e5**2.5), table)
     assert len(f[0]) == 9592 and chirp_plan(*f, 1e-6, count) is None
-    plan = taylor_grid_plan(*f, 1e-6, count)
+    plan = gauss_grid_plan(*f, 1e-6, count)
     assert plan is not None and plan.size == GRID_BLOCK
     bound = plan.error_bound(0.9, count)
-    assert bound <= 1e-11 * plan.w_abs
+    # 2.8e-13 sum|w|, most of it Higham's FFT term; the Taylor-table plan
+    # this path replaced certified 5.0e-13 sum|w| here
+    assert bound == pytest.approx(2.8e-13 * math.fsum(f[2]), rel=0.02)
     for start, block in iter_grid_values(*f, 0.9, 1e-6, GRID_BLOCK + 3):
         j = start + len(block) - 1
         (ah, al), = _grid_nodes(0.9, 1e-6, [j])
@@ -817,7 +864,7 @@ def test_recurrence_bound_against_50_digit_sums(ensemble, reach, width,
     alpha0, step = 0.5 * reach * amax, 0.5 * width * amax / count
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expsums, "chirp_plan", lambda *args: None)
-        patch.setattr(expsums, "taylor_grid_plan", lambda *args: None)
+        patch.setattr(expsums, "gauss_grid_plan", lambda *args: None)
         got = np.concatenate([b for _, b in iter_grid_values(
             fh, fl, weights, alpha0, step, count)])
     bound = recurrence_error_bound(fh, fl, weights, alpha0, step, count)

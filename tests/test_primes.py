@@ -129,6 +129,30 @@ def test_primes_in_range_boundary_non_integer_k(table_1e6):
     assert 3 not in [p for p, _ in outside]
 
 
+
+def test_dyadic_window_edges_are_exact():
+    # 144^2.5 = 12^5 = 248832: an integer on either edge of a k = 2.5 window
+    # is inside, and its neighbours are out
+    assert _in_window(144, SumRange(2.5, 0.5, 248832.0))
+    assert not _in_window(145, SumRange(2.5, 0.5, 248832.0))
+    assert list(integers_in_range(SumRange(2.5, 0.5, 248832.0)))[-1] == 144
+    # every square a^2 whose a^5 is exact in float64, on the upper edge of
+    # one window and on the lower edge (delta X = a^5) of another
+    squares = [a for a in range(2, 3000) if float(a**5) == a**5]
+    assert len(squares) > 300
+    for a in squares:
+        top = SumRange(2.5, 0.5, float(a**5))
+        assert _in_window(a * a, top) and not _in_window(a * a + 1, top)
+        if float(2 * a**5) == 2 * a**5:
+            bottom = SumRange(2.5, 0.5, float(2 * a**5))
+            assert _in_window(a * a, bottom)
+            assert not _in_window(a * a - 1, bottom)
+    # and at k = 1.25 = 5/4: 16^1.25 = 32
+    assert _in_window(16, SumRange(1.25, 0.5, 32.0))
+    assert _in_window(16, SumRange(1.25, 0.5, 64.0))
+    assert not _in_window(15, SumRange(1.25, 0.5, 64.0))
+
+
 def test_theta_matches_window_sum(table_1e6):
     for x in (50, 1234, 99991):
         window = primes_in_range(SumRange(1, 1e-12, x), table_1e6)
