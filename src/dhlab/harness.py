@@ -30,7 +30,7 @@ import numpy as np
 
 from .arcs import choose_parameters
 from .diophantine import cube_sequence, find_rational_witness, vaughan_ratio
-from .errors import DhlabError
+from .errors import DhlabError, DomainError
 from .expsums import (eval_points, eval_taylor, points_error_bound,
                       prime_taylor_tables, require_phase, sum_freqs)
 from .norms import (MomentReport, count_quadruples, exp_sum_gap_l2,
@@ -64,6 +64,17 @@ class ExperimentConfig:
     duality_max_x: float = 2000.0
     witness_trials: int = 64
     seed: int = 0
+
+    def __post_init__(self):
+        # theorem levels are eta_theory * 2.0**j, which overflows past 1023
+        grid = self.eta_grid
+        if not isinstance(grid, (tuple, list)) or not grid:
+            raise DomainError(f"eta_grid must be a non-empty list of "
+                              f"integers, got {grid!r}")
+        for j in grid:
+            if isinstance(j, bool) or not isinstance(j, int) or j > 1023:
+                raise DomainError(f"eta_grid entries must be integers j with "
+                                  f"2.0**j finite, got {j!r}")
 
     @staticmethod
     def from_json(path, **overrides) -> "ExperimentConfig":

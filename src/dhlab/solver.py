@@ -17,14 +17,21 @@ approximates on a finite interval; the pair is the package's central
 correctness check.  `weighted_count` computes W, rounded once from its exact
 sum, so it does not depend on the order of the records.
 
-The enumeration is one generator of column chunks in (p3, p1, p2) order:
-`enumerate_solutions` joins them, and `level_sums` reduces them to counts
-and W at several widths without holding the records.
+The enumeration is one set-up (`Enumeration`) and one generator of column
+chunks in (p3, p1, p2) order over any share of its p3 rows:
+`enumerate_solutions` joins the chunks of a single share, and `level_sums`
+runs one share per CPU of the process's affinity mask on threads and
+reduces each to counts and W at several widths without holding the
+records.  The shares' partial sums are exact integers and their smallest
+residuals are merged in (p3, p1, p2) order, so the result does not depend
+on the number of shares.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,7 +220,7 @@ def _certify(r_hi, err, rounded, eta, band_hi, band_lo):
 
 
 class Lattice:
-    """The candidates of `iter_solution_chunks`, found on the integer line.
+    """The candidates of an `Enumeration`, found on the integer line.
 
     `candidates(t, b0, b1)` returns the pairs (i, j) of window indices with
     fl(rel - s) <= fl(l2 p2) <= fl(rel + s), rel = fl(t - a1[i]) and s =
@@ -270,101 +277,137 @@ class Lattice:
         return i[keep], j[keep]
 
 
-PROBE_BLOCK = 1 << 15  # p1 probed at a time: bounds the candidate arrays
-CHUNK_RECORDS = 1 << 17  # admitted records level_sums reduces at a time
+PROBE_BLOCK = 1 << 17  # slots one probe block reads at most
+# admitted records a share of level_sums holds at a time, and the hits one
+# probe block expects at most: the candidate arrays do not grow with eta
+CHUNK_RECORDS = 1 << 14
+# level_sums' shares: one per CPU this process may run on
+SHARES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
-def iter_solution_chunks(instance: ProblemInstance, X: float, eta: float,
-                         table: PrimeTable) -> Iterator[Solutions]:
-    """The triples with residual <= eta, as consecutive Solutions chunks in
-    (p3, p1, p2) order: one per p3 and block of PROBE_BLOCK p1 that has
-    candidates.
+class Enumeration:
+    """The triples with residual <= eta at scale X, found p3 by p3.
 
-    For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta, widened
-    by the float64 error bound.  l1 p1 is monotone in p1, so only the one
-    contiguous range of p1 whose window can meet the values l2 p2 is
-    probed, on the integer line of p2 (`Lattice`).  Each candidate's
+    Building it does the set-up every share of the enumeration reads and
+    none changes: the windows, the exact products l1 p1 and l2 p2, the
+    `Lattice`, and for each p3 whose target can meet the window its target
+    t, its p1 index range, its 50-digit l3 p3^k and the split
+    `base` = l3 p3^k - omega.  So every `pow_mp` call runs here.
+
+    For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta,
+    widened by the float64 error bound.  l1 p1 is monotone in p1, so only
+    the one contiguous range of p1 whose window can meet the values l2 p2
+    is probed, on the integer line of p2 (`Lattice`).  Each candidate's
     residual is formed in double-double, and its admission, guard-band flag
     (|residual - eta| <= 1e-14 eta) and stored rounding are decided under
     the certified bounds of `_dd_residuals` and `_certify`, or, where they
     leave one open, on its 50-digit residual: the result equals a 50-digit
-    enumeration exactly.  Each chunk counts its own candidates and exact
-    fallbacks; a block with candidates but no admitted triple yields an
-    empty chunk.
+    enumeration exactly.
     """
-    if not 0.0 <= eta < math.inf:
-        raise DomainError(f"eta must be finite and >= 0, got {eta}")
-    p1s, logs1 = window_arrays(instance.linear_range(X), table)
-    p3s, logs3 = window_arrays(instance.power_range(X), table)
-    if len(p1s) == 0 or len(p3s) == 0:
-        return
-    l1, l2, l3, omega = *instance.lambdas, instance.omega
 
-    a1, a1_lo = two_prod(l1, p1s.astype(np.float64))
-    a2, a2_lo = two_prod(l2, p1s.astype(np.float64))
-    ts = [omega - l3 * float(p3) ** instance.k for p3 in p3s]
+    def __init__(self, instance: ProblemInstance, X: float, eta: float,
+                 table: PrimeTable):
+        if not 0.0 <= eta < math.inf:
+            raise DomainError(f"eta must be finite and >= 0, got {eta}")
+        self.rows: list[tuple] = []
+        self.p1s, self.logs1 = p1s, logs1 = window_arrays(
+            instance.linear_range(X), table)
+        self.eta = eta
+        p3s, logs3 = window_arrays(instance.power_range(X), table)
+        if len(p1s) == 0 or len(p3s) == 0:
+            return
+        l1, l2, l3, omega = *instance.lambdas, instance.omega
 
-    L1, L2, L3, OM = (mp.mpf(v) for v in (l1, l2, l3, omega))
-    # widened by the float64 error bound 2^-46 ((|l1|+|l2|+|l3|) X + |omega|)
-    lo_shift = eta + 128.0 * U * ((abs(l1) + abs(l2) + abs(l3)) * float(X)
-                                  + abs(omega))
-    lattice = Lattice(p1s, a1, a2, l2, lo_shift, max(map(abs, ts)))
-    v_lo, v_hi = sorted((a2[0], a2[-1]))
-    # a1 made ascending in the p1 index, for the two range searches
-    a1_up, sign1 = (a1, 1.0) if l1 > 0 else (-a1, -1.0)
-    eta_mp = mp.mpf(eta)
-    band = mp.mpf(BOUNDARY_BAND) * eta_mp
-    band_hi, band_lo = two_prod(BOUNDARY_BAND, eta)  # == band, exactly
-    lin_mag = (abs(l1) + abs(l2)) * float(p1s[-1]) + eta
+        a1, a1_lo = two_prod(l1, p1s.astype(np.float64))
+        a2, a2_lo = two_prod(l2, p1s.astype(np.float64))
+        ts = [omega - l3 * float(p3) ** instance.k for p3 in p3s]
 
-    for p3, lg3, t in zip(p3s, logs3, ts):
-        # a window meets [v_lo, v_hi] only if a1 lies in
-        # [t - lo_shift - v_hi, t + lo_shift - v_lo]; a second lo_shift
-        # covers the rounding of both tests, which is below that bound
-        reach = sorted((sign1 * (t - 2.0 * lo_shift - v_hi),
-                        sign1 * (t + 2.0 * lo_shift - v_lo)))
-        start = int(np.searchsorted(a1_up, reach[0], side="left"))
-        stop = int(np.searchsorted(a1_up, reach[1], side="right"))
-        if start >= stop:
-            continue
-        l3p = L3 * pow_mp(p3, instance.k)
-        base = dd_from_mpf(l3p - OM)
-        exact_base = float(instance.k).is_integer() and (
-            sum(map(Fraction, base))
-            == Fraction(l3) * int(p3) ** int(instance.k) - Fraction(omega))
-        for b0 in range(start, stop, PROBE_BLOCK):
-            i, j = lattice.candidates(t, b0, min(b0 + PROBE_BLOCK, stop))
-            if len(i) == 0:
+        L1, L2, L3, OM = (mp.mpf(v) for v in (l1, l2, l3, omega))
+        # widened by the float64 error bound
+        # 2^-46 ((|l1|+|l2|+|l3|) X + |omega|)
+        lo_shift = eta + 128.0 * U * ((abs(l1) + abs(l2) + abs(l3)) * float(X)
+                                      + abs(omega))
+        self.lattice = lat = Lattice(p1s, a1, a2, l2, lo_shift,
+                                     max(map(abs, ts)))
+        # p1 per probe block: it reads at most PROBE_BLOCK slots and expects
+        # at most CHUNK_RECORDS hits, at the window's primes per slot
+        slots = min(PROBE_BLOCK, CHUNK_RECORDS * len(lat.slot) // len(p1s))
+        self.block = max(1, slots // lat.nd)
+        v_lo, v_hi = sorted((a2[0], a2[-1]))
+        # a1 made ascending in the p1 index, for the two range searches
+        a1_up, sign1 = (a1, 1.0) if l1 > 0 else (-a1, -1.0)
+        for p3, lg3, t in zip(p3s, logs3, ts):
+            # a window meets [v_lo, v_hi] only if a1 lies in
+            # [t - lo_shift - v_hi, t + lo_shift - v_lo]; a second lo_shift
+            # covers the rounding of both tests, which is below that bound
+            reach = sorted((sign1 * (t - 2.0 * lo_shift - v_hi),
+                            sign1 * (t + 2.0 * lo_shift - v_lo)))
+            start = int(np.searchsorted(a1_up, reach[0], side="left"))
+            stop = int(np.searchsorted(a1_up, reach[1], side="right"))
+            if start >= stop:
                 continue
-            r_hi, err, rounded = _dd_residuals(
-                a1[i], a1_lo[i], a2[j], a2_lo[j], base, lin_mag, exact_base,
-                eta)
-            admit, boundary, decided = _certify(r_hi, err, rounded, eta,
-                                                band_hi, band_lo)
-            res = np.abs(r_hi)
-            undecided = np.nonzero(~decided)[0]
-            for c in undecided:
-                p1, p2 = int(p1s[i[c]]), int(p1s[j[c]])
-                exact = abs(mp.fsum((L1 * p1, L2 * p2, l3p, -OM)))
-                admit[c] = bool(exact <= eta_mp)
-                if admit[c]:
-                    res[c] = float(exact)
-                    boundary[c] = bool(abs(exact - eta_mp) <= band)
+            l3p = L3 * pow_mp(p3, instance.k)
+            base = dd_from_mpf(l3p - OM)
+            exact_base = float(instance.k).is_integer() and (
+                sum(map(Fraction, base))
+                == Fraction(l3) * int(p3) ** int(instance.k) - Fraction(omega))
+            self.rows.append((p3, lg3, t, start, stop, l3p, base, exact_base))
 
-            n = len(i)
-            if not admit.all():
-                keep = np.nonzero(admit)[0]
-                i, j, res, boundary = i[keep], j[keep], res[keep], boundary[keep]
-            yield Solutions(p1s[i], p1s[j], np.full(len(i), p3), res,
-                            logs1[i] * logs1[j] * lg3, boundary, candidates=n,
-                            exact_fallbacks=len(undecided))
+        self.a1, self.a1_lo, self.a2, self.a2_lo = a1, a1_lo, a2, a2_lo
+        self.L1, self.L2, self.OM = L1, L2, OM
+        self.eta_mp = mp.mpf(eta)
+        self.band = mp.mpf(BOUNDARY_BAND) * self.eta_mp
+        self.band_hi, self.band_lo = two_prod(BOUNDARY_BAND, eta)  # == band
+        self.lin_mag = (abs(l1) + abs(l2)) * float(p1s[-1]) + eta
+
+    def chunks(self, share: int = 0, shares: int = 1) -> Iterator[Solutions]:
+        """The admitted triples of share `share` of `shares`, the p3 rows
+        share, share + shares, ..., as consecutive Solutions chunks in
+        (p3, p1, p2) order: one per p3 and probe block of `block` p1 that
+        has candidates.  Each chunk counts its own candidates and exact
+        fallbacks; a block with candidates but no admitted triple yields an
+        empty chunk.  Only reads the set-up, so shares may run at once."""
+        p1s, eta = self.p1s, self.eta
+        for p3, lg3, t, start, stop, l3p, base, exact_base in (
+                self.rows[share::shares]):
+            for b0 in range(start, stop, self.block):
+                i, j = self.lattice.candidates(t, b0,
+                                               min(b0 + self.block, stop))
+                if len(i) == 0:
+                    continue
+                r_hi, err, rounded = _dd_residuals(
+                    self.a1[i], self.a1_lo[i], self.a2[j], self.a2_lo[j],
+                    base, self.lin_mag, exact_base, eta)
+                admit, boundary, decided = _certify(
+                    r_hi, err, rounded, eta, self.band_hi, self.band_lo)
+                res = np.abs(r_hi)
+                undecided = np.nonzero(~decided)[0]
+                for c in undecided:
+                    p1, p2 = int(p1s[i[c]]), int(p1s[j[c]])
+                    exact = abs(mp.fsum((self.L1 * p1, self.L2 * p2, l3p,
+                                         -self.OM)))
+                    admit[c] = bool(exact <= self.eta_mp)
+                    if admit[c]:
+                        res[c] = float(exact)
+                        boundary[c] = bool(abs(exact - self.eta_mp)
+                                           <= self.band)
+
+                n = len(i)
+                if not admit.all():
+                    keep = np.nonzero(admit)[0]
+                    i, j, res, boundary = (i[keep], j[keep], res[keep],
+                                           boundary[keep])
+                yield Solutions(p1s[i], p1s[j], np.full(len(i), p3), res,
+                                self.logs1[i] * self.logs1[j] * lg3, boundary,
+                                candidates=n, exact_fallbacks=len(undecided))
 
 
 def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
                         table: PrimeTable) -> Solutions:
     """All ordered triples with residual <= eta, in (p3, p1, p2) order: the
-    chunks of `iter_solution_chunks`, joined."""
-    chunks = list(iter_solution_chunks(instance, X, eta, table))
+    chunks of the `Enumeration`, as one share, joined."""
+    chunks = list(Enumeration(instance, X, eta, table).chunks())
     if not chunks:
         return Solutions.empty()
     names = ("p1", "p2", "p3", "residual", "weight", "boundary")
@@ -402,53 +445,104 @@ class LevelSums:
     sample: tuple[int, int, int] | None
 
 
-def level_sums(instance: ProblemInstance, X: float, etas,
-               table: PrimeTable) -> LevelSums:
-    """Per eta of `etas`, the count and `weighted_count` of the triples with
-    residual <= eta, from one enumeration at max(etas).
+class _ShareSums:
+    """The exact partial sums of one share of `level_sums`: per-level counts
+    and fixed_sum integers, and its first smallest residual with its
+    triple."""
 
-    The chunks are reduced CHUNK_RECORDS records at a time and W is summed
-    exactly (precision.fixed_sum), so the values equal those of the whole
-    enumeration bit for bit while memory stays that of the prime windows.
-    """
-    etas = tuple(float(e) for e in etas)
-    counts = [0] * len(etas)
-    sums = [0] * len(etas)
-    best, sample = math.inf, None
-    held: list[Solutions] = []
-    n_held = 0
+    def __init__(self, etas: tuple[float, ...]):
+        self.etas = etas
+        self.counts = [0] * len(etas)
+        self.sums = [0] * len(etas)
+        self.best, self.sample = math.inf, None
 
-    def reduce(chunks):
-        nonlocal best, sample
+    def reduce(self, chunks: list[Solutions]) -> None:
         res = np.concatenate([c.residual for c in chunks])
         b = int(np.argmin(res))
-        if res[b] < best:  # strictly: an earlier chunk keeps a tie
-            best = float(res[b])
+        if res[b] < self.best:  # strictly: an earlier chunk keeps a tie
+            self.best = float(res[b])
             for c in chunks:
                 if b < len(c):
-                    sample = (int(c.p1[b]), int(c.p2[b]), int(c.p3[b]))
+                    self.sample = (int(c.p1[b]), int(c.p2[b]), int(c.p3[b]))
                     break
                 b -= len(c)
         # the levels nest, so each filters the records of the one above it
         r, w = res, np.concatenate([c.weight for c in chunks])
+        etas = self.etas
         for n in sorted(range(len(etas)), key=lambda n: -etas[n]):
             r, w, terms = _within(r, w, etas[n])
-            counts[n] += len(terms)
-            sums[n] += fixed_sum(terms)
+            self.counts[n] += len(terms)
+            self.sums[n] += fixed_sum(terms)
 
-    for chunk in iter_solution_chunks(instance, X, max(etas), table):
-        if len(chunk):
-            held.append(chunk)
-            n_held += len(chunk)
-        if n_held >= CHUNK_RECORDS:
-            reduce(held)
-            held, n_held = [], 0
-    if held:
-        reduce(held)
-    return LevelSums(counts=tuple(counts),
-                     weighted=tuple(fixed_to_float(s) for s in sums),
-                     min_residual=None if sample is None else best,
-                     sample=sample)
+    @classmethod
+    def of_share(cls, enum: Enumeration, share: int, shares: int,
+                 etas: tuple[float, ...]) -> "_ShareSums":
+        """The sums of one share, reduced CHUNK_RECORDS records at a time."""
+        acc, held, n_held = cls(etas), [], 0
+        for chunk in enum.chunks(share, shares):
+            if len(chunk):
+                held.append(chunk)
+                n_held += len(chunk)
+            if n_held >= CHUNK_RECORDS:
+                acc.reduce(held)
+                held, n_held = [], 0
+        if held:
+            acc.reduce(held)
+        return acc
+
+
+def level_sums(instance: ProblemInstance, X: float, etas,
+               table: PrimeTable) -> LevelSums:
+    """Per eta of `etas`, the count and `weighted_count` of the triples with
+    residual <= eta, from one enumeration at max(etas).  An empty `etas`,
+    or a level that is not finite and >= 0, raises DomainError.
+
+    The enumeration's p3 rows are dealt round-robin to SHARES shares, one
+    per CPU of the process's affinity mask: the calling thread runs share
+    0 and one thread each the others (numpy releases the GIL inside its
+    loops).  Each share reduces its chunks CHUNK_RECORDS records at a
+    time to counts, exact sums of W (precision.fixed_sum) and its first
+    smallest residual.  The merge adds the counts and the integers and
+    keeps the smallest residual, a tie going to the first triple in
+    (p3, p1, p2) order, so the values equal those of the whole enumeration
+    bit for bit, whatever the number of shares, while memory stays that of
+    the prime windows.
+    """
+    etas = tuple(float(e) for e in etas)
+    if not etas:
+        raise DomainError("level_sums needs at least one eta")
+    for eta in etas:
+        if not 0.0 <= eta < math.inf:
+            raise DomainError(f"eta must be finite and >= 0, got {eta}")
+    enum = Enumeration(instance, X, max(etas), table)
+    shares = max(1, min(SHARES, len(enum.rows)))
+    parts: list = [None] * shares
+
+    def run(share):
+        try:
+            parts[share] = _ShareSums.of_share(enum, share, shares, etas)
+        except BaseException as exc:  # raised again by the calling thread
+            parts[share] = exc
+
+    threads = [threading.Thread(target=run, args=(s,))
+               for s in range(1, shares)]
+    for th in threads:
+        th.start()
+    run(0)
+    for th in threads:
+        th.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    first = min((p for p in parts if p.sample is not None), default=None,
+                key=lambda p: (p.best, p.sample[2], p.sample[0], p.sample[1]))
+    levels = range(len(etas))
+    return LevelSums(
+        counts=tuple(sum(p.counts[n] for p in parts) for n in levels),
+        weighted=tuple(fixed_to_float(sum(p.sums[n] for p in parts))
+                       for n in levels),
+        min_residual=None if first is None else first.best,
+        sample=None if first is None else first.sample)
 
 
 def duality_tail_bound(instance: ProblemInstance, X: float, B: float,

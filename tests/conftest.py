@@ -1,6 +1,9 @@
 """Shared fixtures.  Importing `dhlab` pins BLAS to one thread before
 numpy loads: the performance acceptance criterion is stated
-single-threaded, and fixed thread counts keep reductions bit-reproducible.
+single-threaded, and the pin is what keeps the grid products' reductions,
+and so the seeded CSVs, bit-reproducible.  The threads `solver.level_sums`
+runs its enumeration shares on do not move a bit: each share's sums are
+exact integers, merged exactly.
 
 The absolute ``src`` directory is prepended to ``PYTHONPATH`` so that CLI
 subprocesses import the same ``dhlab`` as the test process, whatever their

@@ -15,9 +15,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from dhlab import solver
 from dhlab.harness import (ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, write_suite_csv,
                            write_theorem_csv)
@@ -36,6 +38,17 @@ def test_lemmas_csv_matches_golden(tmp_path):
 def test_theorem_csv_matches_golden(tmp_path):
     out = tmp_path / "theorem.csv"
     write_theorem_csv(out, run_theorem_experiment(ExperimentConfig(seed=0)))
+    assert out.read_bytes() == (GOLDEN / "theorem_seed0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("shares", [1, 3])
+def test_theorem_csv_matches_golden_in_any_shares(tmp_path, shares):
+    # level_sums merges its shares exactly: one share, or more than this
+    # host has CPUs, gives the same bytes
+    out = tmp_path / "theorem.csv"
+    with mock.patch.object(solver, "SHARES", shares):
+        report = run_theorem_experiment(ExperimentConfig(seed=0))
+    write_theorem_csv(out, report)
     assert out.read_bytes() == (GOLDEN / "theorem_seed0.csv").read_bytes()
 
 

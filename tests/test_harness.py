@@ -324,6 +324,20 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
                                     capsys, monkeypatch)
         assert code == 2, err
         assert message in err and "Traceback" not in err
+    # eta grids the theorem cannot take: empty, entries that are not
+    # integers, and a j whose 2.0**j overflows
+    grids = {"empty": ([], "non-empty list of integers, got ()"),
+             "huge": ([0, 2000], "2.0**j finite, got 2000"),
+             "float": ([1.5], "2.0**j finite, got 1.5"),
+             "word": (["a"], "2.0**j finite, got 'a'")}
+    for name, (grid, message) in grids.items():
+        cfgp = tmp_path / f"grid_{name}.json"
+        cfgp.write_text(json.dumps({**MINI.to_json(), "eta_grid": grid}))
+        code, err = _cli_in_process(["--config", str(cfgp), "--out",
+                                     str(tmp_path / name), "theorem"],
+                                    capsys, monkeypatch)
+        assert code == 2, err
+        assert message in err and "Traceback" not in err
     res = _cli(["--threads", "2", "lemmas"], tmp_path)
     assert res.returncode == 2, res.stderr
     # grid requests the evaluator cannot honour: a zero step, and more

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 import subprocess
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -154,6 +155,12 @@ def test_eta_refused_before_any_work(table_1e6, no_grid_values):
     for eta in (math.nan, -1.0, math.inf):
         with pytest.raises(DomainError, match="eta must be"):
             enumerate_solutions(INST, 100.0, eta, table_1e6)
+    # level_sums refuses every bad level, not only the top one, and no level
+    for etas in ([1.0, math.nan], [1.0, -0.5], [math.inf], [math.nan, 1.0]):
+        with pytest.raises(DomainError, match="eta must be"):
+            level_sums(INST, 1728.0, etas, table_1e6)
+    with pytest.raises(DomainError, match="at least one eta"):
+        level_sums(INST, 1728.0, [], table_1e6)
     for eta in (math.nan, -1.0, math.inf, 0.0):
         with pytest.raises(DomainError, match="eta must be"):
             solution_integral(INST, 100.0, eta, (-10.0, 10.0), table_1e6,
@@ -521,11 +528,12 @@ def _level_oracle(full, etas):
             (int(full.p1[b]), int(full.p2[b]), int(full.p3[b])))
 
 
-def _assert_levels_match(inst, X, etas, table, chunk, block):
+def _assert_levels_match(inst, X, etas, table, chunk, block, shares):
     full = enumerate_solutions(inst, X, max(etas), table)
     counts, weighted, min_res, sample = _level_oracle(full, etas)
     with mock.patch.object(solver, "CHUNK_RECORDS", chunk), \
-            mock.patch.object(solver, "PROBE_BLOCK", block):
+            mock.patch.object(solver, "PROBE_BLOCK", block), \
+            mock.patch.object(solver, "SHARES", shares):
         got = level_sums(inst, X, etas, table)
         blocked = enumerate_solutions(inst, X, max(etas), table)
     assert got.counts == tuple(counts)
@@ -548,11 +556,13 @@ def _assert_levels_match(inst, X, etas, table, chunk, block):
        X=st.floats(40.0, 300.0), triple=st.tuples(*[st.integers(0, 10**6)] * 3),
        offset=st.floats(-0.5, 0.5),
        etas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4),
-       chunk=st.integers(1, 7), block=st.integers(1, 7))
+       chunk=st.integers(1, 7), block=st.integers(1, 7),
+       shares=st.integers(1, 4))
 def test_level_sums_match_enumeration(table_1e6, k, coefs, signs, X, triple,
-                                      offset, etas, chunk, block):
+                                      offset, etas, chunk, block, shares):
     # l1 and l2 of either sign (l3 opposite to l1), omega near the value of
-    # one triple of the windows, and chunk and probe blocks of 1 to 7
+    # one triple of the windows, chunk and probe blocks of 1 to 7, and 1 to
+    # 4 shares, threads whatever the CPUs of the host
     l1 = coefs[0] if signs[0] else -coefs[0]
     l2 = coefs[1] if signs[1] else -coefs[1]
     l3 = -math.copysign(coefs[2], l1)
@@ -565,22 +575,60 @@ def test_level_sums_match_enumeration(table_1e6, k, coefs, signs, X, triple,
                   pw[triple[2] % len(pw)])
     omega = l1 * q1 + l2 * q2 + l3 * float(q3) ** k + offset
     inst = ProblemInstance(l1, l2, l3, k, omega, delta=0.05)
-    _assert_levels_match(inst, X, etas, table_1e6, chunk, block)
+    _assert_levels_match(inst, X, etas, table_1e6, chunk, block, shares)
 
 
 def test_level_sums_first_of_tied_minima(table_1e6):
-    # 1, 1, -1 at omega = 0: many triples have residual exactly 0, so the
-    # sample is the first of a tie, whatever the chunks
-    for chunk in range(1, 8):
+    # 1, 1, -1 at omega = 0: many triples have residual exactly 0, under
+    # several p3, so the sample is the first of a tie, whatever the chunks
+    # and however the p3 rows fall to the shares
+    for chunk, shares in itertools.product(range(1, 8), range(1, 5)):
         full = _assert_levels_match(INST, 200.0, [0.0, 0.5, 1.5], table_1e6,
-                                    chunk, chunk)
-        assert np.count_nonzero(full.residual == 0.0) > 1
+                                    chunk, chunk, shares)
+        assert len(np.unique(full.p3[full.residual == 0.0])) > 1
     assert level_sums(INST, 200.0, [0.25, 0.5], table_1e6).sample == (2, 2, 2)
     # no solution at all
     none = level_sums(ProblemInstance(1.0, 1.0, 1.0, 2.0, -1.0), 500.0,
                       [0.25], table_1e6)
     assert none.counts == (0,) and none.weighted == (0.0,)
     assert none.min_residual is None and none.sample is None
+
+
+def test_level_sums_shares_under_fast_thread_switching(table_1e6):
+    # more shares than cores, the interpreter switching threads every
+    # microsecond: the merge still gives the bits of one share
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.3)
+    etas = (0.05, 0.5, 2.0)
+    with mock.patch.object(solver, "SHARES", 1):
+        one = level_sums(inst, 3e4, etas, table_1e6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(solver, "SHARES", 6), \
+                mock.patch.object(solver, "CHUNK_RECORDS", 64):
+            many = level_sums(inst, 3e4, etas, table_1e6)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one.counts[-1] > 1000
+    assert many == one
+
+
+def test_level_sums_raises_what_a_share_thread_raised(table_1e6):
+    # an error off the calling thread reaches the caller, after every
+    # share has ended
+    real = solver.fixed_sum
+
+    def fail_off_main(values):
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("share failed")
+        return real(values)
+
+    before = threading.active_count()
+    with mock.patch.object(solver, "SHARES", 3), \
+            mock.patch.object(solver, "fixed_sum", fail_off_main):
+        with pytest.raises(DomainError, match="share failed"):
+            level_sums(INST, 1728.0, [0.5, 1.5], table_1e6)
+    assert threading.active_count() == before
 
 
 def test_theorem_memory_does_not_grow_with_records():
