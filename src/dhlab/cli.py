@@ -160,7 +160,7 @@ def expsum_cmd(ctx, kind, k, delta, X, alpha, grid, csv_path):
 @click.option("--lo", type=float, required=True)
 @click.option("--hi", type=float, required=True)
 def moments_cmd(kind, p, k, delta, X, lo, hi):
-    """Trapezoid moment integral of |sum|^p with its comparison bound."""
+    """Moment integral of |sum|^p over [lo, hi] with its comparison bound."""
     rng = SumRange(k, delta, X)
     table = _table(rng)
     rep = moment_integral(kind, int(p), (lo, hi), rng, table)

@@ -761,16 +761,18 @@ def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
     if len(n) * P < CHIRP_COST * L * math.log2(2 * L):
         return None
     n0 = int(n[0])
-    m = n - n0
-    d2 = 0.5 * step  # exact
-    i = np.arange(P, dtype=np.float64)
-    row = (phase_frac(float(n0), 0.0, *two_prod(i, step))
-           + phase_frac(i * i, 0.0, d2))
-    k = np.arange(L, dtype=np.float64)
-    k = np.where(k < P, k, k - L)
-    chirp_hat = np.fft.fft(np.exp(-TWO_PI_I * phase_frac(k * k, 0.0, d2)))
-    return ChirpPlan(step, P, n0, width, n, m.astype(np.int64),
-                     weights[order], phase_frac(m * m, 0.0, d2),
+    m = (n - n0).astype(np.int64)
+    # frac(j^2 d / 2) for j <= max(P - 1, L - P): the |k| of b, the i of
+    # the prefactor row and the offsets m < width all lie in that range
+    j = np.arange(max(P, L - P + 1), dtype=np.float64)
+    q = phase_frac(j * j, 0.0, 0.5 * step)  # d / 2 exact
+    row = phase_frac(float(n0), 0.0, *two_prod(j[:P], step)) + q[:P]
+    # b_k at k mod L: b_k = e(-q_k) for k < P, and b_(k-L) = e(-q_(L-k))
+    chirp = np.empty(L, dtype=np.complex128)
+    b = np.exp(-TWO_PI_I * q, out=chirp[:len(q)])
+    chirp[P:] = b[L - P:0:-1]
+    chirp_hat = np.fft.fft(chirp, out=chirp)
+    return ChirpPlan(step, P, n0, width, n, m, weights[order], q[m],
                      np.exp(TWO_PI_I * row), chirp_hat)
 
 

@@ -2,10 +2,19 @@
 
 The quadruple counter returns an exact int: integer arithmetic when k is
 an integer, and correctly-rounded powers with boundary-safe window counting
-otherwise, so it agrees with an exhaustive enumeration term for term.  The
-moment integrals are trapezoid sums on the 64x-oversampled grids of
-`expsums.trapezoid_step`, which for periodic integrands of bandwidth below
-the sampling rate is exact up to rounding.
+otherwise, so it agrees with an exhaustive enumeration term for term.
+
+The finite-interval moments are exact finite sums.  With |S|^p =
+|sum c e(t a)|^2, the frequencies t and coefficients c of S^(p/2),
+
+    int_lo^hi |S|^p da = sum over m, n of c_m c_n E(t_m - t_n),
+    E(xi) = (e(xi hi) - e(xi lo)) / (2 pi i xi),  E(0) = hi - lo,
+
+the finite-interval form of orthogonality.  Over whole periods of
+distinct integer frequencies every E off the diagonal vanishes and the
+moment is (hi - lo) sum c^2; otherwise the pairs are summed in blocks.
+Where the pairs pass MAX_GRID_VALUES the moments fall back to trapezoid
+sums on the 64x-oversampled grids of `expsums.trapezoid_step`.
 
 The kernel-weighted moments go by Fourier duality instead: K_eta
 transforms to a tent, so over the whole line |S|^p K_eta integrates to a
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
@@ -27,7 +37,7 @@ from mpmath import mp
 from .errors import DomainError, InsufficientTableError
 from .expsums import (MAX_GRID_VALUES, fejer_kernel, fejer_kernel_hat,
                       sum_freqs, trapezoid)
-from .precision import pow_dd
+from .precision import phase_frac, pow_dd, two_sum
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -119,7 +129,7 @@ def count_quadruples(N: int, k: float, gamma: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# trapezoid moments
+# finite-interval moments
 
 def _moment_bound(p: int, tau: float, X: float, k: float) -> float:
     logX = math.log(X)
@@ -134,9 +144,88 @@ def _moment_bound(p: int, tau: float, X: float, k: float) -> float:
     raise DomainError(f"exponent must be one of 2, 4, 8, got {p}")
 
 
+PAIR_BLOCK = 1 << 16  # most pairs one block of _pair_sum holds
+
+
+def _group(t, t_lo, c):
+    """The distinct t, ascending, each with the t_lo of its first
+    occurrence and the sum of its coefficients c."""
+    t, first, inv = np.unique(t, return_index=True, return_inverse=True)
+    return t, t_lo[first], np.bincount(inv.ravel(), weights=c)
+
+
+def _coefficients(p: int, fh, fl, w, integer: bool):
+    """(t, t_lo, c) with (sum w e((fh + fl) a))^(p/2) = sum c e((t + t_lo) a),
+    or None where a squaring would pass MAX_GRID_VALUES pair sums.
+
+    t: distinct and ascending, exact int64 for `integer` frequencies (t_lo
+    = 0), else the float64 sums of the high parts, t_lo the low part of
+    each t's first sum; c: the summed coefficients of equal t."""
+    if integer:
+        t, t_lo = fh.astype(np.int64) + fl.astype(np.int64), np.zeros(len(fh))
+    else:
+        t, t_lo = fh, fl
+    t, t_lo, c = _group(t, t_lo, w)
+    for _ in range(p.bit_length() - 2):  # p = 2, 4, 8: 0, 1, 2 squarings
+        if len(t) ** 2 > MAX_GRID_VALUES:
+            return None
+        s, e = (t[:, None] + t, 0.0) if integer else two_sum(t[:, None], t)
+        t, t_lo, c = _group(s.ravel(), (e + t_lo[:, None] + t_lo).ravel(),
+                            np.outer(c, c).ravel())
+    return t, t_lo, c
+
+
+def _pair_sum(t, t_lo, c, lo: float, hi: float) -> float:
+    """sum over m, n of c_m c_n E(t_m - t_n), E(xi) the integral of e(xi a)
+    over [lo, hi]: E(0) = hi - lo, and the real part of E, the imaginary
+    parts cancelling in pairs, is cos(pi xi (hi + lo)) sin(pi xi (hi -
+    lo)) / (pi xi), each phase reduced by phase_frac from the error-free
+    difference of the two frequencies and the error-free hi + lo and
+    hi - lo.  Pairs m < n go in blocks of rows of at most PAIR_BLOCK
+    pairs, each block summed with np.sum; the block sums and the diagonal
+    (hi - lo) sum c^2 with math.fsum."""
+    th = t.astype(np.float64)
+    tl = t_lo + (t - th.astype(t.dtype))  # an int64 t's rounding to th
+    w, w_lo = two_sum(hi, -lo)
+    s, s_lo = two_sum(hi, lo)
+    n = len(t)
+    rows = max(1, PAIR_BLOCK // max(n, 1))
+    sums = [w * math.fsum(c * c)]
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n)
+        dh, de = two_sum(th[a:], -th[a:b, None])
+        dl = de + (tl[a:] - tl[a:b, None])
+        ker = (np.sin(2.0 * np.pi * phase_frac(dh, dl, 0.5 * w, 0.5 * w_lo))
+               * np.cos(2.0 * np.pi * phase_frac(dh, dl, 0.5 * s, 0.5 * s_lo)))
+        upper = np.arange(a, n) > np.arange(a, b)[:, None]
+        q = np.divide(ker, np.pi * (dh + dl), out=np.zeros_like(ker),
+                      where=upper)
+        sums.append(2.0 * np.sum(c[a:b, None] * c[a:] * q))
+    return math.fsum(sums)
+
+
+def _pair_moment(p: int, f, lo: float, hi: float,
+                 integer: bool) -> float | None:
+    """The integral over [lo, hi] of |sum w e((fh + fl) a)|^p, f = (fh, fl,
+    w), as a finite sum over the coefficients of the (p/2)-th power, or
+    None where its pair sums pass MAX_GRID_VALUES.  Over whole periods
+    (hi - lo an integer) of integer frequencies it is (hi - lo) sum c^2."""
+    coeffs = _coefficients(p, *f, integer)
+    if coeffs is None:
+        return None
+    t, t_lo, c = coeffs
+    if integer and (Fraction(hi) - Fraction(lo)).denominator == 1:
+        return (hi - lo) * math.fsum(c * c)
+    if len(t) ** 2 > MAX_GRID_VALUES:
+        return None
+    return _pair_sum(t, t_lo, c, lo, hi)
+
+
 def moment_integral(kind: str, p: int, interval: tuple[float, float],
                     rng: SumRange, table: PrimeTable) -> MomentReport:
-    """Trapezoid integral of |sum|^p over `interval`, with comparison bound.
+    """Integral of |sum|^p over the finite `interval`, with comparison bound:
+    the exact pair sum of _pair_moment, or where that declines the
+    trapezoid.
 
     kind 'S1' integrates the linear prime sum on the window [delta X, X];
     kind 'Sk' uses the k of `rng`.
@@ -147,19 +236,31 @@ def moment_integral(kind: str, p: int, interval: tuple[float, float],
         raise DomainError(f"kind must be 'S1' or 'Sk', got {kind!r}")
     lo, hi = float(interval[0]), float(interval[1])
     bound = _moment_bound(p, max(abs(lo), abs(hi)), rng.X, rng.k)
-    value = trapezoid([sum_freqs("prime", rng, table)], lo, hi, rng.X,
-                      lambda alphas, s: np.abs(s) ** p)
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"need finite lo < hi, got [{lo}, {hi}]")
+    f = sum_freqs("prime", rng, table)
+    value = _pair_moment(p, f, lo, hi, float(rng.k).is_integer())
+    if value is None:
+        value = trapezoid([f], lo, hi, rng.X, lambda alphas, s: np.abs(s) ** p)
     return MomentReport(exponent=p, lo=lo, hi=hi, value=value, bound=bound,
                         X=rng.X, k=rng.k)
 
 
 def exp_sum_gap_l2(Y: float, rng: SumRange, table: PrimeTable) -> MomentReport:
     """Integral of |prime sum - integer sum|^2 over [-Y, Y], with the
-    short-window variance bound as comparison."""
+    short-window variance bound as comparison: the exact pair sum of
+    _pair_moment over the union of the two ensembles' frequencies (log p
+    at the primes, -1 at every integer), or where that declines the
+    trapezoid."""
     if not 0 < Y <= 0.5:
         raise DomainError(f"Y must be in (0, 1/2], got {Y}")
-    value = trapezoid([sum_freqs("prime", rng, table), sum_freqs("integer", rng)],
-                      -Y, Y, rng.X, lambda alphas, s, u: np.abs(s - u) ** 2)
+    fp, fu = sum_freqs("prime", rng, table), sum_freqs("integer", rng)
+    union = (np.concatenate((fp[0], fu[0])), np.concatenate((fp[1], fu[1])),
+             np.concatenate((fp[2], -fu[2])))
+    value = _pair_moment(2, union, -Y, Y, float(rng.k).is_integer())
+    if value is None:
+        value = trapezoid([fp, fu], -Y, Y, rng.X,
+                          lambda alphas, s, u: np.abs(s - u) ** 2)
 
     X, k = rng.X, rng.k
     logX = math.log(X)
@@ -196,7 +297,8 @@ def selberg_integral(rng: SumRange, h: float, table: PrimeTable) -> float:
     jumps1 = pk[(pk >= X) & (pk <= 2.0 * X)]
     shifted = pk - h
     jumps2 = shifted[(shifted >= X) & (shifted <= 2.0 * X)]
-    cuts = np.unique(np.concatenate(([X, 2.0 * X], jumps1, jumps2)))
+    x = np.sort(np.concatenate(([X, 2.0 * X], jumps1, jumps2)))
+    cuts = x[np.r_[True, x[1:] != x[:-1]]]
     x0s, x1s = cuts[:-1], cuts[1:]
     mids = 0.5 * (x0s + x1s)
     d = theta_many((mids + h) ** (1.0 / k), table) - theta_many(mids ** (1.0 / k), table)
@@ -237,21 +339,18 @@ def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
     """(t, c, whole) for |S(lam a)|^p = |sum c e(t lam a)|^2, S the prime
     sum of `rng`, or None where the sums would pass MAX_GRID_VALUES.
 
-    t: the sorted distinct frequencies of S^(p/2) at scale 1, exact int64
-    for integer k, else float64 sums of the high parts; c: their
-    coefficients.  whole: the integral over the whole line of |S(lam
-    a)|^p K_eta(a).  K_eta transforms to the tent max(0, eta - |xi|), so
-    whole is the sum over i, j of c_i c_j max(0, eta - |lam (t_i - t_j)|),
-    whose pairs closer than eta/|lam| are found by two searches over t.
+    t, c: the frequencies of S^(p/2) at scale 1 and their coefficients,
+    as _coefficients gives them (t_lo left out).  whole: the integral over
+    the whole line of |S(lam a)|^p K_eta(a).  K_eta transforms to the tent
+    max(0, eta - |xi|), so whole is the sum over i, j of c_i c_j max(0,
+    eta - |lam (t_i - t_j)|), whose pairs closer than eta/|lam| are found
+    by two searches over t.
     """
-    fh, fl, c = sum_freqs("prime", rng, table)
-    # integer powers are hi/lo pairs of integers
-    t = fh.astype(np.int64) + fl.astype(np.int64) if float(rng.k).is_integer() else fh
-    for _ in range(p.bit_length() - 2):  # p = 2, 4, 8: 0, 1, 2 squarings
-        if len(t) ** 2 > MAX_GRID_VALUES:
-            return None
-        t, inv = np.unique((t[:, None] + t[None, :]).ravel(), return_inverse=True)
-        c = np.bincount(inv.ravel(), weights=np.outer(c, c).ravel())
+    coeffs = _coefficients(p, *sum_freqs("prime", rng, table),
+                           float(rng.k).is_integer())
+    if coeffs is None:
+        return None
+    t, _, c = coeffs
     r = eta / abs(lam)
     a = np.searchsorted(t, t - r, side="right")
     n = np.searchsorted(t, t + r, side="left") - a

@@ -495,7 +495,9 @@ def level_sums(instance: ProblemInstance, X: float, etas,
                table: PrimeTable) -> LevelSums:
     """Per eta of `etas`, the count and `weighted_count` of the triples with
     residual <= eta, from one enumeration at max(etas).  An empty `etas`,
-    or a level that is not finite and >= 0, raises DomainError.
+    a level that is not finite and >= 0, or one at which W could pass
+    float64 (eta times the largest weight times the triples of the
+    windows) raises DomainError before any work.
 
     The enumeration's p3 rows are dealt round-robin to SHARES shares, one
     per CPU of the process's affinity mask: the calling thread runs share
@@ -514,6 +516,19 @@ def level_sums(instance: ProblemInstance, X: float, etas,
     for eta in etas:
         if not 0.0 <= eta < math.inf:
             raise DomainError(f"eta must be finite and >= 0, got {eta}")
+    # a term w max(0, eta - residual) of W is at most eta times the
+    # largest weight log p1 log p2 log p3, and W at most that many times
+    # the triples of the windows
+    logs1 = window_arrays(instance.linear_range(X), table)[1]
+    logs3 = window_arrays(instance.power_range(X), table)[1]
+    if len(logs1) and len(logs3):
+        top = float(logs1[-1]) ** 2 * float(logs3[-1])
+        triples = len(logs1) ** 2 * len(logs3)
+        for eta in etas:
+            if not math.isfinite(eta * top * triples):
+                raise DomainError(
+                    f"level eta = {eta:g} can take W past float64: terms up "
+                    f"to eta * {top:.6g} over {triples} triples")
     enum = Enumeration(instance, X, max(etas), table)
     shares = max(1, min(SHARES, len(enum.rows)))
     parts: list = [None] * shares

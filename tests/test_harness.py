@@ -301,6 +301,19 @@ def _cli_in_process(args, capsys, monkeypatch):
     return exit_.value.code, capsys.readouterr().err
 
 
+def test_lemma_suite_does_not_import_numpy_ma():
+    # a bare np.unique imports numpy.ma (np.ma.is_masked), 11-18 ms inside
+    # the suite's first run in a process
+    code = ("import sys\n"
+            "from dhlab.harness import ExperimentConfig, run_lemma_suite\n"
+            "run_lemma_suite(ExperimentConfig(seed=0))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     # the refusals run in process; `--threads 2 lemmas` runs as a real
     # subprocess, so the module entry point is exercised too
@@ -329,7 +342,10 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     grids = {"empty": ([], "non-empty list of integers, got ()"),
              "huge": ([0, 2000], "2.0**j finite, got 2000"),
              "float": ([1.5], "2.0**j finite, got 1.5"),
-             "word": (["a"], "2.0**j finite, got 'a'")}
+             "word": (["a"], "2.0**j finite, got 'a'"),
+             # finite levels, but W could pass float64
+             "top": ([0, 1023], "can take W past float64"),
+             "high": ([1010], "can take W past float64")}
     for name, (grid, message) in grids.items():
         cfgp = tmp_path / f"grid_{name}.json"
         cfgp.write_text(json.dumps({**MINI.to_json(), "eta_grid": grid}))
@@ -365,8 +381,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         # the sampler reads only the linear sums: it takes no k
         "No such option '--k'": ["measure", "--k", "2", "--X", "100",
                                 "--z1", "1", "--z2", "1", "--y", "0.1"],
+        # off whole periods, with pairs past MAX_GRID_VALUES
         "(> 268435456)": ["moments", "--kind", "S1", "--p", "2", "--k", "1",
-                          "--X", "1000", "--lo", "-3000", "--hi", "3000"],
+                          "--X", "1e6", "--lo", "-3000.5", "--hi", "3000"],
         # a grid count that is not an integer
         "count must be an integer, got 'abc'": [
             "expsum", "--k", "1", "--X", "100", "--grid", "0,1e-3,abc"],

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -14,7 +14,8 @@ from dhlab.expsums import fejer_kernel, sum_freqs, trapezoid
 from dhlab.harness import ExperimentConfig
 from dhlab.norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
                          moment_integral, selberg_integral)
-from dhlab.primes import SumRange, theta_many, window_arrays
+from dhlab.primes import (SumRange, integers_in_range, theta_many,
+                          window_arrays)
 
 
 def quadruple_oracle(N, k, gamma):
@@ -113,14 +114,41 @@ def test_moment_orthogonality_diagonal(table_1e6):
         assert rep.value == pytest.approx(math.fsum(logs**2), rel=0.005)
 
 
+def gap_coefficients(rng, table):
+    """The integers n of the window and the coefficients of the prime sum
+    minus the integer sum: log n - 1 at the primes, -1 elsewhere."""
+    ps, logs = window_arrays(rng, table)
+    ns = integers_in_range(rng)
+    c = -np.ones(len(ns))
+    c[np.searchsorted(ns, ps)] += logs
+    return ns, c
+
+
+def test_whole_period_moments_need_no_grid(table_1e6, no_grid_values):
+    # whole periods of integer frequencies: (hi - lo) sum c^2, however far
+    # past MAX_TRAPEZOID_POINTS the trapezoid's grid would have been
+    _, logs = window_arrays(SumRange(1, 0.1, 1000.0), table_1e6)
+    rep = moment_integral("S1", 2, (-3000.0, 3000.0),
+                          SumRange(1, 0.1, 1000.0), table_1e6)
+    assert rep.value == pytest.approx(6000.0 * math.fsum(logs**2), rel=1e-15)
+    # the gap over [-1/2, 1/2]
+    rng = SumRange(2, 0.1, 1e7)
+    _, c = gap_coefficients(rng, table_1e6)
+    rep = exp_sum_gap_l2(0.5, rng, table_1e6)
+    assert rep.value == pytest.approx(math.fsum(c**2), rel=1e-15)
+
+
 def test_integrals_refuse_before_evaluating(table_1e6, no_grid_values):
-    # grids of more than MAX_TRAPEZOID_POINTS nodes, and a bound that
-    # does not exist
+    # grids of more than MAX_TRAPEZOID_POINTS nodes where the pair sums
+    # pass MAX_GRID_VALUES too, and a bound that does not exist
     cap = str(expsums.MAX_TRAPEZOID_POINTS)
     calls = [
-        (cap, lambda: moment_integral("S1", 2, (-3000.0, 3000.0),
-                                      SumRange(1, 0.1, 1000.0), table_1e6)),
-        (cap, lambda: exp_sum_gap_l2(0.5, SumRange(2, 0.1, 1e7), table_1e6)),
+        # 68,906 frequencies (4.7e9 pairs) off whole periods
+        (cap, lambda: moment_integral("S1", 2, (-3000.5, 3000.0),
+                                      SumRange(1, 0.1, 1e6), table_1e6)),
+        # 6,213 frequencies, whose square has too many pair sums
+        (cap, lambda: moment_integral("Sk", 4, (0.0, 1.0),
+                                      SumRange(2, 0.1, 1e10), table_1e6)),
         # the identity's head [0, lo] over the cap, for non-integer and
         # integer k
         (cap, lambda: kernel_moment(2, 1.0, 5000.0, 6000.0, 0.5,
@@ -138,6 +166,90 @@ def test_integrals_refuse_before_evaluating(table_1e6, no_grid_values):
     for message, call in calls:
         with pytest.raises(DomainError, match=message):
             call()
+
+
+def pair_sum_oracle(p, ns, weights, k, lo, hi):
+    """30-digit sum over pairs of terms of (sum w e(n^k a))^(p/2) of
+    c_m c_n int_lo^hi e((t_m - t_n) a) da, the terms left ungrouped (p = 4:
+    one per unordered pair of n), with the scale (sum |c|)^2 (hi - lo)."""
+    with mp.workdps(30):
+        f = [mp.power(int(n), mp.mpf(k)) for n in ns]
+        w = [mp.mpf(float(x)) for x in weights]
+        if p == 2:
+            terms = list(zip(f, w))
+        else:
+            terms = [(f[a] + f[b], w[a] * w[b] * (1 if a == b else 2))
+                     for a in range(len(f)) for b in range(a, len(f))]
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        total = mp.fsum(c * c for _, c in terms) * (hi - lo)
+        for m, (tm, cm) in enumerate(terms):
+            for tn, cn in terms[m + 1:]:
+                xi = tn - tm
+                E = (hi - lo if xi == 0 else
+                     (mp.sin(2 * mp.pi * xi * hi) - mp.sin(2 * mp.pi * xi * lo))
+                     / (2 * mp.pi * xi))
+                total += 2 * cm * cn * E
+        scale = mp.fsum(abs(c) for _, c in terms) ** 2 * (hi - lo)
+        return float(total), float(scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([2, 4]), k=st.sampled_from([1.5, 2.0, 2.5, 3.0]),
+       N=st.integers(12, 3000), span=st.integers(1, 40),
+       lo=st.floats(-0.7, 0.6), width=st.floats(1e-3, 1.3),
+       symmetric=st.booleans())
+# frequencies near 1e8, whose low parts move the value by about 1e-14
+# of the scale
+@example(p=4, k=2.5, N=2000, span=30, lo=0.1, width=0.6, symmetric=False)
+@example(p=2, k=1.5, N=2999, span=40, lo=-0.6, width=1.1, symmetric=False)
+def test_moment_pair_sum_matches_mpmath(table_1e6, p, k, N, span, lo, width,
+                                        symmetric):
+    # the pair sum against 30-digit pairs over exact powers n^k, on a
+    # window of the primes in [N - span, N] (pair sums up to 5.4e10)
+    # and any interval, or its symmetric twin
+    rng = SumRange(k, (1 - min(span, N // 2) / N) ** k, float(N) ** k)
+    lo, hi = (-0.5 * width, 0.5 * width) if symmetric else (lo, lo + width)
+    ps, logs = window_arrays(rng, table_1e6)
+    oracle, scale = pair_sum_oracle(p, ps, logs, k, lo, hi)
+    got = moment_integral("Sk", p, (lo, hi), rng, table_1e6).value
+    assert abs(got - oracle) <= 1e-15 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.sampled_from([1.5, 2.0, 2.5, 3.0]), N=st.integers(12, 3000),
+       span=st.integers(1, 40), Y=st.floats(1e-3, 0.5))
+@example(k=2.5, N=2999, span=40, Y=0.45)
+def test_gap_pair_sum_matches_mpmath(table_1e6, k, N, span, Y):
+    # the signed ensemble of the prime sum minus the integer sum
+    rng = SumRange(k, (1 - min(span, N // 2) / N) ** k, float(N) ** k)
+    ns, c = gap_coefficients(rng, table_1e6)
+    oracle, scale = pair_sum_oracle(2, ns, c, k, -Y, Y)
+    got = exp_sum_gap_l2(Y, rng, table_1e6).value
+    assert abs(got - oracle) <= 1e-15 * scale
+
+
+def test_moment_of_empty_window_is_zero(table_1e6):
+    # no prime in [23.4, 26]
+    rng = SumRange(1.0, 0.9, 26.0)
+    assert len(window_arrays(rng, table_1e6)[0]) == 0
+    for p in (2, 4):
+        assert moment_integral("Sk", p, (-0.1, 0.2), rng, table_1e6).value == 0
+
+
+# the spectrum workload's criterion-3 second moments and criterion-4
+# eighth moments of cubes, each over one period
+WHOLE_PERIODS = ([(2, SumRange(k, 0.25, X)) for k in (1.0, 2.0, 3.0)
+                  for X in (1e3, 1e4)]
+                 + [(8, SumRange(3.0, 0.1, X))
+                    for X in (500.0, 1000.0, 2000.0, 4000.0)])
+
+
+@pytest.mark.parametrize("p, rng", WHOLE_PERIODS)
+def test_whole_period_moment_matches_trapezoid(table_1e6, p, rng):
+    f = sum_freqs("prime", rng, table_1e6)
+    trap = trapezoid([f], 0.0, 1.0, rng.X, lambda a, s: np.abs(s) ** p)
+    got = moment_integral("Sk", p, (0.0, 1.0), rng, table_1e6).value
+    assert got == pytest.approx(trap, rel=1e-12)
 
 
 def test_moment_interval_shrinks_to_zero(table_1e6):

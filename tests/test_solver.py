@@ -161,6 +161,14 @@ def test_eta_refused_before_any_work(table_1e6, no_grid_values):
             level_sums(INST, 1728.0, etas, table_1e6)
     with pytest.raises(DomainError, match="at least one eta"):
         level_sums(INST, 1728.0, [], table_1e6)
+    # a finite level whose W could pass float64, before the enumeration
+    # is even set up
+    def refuse(*args):
+        raise AssertionError("enumeration set up")
+    with mock.patch.object(solver, "Enumeration", refuse):
+        for etas in ([0.5, 1e306], [1e308]):
+            with pytest.raises(DomainError, match="past float64"):
+                level_sums(INST, 1728.0, etas, table_1e6)
     for eta in (math.nan, -1.0, math.inf, 0.0):
         with pytest.raises(DomainError, match="eta must be"):
             solution_integral(INST, 100.0, eta, (-10.0, 10.0), table_1e6,
