@@ -66,7 +66,8 @@ def _echo_json(obj) -> None:
               default=None, help="JSON config for experiment commands.")
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               help="Output directory for CSV/JSON artifacts.")
-@click.option("--seed", type=int, default=None, help="Override config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override config seed.")
 @click.pass_context
 def main(ctx, config_path, out_dir, seed):
     """Numerical experiments around a three-prime Diophantine inequality."""

@@ -269,8 +269,7 @@ def test_criterion_9_grid_throughput(table_1e5):
 def test_criterion_10_determinism(tmp_path):
     cfg = ExperimentConfig(
         x_values=(1000.0, 2000.0), hua_x=(500.0, 1000.0),
-        envelope_x=(1e4, 2e4), cap=30000.0, measure_samples=4000,
-        witness_trials=16, seed=17,
+        envelope_x=(1e4, 2e4), cap=30000.0, measure_samples=4000, seed=17,
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg.to_json()))

@@ -35,6 +35,6 @@ def test_check_names():
     assert harness.CHECKS == (
         "gap_l2", "selberg_envelope", "quadruple_count", "fourth_moment",
         "second_moment", "rational_point_sum", "small_alpha_sum",
-        "witness_residual", "weighted_second_moment", "weighted_fourth_moment",
+        "weighted_second_moment", "weighted_fourth_moment",
         "eighth_moment_cubes", "large_values_measure",
     )

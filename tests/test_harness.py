@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dhlab import cli, harness
+from dhlab import cli, harness, primes
 from dhlab.expsums import eval_points, sum_freqs
 from dhlab.harness import (CHECKS, ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, sample_large_sum_measure,
@@ -22,7 +22,6 @@ MINI = ExperimentConfig(
     envelope_x=(1e4, 2e4),
     cap=2000.0,
     measure_samples=4000,
-    witness_trials=16,
     seed=3,
 )
 
@@ -317,6 +316,7 @@ def test_lemma_suite_does_not_import_numpy_ma():
 def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     # the refusals run in process; `--threads 2 lemmas` runs as a real
     # subprocess, so the module entry point is exercised too
+    instance = MINI.to_json()["instance"]
     cases = {
         "unknown": ({**MINI.to_json(), "threads": 2, "x_valuez": [1]},
                     "threads, x_valuez"),
@@ -328,15 +328,64 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
                          "instance": {**MINI.to_json()["instance"],
                                       "lambda2": math.nan}},
                         "lambda2 must be finite, got nan"),
+        # a removed option is refused, not silently ignored
+        "removed": ({**MINI.to_json(), "witness_trials": 64},
+                    "unknown config key(s): witness_trials"),
+        "empty_sweep": ({**MINI.to_json(), "x_values": []},
+                        "x_values must be a non-empty list of finite "
+                        "positive numbers, got ()"),
+        "nan_sweep": ({**MINI.to_json(), "hua_x": [500.0, math.nan]},
+                      "hua_x must be a non-empty list of finite positive "
+                      "numbers, got (500.0, nan)"),
+        "zero_sweep": ({**MINI.to_json(), "envelope_x": [0]},
+                       "envelope_x must be a non-empty list"),
+        "word_sweep": ({**MINI.to_json(), "x_values": "1000"},
+                       "x_values must be a non-empty list"),
+        "nan_cap": ({**MINI.to_json(), "cap": math.nan},
+                    "cap must be finite and seed non-negative, got cap nan"),
+        "word_number": ({**MINI.to_json(), "gamma": "1"},
+                        "gamma must be float, got '1'"),
+        "bool_number": ({**MINI.to_json(), "measure_samples": True},
+                        "measure_samples must be int, got True"),
+        "word_k": ({**MINI.to_json(), "instance": {**instance, "k": "2"}},
+                   "instance k must be float, got '2'"),
+        "bool_lambda": ({**MINI.to_json(),
+                         "instance": {**instance, "lambda1": True}},
+                        "instance lambda1 must be float, got True"),
+        "list_instance": ({**MINI.to_json(), "instance": [1, 2]},
+                          "instance must be a JSON object, got [1, 2]"),
+        "null_instance": ({**MINI.to_json(), "instance": None},
+                          "instance must be a JSON object, got None"),
+        "not_object": ([1, 2], "config must be a JSON object, got [1, 2]"),
+        "negative_seed": ({**MINI.to_json(), "seed": -1},
+                          "seed non-negative, got cap 2000.0, seed -1"),
+        "float_seed": ({**MINI.to_json(), "seed": 1.5},
+                       "seed must be int, got 1.5"),
     }
-    for name, (blob, message) in cases.items():
-        cfgp = tmp_path / f"{name}.json"
-        cfgp.write_text(json.dumps(blob))
-        code, err = _cli_in_process(["--config", str(cfgp), "--out",
-                                     str(tmp_path / name), "lemmas"],
-                                    capsys, monkeypatch)
-        assert code == 2, err
-        assert message in err and "Traceback" not in err
+    with monkeypatch.context() as mp:
+        # every refusal comes before any sieve
+        def no_sieve(*args):
+            raise AssertionError("sieved before the config was checked")
+        for module in (primes, harness, cli):
+            mp.setattr(module, "sieve", no_sieve)
+        for name, (blob, message) in cases.items():
+            cfgp = tmp_path / f"{name}.json"
+            cfgp.write_text(json.dumps(blob))
+            for command in ("lemmas", "theorem"):
+                code, err = _cli_in_process(["--config", str(cfgp), "--out",
+                                             str(tmp_path / name), command],
+                                            capsys, monkeypatch)
+                assert code == 2, err
+                assert message in err and "Traceback" not in err
+        # a negative seed flag, for the suite and for the sampler
+        for args in (["lemmas"], ["measure", "--X", "100", "--z1", "1",
+                                  "--z2", "1", "--y", "0.1"]):
+            code, err = _cli_in_process(["--seed", "-1", "--out",
+                                         str(tmp_path / "s"), *args],
+                                        capsys, monkeypatch)
+            assert code == 2, err
+            assert "-1 is not in the range x>=0" in err
+            assert "Traceback" not in err
     # eta grids the theorem cannot take: empty, entries that are not
     # integers, and a j whose 2.0**j overflows
     grids = {"empty": ([], "non-empty list of integers, got ()"),
