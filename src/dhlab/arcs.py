@@ -21,6 +21,8 @@ INTERMEDIATE_MIN_K = 2.5  # intermediate region exists for k in [5/2, 3]
 def _k_fraction(k: float) -> Fraction:
     # the shortest decimal repr carries the caller's intent, so breakpoint
     # and branch values come out exact for decimal inputs like 1.1
+    if not math.isfinite(k):
+        raise DomainError(f"k must be finite, got {k}")
     return Fraction(str(float(k)))
 
 
@@ -50,6 +52,8 @@ def eta_exponent(k: float) -> float:
 def competitor_exponent(k: float) -> float:
     """The earlier exponent (4 - 3k)/(10k), defined on (1, 4/3)."""
     kf = _k_fraction(k)
+    if not Fraction(1) < kf < Fraction(4, 3):
+        raise DomainError(f"k must be in (1, 4/3), got {k}")
     return float((4 - 3 * kf) / (10 * kf))
 
 

@@ -3,7 +3,8 @@
 Subcommands mirror the library surface: sieve, expsum, moments, quadruples,
 cf, arcs, solve, lemmas, theorem, measure.  Experiment commands read an
 optional JSON config; flags win over config fields.  Exit code 0 means all
-checks passed or were skipped, 1 means at least one FAIL, 2 a usage error.
+checks passed or were skipped, 1 at least one FAIL, 2 a usage error: a bad
+flag or config, a library error or an allocation numpy refuses.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def measure_cmd(ctx, lambdas, X, z1, z2, y, samples):
 def run_main() -> None:
     try:
         main(obj={})
-    except DhlabError as exc:  # library errors are user errors at the CLI
+    except (DhlabError, MemoryError) as exc:  # user errors at the CLI
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

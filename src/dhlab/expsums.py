@@ -11,13 +11,13 @@ Central objects:
 plus evaluators of sum w_n e(n alpha), one per abscissa layout and class
 of frequencies:
 
-  layout     frequencies              evaluator       error bound
-  ---------  -----------------------  --------------  --------------------------
-  grid       dense integers, <= 2^17  ChirpPlan       ChirpPlan.error_bound
-  grid       many, any                GaussGridPlan   GaussGridPlan.error_bound
-  grid       all others               row recurrence  recurrence_error_bound
-  scattered  integers                 eval_taylor     TaylorTables.error_bound
-  scattered  any (the reference)      eval_points     points_error_bound
+  layout     frequencies              evaluator        error bound
+  ---------  -----------------------  ---------------  ----------------------
+  grid       dense integers, <= 2^17  ChirpPlan        .error_bound
+  grid       many, any                GaussGridPlan    .error_bound
+  grid       all others               row recurrence   recurrence_error_bound
+  scattered  integers                 GaussPointsPlan  .error_bound
+  scattered  any (the reference)      eval_points      points_error_bound
 
 where chirp_plan's cost model decides what is dense, in windows of at
 most CHIRP_SPAN = 2^17 integers, and gauss_grid_plan's what is many.
@@ -31,13 +31,11 @@ The chirp-z transform (Rabiner, Schafer & Rader, 1969; Bluestein, 1970)
 fills every node one convolution over the window leaves valid.
 GaussGridPlan spreads each block's terms onto an oversampled grid with a
 Gaussian and takes one inverse FFT (Dutt & Rokhlin, 1993; Greengard &
-Lee, 2004).
-
-eval_taylor interpolates scattered points off FFT tables (band-limited
-Taylor interpolation: Anderson & Dahleh, SIAM J. Sci. Comput. 17, 1996;
-Odlyzko & Schonhage, 1988).  Callers that must decide a threshold as
-eval_points would (the large-values sampler) decide on the Taylor value
-where it clears both bounds and fall back to eval_points elsewhere.
+Lee, 2004).  GaussPointsPlan, its adjoint, takes one inverse FFT of the
+deconvolved weights and reads each scattered point off the 2m+1 grid
+values nearest it.  Callers that must decide a threshold as eval_points
+would (the large-values sampler) decide on the plan's value where it
+clears both bounds and fall back to eval_points elsewhere.
 eval_points, the direct evaluator, serves single points too and is the
 reference the others are tested against.
 """
@@ -46,8 +44,8 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp
@@ -447,163 +445,6 @@ def points_error_bound(fh, fl, weights, amax: float,
 
 
 # ---------------------------------------------------------------------------
-# scattered points of integer frequencies: Taylor series off FFT tables
-
-TAYLOR_BLOCK = 1 << 14  # max consecutive integers one block's tables span
-TAYLOR_TERMS = 18  # R: truncation <= sum|w| (pi/8)^R / R! e^(pi/8) ~ 1e-23 sum|w|
-
-
-class _TaylorBlock(NamedTuple):
-    n0: int  # first frequency; the block spans n0 .. n0 + width - 1
-    width: int
-    table: np.ndarray  # (R, M): F_r(j) / r!, M the power of two >= 4 width
-    w_abs: float  # sum |w| over the block
-    w_l2: float  # ||w||_2 over the block
-
-
-@dataclass(frozen=True, eq=False)
-class TaylorTables:
-    """FFT tables of sum w_n e(n beta) over integer frequencies n.
-
-    The frequencies are cut into blocks of at most TAYLOR_BLOCK consecutive
-    integers, so table memory stays bounded by the block size however wide
-    the window.  A block of width N starting at n0, centre c = (N-1)/2 and
-    half-width h = N/2 keeps the R = TAYLOR_TERMS tables
-
-        F_r(j) = sum_m w_m t_m^r e(m j / M) / r!,   t_m = (m - c) / h,
-
-    over m = n - n0, for j < M, M the power of two >= 4N (numpy.fft).
-    """
-
-    blocks: tuple[_TaylorBlock, ...]
-
-    def error_bound(self, amax: float, scale: float = 1.0) -> float:
-        """Certified bound on |T - S| and on ||T| - |S|| for T =
-        eval_taylor(self, alphas, scale) at any |alphas| <= amax, where
-        S = sum w_n e(n beta), beta = scale alpha exactly.
-
-        With u = 2^-53, gamma_m = m u / (1 - m u), B blocks, and per block
-        rho = pi N (1/(2M) + u) <= pi/8 (1 + 2^-40), the bound of |z| =
-        |2 pi delta h| below, t = log2 M and eta_F = mu + gamma_4 (sqrt(2)
-        + mu), mu = 4 u, it is the sum over blocks of
-
-            sum|w| e^rho rho^R / R!                Taylor truncation
-          + sqrt(M) ||w||_2 e^rho t eta_F / (1 - t eta_F)
-                                                   FFT rounding (Higham,
-                                                   Accuracy and Stability,
-                                                   2nd ed., Thm 24.2)
-          + sum|w| e^rho gamma_{8R+64+B}           table entries (gamma_3R),
-                                                   Horner in a rounded z
-                                                   (gamma_4R + 2u), the
-                                                   prefactor's phase and
-                                                   exp (55u), its product
-                                                   and np.abs (4u), the
-                                                   block accumulation
-          + 2 pi sum|w| (|n0| + N) x_err           frac(beta) off by x_err
-
-        with x_err = u^2 |scale| amax, the error of beta formed as
-        two_prod(scale, alpha).
-        """
-        R, B = TAYLOR_TERMS, len(self.blocks)
-        x_err = U * U * abs(scale) * amax
-        total = 0.0
-        for b in self.blocks:
-            M = b.table.shape[1]
-            rho = math.pi * b.width * (0.5 / M + U)
-            er = math.exp(rho)
-            total += (b.w_abs * er * rho**R / math.factorial(R)
-                      + math.sqrt(M) * b.w_l2 * er * _fft_rounding(M)
-                      + b.w_abs * er * higham_gamma(8 * R + 64 + B)
-                      + 2 * math.pi * b.w_abs * (abs(b.n0) + b.width) * x_err)
-        return total
-
-
-def _cut_windows(n: np.ndarray, weights: np.ndarray, span: int):
-    """Cut ascending integer frequencies n into windows of equal
-    (n - n[0]) // span, each within span consecutive integers; yield
-    (slice, n0, width, sum |w|, ||w||_2) of each window, in order."""
-    if len(n) == 0:
-        return
-    firsts = np.flatnonzero(np.diff((n - n[0]) // span, prepend=-1))
-    ends = np.append(firsts[1:], len(n))
-    for s, e in zip(firsts.tolist(), ends.tolist()):
-        w = weights[s:e]
-        yield (slice(s, e), int(n[s]), int(n[e - 1] - n[s]) + 1,
-               math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w)))
-
-
-def taylor_tables(freqs: np.ndarray, weights: np.ndarray) -> TaylorTables:
-    """Tables of sum w_n e(n beta) for ascending integer frequencies
-    `freqs` (|n| < 2^53) with float weights."""
-    freqs = np.asarray(freqs, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    blocks = []
-    for cut, n0, width, w_abs, w_l2 in _cut_windows(freqs, weights,
-                                                     TAYLOR_BLOCK):
-        m = freqs[cut] - n0
-        M = 1 << (4 * width - 1).bit_length()
-        t = (m - (width - 1) / 2) / (width / 2)
-        rows = np.empty((TAYLOR_TERMS, len(m)))  # w_m t_m^r / r!
-        rows[0] = weights[cut]
-        for r in range(1, TAYLOR_TERMS):
-            rows[r] = rows[r - 1] * t / r
-        a = np.zeros((TAYLOR_TERMS, M))
-        a[:, m] = rows
-        # norm="forward" leaves the inverse unscaled: sum_m a_m e(mj/M)
-        table = np.fft.ifft(a, axis=1, norm="forward")
-        blocks.append(_TaylorBlock(n0, width, table, w_abs, w_l2))
-    return TaylorTables(tuple(blocks))
-
-
-def prime_taylor_tables(rng: SumRange, table: PrimeTable) -> TaylorTables:
-    """Tables of the prime window of `rng` (frequencies p^k, weights log p),
-    cached on `table` next to its frequency ensembles; any scale reuses
-    them.  Needs integer frequencies below 2^53 (integer k, X < 2^53)."""
-    key = ("taylor", rng)
-    out = table.freq_cache.get(key)
-    if out is None:
-        fh, fl, weights = sum_freqs("prime", rng, table)
-        if not _exact_integers(fh, fl):
-            raise DomainError(f"Taylor tables need integer frequencies below "
-                              f"2^53, got k = {rng.k}, X = {rng.X}")
-        out = taylor_tables(fh, weights)
-        table.freq_cache[key] = out
-    return out
-
-
-def eval_taylor(tables: TaylorTables, alphas: np.ndarray,
-                scale: float = 1.0) -> np.ndarray:
-    """sum w_n e(n beta) at beta = scale * alphas, within
-    tables.error_bound(max|alphas|, scale).
-
-    x = frac(beta) is formed in double-double from two_prod(scale, alpha),
-    both parts reduced mod 1; per block j = rint(x M), delta = x - j/M
-    (x_hi - j/M is exact), |delta| <= 1/(2M), and
-
-        S_block = e(n0 x + c delta) sum_r F_r(j) z^r,   z = 2 pi i delta h,
-
-    summed by Horner in z, with |z| <= pi/8.  Blocks are accumulated in
-    ascending order.
-    """
-    alphas = np.asarray(alphas, dtype=np.float64)
-    bh, bl = two_prod(scale, alphas)
-    xh, xl = two_sum(bh - np.rint(bh), bl - np.rint(bl))
-    out = np.zeros(len(alphas), dtype=np.complex128)
-    for b in tables.blocks:
-        M = b.table.shape[1]
-        j = np.rint(xh * M)
-        delta = (xh - j / M) + xl
-        z = 1j * ((math.pi * b.width) * delta)
-        F = b.table[:, j.astype(np.int64) % M]
-        acc = F[-1]
-        for r in range(TAYLOR_TERMS - 2, -1, -1):
-            acc = acc * z + F[r]
-        ph = phase_frac(float(b.n0), 0.0, xh, xl) + (b.width - 1) / 2 * delta
-        out += np.exp(TWO_PI_I * ph) * acc
-    return out
-
-
-# ---------------------------------------------------------------------------
 # uniform grids of integer frequencies: chirp-z convolution
 
 CHIRP_SPAN = 1 << 17  # widest window of consecutive integers chirp_plan takes
@@ -777,18 +618,67 @@ def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
 
 
 # ---------------------------------------------------------------------------
-# uniform grids of any frequencies: Gaussian gridding
+# Gaussian gridding: uniform grids of any frequencies (type 1), scattered
+# points of integer frequencies (type 2)
 
 GAUSS_SIGMA = 4  # sigma: a power of two; deconvolution below e^(pi^2 b / 64)
 GAUSS_B = 4.5  # b: aliasing sum|w| e^(-pi^2 b (1 - 1/sigma)) ~ 7e-15 sum|w|
 GAUSS_SPREAD = 12  # m: the tail past m bins, deconvolved, ~ 1e-15 sum|w|
-GAUSS_CHUNK = 1 << 9  # terms spread at once: work arrays of 512 x (2m+1)
+GAUSS_CHUNK = 1 << 9  # terms spread or points read at once: 512 x (2m+1)
 # gauss_grid_plan takes the Gaussian path when terms * block >= GAUSS_COST *
 # Mr log2(2 Mr), fitted from single-threaded timings over 2^18 nodes of step
 # 1e-6 of sqrt(2) p (2-vCPU VM, numpy 2.4): 230 terms, recurrence 0.026 s vs
 # Gaussian 0.063 s; 400: 0.035 vs 0.046 s; 500: 0.049 vs 0.039 s; 5,000:
 # 0.52 vs 0.053 s.  On 4,096 nodes Gaussian wins from 100 terms (3.7/0.8 ms).
 GAUSS_COST = 5.5
+
+
+def _deconvolution(k: np.ndarray, Mr: int) -> np.ndarray:
+    """e^(pi^2 b k^2 / Mr^2) / sqrt(pi b) at float integers k: the inverse
+    of phi's transform at k / Mr, phi's norm folded in."""
+    return np.exp((math.pi**2 * GAUSS_B / Mr**2) * np.square(k)) / math.sqrt(
+        math.pi * GAUSS_B)
+
+
+_KernelTerms = namedtuple("_KernelTerms", "A T D P1 P2 tap dec")
+
+
+def _kernel_terms() -> _KernelTerms:
+    """The analysis of phi(v) = (pi b)^(-1/2) e^(-v^2/b) on Mr = sigma N
+    bins for frequencies |k| <= N/2, 2m+1 bins kept per term or point,
+    that both Gaussian plans' bounds share.  By Poisson summation
+
+        sum_q phi(Mr x - q) e(k q / Mr)
+            = sum_s e((k - s Mr) x) e^(-pi^2 b (s - k/Mr)^2),
+
+    whose s = 0 term is e(k x) e^(-pi^2 b k^2 / Mr^2).  With u = 2^-53,
+    gamma_m = m u / (1 - m u) and sums over s >= 1:
+
+        A = 2 sum e^(-pi^2 b (s^2 - s / sigma))   aliasing: the images
+             s != 0 times the deconvolution e^(pi^2 b k^2 / Mr^2)
+        T = 2 (pi b)^(-1/2) e^(-r^2/b) / (1 - e^(-(2m+1)/b)), r = m + 0.49
+             phi over the bins left out, r + i or more from Mr x
+        D = e^(pi^2 b / (4 sigma^2))   the deconvolution at |k| = N/2
+        P1 = 1 + 2 sum e^(-pi^2 b s^2),
+        P2 = ((2 pi b)^(-1/2) (1 + 2 sum e^(-pi^2 b s^2 / 2)))^(1/2)
+             the largest sum and 2-norm of phi over the bins
+        tap = e^a (1 + 2u) - 1   a computed weight e^(-v^2/b): offsets v
+             <= m + 0.51 off by De = u (m + 1.02), a = (2 v De + De^2 +
+             gamma_2 (v + De)^2) / b for v^2 / b, exp 2u
+        dec = gamma_10 + u (1 + gamma_10)   _deconvolution and a product
+    """
+    m, b, sigma = GAUSS_SPREAD, GAUSS_B, GAUSS_SIGMA
+    s, pb = np.arange(1.0, 9.0), math.pi**2 * b  # later terms are 0.0
+    A, P1, P2 = (2 * float(np.sum(np.exp(-pb * c)))
+                 for c in (s * s - s / sigma, s * s, s * s / 2))
+    T = (2 / math.sqrt(math.pi * b) * math.exp(-(m + 0.49) ** 2 / b)
+         / (1 - math.exp(-(2 * m + 1) / b)))
+    v, de = m + 0.51, U * (m + 1.02)
+    a = (2 * v * de + de * de + higham_gamma(2) * (v + de) ** 2) / b
+    return _KernelTerms(A, T, math.exp(pb / (4 * sigma**2)), 1 + P1,
+                        math.sqrt((1 + P2) / math.sqrt(2 * math.pi * b)),
+                        math.exp(a) * (1 + 2 * U) - 1,
+                        higham_gamma(10) + U * (1 + higham_gamma(10)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -823,8 +713,7 @@ class GaussGridPlan:
         j < count, as iter_grid_values does."""
         m, Mr, h = GAUSS_SPREAD, GAUSS_SIGMA * self.size, self.size // 2
         span, b = np.arange(2 * m + 1), GAUSS_B
-        deconv = np.exp((math.pi**2 * b / Mr**2) * np.square(np.arange(
-            -h, self.size - h, 1.0))) / math.sqrt(math.pi * b)  # phi's norm
+        deconv = _deconvolution(np.arange(-h, self.size - h, 1.0), Mr)
         ext = np.empty(Mr + 2 * m, dtype=np.complex128)  # bins -m .. Mr+m-1
         grid = ext[m : m + Mr]
         for start, nb, (sh, sl) in _grid_blocks(alpha0, self.step, count):
@@ -854,56 +743,38 @@ class GaussGridPlan:
         node alpha = alpha0 + j d.
 
         With u = 2^-53, gamma_m = m u / (1 - m u), K = bin_terms, amax =
-        |alpha0| + count d, f and f_lo the largest |fh| and |fl|, and sums
-        over s >= 1 (Poisson summation, as for S_j):
+        |alpha0| + count d, f and f_lo the largest |fh| and |fl|, A, T, D,
+        P1, P2, tap and dec from _kernel_terms, and
 
             e_c = 2 pi u (5 + 5 L) + 3 u,   L = (2.01 u f + f_lo) amax
                  c_n: phase_frac's u (1 + 5 L) (points_error_bound), x_n h
                  and the sum 2u, 2 pi i theta and exp 4 pi u + 2u, w_n u
-            A = 2 sum e^(-pi^2 b (s^2 - s / sigma))   aliasing: the images
-                 e^(-pi^2 b (s - k/Mr)^2) times e^(pi^2 b k^2 / Mr^2)
-            T = 2 (pi b)^(-1/2) e^(-r^2/b) / (1 - e^(-(2m+1)/b)), r = m + 0.49
-                 phi over the bins left out, r + i or more from Mr x_n
-            P1 = 1 + 2 sum e^(-pi^2 b s^2),
-            P2 = ((2 pi b)^(-1/2) (1 + 2 sum e^(-pi^2 b s^2 / 2)))^(1/2)
-                 the largest sum and 2-norm of phi over the bins
-            e_in = e^a (1 + 2u) (1 + u) (1 + sqrt(2) gamma_K) - 1,  a bin:
-                 weights at offsets v <= m + 0.51 off by De = u (m + 1.02),
-                 a = (2 v De + De^2 + gamma_2 (v + De)^2) / b for v^2 / b,
-                 exp 2u; the products with c_n; sums of <= K terms
+            e_in = (1 + tap) (1 + u) (1 + sqrt(2) gamma_K) - 1   a bin:
+                 its weights, their products with c_n, sums of <= K terms
 
-        With D = e^(pi^2 b / (4 sigma^2)), G[k] e^(pi^2 b k^2 / Mr^2) is
-        within E = sum|w| (e_c + (1 + e_c) A) + D (1 + e_c) (sum|w| (T +
-        e_in P1) + sqrt(Mr) phi sqrt(K) ||w||_2 P2 (1 + e_in)) of S, the
-        last term Higham's Thm 24.2 (phi = _fft_rounding(Mr)) on a grid of
-        2-norm <= sqrt(K) ||c||_2 P2 (1 + e_in) (Cauchy-Schwarz in each
-        bin).  With p = gamma_10 + u (1 + gamma_10) for the deconvolution
-        and its product, and u (1 + p) for np.abs, the bound is E + (sum|w|
-        + E) (p + u (1 + p)) + 2 pi sum|w| ((f + f_lo) 5.01 u^2 amax + N
-        x_err): the block base in double-double, and x_n = two_prod(fh, d)
-        + fl d off by x_err = 1.01 u^2 f d + 2.01 u f_lo d, times j < N."""
-        N, m, b, sigma = self.size, GAUSS_SPREAD, GAUSS_B, GAUSS_SIGMA
-        Mr, d, K, w = sigma * N, self.step, self.bin_terms, self.weights
+        G[k] e^(pi^2 b k^2 / Mr^2) is within E = sum|w| (e_c + (1 + e_c) A)
+        + D (1 + e_c) (sum|w| (T + e_in P1) + sqrt(Mr) phi sqrt(K) ||w||_2
+        P2 (1 + e_in)) of S, the last term Higham's Thm 24.2 (phi =
+        _fft_rounding(Mr)) on a grid of 2-norm <= sqrt(K) ||c||_2 P2 (1 +
+        e_in) (Cauchy-Schwarz in each bin).  With p = dec for the
+        deconvolution and its product, and u (1 + p) for np.abs, the bound
+        is E + (sum|w| + E) (p + u (1 + p)) + 2 pi sum|w| ((f + f_lo) 5.01
+        u^2 amax + N x_err): the block base in double-double, and x_n =
+        two_prod(fh, d) + fl d off by x_err = 1.01 u^2 f d + 2.01 u f_lo d,
+        times j < N."""
+        N, d, K, w = self.size, self.step, self.bin_terms, self.weights
+        Mr = GAUSS_SIGMA * N
         w_abs, w_l2 = math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w))
         amax = abs(alpha0) + count * d
         f, f_lo = (float(np.max(np.abs(x)))
                    for x in (self.freq_hi, self.freq_lo))
         e_c = 2 * math.pi * U * (5 + 5 * (2.01 * U * f + f_lo) * amax) + 3 * U
-        s, pb = np.arange(1.0, 9.0), math.pi**2 * b  # later terms are 0.0
-        A, P1, P2 = (2 * float(np.sum(np.exp(-pb * c)))
-                     for c in (s * s - s / sigma, s * s, s * s / 2))
-        P1, P2 = 1 + P1, math.sqrt((1 + P2) / math.sqrt(2 * math.pi * b))
-        T = (2 / math.sqrt(math.pi * b) * math.exp(-(m + 0.49) ** 2 / b)
-             / (1 - math.exp(-(2 * m + 1) / b)))
-        v, de = m + 0.51, U * (m + 1.02)
-        a = (2 * v * de + de * de + higham_gamma(2) * (v + de) ** 2) / b
-        e_in = (math.exp(a) * (1 + 2 * U) * (1 + U)
-                * (1 + math.sqrt(2) * higham_gamma(K)) - 1)
-        e = (w_abs * (e_c + (1 + e_c) * A) + math.exp(pb / (4 * sigma**2))
-             * (1 + e_c) * (w_abs * (T + e_in * P1) + math.sqrt(Mr * K)
-                            * _fft_rounding(Mr) * w_l2 * P2 * (1 + e_in)))
-        p = higham_gamma(10) + U * (1 + higham_gamma(10))
-        x_err = 1.01 * U * U * f * d + 2.01 * U * f_lo * d
+        g = _kernel_terms()
+        e_in = (1 + g.tap) * (1 + U) * (1 + math.sqrt(2) * higham_gamma(K)) - 1
+        e = (w_abs * (e_c + (1 + e_c) * g.A) + g.D
+             * (1 + e_c) * (w_abs * (g.T + e_in * g.P1) + math.sqrt(Mr * K)
+                            * _fft_rounding(Mr) * w_l2 * g.P2 * (1 + e_in)))
+        p, x_err = g.dec, 1.01 * U * U * f * d + 2.01 * U * f_lo * d
         return (e + (w_abs + e) * (p + U * (1 + p))
                 + 2 * math.pi * w_abs * ((f + f_lo) * 5.01 * U * U * amax
                                          + N * x_err))
@@ -932,6 +803,127 @@ def gauss_grid_plan(fh, fl, weights, step: float,
     K = np.searchsorted(np.append(centre, centre + Mr), centre + 2 * m, "right")
     return GaussGridPlan(step, N, fh, fl, weights, shift, centre, offset,
                          int(np.max(K - np.arange(len(K)))))
+
+
+@dataclass(frozen=True, eq=False)
+class GaussPointsPlan:
+    """Gaussian interpolation of sum w_n e(n beta) at scattered beta, for
+    distinct integer frequencies n: a type-2 nonuniform FFT, the adjoint of
+    GaussGridPlan.  With the frequencies in a window of width W from n0, N
+    the power of two >= W and >= 8, h = N/2, centre c = n0 + h, k_n = n - c
+    in [-h, h) and Mr = sigma N, one inverse FFT gives
+
+        G(q) = sum_n w_n e^(pi^2 b k_n^2 / Mr^2) e(k_n q / Mr),
+
+    and by Poisson summation (_kernel_terms), for x = frac(beta),
+    S(beta) = e(c x) sum_q phi(Mr x - q) G(q) up to aliasing.  values()
+    keeps the 2m+1 bins nearest Mr x.  One plan serves every scale."""
+
+    centre: int  # c
+    grid: np.ndarray  # G(q) / sqrt(pi b), q = -m .. Mr + m - 1 (mod Mr)
+    w_abs: float  # sum |w|
+    w_l2: float  # ||w||_2
+
+    def values(self, alphas: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """sum w_n e(n beta) at beta = scale * alphas, within
+        error_bound(max|alphas|, scale).  x = frac(beta) is formed in
+        double-double from two_prod(scale, alpha), both parts reduced mod
+        1; with q0 = rint(Mr x_hi), the bins q0 + j, |j| <= m, take the
+        weights e^(-(j - (Mr x - q0))^2 / b), GAUSS_CHUNK points at a time."""
+        m, Mr = GAUSS_SPREAD, len(self.grid) - 2 * GAUSS_SPREAD
+        alphas = np.asarray(alphas, dtype=np.float64)
+        bh, bl = two_prod(scale, alphas)
+        xh, xl = two_sum(bh - np.rint(bh), bl - np.rint(bl))
+        q0 = np.rint(xh * Mr)  # xh Mr is exact: a power of two
+        offset = (xh * Mr - q0) + xl * Mr
+        first = q0.astype(np.int64) & (Mr - 1)  # the row of bins q0 - m ..
+        rows = np.lib.stride_tricks.sliding_window_view(self.grid, 2 * m + 1)
+        span = np.arange(-m, m + 1.0)
+        out = np.empty(len(alphas), dtype=np.complex128)
+        for s in range(0, len(alphas), GAUSS_CHUNK):
+            v = span - offset[s : s + GAUSS_CHUNK, None]
+            out[s : s + len(v)] = np.einsum(
+                "ij,ij->i", rows[first[s : s + GAUSS_CHUNK]],
+                np.exp(v * v / -GAUSS_B))
+        return out * np.exp(TWO_PI_I * phase_frac(float(self.centre), 0.0,
+                                                  xh, xl))
+
+    def error_bound(self, amax: float, scale: float = 1.0) -> float:
+        """Certified bound on |V - S| and on ||V| - |S|| for V =
+        values(alphas, scale) at any |alphas| <= amax, where S = sum w_n e(n
+        beta), beta = scale alpha exactly.
+
+        With A, T, D, P1, P2, tap and dec (p) of _kernel_terms, G's inputs
+        lie within p of w_n times deconvolutions <= D, so the inverse FFT
+        is off by E_F = sqrt(Mr) phi D (1 + p) ||w||_2 in 2-norm (Higham,
+        Accuracy and Stability, 2nd ed., Thm 24.2; phi = _fft_rounding(Mr)),
+        and with e_in = (1 + tap) (1 + sqrt(2) gamma_{2m+1}) - 1 for the taps
+        and their dot product in any order, the sum over the 2m+1 bins is
+        within E of sum w_n e(k_n x):
+
+            E = sum|w| (p + (1 + p) (A + D (T + e_in P1)))
+                 the rounded inputs, aliased; the bins left out, and e_in
+                 on |G| <= D (1 + p) sum|w|
+              + E_F (P2 + e_in P1)   the FFT's error, read over the 2m+1
+                 bins by Cauchy-Schwarz
+
+        e(c x) takes phase_frac's phase error u (1 + 10 u |c|) (|x_hi| <= 1,
+        |x_lo| <= u), so with P = e_p + sqrt(2) gamma_2 (1 + e_p), e_p =
+        2 pi (u (1 + 10 u |c|) + 2u) + 2u, for it and its product, the
+        bound is (sum|w| + E) (P + u (1 + P)) + E + 2 pi sum|w| (|c| + N)
+        u^2 |scale| amax: np.abs, and beta formed as two_prod(scale, alpha)."""
+        m, Mr = GAUSS_SPREAD, len(self.grid) - 2 * GAUSS_SPREAD
+        g, c, w_abs = _kernel_terms(), abs(self.centre), self.w_abs
+        e_f = (math.sqrt(Mr) * _fft_rounding(Mr) * g.D * (1 + g.dec)
+               * self.w_l2)
+        e_in = (1 + g.tap) * (1 + math.sqrt(2) * higham_gamma(2 * m + 1)) - 1
+        e = (w_abs * (g.dec + (1 + g.dec) * (g.A + g.D * (g.T + e_in * g.P1)))
+             + e_f * (g.P2 + e_in * g.P1))
+        e_p = _exp_err(U * (1 + 10 * U * c))
+        pr = e_p + math.sqrt(2) * higham_gamma(2) * (1 + e_p)
+        return ((w_abs + e) * (pr + U * (1 + pr)) + e + 2 * math.pi * w_abs
+                * (c + Mr / GAUSS_SIGMA) * U * U * abs(scale) * amax)
+
+
+def gauss_points_plan(freqs: np.ndarray, weights: np.ndarray
+                      ) -> GaussPointsPlan:
+    """The points plan of distinct ascending integer frequencies `freqs`
+    (|n| < 2^53) with float weights.  A window whose grid would pass
+    MAX_GRID_VALUES values is refused before the grid is allocated."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    m, n0 = GAUSS_SPREAD, (int(freqs[0]) if len(freqs) else 0)
+    width = int(freqs[-1]) - n0 + 1 if len(freqs) else 0
+    N = 1 << max(3, (width - 1).bit_length())  # Mr >= 2m + 1
+    Mr, h = GAUSS_SIGMA * N, N // 2
+    if Mr > MAX_GRID_VALUES:
+        raise DomainError(f"points plan over {width} consecutive integers "
+                          f"needs {Mr} grid values (> {MAX_GRID_VALUES})")
+    ext = np.zeros(Mr + 2 * m, dtype=np.complex128)  # bins -m .. Mr+m-1
+    grid = ext[m : m + Mr]
+    k = freqs - (n0 + h)
+    grid[k & (Mr - 1)] = weights * _deconvolution(k.astype(np.float64), Mr)
+    # norm="forward" leaves the inverse unscaled: sum_k a_k e(kq/Mr)
+    np.fft.ifft(grid, norm="forward", out=grid)
+    ext[:m], ext[Mr + m :] = grid[Mr - m :], grid[:m]
+    return GaussPointsPlan(n0 + h, ext, math.fsum(np.abs(weights)),
+                           math.sqrt(math.fsum(weights * weights)))
+
+
+def prime_points_plan(rng: SumRange, table: PrimeTable) -> GaussPointsPlan:
+    """The points plan of the prime window of `rng` (frequencies p^k,
+    weights log p), cached on `table` next to its frequency ensembles.
+    Needs integer frequencies below 2^53 (integer k, X < 2^53)."""
+    key = ("points", rng)
+    out = table.freq_cache.get(key)
+    if out is None:
+        fh, fl, weights = sum_freqs("prime", rng, table)
+        if not _exact_integers(fh, fl):
+            raise DomainError(f"the points plan needs integer frequencies "
+                              f"below 2^53, got k = {rng.k}, X = {rng.X}")
+        out = gauss_points_plan(fh, weights)
+        table.freq_cache[key] = out
+    return out
 
 
 def eval_grid(kind: str, rng: SumRange, table: PrimeTable | None = None, *,

@@ -30,8 +30,8 @@ import numpy as np
 from .arcs import choose_parameters
 from .diophantine import cube_sequence, vaughan_ratio
 from .errors import DhlabError, DomainError
-from .expsums import (eval_points, eval_taylor, points_error_bound,
-                      prime_taylor_tables, require_phase, sum_freqs)
+from .expsums import (eval_points, points_error_bound, prime_points_plan,
+                      require_phase, sum_freqs)
 from .norms import (MomentReport, count_quadruples, exp_sum_gap_l2,
                     kernel_moment, moment_integral, selberg_integral)
 from .primes import PrimeTable, SumRange, sieve, window_arrays
@@ -159,7 +159,7 @@ class MeasureSample:
     samples: int
     seed: int
     sigma: float  # one-sided MC standard error of the estimate
-    # samples the Taylor values left undecided, decided by eval_points;
+    # samples the plan's values left undecided, decided by eval_points;
     # a diagnostic, kept out of to_json
     exact_fallbacks: int = 0
 
@@ -180,11 +180,12 @@ def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
     (|S1(-a)| = |S1(a)|).  The bound is y X^(8/3 + 0.1) / (Z1 Z2)^2 with
     unit constant.
 
-    Each |S1(l a)| > Z is decided on the Taylor value (eval_taylor) wherever
-    it lies farther from Z than its certified bound plus that of
-    eval_points, so the decision is the one eval_points gives; the samples
-    left undecided take eval_points' values and are counted in
-    `exact_fallbacks`.
+    Each |S1(l a)| > Z is decided on the points plan's value
+    (prime_points_plan) wherever it lies farther from Z than the plan's
+    certified bound plus that of eval_points, so the decision is the one
+    eval_points gives; the samples left undecided take eval_points' values
+    and are counted in `exact_fallbacks`.  |S1(l2 a)| is evaluated only at
+    the samples where |S1(l1 a)| > Z1.
     """
     if not (all(0 < v < math.inf for v in (y, Z1, Z2)) and samples > 0):
         raise DhlabError(f"y, Z1, Z2 must be positive and finite and samples "
@@ -193,24 +194,24 @@ def sample_large_sum_measure(instance: ProblemInstance, X: float, Z1: float,
     u = (np.arange(samples) + rng.random(samples)) / samples
     alphas = y * (1.0 + u)  # stratified over [y, 2y]
     lin = instance.linear_range(X)
-    tables = prime_taylor_tables(lin, table)
+    plan = prime_points_plan(lin, table)
     amax = float(np.max(alphas))
-    hits = np.ones(samples, dtype=bool)
+    hits = np.arange(samples)  # the samples above every threshold so far
     fallbacks = 0
     for scale, Z in ((instance.lambda1, Z1), (instance.lambda2, Z2)):
         f = sum_freqs("prime", lin, table, scale=scale)
         require_phase(amax, fh=f[0])
-        m = np.abs(eval_taylor(tables, alphas, scale))
-        tol = tables.error_bound(amax, scale) + points_error_bound(*f, amax)
+        m = np.abs(plan.values(alphas[hits], scale))
+        tol = plan.error_bound(amax, scale) + points_error_bound(*f, amax)
         near = np.abs(m - Z) <= tol
         if near.any():
             # the last bits of an eval_points value depend on the batch it
             # is computed in (BLAS blocking), so take them from the batch
             # of all samples
-            m[near] = np.abs(eval_points(*f, alphas))[near]
+            m[near] = np.abs(eval_points(*f, alphas))[hits[near]]
             fallbacks += int(np.count_nonzero(near))
-        hits &= m > Z
-    p_hat = float(np.count_nonzero(hits)) / samples
+        hits = hits[m > Z]
+    p_hat = len(hits) / samples
     measure = 2.0 * y * p_hat
     sigma = 2.0 * y * math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     bound = y * X ** (8.0 / 3.0 + 0.1) / (Z1 * Z1 * Z2 * Z2)

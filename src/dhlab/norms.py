@@ -76,7 +76,7 @@ def _power_values(N: int, k: float) -> np.ndarray:
     k, from one 50-digit power otherwise)."""
     ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
     if float(k).is_integer():
-        return ns ** int(k)
+        return np.power(ns, int(k), out=ns)
     return pow_dd(ns, k)[0]
 
 

@@ -27,8 +27,8 @@ class PrimeTable:
     """All primes up to `limit`, ascending, with cached log machinery.
 
     `freq_cache` holds the frequency ensembles `expsums.sum_freqs` built
-    from this table, keyed by (SumRange, scale), and the Taylor tables
-    `expsums.prime_taylor_tables` built, keyed by ("taylor", SumRange).
+    from this table, keyed by (SumRange, scale), and the points plans
+    `expsums.prime_points_plan` built, keyed by ("points", SumRange).
     """
 
     limit: int

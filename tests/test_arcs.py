@@ -49,6 +49,16 @@ def test_exponent_beats_competitor():
         assert eta_exponent(k) > competitor_exponent(k)
 
 
+@pytest.mark.parametrize("k", [1.0, 1.3334, 2.0, 0.5, math.nan, math.inf])
+def test_competitor_exponent_domain(k):
+    # defined on (1, 4/3) only; at k = 2 it would quietly give -0.1
+    with pytest.raises(DomainError, match="k must be"):
+        competitor_exponent(k)
+    if not math.isfinite(k):  # no Fraction to take
+        with pytest.raises(DomainError, match="k must be finite"):
+            eta_exponent(k)
+
+
 def _instance(k, eps=0.01, delta=0.1):
     return ProblemInstance(1.0, math.sqrt(2.0), -1.0, k, 0.0, delta=delta,
                            epsilon=eps)

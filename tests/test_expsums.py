@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from dhlab import expsums
-from dhlab.expsums import (GRID_BLOCK, TAYLOR_BLOCK, GaussGridPlan,
-                           SpectrumGrid, _cut_windows, chirp_plan,
-                           eval_grid, eval_points, eval_taylor, fejer_kernel,
-                           fejer_kernel_hat, gauss_grid_plan, integer_exp_sum,
-                           integral_exp_sum, iter_grid_values,
-                           points_error_bound, prime_exp_sum,
-                           prime_taylor_tables, recurrence_error_bound,
-                           sum_freqs, taylor_tables, trapezoid,
+from dhlab.expsums import (GAUSS_SIGMA, GAUSS_SPREAD, GRID_BLOCK,
+                           GaussGridPlan, SpectrumGrid, chirp_plan, eval_grid,
+                           eval_points, fejer_kernel, fejer_kernel_hat,
+                           gauss_grid_plan, gauss_points_plan,
+                           integer_exp_sum, integral_exp_sum,
+                           iter_grid_values, points_error_bound,
+                           prime_exp_sum, prime_points_plan,
+                           recurrence_error_bound, sum_freqs, trapezoid,
                            trapezoid_step)
 from dhlab.precision import dd_add, dd_from_mpf, pow_dd, two_prod
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
@@ -379,7 +379,7 @@ def test_freq_cache_dies_with_its_table():
 
 
 # ---------------------------------------------------------------------------
-# Taylor-off-FFT evaluator against eval_points and 50-digit sums
+# Gaussian points plan against eval_points and 50-digit sums
 
 def _points_ensemble(ns, weights, scale):
     # scale * n is exact as a two_prod pair
@@ -393,26 +393,34 @@ def _mp_sum(ns, weights, scale, alpha, alpha_lo):
                            for n, w in zip(ns, weights)))
 
 
-def test_taylor_window_of_several_blocks(table_1e5):
-    rng = SumRange(1, 0.01, 5e4)  # primes 500 .. 5e4: four blocks
-    tabs = prime_taylor_tables(rng, table_1e5)
-    assert len(tabs.blocks) == 4
-    assert all(b.width <= TAYLOR_BLOCK for b in tabs.blocks)
-    assert prime_taylor_tables(rng, table_1e5) is tabs  # cached on the table
+def test_points_plan_prime_window(table_1e5):
+    rng = SumRange(1, 0.01, 5e4)  # primes 500 .. 5e4: N = 2^16
+    plan = prime_points_plan(rng, table_1e5)
+    assert len(plan.grid) == GAUSS_SIGMA * (1 << 16) + 2 * GAUSS_SPREAD
+    assert prime_points_plan(rng, table_1e5) is plan  # cached on the table
     alphas = np.random.default_rng(4).uniform(-30.0, 30.0, 300)
     for scale in (1.0, math.sqrt(2.0)):
         f = sum_freqs("prime", rng, table_1e5, scale=scale)
-        got = eval_taylor(tabs, alphas, scale)
+        got = plan.values(alphas, scale)
         want = eval_points(*f, alphas)
-        tol = tabs.error_bound(30.0, scale) + points_error_bound(*f, 30.0)
+        tol = plan.error_bound(30.0, scale) + points_error_bound(*f, 30.0)
         assert np.max(np.abs(got - want)) <= tol
 
 
-def test_taylor_empty_window():
-    tabs = taylor_tables(np.empty(0, dtype=np.int64), np.empty(0))
-    assert tabs.blocks == ()
-    assert tabs.error_bound(10.0) == 0.0
-    assert np.all(eval_taylor(tabs, [0.1, 0.2]) == 0)
+def test_points_plan_empty_window():
+    plan = gauss_points_plan(np.empty(0, dtype=np.int64), np.empty(0))
+    assert plan.error_bound(10.0) == 0.0
+    assert np.all(plan.values([0.1, 0.2]) == 0)
+    assert len(plan.values([])) == 0
+
+
+def test_points_plan_refuses_a_grid_past_the_cap():
+    # width 16 takes Mr = 64 grid values, width 17 takes 128
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "MAX_GRID_VALUES", 64)
+        gauss_points_plan(np.arange(16), np.ones(16))
+        with pytest.raises(DomainError, match="needs 128 grid values"):
+            gauss_points_plan(np.arange(17), np.ones(17))
 
 
 _SCALES = st.sampled_from([1.0, math.sqrt(2.0), -math.sqrt(3.0), 0.5])
@@ -434,23 +442,19 @@ def _windows(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(window=_windows(), scale=_SCALES,
-       block=st.sampled_from([16, 100, 1 << 14]),
        alphas=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8))
 # abscissas whose product's low part is itself past 2^53, reduced mod 1 too
 @example(window=(np.arange(2, 300), np.log(np.arange(3.0, 301.0))),
-         scale=math.sqrt(2.0), block=1 << 14, alphas=[1e40, -1e290])
-def test_taylor_within_certified_bounds(window, scale, block, alphas):
+         scale=math.sqrt(2.0), alphas=[1e40, -1e290])
+def test_points_plan_within_certified_bounds(window, scale, alphas):
     ns, weights = window
     alphas = np.asarray(alphas)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "TAYLOR_BLOCK", block)  # multi-block windows
-        tabs = taylor_tables(ns, weights)
-    assert all(b.width <= block for b in tabs.blocks)
+    plan = gauss_points_plan(ns, weights)
     amax = float(np.max(np.abs(alphas)))
     f = _points_ensemble(ns, weights, scale)
-    got = eval_taylor(tabs, alphas, scale)
+    got = plan.values(alphas, scale)
     want = eval_points(*f, alphas)
-    assert np.all(np.abs(got - want) <= tabs.error_bound(amax, scale)
+    assert np.all(np.abs(got - want) <= plan.error_bound(amax, scale)
                   + points_error_bound(*f, amax))
 
 
@@ -465,12 +469,10 @@ def test_certified_bounds_against_50_digit_sums(start, span, scale, alpha,
     ns = np.arange(start, start + span)
     weights = np.log(ns + 1.0)
     exact = _mp_sum(ns, weights, scale, alpha, 0)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "TAYLOR_BLOCK", 1000)
-        tabs = taylor_tables(ns, weights)
-    t = eval_taylor(tabs, [alpha], scale)[0]
-    assert abs(t - exact) <= tabs.error_bound(abs(alpha), scale)
-    assert abs(abs(t) - abs(exact)) <= tabs.error_bound(abs(alpha), scale)
+    plan = gauss_points_plan(ns, weights)
+    t = plan.values([alpha], scale)[0]
+    assert abs(t - exact) <= plan.error_bound(abs(alpha), scale)
+    assert abs(abs(t) - abs(exact)) <= plan.error_bound(abs(alpha), scale)
     # eval_points keeps alpha_lo: check its share of the bound exactly
     exact = _mp_sum(ns, weights, scale, alpha, alpha_lo)
     f = _points_ensemble(ns, weights, scale)
@@ -519,30 +521,6 @@ def test_pow_dd_against_50_digit_powers():
     assert len(pow_dd(np.empty(0, dtype=np.int64), 2.5)[0]) == 0
 
 
-@settings(max_examples=100, deadline=None)
-@given(ns=st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=80,
-                   unique=True),
-       span=st.sampled_from([1, 7, 1 << 14, 1 << 16]), as_float=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-def test_cut_windows_against_grouping(ns, span, as_float, seed):
-    # the window cut of the Taylor tables against grouping by
-    # (n - n0) // span term by term
-    ns = np.sort(np.array(ns, dtype=np.int64))
-    w = np.random.default_rng(seed).standard_normal(len(ns))
-    groups = {}
-    for i, n in enumerate(ns.tolist()):
-        groups.setdefault((n - int(ns[0])) // span, []).append(i)
-    got = list(_cut_windows(ns.astype(np.float64) if as_float else ns, w,
-                            span))
-    assert len(got) == len(groups)
-    for (cut, n0, width, w_abs, w_l2), idx in zip(got, groups.values()):
-        assert (cut.start, cut.stop) == (idx[0], idx[-1] + 1)
-        assert n0 == ns[idx[0]]
-        assert width == ns[idx[-1]] - ns[idx[0]] + 1 <= span
-        assert w_abs == math.fsum(abs(w[i]) for i in idx)
-        assert w_l2 == math.sqrt(math.fsum(w[i] * w[i] for i in idx))
-
-
 # ---------------------------------------------------------------------------
 # chirp-z grid path against eval_points and 50-digit sums
 
@@ -583,7 +561,7 @@ def test_chirp_grid_within_certified_bounds(table_1e5, ensemble, alpha0, step,
         assert plan is None and narrow is None and np.all(np.concatenate(
             [b for _, b in blocks]) == 0)
         return
-    # chirp declines a window wider than its span, which the Taylor tables
+    # chirp declines a window wider than its span, which Gaussian gridding
     # or the row recurrence then serve
     width = int(np.max(f[0]) - np.min(f[0])) + 1
     assert (narrow is None) == (width > span)

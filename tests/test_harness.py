@@ -128,8 +128,8 @@ def test_measure_default_suite_needs_no_fallback(table_1e5):
 
 def test_measure_tie_falls_back_to_eval_points(table_1e5):
     # Z1 equal to |S1(l1 a)| at one sample, as eval_points computes it over
-    # all samples: that sample is undecided by the Taylor value, and as a
-    # strict inequality it is no hit
+    # all samples: that sample is undecided by the points plan's value, and
+    # as a strict inequality it is no hit
     inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.0)
     X, y, n, seed = 4000.0, 0.1, 3000, 21
     rng = np.random.default_rng(seed)
@@ -145,6 +145,18 @@ def test_measure_tie_falls_back_to_eval_points(table_1e5):
     assert s.exact_fallbacks >= 1
     hits = (m1 > z1) & (m2 > z2)
     assert not hits[i]
+    assert s.sampled_measure == 2.0 * y * (np.count_nonzero(hits) / n)
+    # both thresholds bind: Z2 equal to |S1(l2 a)| at a sample above Z1,
+    # where the second sum is evaluated only at the samples above Z1; the
+    # tie there is undecided too, and the count is eval_points' over all
+    # samples
+    above = np.flatnonzero(m1 > z1)
+    j = int(above[np.argsort(m2[above])[len(above) // 2]])
+    z2 = float(m2[j])
+    s = sample_large_sum_measure(inst, X, z1, z2, y, n, seed, table_1e5)
+    hits = (m1 > z1) & (m2 > z2)
+    assert s.exact_fallbacks >= 2 and not hits[j]
+    assert 0 < np.count_nonzero(hits) < np.count_nonzero(m1 > z1)
     assert s.sampled_measure == 2.0 * y * (np.count_nonzero(hits) / n)
 
 
@@ -414,6 +426,21 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
                                      "--grid", grid], capsys, monkeypatch)
         assert code == 2, err
         assert "grid needs" in err and "Traceback" not in err
+    # allocations numpy refuses (71.1 PiB of pair sums, 4.86 PiB of
+    # integers), and a points plan past MAX_GRID_VALUES, refused before
+    # its grid is allocated
+    for args, message in (
+            (["quadruples", "--n", "100000000", "--k", "2", "--gamma", "1"],
+             "Unable to allocate"),
+            (["expsum", "--kind", "U", "--k", "2", "--X", "1e30", "--alpha",
+              "0.1"], "Unable to allocate"),
+            (["measure", "--X", "5e6", "--z1", "1", "--z2", "1", "--y", "0.1"],
+             "points plan over 4499991 consecutive integers needs 33554432 "
+             "grid values (> 16777216)")):
+        code, err = _cli_in_process(["--out", str(tmp_path / "m"), *args],
+                                    capsys, monkeypatch)
+        assert code == 2, err
+        assert f"error: {message}" in err and "Traceback" not in err
     # bad flags: a window outside the domain, a word for a number, two
     # coefficients for three, and a trapezoid past the node cap
     flags = {
