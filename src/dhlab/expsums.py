@@ -11,24 +11,20 @@ Central objects:
 plus evaluators of sum w_n e(n alpha), one per abscissa layout and class
 of frequencies:
 
-  layout     frequencies              evaluator        error bound
-  ---------  -----------------------  ---------------  ----------------------
-  grid       dense integers, <= 2^17  ChirpPlan        .error_bound
-  grid       many, any                GaussGridPlan    .error_bound
-  grid       all others               row recurrence   recurrence_error_bound
-  scattered  integers                 GaussPointsPlan  .error_bound
-  scattered  any (the reference)      eval_points      points_error_bound
+  layout     frequencies          evaluator        error bound
+  ---------  -------------------  ---------------  ----------------------
+  grid       many, any            GaussGridPlan    .error_bound
+  grid       few, any             row recurrence   recurrence_error_bound
+  scattered  integers             GaussPointsPlan  .error_bound
+  scattered  any (the reference)  eval_points      points_error_bound
 
-where chirp_plan's cost model decides what is dense, in windows of at
-most CHIRP_SPAN = 2^17 integers, and gauss_grid_plan's what is many.
+where gauss_grid_plan's cost model decides what is many.
 
-iter_grid_values serves the three grid rows on the fixed blocks of
+iter_grid_values serves the two grid rows on the fixed blocks of
 _grid_blocks.  The row recurrence e(x*(a0+(j+1)d)) = e(x*(a0+j*d)) * e(x*d)
 advances per term along rows of 1024 grid points, each restarted from the
 phase of its exact double-double base a0 + r*d, so each value belongs to
 the node a0 + j*d itself and rounding drift never accumulates past a row.
-The chirp-z transform (Rabiner, Schafer & Rader, 1969; Bluestein, 1970)
-fills every node one convolution over the window leaves valid.
 GaussGridPlan spreads each block's terms onto an oversampled grid with a
 Gaussian and takes one inverse FFT (Dutt & Rokhlin, 1993; Greengard &
 Lee, 2004).  GaussPointsPlan, its adjoint, takes one inverse FFT of the
@@ -232,7 +228,7 @@ def _node(alpha0: float, step: float, j):
 def _grid_blocks(alpha0: float, step: float, count: int):
     """Yield (start, length, base) of each block of GRID_BLOCK nodes of
     alpha0 + j*step, j < count (the last the remainder), base = node start
-    in double-double.  Every grid evaluator draws its blocks here, so
+    in double-double.  Both grid evaluators draw their blocks here, so
     ensembles on the same grid yield aligned blocks."""
     for start in range(0, count, GRID_BLOCK):
         base = _node(alpha0, step, float(start))
@@ -256,15 +252,13 @@ def iter_grid_values(fh, fl, weights, alpha0: float, step: float, count: int):
 
     Every block holds GRID_BLOCK points (the last one the remainder),
     whatever the evaluator, so generators over different ensembles on the
-    same grid yield aligned blocks.  Integer frequencies within CHIRP_SPAN
-    and dense enough for chirp_plan go through its chirp-z convolutions;
-    other ensembles large enough for gauss_grid_plan through its Gaussian
+    same grid yield aligned blocks.  Ensembles large enough for
+    gauss_grid_plan, of any frequencies, go through its Gaussian
     gridding; all others through the row recurrence.  Summation order is
-    fixed on every path, so results are reproducible.
+    fixed on both paths, so results are reproducible.
     """
     _check_budget(fh, alpha0, step, count)
-    plan = (chirp_plan(fh, fl, weights, step, count)
-            or gauss_grid_plan(fh, fl, weights, step, count))
+    plan = gauss_grid_plan(fh, fl, weights, step, count)
     if plan is not None:
         yield from plan.blocks(alpha0, count)
         return
@@ -445,179 +439,6 @@ def points_error_bound(fh, fl, weights, amax: float,
 
 
 # ---------------------------------------------------------------------------
-# uniform grids of integer frequencies: chirp-z convolution
-
-CHIRP_SPAN = 1 << 17  # widest window of consecutive integers chirp_plan takes
-# chirp_plan takes the FFT path when terms * P >= CHIRP_COST * L log2(2L),
-# weighing the recurrence's complex multiply-adds per convolution against
-# the FFT pair's butterflies.  Fitted from single-threaded timings of both
-# paths over grids of 64 X + 1 points (2-vCPU VM, numpy 2.4): the FFT costs
-# less from a ratio of about 17 on.  269 terms, span 1,722 (ratio 7.5):
-# recurrence 0.009 s vs FFT 0.031 s; 550 terms, span 3,988 (15.3): 0.036 s
-# vs 0.041 s; 862 terms, span 7,471 (23.9): 0.128 s vs 0.070 s; 1,229
-# terms, span 9,972 (34.1): 0.182 s vs 0.068 s.
-CHIRP_COST = 18.0
-
-
-@dataclass(frozen=True, eq=False)
-class ChirpPlan:
-    """Chirp-z (Bluestein) evaluation of sum w_n e(n alpha) over integer
-    frequencies n on a grid of spacing d (Rabiner, Schafer & Rader, IEEE
-    Trans. Audio Electroacoust. 17, 1969; Bluestein, ibid. 18, 1970).
-
-    The frequencies n = n0 + m lie in one window of width N <= CHIRP_SPAN
-    consecutive integers.  For the nodes alpha_i = alpha_s + i d, i < P,
-    m i = (m^2 + i^2 - (i - m)^2) / 2 gives
-
-        S_i = e(n0 i d + i^2 d/2) sum_m a_m b_{i-m},
-        a_m = w_m e(n alpha_s + m^2 d/2),   b_k = e(-k^2 d/2),
-
-    a linear convolution by one FFT and one inverse FFT of length L,
-    valid for every i < P = min(count, L - N + 1).  Convolution s starts
-    from its own base alpha_s = alpha0 + s P d in double-double, and
-    blocks() cuts the nodes into the blocks of _grid_blocks.  The
-    transform of b and the prefactor row depend on d alone, kept here."""
-
-    step: float
-    nodes: int  # P
-    n0: int  # first frequency; the window spans n0 .. n0 + width - 1
-    width: int
-    freqs: np.ndarray  # the frequencies n, ascending, float64 (exact)
-    slots: np.ndarray  # their offsets m = n - n0, int64
-    weights: np.ndarray
-    m_chirp: np.ndarray  # frac(m^2 d / 2)
-    row: np.ndarray  # e(n0 i d + i^2 d / 2), i < P
-    chirp_hat: np.ndarray  # FFT of b_k, k = -(width-1) .. P-1 (mod L)
-
-    def blocks(self, alpha0: float, count: int):
-        """Yield (start_index, values) blocks of the sum on alpha0 + j d,
-        j < count, as iter_grid_values does."""
-        P = self.nodes
-        a = np.empty(len(self.chirp_hat), dtype=np.complex128)
-        held = -1  # the first node of the convolution in a
-        for start, nb, _ in _grid_blocks(alpha0, self.step, count):
-            out = np.empty(nb, dtype=np.complex128)
-            for s in range(start - start % P, start + nb, P):
-                if s != held:  # the convolution from base node s
-                    a[:] = 0
-                    ph = phase_frac(self.freqs, 0.0, *_node(
-                        alpha0, self.step, float(s))) + self.m_chirp
-                    a[self.slots] = self.weights * np.exp(TWO_PI_I * ph)
-                    np.fft.fft(a, out=a)
-                    a *= self.chirp_hat
-                    np.fft.ifft(a, out=a)
-                    held = s
-                lo, hi = max(start, s), min(start + nb, s + P)
-                np.multiply(self.row[lo - s : hi - s], a[lo - s : hi - s],
-                            out=out[lo - start : hi - start])
-            yield start, out
-
-    def error_bound(self, alpha0: float, count: int) -> float:
-        """Certified bound on |G - S| and on ||G| - |S|| for every value G
-        of blocks(alpha0, count), where S = sum w_n e(n alpha) at the exact
-        node alpha = alpha0 + j d.
-
-        With u = 2^-53, gamma_m = m u / (1 - m u), g = sqrt(2) gamma_2,
-        phi = _fft_rounding(L), amax = |alpha0| + count d, and a phase
-        computed within delta turns giving e() within E(delta) = 2 pi
-        (delta + 2u) + 2u (2 pi i theta and exp rounded),
-
-            e_a = E(u (3 + 10 u (|n0| + N) amax + 2.5 u N^2 d)) + u
-                                                     entries w_m e(.) of a
-            e_b = E(u (1 + 2.5 u L^2 d))             entries of b
-            e_p = E(u (3 + 10 u |n0| amax + 2.5 u P^2 d))
-                                                     the prefactor
-
-        (phase_frac's phase error u (1 + 5 lo), as in points_error_bound),
-        and the convolution c_i is within
-
-            E_c = sum|w| (e_a + e_b (1 + e_a))        entry roundings
-                + ||w||_2 (1 + e_a) sqrt(L) (1 + e_b) phi
-                                                      transform of b, taken
-                                                      as exact for some b'
-                + ||w||_2 (1 + e_a) beta (1 + phi) (1 + g) (2 phi + g)
-                                                      FFT of a, product with
-                                                      b-hat, inverse FFT
-
-        (Higham, Thm 24.2, for all three), where beta = max|b-hat| of the
-        computed chirp: a 2-norm error r in a's transform reaches c as at
-        most beta r / sqrt(L).  With p = e_p + g (1 + e_p) for the prefactor
-        and its product, the bound is
-
-            (sum|w| + E_c) (p + u (1 + p)) + E_c
-          + 2 pi sum|w| (|n0| + N) x_err,   x_err = 5.01 u^2 amax,
-
-        where u (1 + p) covers np.abs and x_err the convolution's base
-        alpha_s formed in double-double.
-        """
-        d, L, N, n0 = self.step, len(self.chirp_hat), self.width, abs(self.n0)
-        w = self.weights
-        w_abs, w_l2 = math.fsum(np.abs(w)), math.sqrt(math.fsum(w * w))
-        amax = abs(alpha0) + count * d
-        x_err = 5.01 * U * U * amax
-        phi = _fft_rounding(L)
-        g = math.sqrt(2) * higham_gamma(2)
-        beta = float(np.max(np.abs(self.chirp_hat))) * (1 + 2 * U)
-        e_a = _exp_err(U * (3 + 10 * U * (n0 + N) * amax
-                             + 2.5 * U * N * N * d)) + U
-        e_b = _exp_err(U * (1 + 2.5 * U * L * L * d))
-        e_p = _exp_err(U * (3 + 10 * U * n0 * amax
-                             + 2.5 * U * self.nodes**2 * d))
-        a_l2 = w_l2 * (1 + e_a)
-        e_c = (w_abs * (e_a + e_b * (1 + e_a))
-               + a_l2 * math.sqrt(L) * (1 + e_b) * phi
-               + a_l2 * beta * (1 + phi) * (1 + g) * (2 * phi + g))
-        p = e_p + g * (1 + e_p)
-        return ((w_abs + e_c) * (p + U * (1 + p)) + e_c
-                + 2 * math.pi * w_abs * (n0 + N) * x_err)
-
-
-def _exact_integers(fh, fl) -> bool:
-    """Whether the hi/lo frequencies are integers below 2^53, held exactly
-    in fh (fl == 0)."""
-    return bool(not np.any(fl) and np.all(np.abs(fh) < 2.0**53)
-                and np.all(fh == np.rint(fh)))
-
-
-def chirp_plan(fh, fl, weights, step: float, count: int) -> ChirpPlan | None:
-    """The chirp-z plan of the grid sum of (fh, fl, weights) over count
-    nodes of spacing `step`, or None where another path serves:
-    frequencies that are not distinct integers below 2^53 (fl == 0, fh
-    integral), that span more than CHIRP_SPAN consecutive integers, or that
-    are too sparse for the FFTs to cost less (CHIRP_COST).  L is the power
-    of two >= width, up to the least >= width + min(count, GRID_BLOCK) - 1,
-    of least FFT work ceil(count / P) L log2(2L)."""
-    if len(fh) == 0 or not _exact_integers(fh, fl):
-        return None
-    order = np.argsort(fh, kind="stable")
-    n = fh[order]
-    width = int(n[-1] - n[0]) + 1
-    if width > CHIRP_SPAN or np.any(n[1:] == n[:-1]):
-        return None
-    top = (width + min(count, GRID_BLOCK) - 2).bit_length()
-    L = min((1 << e for e in range((width - 1).bit_length(), top + 1)),
-            key=lambda L: -(-count // min(count, L - width + 1))
-            * L * math.log2(2 * L))
-    P = min(count, L - width + 1)
-    if len(n) * P < CHIRP_COST * L * math.log2(2 * L):
-        return None
-    n0 = int(n[0])
-    m = (n - n0).astype(np.int64)
-    # frac(j^2 d / 2) for j <= max(P - 1, L - P): the |k| of b, the i of
-    # the prefactor row and the offsets m < width all lie in that range
-    j = np.arange(max(P, L - P + 1), dtype=np.float64)
-    q = phase_frac(j * j, 0.0, 0.5 * step)  # d / 2 exact
-    row = phase_frac(float(n0), 0.0, *two_prod(j[:P], step)) + q[:P]
-    # b_k at k mod L: b_k = e(-q_k) for k < P, and b_(k-L) = e(-q_(L-k))
-    chirp = np.empty(L, dtype=np.complex128)
-    b = np.exp(-TWO_PI_I * q, out=chirp[:len(q)])
-    chirp[P:] = b[L - P:0:-1]
-    chirp_hat = np.fft.fft(chirp, out=chirp)
-    return ChirpPlan(step, P, n0, width, n, m, weights[order], q[m],
-                     np.exp(TWO_PI_I * row), chirp_hat)
-
-
-# ---------------------------------------------------------------------------
 # Gaussian gridding: uniform grids of any frequencies (type 1), scattered
 # points of integer frequencies (type 2)
 
@@ -695,7 +516,8 @@ class GaussGridPlan:
     Each c_n is spread onto the 2m+1 bins q (mod Mr = sigma N) nearest
     Mr x_n with weight phi(q - Mr x_n), phi(v) = (pi b)^(-1/2) e^(-v^2/b),
     and np.bincount sums the bins, GAUSS_CHUNK terms at a time in bin
-    order.  One inverse FFT gives G, and by Poisson summation S_j =
+    order.  The weights depend on d alone, so taps holds them for every
+    block.  One inverse FFT gives G, and by Poisson summation S_j =
     G[k mod Mr] e^(pi^2 b k^2 / Mr^2), up to aliasing and the tail."""
 
     step: float
@@ -705,14 +527,14 @@ class GaussGridPlan:
     weights: np.ndarray
     shift: np.ndarray  # frac(x_n h)
     centre: np.ndarray  # rint(Mr x_n) mod Mr, int64, ascending
-    offset: np.ndarray  # Mr x_n - rint(Mr x_n)
+    taps: np.ndarray  # e^(-(q - Mr x_n)^2 / b) at the 2m+1 bins q, per term
     bin_terms: int  # K: the most terms whose windows share a bin
 
     def blocks(self, alpha0: float, count: int):
         """Yield (start_index, values) blocks of the sum on alpha0 + j d,
         j < count, as iter_grid_values does."""
         m, Mr, h = GAUSS_SPREAD, GAUSS_SIGMA * self.size, self.size // 2
-        span, b = np.arange(2 * m + 1), GAUSS_B
+        span = np.arange(2 * m + 1)
         deconv = _deconvolution(np.arange(-h, self.size - h, 1.0), Mr)
         ext = np.empty(Mr + 2 * m, dtype=np.complex128)  # bins -m .. Mr+m-1
         grid = ext[m : m + Mr]
@@ -722,13 +544,12 @@ class GaussGridPlan:
             ext[:] = 0
             for s in range(0, len(c), GAUSS_CHUNK):
                 cut, first = slice(s, s + GAUSS_CHUNK), int(self.centre[s])
-                v = (span - m) - self.offset[cut, None]
-                phi = np.exp(v * v / -b)
                 bins = ((self.centre[cut, None] - first) + span).ravel()
                 part = slice(first, int(self.centre[cut][-1]) + 2 * m + 1)
                 for z, cz in ((ext.real, c.real), (ext.imag, c.imag)):
-                    z[part] += np.bincount(bins, (cz[cut, None] * phi).ravel(),
-                                           part.stop - first)
+                    z[part] += np.bincount(
+                        bins, (cz[cut, None] * self.taps[cut]).ravel(),
+                        part.stop - first)
             ext[Mr : Mr + m] += ext[:m]  # fold the overhangs, mod Mr
             grid[:m] += ext[Mr + m :]
             # norm="forward" leaves the inverse unscaled: sum_q g_q e(kq/Mr)
@@ -799,9 +620,14 @@ def gauss_grid_plan(fh, fl, weights, step: float,
     order = np.argsort(centre, kind="stable")
     fh, fl, weights, shift, centre, offset = (
         v[order] for v in (fh, fl, weights, shift, centre, offset))
+    # phi's weights, formed in place in one terms x (2m+1) array
+    taps = (np.arange(2 * m + 1) - m) - offset[:, None]
+    taps *= taps
+    taps /= -GAUSS_B
+    np.exp(taps, out=taps)
     # K: the most centres in the 2m+1 bins from one centre on, mod Mr
     K = np.searchsorted(np.append(centre, centre + Mr), centre + 2 * m, "right")
-    return GaussGridPlan(step, N, fh, fl, weights, shift, centre, offset,
+    return GaussGridPlan(step, N, fh, fl, weights, shift, centre, taps,
                          int(np.max(K - np.arange(len(K)))))
 
 
@@ -908,6 +734,13 @@ def gauss_points_plan(freqs: np.ndarray, weights: np.ndarray
     ext[:m], ext[Mr + m :] = grid[Mr - m :], grid[:m]
     return GaussPointsPlan(n0 + h, ext, math.fsum(np.abs(weights)),
                            math.sqrt(math.fsum(weights * weights)))
+
+
+def _exact_integers(fh, fl) -> bool:
+    """Whether the hi/lo frequencies are integers below 2^53, held exactly
+    in fh (fl == 0)."""
+    return bool(not np.any(fl) and np.all(np.abs(fh) < 2.0**53)
+                and np.all(fh == np.rint(fh)))
 
 
 def prime_points_plan(rng: SumRange, table: PrimeTable) -> GaussPointsPlan:

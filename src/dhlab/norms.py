@@ -85,6 +85,7 @@ def count_quadruples(N: int, k: float, gamma: float) -> int:
 
     Strictly below gamma.  Meet in the middle: sort the N^2 ordered pair
     sums, then count window partners for every pair sum, O(N^2 log N).
+    More than MAX_GRID_VALUES pair sums are refused before any is formed.
     """
     if N < 1:
         raise DomainError(f"N must be >= 1, got {N}")
@@ -99,6 +100,9 @@ def count_quadruples(N: int, k: float, gamma: float) -> int:
             raise DomainError(f"pair sums of {2 * N}^{k:g} reach 2^62")
     elif k * math.log2(2 * N) > 1000:
         raise DomainError(f"pair sums of {2 * N}^{k:g} near float64 overflow")
+    if N * N > MAX_GRID_VALUES:
+        raise DomainError(f"N = {N} needs {N * N} pair sums "
+                          f"(> {MAX_GRID_VALUES})")
     vals = _power_values(N, k)
     sums = np.sort((vals[:, None] + vals[None, :]).ravel())
 

@@ -11,7 +11,7 @@ from mpmath import mp
 
 from dhlab import expsums
 from dhlab.expsums import (GAUSS_SIGMA, GAUSS_SPREAD, GRID_BLOCK,
-                           GaussGridPlan, SpectrumGrid, chirp_plan, eval_grid,
+                           GaussGridPlan, SpectrumGrid, eval_grid,
                            eval_points, fejer_kernel, fejer_kernel_hat,
                            gauss_grid_plan, gauss_points_plan,
                            integer_exp_sum, integral_exp_sum,
@@ -234,14 +234,12 @@ def test_gauss_grid_plan_takes_large_ensembles(table_1e5):
 
 
 def test_recurrence_block_edges_match_points(table_1e5):
-    # 367 non-integral frequencies: the chirp-z path declines them and
-    # they are too few for Gaussian gridding, so the row recurrence serves
-    # the grid; its rows restart at every block edge
+    # 367 frequencies are too few for Gaussian gridding, so the row
+    # recurrence serves the grid; its rows restart at every block edge
     rng, scale = SumRange(1, 1e-9, 2500), math.sqrt(2.0)
     f = sum_freqs("prime", rng, table_1e5, scale=scale)
     count = 70000
     assert len(f[0]) == 367
-    assert chirp_plan(*f, 1e-6, count) is None
     assert gauss_grid_plan(*f, 1e-6, count) is None
     blocks = list(iter_grid_values(*f, 0.3, 1e-6, count))
     assert [start for start, _ in blocks] == [0, GRID_BLOCK]
@@ -522,152 +520,11 @@ def test_pow_dd_against_50_digit_powers():
 
 
 # ---------------------------------------------------------------------------
-# chirp-z grid path against eval_points and 50-digit sums
+# Gaussian gridding against eval_points and 50-digit sums
 
 def _grid_nodes(alpha0, step, js):
     return [dd_add(alpha0, 0.0, *two_prod(float(j), step)) for j in js]
 
-
-@st.composite
-def _grid_ensembles(draw):
-    k = draw(st.sampled_from([1, 2, 3]))
-    X = draw(st.floats(2.0, {1: 3000.0, 2: 1e5, 3: 1e6}[k]))
-    rng = SumRange(k, draw(st.sampled_from([1e-9, 0.1, 0.5])), X)
-    kind = draw(st.sampled_from(["prime", "integer"]))
-    return kind, rng, draw(st.sampled_from([1.0, -1.0]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(ensemble=_grid_ensembles(), alpha0=st.floats(-50.0, 50.0),
-       step=st.floats(1e-7, 0.1), count=st.integers(1, 200),
-       block=st.sampled_from([7, 48, GRID_BLOCK]),
-       span=st.sampled_from([1, 40, 1 << 16]))
-@example(ensemble=("integer", SumRange(3, 0.1, 1e5), -1.0), alpha0=0.3,
-         step=1e-3, count=50, block=7, span=40)
-def test_chirp_grid_within_certified_bounds(table_1e5, ensemble, alpha0, step,
-                                            count, block, span):
-    kind, rng, scale = ensemble
-    f = sum_freqs(kind, rng, table_1e5 if kind == "prime" else None, scale)
-    with pytest.MonkeyPatch.context() as patch:
-        # the chirp-z path for every ensemble it takes, in blocks small
-        # enough for the counts drawn here to cross them
-        patch.setattr(expsums, "CHIRP_COST", 0.0)
-        patch.setattr(expsums, "GRID_BLOCK", block)
-        plan = chirp_plan(*f, step, count)
-        blocks = list(iter_grid_values(*f, alpha0, step, count))
-        patch.setattr(expsums, "CHIRP_SPAN", span)
-        narrow = chirp_plan(*f, step, count)
-    if len(f[0]) == 0:
-        assert plan is None and narrow is None and np.all(np.concatenate(
-            [b for _, b in blocks]) == 0)
-        return
-    # chirp declines a window wider than its span, which Gaussian gridding
-    # or the row recurrence then serve
-    width = int(np.max(f[0]) - np.min(f[0])) + 1
-    assert (narrow is None) == (width > span)
-    assert (plan is None) == (width > expsums.CHIRP_SPAN)
-    if plan is None:
-        return
-    assert (plan.n0, plan.width) == (int(np.min(f[0])), width)
-    assert [s for s, _ in blocks] == list(range(0, count, block))
-    got = np.concatenate([b for _, b in blocks])
-    amax = abs(alpha0) + count * step
-    bound = plan.error_bound(alpha0, count)
-    for j, (ah, al) in enumerate(_grid_nodes(alpha0, step, range(count))):
-        want = eval_points(*f, [ah], al)[0]
-        assert abs(got[j] - want) <= bound + points_error_bound(*f, amax, al)
-
-
-@pytest.mark.parametrize("start,span,scale,alpha0,step,count,js", [
-    (2, 300, 1.0, 0.1371, 1e-3, 150, (0, 63, 64, 149)),
-    (900, 2500, -1.0, -17.25, 1e-6, 130, (0, 64, 127, 129)),
-    (4000, 60, 1.0, 999.9, 0.01, 5, (0, 4)),
-    (1, 40, -1.0, 0.5, 0.37, 70, (0, 33, 69)),
-    # 38 convolutions of P = 1,749 nodes on full blocks
-    (2, 300, 1.0, 0.31, 1e-6, GRID_BLOCK + 5, (0, 1748, 1749, GRID_BLOCK - 1,
-                                               GRID_BLOCK, GRID_BLOCK + 4)),
-    # several convolutions of P = 213 nodes on blocks of 64: convolution
-    # edges fall inside blocks
-    (2, 300, 1.0, 0.1371, 1e-3, 500, (0, 63, 64, 212, 213, 255, 256, 425,
-                                      426, 499)),
-])
-def test_chirp_bound_against_50_digit_sums(start, span, scale, alpha0, step,
-                                           count, js):
-    ns = scale * np.arange(start, start + span)
-    weights = np.log(np.abs(ns) + 1.0)
-    f = (ns.astype(np.float64), np.zeros(len(ns)), weights)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "CHIRP_COST", 0.0)
-        if count < GRID_BLOCK:  # several blocks
-            patch.setattr(expsums, "GRID_BLOCK", 64)
-        plan = chirp_plan(*f, step, count)
-        got = np.concatenate([b for _, b in iter_grid_values(*f, alpha0, step,
-                                                             count)])
-        # a span below the window's width sends it off the chirp-z path
-        patch.setattr(expsums, "CHIRP_SPAN", 100)
-        assert (chirp_plan(*f, step, count) is None) == (span > 100)
-    L = len(plan.chirp_hat)
-    assert plan.width == span and plan.nodes == min(count, L - span + 1)
-    if count > 150:  # block edges inside convolutions
-        block = 64 if count < GRID_BLOCK else GRID_BLOCK
-        assert plan.nodes < count and plan.nodes % block != 0
-    bound = plan.error_bound(alpha0, count)
-    for j in js:
-        exact = _mp_sum(ns, weights, 1.0, mp.mpf(alpha0) + j * mp.mpf(step), 0)
-        assert abs(got[j] - exact) <= bound
-        assert abs(abs(got[j]) - abs(exact)) <= bound
-
-
-def test_chirp_path_selection(table_1e5, table_1e6):
-    from dhlab.harness import ExperimentConfig
-    # criterion 9: 9592 primes over a span of 99,990, one window of 2^17,
-    # in 7 convolutions of length 2^18 that fill 162,155 nodes each
-    f = sum_freqs("prime", SumRange(1.0, 1e-9, 1e5), table_1e5)
-    plan = chirp_plan(*f, 1e-6, 10**6)
-    assert plan is not None and plan.width == 99990
-    assert len(plan.chirp_hat) == 1 << 18 and plan.nodes == 162155
-    bound = plan.error_bound(0.0, 10**6)
-    assert bound <= 1e-12 * math.fsum(f[2])
-    # the grid takes the chirp-z path without asking for a Gaussian plan
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "gauss_grid_plan", None)  # any call fails
-        blocks = list(iter_grid_values(*f, 0.0, 1e-6, 10**6))
-    assert [len(b) for _, b in blocks] == [GRID_BLOCK] * 15 + [16960]
-    got = np.concatenate([b for _, b in blocks])
-    js = (0, GRID_BLOCK - 1, GRID_BLOCK, 162154, 162155, 3 * GRID_BLOCK,
-          10**6 - 1)
-    for j, (ah, al) in zip(js, _grid_nodes(0.0, 1e-6, js)):
-        want = eval_points(*f, [ah], al)[0]
-        assert abs(got[j] - want) <= bound + points_error_bound(*f, 1.0, al)
-    # the second moment's grid at X = 1e4 (862 primes over 7,471 integers,
-    # 640,001 nodes) takes convolutions of 2^16, not 2^17
-    moment = sum_freqs("prime", SumRange(1.0, 0.25, 1e4), table_1e5)
-    n, h = trapezoid_step(0.0, 1.0, 1e4)
-    plan = chirp_plan(*moment, h, n + 1)
-    assert len(moment[0]) == 862 and len(plan.chirp_hat) == 1 << 16
-    assert plan.nodes == (1 << 16) - plan.width + 1
-    # a linear window wider than CHIRP_SPAN (25,567 primes over 297,000
-    # integers) goes to Gaussian gridding
-    wide = sum_freqs("prime", SumRange(1.0, 0.01, 3e5), table_1e6)
-    assert len(wide[0]) == 25567 and chirp_plan(*wide, 1e-7, 1 << 20) is None
-    assert isinstance(gauss_grid_plan(*wide, 1e-7, 1 << 20), GaussGridPlan)
-    # the theorem detector's 230-term stream at X = 1728, and the lemma
-    # suite's largest ensemble (44 integers), keep the row recurrence
-    inst = ExperimentConfig().instance
-    lin = sum_freqs("prime", inst.linear_range(1728.0), table_1e5,
-                    scale=inst.lambda1)
-    assert len(lin[0]) == 230 and chirp_plan(*lin, 4e-6, 10**7) is None
-    assert gauss_grid_plan(*lin, 4e-6, 10**7) is None
-    lemma = sum_freqs("integer", SumRange(2.0, 0.1, 4000.0))
-    assert len(lemma[0]) == 44 and chirp_plan(*lemma, 1e-4, 51201) is None
-    assert gauss_grid_plan(*lemma, 1e-4, 51201) is None
-    # a repeated frequency would collide in the convolution's input
-    twice = (np.repeat(f[0], 2), np.repeat(f[1], 2), np.repeat(f[2], 2))
-    assert chirp_plan(*twice, 1e-6, 10**6) is None
-
-
-# ---------------------------------------------------------------------------
-# Gaussian gridding against eval_points and 50-digit sums
 
 @st.composite
 def _any_grid_ensembles(draw):
@@ -702,21 +559,12 @@ def _any_grid_ensembles(draw):
     return kind, rng, scale, alpha0, step
 
 
-@settings(max_examples=80, deadline=None)
-@given(ensemble=_any_grid_ensembles(), count=st.integers(1, 200),
-       block=st.sampled_from([7, 48, GRID_BLOCK]))
-@example(ensemble=("prime", SumRange(2.5, 0.1, 1e10), 1.0, 0.3, 1e-3),
-         count=1, block=GRID_BLOCK)
-@example(ensemble=("integer", SumRange(1.0, 1e-9, 3000.0), 1.0, 0.3,
-                   1 / 8), count=200, block=48)
-def test_gauss_grid_within_certified_bounds(table_1e5, ensemble, count,
-                                            block):
+def _check_gauss_grid(table, ensemble, count, block):
     kind, rng, scale, alpha0, step = ensemble
-    f = sum_freqs(kind, rng, table_1e5 if kind == "prime" else None, scale)
+    f = sum_freqs(kind, rng, table if kind == "prime" else None, scale)
     with pytest.MonkeyPatch.context() as patch:
         # the Gaussian path for every ensemble, in blocks small enough for
         # the counts drawn here to cross them
-        patch.setattr(expsums, "CHIRP_COST", math.inf)
         patch.setattr(expsums, "GAUSS_COST", 0.0)
         patch.setattr(expsums, "GRID_BLOCK", block)
         plan = gauss_grid_plan(*f, step, count)
@@ -735,11 +583,50 @@ def test_gauss_grid_within_certified_bounds(table_1e5, ensemble, count,
         assert abs(got[j] - want) <= bound + points_error_bound(*f, amax, al)
 
 
+@settings(max_examples=80, deadline=None)
+@given(ensemble=_any_grid_ensembles(), count=st.integers(1, 200),
+       block=st.sampled_from([7, 48, GRID_BLOCK]))
+@example(ensemble=("prime", SumRange(2.5, 0.1, 1e10), 1.0, 0.3, 1e-3),
+         count=1, block=GRID_BLOCK)
+@example(ensemble=("integer", SumRange(1.0, 1e-9, 3000.0), 1.0, 0.3,
+                   1 / 8), count=200, block=48)
+def test_gauss_grid_within_certified_bounds(table_1e5, ensemble, count,
+                                            block):
+    _check_gauss_grid(table_1e5, ensemble, count, block)
+
+
+@st.composite
+def _power_grid_ensembles(draw):
+    # dense windows of integer powers (primes or all integers, k = 1, 2, 3,
+    # either sign): the grids the chirp-z path served before Gaussian
+    # gridding took them
+    k = draw(st.sampled_from([1, 2, 3]))
+    X = draw(st.floats(2.0, {1: 3000.0, 2: 1e5, 3: 1e6}[k]))
+    rng = SumRange(k, draw(st.sampled_from([1e-9, 0.1, 0.5])), X)
+    kind = draw(st.sampled_from(["prime", "integer"]))
+    return (kind, rng, draw(st.sampled_from([1.0, -1.0])),
+            draw(st.floats(-50.0, 50.0)), draw(st.floats(1e-7, 0.1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ensemble=_power_grid_ensembles(), count=st.integers(1, 200),
+       block=st.sampled_from([7, 48, GRID_BLOCK]))
+@example(ensemble=("integer", SumRange(3, 0.1, 1e5), -1.0, 0.3, 1e-3),
+         count=50, block=7)
+def test_chirp_grid_within_certified_bounds(table_1e5, ensemble, count,
+                                            block):
+    _check_gauss_grid(table_1e5, ensemble, count, block)
+
+
 def _mp_freq_sum(fh, fl, weights, alpha):
     # the frequencies fh + fl taken as exact, at 50 digits
     return complex(mp.fsum(mp.mpf(float(w)) * mp.expjpi(
         2 * (mp.mpf(float(h)) + mp.mpf(float(l))) * alpha)
         for h, l, w in zip(fh, fl, weights)))
+
+
+_INTEGER_WINDOWS = {"ints": (2, 300, 1.0), "negints": (900, 2500, -1.0),
+                    "highints": (4000, 60, 1.0), "fewnegints": (1, 40, -1.0)}
 
 
 @pytest.mark.parametrize("freqs,alpha0,step,count,js", [
@@ -751,6 +638,14 @@ def _mp_freq_sum(fh, fl, weights, alpha):
                                           GRID_BLOCK + 4)),
     ("k2.5", 0.31, 1e-6, GRID_BLOCK + 5, (GRID_BLOCK - 1, GRID_BLOCK + 4)),
     ("clustered", 0.3, 1 / 16, 100, (0, 1, 63, 64, 99)),
+    # dense windows of consecutive integers (_INTEGER_WINDOWS)
+    ("ints", 0.1371, 1e-3, 150, (0, 63, 64, 149)),
+    ("negints", -17.25, 1e-6, 130, (0, 64, 127, 129)),
+    ("highints", 999.9, 0.01, 5, (0, 4)),
+    ("fewnegints", 0.5, 0.37, 70, (0, 33, 69)),
+    ("ints", 0.31, 1e-6, GRID_BLOCK + 5, (0, GRID_BLOCK - 1, GRID_BLOCK,
+                                         GRID_BLOCK + 4)),
+    ("ints", 0.1371, 1e-3, 500, (0, 63, 64, 255, 256, 499)),
 ])
 def test_gauss_grid_bound_against_50_digit_sums(freqs, alpha0, step, count,
                                                 js):
@@ -764,12 +659,15 @@ def test_gauss_grid_bound_against_50_digit_sums(freqs, alpha0, step, count,
         ns = np.arange(215_000, 215_300)
         fh, fl = pow_dd(ns, 3.0)
         assert np.any(fl)
+    elif freqs in _INTEGER_WINDOWS:  # sign * (start .. start + span - 1)
+        start, span, sign = _INTEGER_WINDOWS[freqs]
+        ns = np.arange(start, start + span)
+        fh, fl = sign * ns.astype(np.float64), np.zeros(len(ns))
     else:  # integers on a step of 1/16: 25 terms at each of 16 x_n
         ns = np.arange(1, 401)
         fh, fl = ns.astype(np.float64), np.zeros(len(ns))
     weights = np.log(ns + 1.0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "CHIRP_COST", math.inf)
         patch.setattr(expsums, "GAUSS_COST", 0.0)
         if count < GRID_BLOCK:  # several blocks
             patch.setattr(expsums, "GRID_BLOCK", 64)
@@ -786,24 +684,74 @@ def test_gauss_grid_bound_against_50_digit_sums(freqs, alpha0, step, count,
         assert abs(abs(got[j]) - abs(exact)) <= bound
 
 
+def _check_gauss_path(f, alpha0, step, count, K, rel):
+    # one Gaussian plan serves every block of the grid, with K terms per bin
+    # and a bound of rel sum|w|; spot checks against eval_points
+    plans = []
+
+    def record(*args):
+        plans.append(gauss_grid_plan(*args))
+        return plans[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expsums, "gauss_grid_plan", record)
+        blocks = list(iter_grid_values(*f, alpha0, step, count))
+    plan, = plans
+    assert plan.size == GRID_BLOCK
+    assert plan.bin_terms == K
+    bound = plan.error_bound(alpha0, count)
+    assert bound == pytest.approx(rel * math.fsum(f[2]), rel=0.02)
+    assert [s for s, _ in blocks] == list(range(0, count, GRID_BLOCK))
+    got = np.concatenate([b for _, b in blocks])
+    amax = abs(alpha0) + count * step
+    js = (0, GRID_BLOCK - 1, GRID_BLOCK, count - 1)
+    for j, (ah, al) in zip(js, _grid_nodes(alpha0, step, js)):
+        want = eval_points(*f, [ah], al)[0]
+        assert abs(got[j] - want) <= bound + points_error_bound(*f, amax, al)
+    return bound
+
+
 def test_gauss_grid_path_selection():
     # the spectrum workload's k = 2.5 grid: 9592 primes on 2^18 nodes (the
-    # ensembles that keep the other paths are in test_chirp_path_selection)
-    table = sieve(10**5 + 1)  # the window ends a hair past 1e5
-    count = 1 << 18
-    f = sum_freqs("prime", SumRange(2.5, 1e-13, 1e5**2.5), table)
-    assert len(f[0]) == 9592 and chirp_plan(*f, 1e-6, count) is None
-    plan = gauss_grid_plan(*f, 1e-6, count)
-    assert plan is not None and plan.size == GRID_BLOCK
-    bound = plan.error_bound(0.9, count)
-    # 2.8e-13 sum|w|, most of it Higham's FFT term; the Taylor-table plan
-    # this path replaced certified 5.0e-13 sum|w| here
-    assert bound == pytest.approx(2.8e-13 * math.fsum(f[2]), rel=0.02)
-    for start, block in iter_grid_values(*f, 0.9, 1e-6, GRID_BLOCK + 3):
-        j = start + len(block) - 1
-        (ah, al), = _grid_nodes(0.9, 1e-6, [j])
-        want = eval_points(*f, [ah], al)[0]
-        assert abs(block[-1] - want) <= bound + points_error_bound(*f, 1.0, al)
+    # window ends a hair past 1e5); 2.8e-13 sum|w|, most of it Higham's FFT
+    # term (the ensembles that keep the row recurrence, and the integer
+    # windows, are in test_chirp_path_selection)
+    f = sum_freqs("prime", SumRange(2.5, 1e-13, 1e5**2.5), sieve(10**5 + 1))
+    assert len(f[0]) == 9592
+    _check_gauss_path(f, 0.9, 1e-6, 1 << 18, 7, 2.8e-13)
+
+
+def test_chirp_path_selection(table_1e5, table_1e6):
+    from dhlab.harness import ExperimentConfig
+    # the integer windows the chirp-z path served go to Gaussian gridding.
+    # Criterion 9's S1: 9592 primes on 10^6 nodes, whose integer
+    # frequencies put 25 terms on one bin
+    f = sum_freqs("prime", SumRange(1.0, 1e-9, 1e5), table_1e5)
+    assert len(f[0]) == 9592
+    bound = _check_gauss_path(f, 0.0, 1e-6, 10**6, 25, 4.9e-13)
+    assert bound <= 1e-12 * math.fsum(f[2])
+    # the second moment's grid at X = 1e4: 862 primes on 640,001 nodes
+    moment = sum_freqs("prime", SumRange(1.0, 0.25, 1e4), table_1e5)
+    n, h = trapezoid_step(0.0, 1.0, 1e4)
+    assert len(moment[0]) == 862 and n + 1 == 640001
+    _check_gauss_path(moment, 0.0, h, n + 1, 13, 1.1e-12)
+    # a linear window of 25,567 primes over 297,000 integers
+    wide = sum_freqs("prime", SumRange(1.0, 0.01, 3e5), table_1e6)
+    assert len(wide[0]) == 25567
+    assert isinstance(gauss_grid_plan(*wide, 1e-7, 1 << 20), GaussGridPlan)
+    # a repeated frequency, which collided in the chirp-z input, shares a
+    # bin: twice the terms per bin
+    twice = (np.repeat(f[0], 2), np.repeat(f[1], 2), np.repeat(f[2], 2))
+    _check_gauss_path(twice, 0.0, 1e-6, GRID_BLOCK + 1, 50, 5.0e-13)
+    # the theorem detector's 230-term stream at X = 1728, and the lemma
+    # suite's largest ensemble (44 integers), keep the row recurrence
+    inst = ExperimentConfig().instance
+    lin = sum_freqs("prime", inst.linear_range(1728.0), table_1e5,
+                    scale=inst.lambda1)
+    assert len(lin[0]) == 230 and gauss_grid_plan(*lin, 4e-6, 10**7) is None
+    lemma = sum_freqs("integer", SumRange(2.0, 0.1, 4000.0))
+    assert len(lemma[0]) == 44
+    assert gauss_grid_plan(*lemma, 1e-4, 51201) is None
 
 
 # row recurrence against 50-digit sums
@@ -841,7 +789,6 @@ def test_recurrence_bound_against_50_digit_sums(ensemble, reach, width,
     amax = 2.0**40 / float(np.max(np.abs(fh)))
     alpha0, step = 0.5 * reach * amax, 0.5 * width * amax / count
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expsums, "chirp_plan", lambda *args: None)
         patch.setattr(expsums, "gauss_grid_plan", lambda *args: None)
         got = np.concatenate([b for _, b in iter_grid_values(
             fh, fl, weights, alpha0, step, count)])

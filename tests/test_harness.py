@@ -7,8 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from dhlab import cli, harness, primes
-from dhlab.expsums import eval_points, sum_freqs
+from dhlab import cli, harness, norms, primes
+from dhlab.expsums import GaussPointsPlan, eval_points, sum_freqs
 from dhlab.harness import (CHECKS, ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, sample_large_sum_measure,
                            summary_dict, write_suite_csv, write_theorem_csv,
@@ -66,6 +66,21 @@ def test_error_rows_carry_registered_names():
     assert rep.coverage_complete
 
 
+def test_quadruples_past_pair_cap_skip(monkeypatch, table_1e5):
+    # X = 1e8 at k = 2 needs 10^8 pair sums: the check's refusal becomes
+    # one SKIP row carrying it, and no power value is built
+    def built(N, k):
+        raise AssertionError("power values built")
+
+    check = next(c for c in harness.SUITE if c.name == "quadruple_count")
+    monkeypatch.setattr(harness, "SUITE", (check,))
+    monkeypatch.setattr(norms, "_power_values", built)
+    rep = run_lemma_suite(ExperimentConfig(x_values=(1e8,)), table_1e5)
+    row, = rep.rows
+    assert (row.check, row.status) == ("quadruple_count", "SKIP")
+    assert "needs 100000000 pair sums" in row.note
+
+
 def test_suite_csv_schema(tmp_path, mini_suite):
     path = tmp_path / "lemmas.csv"
     write_suite_csv(path, mini_suite)
@@ -114,7 +129,8 @@ def test_measure_seed_consistency(table_1e5):
 
 
 def test_measure_default_suite_needs_no_fallback(table_1e5):
-    # the default suite's X = 4000 row: both seeds decided on Taylor values
+    # the default suite's X = 4000 row: both seeds decided on the points
+    # plan's values
     cfg = ExperimentConfig()
     X = 4000.0
     seed_a = cfg.seed * 1000003 + int(X) * 101 + 12  # as the suite draws it
@@ -157,6 +173,39 @@ def test_measure_tie_falls_back_to_eval_points(table_1e5):
     hits = (m1 > z1) & (m2 > z2)
     assert s.exact_fallbacks >= 2 and not hits[j]
     assert 0 < np.count_nonzero(hits) < np.count_nonzero(m1 > z1)
+    assert s.sampled_measure == 2.0 * y * (np.count_nonzero(hits) / n)
+
+
+def test_measure_fallback_takes_the_batch_of_all_samples(monkeypatch,
+                                                         table_1e5):
+    # with the points plan's bound infinite every sample is undecided, so
+    # both thresholds are decided on eval_points' values, each taken from
+    # the batch of all samples, whichever samples are still in the running
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.0)
+    X, y, n, seed = 4000.0, 0.1, 3000, 5
+    rng = np.random.default_rng(seed)
+    alphas = y * (1.0 + (np.arange(n) + rng.random(n)) / n)
+    lin = inst.linear_range(X)
+    m1, m2 = (np.abs(eval_points(*sum_freqs("prime", lin, table_1e5,
+                                            scale=scale), alphas))
+              for scale in (inst.lambda1, inst.lambda2))
+    z1, z2 = float(np.median(m1)), float(np.median(m2))  # half pass each
+    batches = []
+
+    def recorded(*args):
+        batches.append(np.array(args[3]))
+        return eval_points(*args)
+
+    monkeypatch.setattr(GaussPointsPlan, "error_bound",
+                        lambda *args: math.inf)
+    monkeypatch.setattr(harness, "eval_points", recorded)
+    s = sample_large_sum_measure(inst, X, z1, z2, y, n, seed, table_1e5)
+    assert len(batches) == 2
+    assert all(np.array_equal(b, alphas) for b in batches)
+    hits = (m1 > z1) & (m2 > z2)
+    assert 0.4 * n < np.count_nonzero(m1 > z1) < 0.6 * n
+    assert 0 < np.count_nonzero(hits) < np.count_nonzero(m1 > z1)
+    assert s.exact_fallbacks == n + np.count_nonzero(m1 > z1)
     assert s.sampled_measure == 2.0 * y * (np.count_nonzero(hits) / n)
 
 
@@ -426,12 +475,12 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
                                      "--grid", grid], capsys, monkeypatch)
         assert code == 2, err
         assert "grid needs" in err and "Traceback" not in err
-    # allocations numpy refuses (71.1 PiB of pair sums, 4.86 PiB of
-    # integers), and a points plan past MAX_GRID_VALUES, refused before
-    # its grid is allocated
+    # an allocation numpy refuses (4.86 PiB of integers), and 10^16 pair
+    # sums and a points plan past MAX_GRID_VALUES, both refused before
+    # anything is allocated
     for args, message in (
             (["quadruples", "--n", "100000000", "--k", "2", "--gamma", "1"],
-             "Unable to allocate"),
+             "N = 100000000 needs 10000000000000000 pair sums (> 16777216)"),
             (["expsum", "--kind", "U", "--k", "2", "--X", "1e30", "--alpha",
               "0.1"], "Unable to allocate"),
             (["measure", "--X", "5e6", "--z1", "1", "--z2", "1", "--y", "0.1"],

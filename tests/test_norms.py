@@ -105,6 +105,23 @@ def test_quadruples_validation():
     assert count_quadruples(1, 60.0, 1.0) == 1
 
 
+def test_quadruples_refuse_pair_sums_past_cap(monkeypatch):
+    # more than MAX_GRID_VALUES pair sums are refused before the power
+    # values are built; 4096^2 = MAX_GRID_VALUES reaches them
+    class Built(Exception):
+        pass
+
+    def built(N, k):
+        raise Built
+
+    monkeypatch.setattr(norms, "_power_values", built)
+    for N, k in ((4097, 2.0), (10**8, 2.0), (10**5, 1.5)):
+        with pytest.raises(DomainError, match="needs .* pair sums"):
+            count_quadruples(N, k, 1.0)
+    with pytest.raises(Built):
+        count_quadruples(4096, 2.0, 1.0)
+
+
 def test_moment_orthogonality_diagonal(table_1e6):
     # integer k, full period: the integral collapses to sum of log^2 p
     for k, X in ((1, 1000.0), (2, 1000.0), (3, 1000.0)):
