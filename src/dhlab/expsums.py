@@ -56,6 +56,11 @@ GRID_BLOCK = 1 << 16  # points per block yielded by iter_grid_values
 PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
 MAX_TRAPEZOID_POINTS = 1 << 28  # most nodes of one streamed trapezoid
 MAX_GRID_VALUES = 1 << 24  # most values eval_grid holds (256 MB complex128)
+# nodes per integrand call of trapezoid: f's temporaries take 128 kB each
+# (complex128) where a whole GRID_BLOCK took 1 MB, and eight calls a block
+# keep the per-call overhead small; a power of two, so the sub-blocks tile
+# every block but the ragged last
+_TRAPEZOID_SUB = 1 << 13
 
 
 def _fft_rounding(M: int) -> float:
@@ -368,23 +373,33 @@ def trapezoid(ensembles, lo: float, hi: float, band: float,
     band, whole_line) of f(alphas, *sums), where sums holds the grid values
     of each (freq_hi, freq_lo, weights) ensemble at the nodes lo + j*h.
 
-    Blocks are summed with np.sum and the block sums reduced with math.fsum
-    (real and imaginary parts apart for a complex integrand), so the result
-    depends on the grid alone, not on the row plan of any ensemble.
+    f must act elementwise: it is called on sub-blocks of _TRAPEZOID_SUB
+    nodes, written into the block's values.  Blocks are summed with np.sum
+    and the block sums reduced with math.fsum (real and imaginary parts
+    apart for a complex integrand), so the result depends on the grid
+    alone, not on the row plan of any ensemble or the sub-blocks.
     """
     n, h = trapezoid_step(lo, hi, band, whole_line)
     count = n + 1
     gens = [iter_grid_values(*e, lo, h, count) for e in ensembles]
     sums, ends = [], []
     for blocks in zip(*gens):
-        start = blocks[0][0]
+        start, nb = blocks[0][0], len(blocks[0][1])
         vals = [b for _, b in blocks]
-        y = f(lo + (start + np.arange(len(vals[0]))) * h, *vals)
+        y = None
+        for s in range(0, nb, _TRAPEZOID_SUB):
+            cut = slice(s, min(s + _TRAPEZOID_SUB, nb))
+            part = f(lo + np.arange(start + cut.start, start + cut.stop) * h,
+                     *(v[cut] for v in vals))
+            if y is None:
+                y = np.empty(nb, dtype=part.dtype)
+            y[cut] = part
         sums.append(np.sum(y))
         if start == 0:
             ends.append(y[0])
-        if start + len(y) == count:
+        if start + nb == count:
             ends.append(y[-1])
+        del blocks, vals, y, part  # before the next block is drawn
     end = 0.5 * ends[0] + 0.5 * ends[1]
     if np.iscomplexobj(end):
         return complex((math.fsum(s.real for s in sums) - end.real) * h,
@@ -516,9 +531,11 @@ class GaussGridPlan:
     Each c_n is spread onto the 2m+1 bins q (mod Mr = sigma N) nearest
     Mr x_n with weight phi(q - Mr x_n), phi(v) = (pi b)^(-1/2) e^(-v^2/b),
     and np.bincount sums the bins, GAUSS_CHUNK terms at a time in bin
-    order.  The weights depend on d alone, so taps holds them for every
-    block.  One inverse FFT gives G, and by Poisson summation S_j =
-    G[k mod Mr] e^(pi^2 b k^2 / Mr^2), up to aliasing and the tail."""
+    order.  The weights depend on d alone, so on a grid of several blocks
+    taps holds them for every block; on one block each chunk forms its own
+    from offset (_gauss_taps).  One inverse FFT gives G, and by Poisson
+    summation S_j = G[k mod Mr] e^(pi^2 b k^2 / Mr^2), up to aliasing and
+    the tail."""
 
     step: float
     size: int  # N
@@ -527,7 +544,8 @@ class GaussGridPlan:
     weights: np.ndarray
     shift: np.ndarray  # frac(x_n h)
     centre: np.ndarray  # rint(Mr x_n) mod Mr, int64, ascending
-    taps: np.ndarray  # e^(-(q - Mr x_n)^2 / b) at the 2m+1 bins q, per term
+    offset: np.ndarray  # Mr x_n - rint(Mr x_n)
+    taps: np.ndarray | None  # _gauss_taps(offset), or None on one block
     bin_terms: int  # K: the most terms whose windows share a bin
 
     def blocks(self, alpha0: float, count: int):
@@ -546,9 +564,11 @@ class GaussGridPlan:
                 cut, first = slice(s, s + GAUSS_CHUNK), int(self.centre[s])
                 bins = ((self.centre[cut, None] - first) + span).ravel()
                 part = slice(first, int(self.centre[cut][-1]) + 2 * m + 1)
+                taps = (_gauss_taps(self.offset[cut]) if self.taps is None
+                        else self.taps[cut])
                 for z, cz in ((ext.real, c.real), (ext.imag, c.imag)):
                     z[part] += np.bincount(
-                        bins, (cz[cut, None] * self.taps[cut]).ravel(),
+                        bins, (cz[cut, None] * taps).ravel(),
                         part.stop - first)
             ext[Mr : Mr + m] += ext[:m]  # fold the overhangs, mod Mr
             grid[:m] += ext[Mr + m :]
@@ -620,15 +640,23 @@ def gauss_grid_plan(fh, fl, weights, step: float,
     order = np.argsort(centre, kind="stable")
     fh, fl, weights, shift, centre, offset = (
         v[order] for v in (fh, fl, weights, shift, centre, offset))
-    # phi's weights, formed in place in one terms x (2m+1) array
+    # one block reads each term's weights once: no table to keep
+    taps = _gauss_taps(offset) if count > GRID_BLOCK else None
+    # K: the most centres in the 2m+1 bins from one centre on, mod Mr
+    K = np.searchsorted(np.append(centre, centre + Mr), centre + 2 * m, "right")
+    return GaussGridPlan(step, N, fh, fl, weights, shift, centre, offset,
+                         taps, int(np.max(K - np.arange(len(K)))))
+
+
+def _gauss_taps(offset: np.ndarray) -> np.ndarray:
+    """phi's weights e^(-(q - Mr x_n)^2 / b) at the 2m+1 bins q of each
+    term, from offset = Mr x_n - rint(Mr x_n), formed in place in one
+    terms x (2m+1) array."""
+    m = GAUSS_SPREAD
     taps = (np.arange(2 * m + 1) - m) - offset[:, None]
     taps *= taps
     taps /= -GAUSS_B
-    np.exp(taps, out=taps)
-    # K: the most centres in the 2m+1 bins from one centre on, mod Mr
-    K = np.searchsorted(np.append(centre, centre + Mr), centre + 2 * m, "right")
-    return GaussGridPlan(step, N, fh, fl, weights, shift, centre, taps,
-                         int(np.max(K - np.arange(len(K)))))
+    return np.exp(taps, out=taps)
 
 
 @dataclass(frozen=True, eq=False)

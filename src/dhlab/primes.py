@@ -112,7 +112,7 @@ def sieve(limit: int) -> PrimeTable:
         chunks.append(np.nonzero(seg)[0] + lo)
         lo = hi
 
-    primes = np.concatenate(chunks).astype(np.int64)
+    primes = np.concatenate(chunks).astype(np.int64, copy=False)
     return PrimeTable(limit=limit, primes=primes)
 
 

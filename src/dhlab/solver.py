@@ -223,13 +223,18 @@ class Lattice:
     """The candidates of an `Enumeration`, found on the integer line.
 
     `candidates(t, b0, b1)` returns the pairs (i, j) of window indices with
-    fl(rel - s) <= fl(l2 p2) <= fl(rel + s), rel = fl(t - a1[i]) and s =
-    lo_shift, in (i, p2) order: np.searchsorted's pairs over the sorted
-    l2 p2, for either sign of l2.  `slot[q - q0]` is the window index of
-    the prime 2q + 1, or -1, which both ends hold for the clip of np.take.  A
-    probe reads the nd = floor(hw + w/2) + 1 slots from ceil(y), y = (c - hw
-    - w - 1)/2 - q0 with c = (t - a1)/l2; only its hits take the float test.
-    2 takes the slot of 1, which w = 1 (if 2 is in the window) reaches.
+    fl(rel - s) <= fl(l2 p2) <= fl(rel + s), rel = fl(t - fl(l1 p1)) and s
+    = lo_shift, in (i, p2) order: np.searchsorted's pairs over the sorted
+    l2 p2, for either sign of l2.  The products are formed at the hits
+    alone.  `slot[q - q0]` is True where 2q + 1 is a window prime (2 on the
+    slot of 1), one byte per odd integer, and both ends are False for the
+    clip of np.take.  A hit's window index is the count of True slots
+    before it: `rank` holds that count at every eighth slot, and the bytes
+    below the hit in its 8-byte word add the rest (np.bitwise_count).  A
+    probe reads the nd = floor(hw + w/2) + 1 slots from ceil(y), y = (c -
+    hw - w - 1)/2 - q0 with c = (t - a1)/l2 and a1 = fl(l1 p1); only its
+    hits take the float test.  2 takes the slot of 1, which w = 1 (if 2 is
+    in the window) reaches.
 
     The certificate of hw = s/|l2| + tol, for u = 2^-53 and M a bound of
     |t/l2| + |a1/l2| + the largest prime + 2|q0| + hw + 2: the float test's
@@ -244,21 +249,28 @@ class Lattice:
     capped at its length and y clipped to [0, nd].
     """
 
-    def __init__(self, p1s, a1, a2, l2, lo_shift, t_max):
-        self.a1, self.a2, self.l2, self.lo_shift = a1, a2, l2, lo_shift
+    def __init__(self, p1s, l1, l2, lo_shift, t_max):
+        self.p1s, self.l1, self.l2, self.lo_shift = p1s, l1, l2, lo_shift
         q0 = (int(p1s[0]) - 1) // 2 - 1  # 2 lands on the slot of 1
-        q = (p1s - 1) // 2 - q0
-        self.slot = np.full(int(q[-1]) + 2, -1, dtype=np.int32)
-        self.slot[q] = np.arange(len(p1s), dtype=np.int32)
+        n = (int(p1s[-1]) - 1) // 2 - q0 + 2
+        # whole 8-byte words, the padding False: slot is the first n bytes
+        buf = np.zeros(-(-n // 8) * 8, dtype=bool)
+        buf[(p1s - 1) // 2 - q0] = True
+        self.slot, self.words = buf[:n], buf.view("<u8")
+        self.rank = np.zeros(len(self.words), dtype=np.int32)
+        np.cumsum(np.bitwise_count(self.words[:-1]), dtype=np.int32,
+                  out=self.rank[1:])
         w = 1.0 if p1s[0] == 2 else 0.0
-        M = ((t_max + float(np.max(np.abs(a1))) + lo_shift) / abs(l2)
+        # max |fl(l1 p1)| is at the largest p1: rounding is monotone
+        M = ((t_max + abs(l1) * float(p1s[-1]) + lo_shift) / abs(l2)
              + float(p1s[-1]) + 2.0 * abs(q0) + 3.0)
         if not M < math.inf:
             raise DomainError(f"l2 = {l2} too small to probe on the integers")
         hw = lo_shift / abs(l2) + 65.0 * U * M
-        self.nd = int(min(hw + 0.5 * w, len(self.slot) - 1)) + 1
+        self.nd = int(min(hw + 0.5 * w, n - 1)) + 1
         self.shift = ((hw + w) + 1.0) * 0.5 + q0
-        self.c1 = a1 / (2.0 * l2)  # fl(a1/l2)/2: halving commutes with fl
+        self.c1 = np.multiply(l1, p1s, dtype=np.float64)  # a1
+        self.c1 /= 2.0 * l2  # fl(a1/l2)/2: halving commutes with fl
 
     def candidates(self, t, b0, b1):
         """The pairs (i, j) at target t for the p1 of indices b0 .. b1-1."""
@@ -268,13 +280,21 @@ class Lattice:
         s = np.ceil(y, out=y).astype(np.intp)
         if self.nd > 1:
             s = (s[:, None] + np.arange(self.nd)).ravel()
-        g = np.take(self.slot, s, mode="clip")
-        f = np.flatnonzero(g >= 0)
-        i, j = f // self.nd + b0, g[f].astype(np.intp)
-        rel, v = t - self.a1[i], self.a2[j]
+        f = np.flatnonzero(np.take(self.slot, s, mode="clip"))
+        s = s[f]
+        word = s >> 3
+        j = self.rank[word] + np.bitwise_count(
+            self.words[word] & _BYTES_BELOW[s & 7])
+        i = f // self.nd + b0
+        rel = t - self.l1 * self.p1s[i].astype(np.float64)
+        v = self.l2 * self.p1s[j].astype(np.float64)
         keep = np.flatnonzero((rel - self.lo_shift <= v)
                               & (v <= rel + self.lo_shift))
         return i[keep], j[keep]
+
+
+# the bytes of a little-endian word below byte r, for r = 0 .. 7
+_BYTES_BELOW = np.array([(1 << 8 * r) - 1 for r in range(8)], dtype="<u8")
 
 
 PROBE_BLOCK = 1 << 17  # slots one probe block reads at most
@@ -290,16 +310,19 @@ class Enumeration:
     """The triples with residual <= eta at scale X, found p3 by p3.
 
     Building it does the set-up every share of the enumeration reads and
-    none changes: the windows, the exact products l1 p1 and l2 p2, the
-    `Lattice`, and for each p3 whose target can meet the window its target
-    t, its p1 index range, its 50-digit l3 p3^k and the split
-    `base` = l3 p3^k - omega.  So every `pow_mp` call runs here.
+    none changes: the windows (views of the prime table), the `Lattice`
+    (one float64 per window prime and under a byte per odd integer), and
+    for each p3 whose target can meet the window its target t, its p1
+    index range, its 50-digit l3 p3^k and the split `base` = l3 p3^k -
+    omega.  So every `pow_mp` call runs here.  The float l1 p1 of the
+    range searches is freed once they are done.
 
     For each p3 the target l1 p1 + l2 p2 is a window of width 2 eta,
     widened by the float64 error bound.  l1 p1 is monotone in p1, so only
     the one contiguous range of p1 whose window can meet the values l2 p2
     is probed, on the integer line of p2 (`Lattice`).  Each candidate's
-    residual is formed in double-double, and its admission, guard-band flag
+    exact products l1 p1 and l2 p2 (two_prod) are formed for it alone, its
+    residual in double-double, and its admission, guard-band flag
     (|residual - eta| <= 1e-14 eta) and stored rounding are decided under
     the certified bounds of `_dd_residuals` and `_certify`, or, where they
     leave one open, on its 50-digit residual: the result equals a 50-digit
@@ -318,9 +341,6 @@ class Enumeration:
         if len(p1s) == 0 or len(p3s) == 0:
             return
         l1, l2, l3, omega = *instance.lambdas, instance.omega
-
-        a1, a1_lo = two_prod(l1, p1s.astype(np.float64))
-        a2, a2_lo = two_prod(l2, p1s.astype(np.float64))
         ts = [omega - l3 * float(p3) ** instance.k for p3 in p3s]
 
         L1, L2, L3, OM = (mp.mpf(v) for v in (l1, l2, l3, omega))
@@ -328,15 +348,17 @@ class Enumeration:
         # 2^-46 ((|l1|+|l2|+|l3|) X + |omega|)
         lo_shift = eta + 128.0 * U * ((abs(l1) + abs(l2) + abs(l3)) * float(X)
                                       + abs(omega))
-        self.lattice = lat = Lattice(p1s, a1, a2, l2, lo_shift,
+        self.lattice = lat = Lattice(p1s, l1, l2, lo_shift,
                                      max(map(abs, ts)))
         # p1 per probe block: it reads at most PROBE_BLOCK slots and expects
         # at most CHUNK_RECORDS hits, at the window's primes per slot
         slots = min(PROBE_BLOCK, CHUNK_RECORDS * len(lat.slot) // len(p1s))
         self.block = max(1, slots // lat.nd)
-        v_lo, v_hi = sorted((a2[0], a2[-1]))
-        # a1 made ascending in the p1 index, for the two range searches
-        a1_up, sign1 = (a1, 1.0) if l1 > 0 else (-a1, -1.0)
+        v_lo, v_hi = sorted((l2 * float(p1s[0]), l2 * float(p1s[-1])))
+        # a1 = fl(l1 p1) made ascending in the p1 index, |a1| = fl(|l1| p1),
+        # for the two range searches; only the set-up holds it
+        a1_up = np.multiply(abs(l1), p1s, dtype=np.float64)
+        sign1 = 1.0 if l1 > 0 else -1.0
         for p3, lg3, t in zip(p3s, logs3, ts):
             # a window meets [v_lo, v_hi] only if a1 lies in
             # [t - lo_shift - v_hi, t + lo_shift - v_lo]; a second lo_shift
@@ -354,7 +376,6 @@ class Enumeration:
                 == Fraction(l3) * int(p3) ** int(instance.k) - Fraction(omega))
             self.rows.append((p3, lg3, t, start, stop, l3p, base, exact_base))
 
-        self.a1, self.a1_lo, self.a2, self.a2_lo = a1, a1_lo, a2, a2_lo
         self.L1, self.L2, self.OM = L1, L2, OM
         self.eta_mp = mp.mpf(eta)
         self.band = mp.mpf(BOUNDARY_BAND) * self.eta_mp
@@ -368,16 +389,17 @@ class Enumeration:
         has candidates.  Each chunk counts its own candidates and exact
         fallbacks; a block with candidates but no admitted triple yields an
         empty chunk.  Only reads the set-up, so shares may run at once."""
-        p1s, eta = self.p1s, self.eta
+        p1s, eta, lat = self.p1s, self.eta, self.lattice
         for p3, lg3, t, start, stop, l3p, base, exact_base in (
                 self.rows[share::shares]):
             for b0 in range(start, stop, self.block):
-                i, j = self.lattice.candidates(t, b0,
-                                               min(b0 + self.block, stop))
+                i, j = lat.candidates(t, b0, min(b0 + self.block, stop))
                 if len(i) == 0:
                     continue
+                # l1 p1 and l2 p2 exactly, at the candidates alone
                 r_hi, err, rounded = _dd_residuals(
-                    self.a1[i], self.a1_lo[i], self.a2[j], self.a2_lo[j],
+                    *two_prod(lat.l1, p1s[i].astype(np.float64)),
+                    *two_prod(lat.l2, p1s[j].astype(np.float64)),
                     base, self.lin_mag, exact_base, eta)
                 admit, boundary, decided = _certify(
                     r_hi, err, rounded, eta, self.band_hi, self.band_lo)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,8 @@ from dhlab.expsums import (GAUSS_SIGMA, GAUSS_SPREAD, GRID_BLOCK,
                            prime_exp_sum, prime_points_plan,
                            recurrence_error_bound, sum_freqs, trapezoid,
                            trapezoid_step)
-from dhlab.precision import dd_add, dd_from_mpf, pow_dd, two_prod
+from dhlab.precision import (TWO_PI_I, dd_add, dd_from_mpf, phase_frac,
+                             pow_dd, two_prod)
 from dhlab.primes import PrimeTable, SumRange, sieve, theta
 
 
@@ -274,6 +276,74 @@ def test_trapezoid_matches_numpy(table_1e6):
     want = np.trapezoid(v1 * v2 * fejer_kernel(alphas, 0.3), dx=h)
     assert isinstance(got, complex)
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _trapezoid_whole_blocks(ensembles, lo, hi, band, f):
+    # the reference: trapezoid as it was before sub-blocks, one f call on
+    # each whole block of the grid
+    n, h = trapezoid_step(lo, hi, band)
+    count = n + 1
+    gens = [iter_grid_values(*e, lo, h, count) for e in ensembles]
+    sums, ends = [], []
+    for blocks in zip(*gens):
+        start = blocks[0][0]
+        vals = [b for _, b in blocks]
+        y = f(lo + (start + np.arange(len(vals[0]))) * h, *vals)
+        sums.append(np.sum(y))
+        if start == 0:
+            ends.append(y[0])
+        if start + len(y) == count:
+            ends.append(y[-1])
+    end = 0.5 * ends[0] + 0.5 * ends[1]
+    if np.iscomplexobj(end):
+        return complex((math.fsum(s.real for s in sums) - end.real) * h,
+                       (math.fsum(s.imag for s in sums) - end.imag) * h)
+    return float((math.fsum(sums) - end) * h)
+
+
+@settings(max_examples=20, deadline=None)
+@given(count=st.one_of(st.integers(2, 3 * expsums._TRAPEZOID_SUB),
+                       st.integers(GRID_BLOCK - 3, 3 * GRID_BLOCK + 300)),
+       lo=st.floats(-0.5, 0.5), X=st.sampled_from([1000.0, 1e4]),
+       p=st.sampled_from([1.0, 2.0, 2.5, 4.0]), omega=st.floats(-3.0, 3.0),
+       eta=st.floats(0.1, 2.0))
+def test_trapezoid_sub_blocks_match_whole_blocks(table_1e6, count, lo, X, p,
+                                                 omega, eta):
+    # counts below one sub-block, across several blocks and with ragged
+    # remainders; 130 primes take the row recurrence and 862 Gaussian
+    # gridding on full blocks
+    band = 15625.0  # 1/(64 band) = 1e-6
+    hi = lo + (count - 1) * 1e-6
+    f1 = sum_freqs("prime", SumRange(1, 0.25, X), table_1e6)
+    f2 = sum_freqs("prime", SumRange(2, 0.1, X), table_1e6,
+                   scale=-math.sqrt(2))
+
+    def detector(a, s, t):  # solution_integral's integrand, two factors
+        om = phase_frac(np.float64(-omega), 0.0, a)
+        return s * t * (fejer_kernel(a, eta) * np.exp(TWO_PI_I * om))
+
+    def power(a, s):
+        return np.abs(s) ** p
+
+    for ens, f in (([f1, f2], detector), ([f1], power)):
+        got = trapezoid(ens, lo, hi, band, f)
+        want = _trapezoid_whole_blocks(ens, lo, hi, band, f)
+        assert type(got) is type(want)
+        assert repr(got) == repr(want)
+
+
+def test_one_block_gauss_plan_forms_taps_per_chunk(table_1e5):
+    # a grid of one block keeps no taps table; the chunks' own taps give
+    # the same values, bit for bit, as the table does
+    f = sum_freqs("prime", SumRange(1.0, 1e-9, 1e5), table_1e5)
+    plan = gauss_grid_plan(*f, 1e-6, GRID_BLOCK)
+    assert plan.taps is None
+    assert gauss_grid_plan(*f, 1e-6, GRID_BLOCK + 1).taps is not None
+    table = dataclasses.replace(plan, taps=expsums._gauss_taps(plan.offset))
+    assert table.taps.shape == (len(f[0]), 2 * GAUSS_SPREAD + 1)
+    for a, b in zip(plan.blocks(0.3, GRID_BLOCK), table.blocks(0.3,
+                                                               GRID_BLOCK)):
+        assert a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
 def test_grid_conjugate_symmetry(table_1e6):

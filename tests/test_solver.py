@@ -423,13 +423,14 @@ def test_lattice_matches_searchsorted(table_1e6, l1, l2, signs, width, X,
     for a, b, off in picks:
         v = a1[a % len(ps)] + a2[b % len(ps)]
         ts += [v + off * abs(l2), v - lo_shift, v + lo_shift]
-    _assert_lattice_is_searchsorted(p1s, a1, a2, l2, lo_shift, ts, block)
+    _assert_lattice_is_searchsorted(p1s, l1, a1, a2, l2, lo_shift, ts, block)
 
 
-def _assert_lattice_is_searchsorted(p1s, a1, a2, l2, lo_shift, ts, block):
+def _assert_lattice_is_searchsorted(p1s, l1, a1, a2, l2, lo_shift, ts,
+                                    block):
     # oracle: np.searchsorted over the sorted l2 p2, each window's p2 in
     # ascending order
-    lattice = Lattice(p1s, a1, a2, l2, lo_shift, max(map(abs, ts)))
+    lattice = Lattice(p1s, l1, l2, lo_shift, max(map(abs, ts)))
     order = np.argsort(a2, kind="stable")
     sorted2 = a2[order]
     for t in ts:
@@ -453,10 +454,11 @@ def test_lattice_interval_wider_than_the_table(table_1e6):
     ps = p1s.astype(np.float64)
     for l2 in (1e-3, -1e-3):
         a1, a2 = two_prod(1.5, ps)[0], two_prod(l2, ps)[0]
-        lattice = Lattice(p1s, a1, a2, l2, 1.0, 200.0)
-        assert lattice.nd == len(lattice.slot)
+        lattice = Lattice(p1s, 1.5, l2, 1.0, 200.0)
+        # nd is capped at the table's odd integers, not its padded words
+        assert lattice.nd == len(lattice.slot) < 8 * len(lattice.words)
         ts = [a1[3] + a2[5], a1[0] + 0.9, a1[-1] - 0.95, a1[7] + 1.0 + a2[-1]]
-        _assert_lattice_is_searchsorted(p1s, a1, a2, l2, 1.0, ts, 5)
+        _assert_lattice_is_searchsorted(p1s, 1.5, a1, a2, l2, 1.0, ts, 5)
     # a finite l2 whose integer line overflows float64 is refused, not
     # misread
     for l2 in (1e-310, -1e-310):
@@ -465,23 +467,40 @@ def test_lattice_interval_wider_than_the_table(table_1e6):
             enumerate_solutions(inst, 100.0, 1.0, table_1e6)
 
 
-def test_lattice_slot_table_is_odd_only_int32(table_1e6):
-    # the slot table costs 2 bytes per integer of the window (4 per odd
-    # integer); an int64 array of window length would add 4 or 8 more
+def test_lattice_probe_table_is_one_byte_per_odd_integer(table_1e6):
+    # a 0/1 byte per odd integer and an int32 rank per 8 of them: at most
+    # 1.5 bytes per odd integer together (the int32 slot table took 4)
     p1s, _ = window_arrays(SumRange(1.0, 0.1, 1e6), table_1e6)
-    ps = p1s.astype(np.float64)
-    span = int(p1s[-1] - p1s[0])
+    odd = (int(p1s[-1]) - int(p1s[0])) // 2
     tracemalloc.start()
     try:
-        lattice = Lattice(p1s, ps, math.sqrt(2.0) * ps, math.sqrt(2.0), 1.0,
-                          1e6)
+        lattice = Lattice(p1s, 1.0, math.sqrt(2.0), 1.0, 1e6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert lattice.slot.dtype == np.int32
-    assert lattice.slot.nbytes <= 2 * span + 16
-    # besides the table, at most three arrays of 8 bytes a prime
-    assert peak < 2 * span + 24 * len(p1s) + 4096
+    assert lattice.slot.dtype == bool and lattice.rank.dtype == np.int32
+    assert lattice.words.nbytes + lattice.rank.nbytes <= 1.5 * odd + 64
+    # besides the table and rank, c1 and the int64 slot of each prime
+    assert peak < 1.5 * odd + 16 * len(p1s) + 4096
+
+
+def test_enumeration_memory_is_under_bytes_per_window_integer(table_1e6):
+    # the set-up holds the Lattice and the rows, no product arrays of the
+    # window: at most 1.5 bytes per integer of the linear window, and 3.0
+    # at its peak (the int32 slot table and four double-double products
+    # held 5.1)
+    X = 1e6
+    p1s, _ = window_arrays(INST.linear_range(X), table_1e6)
+    span = int(p1s[-1] - p1s[0])
+    tracemalloc.start()
+    try:
+        enum = solver.Enumeration(INST, X, 1.0, table_1e6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enum.rows
+    assert held <= 1.5 * span
+    assert peak <= 3.0 * span
 
 
 def test_tie_rounding_needs_exact_low_sums():
