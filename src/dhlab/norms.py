@@ -20,9 +20,13 @@ The kernel-weighted moments go by Fourier duality instead: K_eta
 transforms to a tent, so over the whole line |S|^p K_eta integrates to a
 finite sum over pairs of frequencies of S^(p/2), for integer k eta times
 the weighted count of equal (p/2)-fold sums of k-th powers.  A finite
-interval takes off a trapezoid head and a tail past hi, summed in closed
-form (p = 2) or estimated by its mean term within a certified bound,
-which the report carries as its tail_bound.
+interval takes off a trapezoid head and a tail past hi, summed pair by
+pair (p = 2) or estimated by its mean term.  Each tail term is in
+float64 from the by-parts series of int_x^inf cos t t^-2 dt, its phase
+reduced in double-double; the few terms whose x lies below a fixed
+threshold are taken at 50 digits.  The report's tail_bound certifies the
+float error of the tail, plus the mean term's remainder; it does not
+cover the head's trapezoid error.
 """
 
 from __future__ import annotations
@@ -33,11 +37,12 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError, InsufficientTableError
 from .expsums import (MAX_GRID_VALUES, fejer_kernel, fejer_kernel_hat,
                       sum_freqs, trapezoid)
-from .precision import phase_frac, pow_dd, two_sum
+from .precision import U, higham_gamma, phase_frac, pow_dd, two_prod, two_sum
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -179,6 +184,13 @@ def _coefficients(p: int, fh, fl, w, integer: bool):
     return t, t_lo, c
 
 
+def _hi_lo(t, t_lo):
+    """t + t_lo as float64 hi/lo arrays, an int64 t's rounding to float64
+    moved into the low part."""
+    th = t.astype(np.float64)
+    return th, t_lo + (t - th.astype(t.dtype))
+
+
 def _pair_sum(t, t_lo, c, lo: float, hi: float) -> float:
     """sum over m, n of c_m c_n E(t_m - t_n), E(xi) the integral of e(xi a)
     over [lo, hi]: E(0) = hi - lo, and the real part of E, the imaginary
@@ -188,8 +200,7 @@ def _pair_sum(t, t_lo, c, lo: float, hi: float) -> float:
     hi - lo.  Pairs m < n go in blocks of rows of at most PAIR_BLOCK
     pairs, each block summed with np.sum; the block sums and the diagonal
     (hi - lo) sum c^2 with math.fsum."""
-    th = t.astype(np.float64)
-    tl = t_lo + (t - th.astype(t.dtype))  # an int64 t's rounding to th
+    th, tl = _hi_lo(t, t_lo)
     w, w_lo = two_sum(hi, -lo)
     s, s_lo = two_sum(hi, lo)
     n = len(t)
@@ -336,15 +347,15 @@ def _kernel_bound(p: int, eta: float, X: float, k: float) -> float:
     raise DomainError(f"exponent must be one of 2, 4, 8, got {p}")
 
 
-_EXACT_TAIL_PAIRS = 1 << 16  # most pairs whose tail terms are summed in closed form
+_EXACT_TAIL_PAIRS = 1 << 16  # most pairs whose tail terms are summed one by one
 
 
 def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
-    """(t, c, whole) for |S(lam a)|^p = |sum c e(t lam a)|^2, S the prime
+    """(t, t_lo, c, whole) for |S(lam a)|^p = |sum c e(t lam a)|^2, S the prime
     sum of `rng`, or None where the sums would pass MAX_GRID_VALUES.
 
-    t, c: the frequencies of S^(p/2) at scale 1 and their coefficients,
-    as _coefficients gives them (t_lo left out).  whole: the integral over
+    t, t_lo, c: the frequencies of S^(p/2) at scale 1 and their
+    coefficients, as _coefficients gives them.  whole: the integral over
     the whole line of |S(lam a)|^p K_eta(a).  K_eta transforms to the tent
     max(0, eta - |xi|), so whole is the sum over i, j of c_i c_j max(0,
     eta - |lam (t_i - t_j)|), whose pairs closer than eta/|lam| are found
@@ -354,7 +365,7 @@ def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
                            float(rng.k).is_integer())
     if coeffs is None:
         return None
-    t, _, c = coeffs
+    t, t_lo, c = coeffs
     r = eta / abs(lam)
     a = np.searchsorted(t, t - r, side="right")
     n = np.searchsorted(t, t + r, side="left") - a
@@ -363,29 +374,131 @@ def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
     i = np.repeat(np.arange(len(t)), n)
     j = a[i] + np.arange(len(i)) - np.repeat(np.cumsum(n) - n, n)
     whole = math.fsum(c[i] * c[j] * fejer_kernel_hat(lam * (t[i] - t[j]), eta))
-    return t, c, whole
+    return t, t_lo, c, whole
 
 
-def _cos_tails(lam: float, ds, R: float, eta: float) -> list[float]:
-    """T(lam d) for each d in ds, at 50 digits, where T(xi) is the integral
-    over [R, inf) of cos(2 pi xi a) K_eta(a) da.  K_eta(a) = (1 - cos 2 pi
-    eta a) / (2 pi^2 a^2), so T(xi) = (2 J(xi) - J(xi + eta) - J(xi - eta))
-    / (4 pi^2) with
+_TAIL_TERMS = 16  # N: terms of the by-parts series of J
+_TAIL_X_MIN = 100.0  # x = 2 pi |nu| R below which J is taken at 50 digits
+_SERIES_A = [(-1) ** m * math.factorial(2 * m + 1) for m in range(_TAIL_TERMS // 2)]
+_SERIES_B = [(-1) ** m * math.factorial(2 * m + 2) for m in range(_TAIL_TERMS // 2)]
 
-        J(nu) = int_R^inf cos(c a) a^-2 da = cos(cR)/R - c (pi/2 - Si(cR)),
 
-    c = 2 pi |nu| (by parts).  The two terms of J cancel to about
-    1/(c R^2), hence the working precision."""
-    with mp.workdps(50):
-        R, eta, lam = mp.mpf(R), mp.mpf(eta), mp.mpf(lam)
-        two_pi, half_pi, scale = 2 * mp.pi, mp.pi / 2, 4 * mp.pi**2
+def _J_mp(nu, R):
+    """J(nu) = int_R^inf cos(2 pi nu a) a^-2 da = cos(cR)/R - c (pi/2 -
+    Si(cR)), c = 2 pi |nu| (by parts), for mpf nu and R at the package's
+    50 digits; the two terms cancel to about 1/(c R^2)."""
+    c = 2 * mp.pi * abs(nu)
+    return mp.cos(c * R) / R - c * (mp.pi / 2 - mp.si(c * R))
 
-        def J(nu):
-            c = two_pi * abs(nu)
-            return mp.cos(c * R) / R - c * (half_pi - mp.si(c * R))
 
-        return [float((2 * J(xi) - J(xi + eta) - J(xi - eta)) / scale)
-                for xi in (lam * d for d in ds)]
+def _tail_J(s, lo, R: float, eps_nu: float):
+    """J(nu) of _J_mp and a bound on its error for each nu = s + lo
+    (arrays), the pairs themselves within eps_nu of the nu meant.
+
+    With x = 2 pi |nu| R, J(nu) = (x/R) int_x^inf cos t t^-2 dt, and by
+    parts int_x^inf e^(it) t^-2 dt = i e^(ix) sum_{j<N} (j+1)! (-i)^j /
+    x^(j+2) + r, |r| <= N!/x^(N+1).  So, with y = 1/x and m < N/2,
+
+        J = (B cos x - A sin x) / (x R) + r',  |r'| <= N! y^(N-1) / (x R),
+        A = sum_m (-1)^m (2m+1)! y^2m,  B = sum_m (-1)^m (2m+2)! y^(2m+1).
+
+    At x >= _TAIL_X_MIN = 100 and N = 16 the remainder is below 2^-55 of
+    the scale 1/(x R).  cos x and sin x come from nu R reduced mod 1 by
+    phase_frac on the pair (s, lo): x reaches about 1e10.  The error, in
+    units of 1/(x R) and to first order in u (a factor 1.01 covers the
+    higher orders and the bound's own roundings):
+      - (j+1)! <= N^j, so |A| + |B| <= S = 1/(1 - N y) <= 1.2;
+      - x: 2 pi (0.35 u), three roundings and nu's error, so eps_x = 4 u
+        + eps_nu/|nu| <= 4 u + 7 R eps_nu / _TAIL_X_MIN; y: eps_x + u;
+      - Horner in z = y^2, every factorial exact (odd parts below 2^53):
+        gamma_2N S, and the perturbed powers of y and z: N (eps_x + 2 u) S;
+      - phase: phase_frac's last rounding and nu's error with the
+        second-order terms, u + 2 R eps_nu turns; 2 pi phi rounded and
+        cos, sin within 4 ulp (numpy's SIMD bound): eps_cs = 2 pi (u +
+        2 R eps_nu) + 16 u each, so eps_cs S;
+      - B cos - A sin: gamma_2 S; the division by x R: (eps_x + 2 u) S;
+      - the remainder N! y^(N-1).
+    Below _TAIL_X_MIN each value is _J_mp at 50 digits of s + lo on its
+    own, rounded once: u |J| + 1e-40/R, its terms being at most 160/R.
+    nu = 0 is J = 1/R.  Both add pi^2 eps_nu, since |dJ/dnu| = 2 pi |pi/2
+    - Si(2 pi |nu| R)| <= pi^2."""
+    nu = s + lo
+    x = (2.0 * np.pi * R) * np.abs(nu)
+    far = x >= _TAIL_X_MIN
+    J, err = np.empty_like(x), np.empty_like(x)
+    xf = x[far]
+    y = 1.0 / xf
+    z = y * y
+    A, B = polyval(z, _SERIES_A), y * polyval(z, _SERIES_B)  # Horner
+    phase = 2.0 * np.pi * phase_frac(s[far], lo[far], R)
+    J[far] = (B * np.cos(phase)
+              - A * np.sign(nu[far]) * np.sin(phase)) / (xf * R)
+    N = _TAIL_TERMS
+    eps_x = 4.0 * U + 7.0 * R * eps_nu / _TAIL_X_MIN
+    eps_cs = 2.0 * np.pi * (U + 2.0 * R * eps_nu) + 16.0 * U
+    eps = (higham_gamma(2 * N) + N * (eps_x + 2.0 * U) + eps_cs
+           + higham_gamma(2) + eps_x + 2.0 * U)
+    err[far] = 1.01 * (eps / (1.0 - N * y)
+                       + math.factorial(N) * y ** (N - 1)) / (xf * R)
+    near = np.flatnonzero(~far)
+    J[near] = [float(_J_mp(mp.mpf(a) + mp.mpf(b), mp.mpf(R))) if n else 1.0 / R
+               for a, b, n in zip(s[near], lo[near], nu[near])]
+    err[near] = U * np.abs(J[near]) + 1e-40 / R + np.pi**2 * eps_nu
+    return J, err
+
+
+def _cos_tails(lam: float, dh, dl, R: float, eta: float, size: float):
+    """T(lam d) and a bound on its error for each d = dh + dl (arrays),
+    where T(xi) is the integral over [R, inf) of cos(2 pi xi a) K_eta(a) da.
+    K_eta(a) = (1 - cos 2 pi eta a) / (2 pi^2 a^2), so
+
+        T(xi) = (2 J(xi) - J(xi + eta) - J(xi - eta)) / (4 pi^2),
+
+    J as in _tail_J.  Each nu = lam d +- eta is a pair (s, lo): two_prod
+    of lam and dh with lam dl added to its error, and eta by two_sum.
+    size bounds |lam| (|t_i| + |t_j|) over the differences d = t_j - t_i,
+    and each t_lo is at most 4 u |t| (as _coefficients forms them), so dl
+    is within 9 u^2 (|t_i| + |t_j|) of the exact difference less dh, and
+    with the roundings of lam dl, of its sum and of lo every nu is within
+    eps_nu = 32 u^2 (size + eta).  The combination and the factor
+    1/(4 pi^2) add 6 u (2 |J(xi)| + |J(xi + eta)| + |J(xi - eta)|) /
+    (4 pi^2)."""
+    p, e = two_prod(lam, dh)
+    e = e + lam * dl
+    eps_nu = 32.0 * U * U * (size + eta)
+    J, E = [], []
+    for shift in (0.0, eta, -eta):
+        s, e2 = two_sum(p, shift)
+        j, r = _tail_J(s, e2 + e, R, eps_nu)
+        J.append(j)
+        E.append(r)
+    K = 1.0 / (4.0 * math.pi**2)
+    T = (2.0 * J[0] - J[1] - J[2]) * K
+    err = 1.01 * K * (2.0 * E[0] + E[1] + E[2] + 6.0 * U * (
+        2.0 * np.abs(J[0]) + np.abs(J[1]) + np.abs(J[2])))
+    return T, err
+
+
+def _tail(t, t_lo, c, lam: float, eta: float, R: float, pairs: bool):
+    """(tail, err): the integral over [R, inf) of |sum c e((t + t_lo) lam
+    a)|^2 K_eta(a), summed pair by pair, sum c^2 T(0) + sum over i < j of
+    2 c_i c_j T(lam (t_j - t_i)), or (not pairs) its mean term sum c^2 T(0)
+    alone, each difference formed as in _pair_sum; err bounds the float
+    error of that sum: each T's (_cos_tails) times its weight, the
+    roundings of sum c^2 and of the products c_i c_j T (2 u each, 3 u on
+    the diagonal) and of the final math.fsum (u), times 1.01."""
+    th, tl = _hi_lo(t, t_lo)
+    i, j = np.triu_indices(len(t), 1) if pairs else (np.zeros(0, np.int64),) * 2
+    dh, de = two_sum(th[j], -th[i])
+    T, E = _cos_tails(lam, np.r_[0.0, dh], np.r_[0.0, de + (tl[j] - tl[i])],
+                      R, eta, 2.0 * abs(lam) * float(np.max(np.abs(th), initial=0.0)))
+    sq = math.fsum(c * c)
+    w = 2.0 * c[i] * c[j]
+    terms = w * T[1:]
+    tail = math.fsum([sq * T[0]] + terms.tolist())
+    err = 1.01 * (math.fsum(np.abs(w) * E[1:] + 2.0 * U * np.abs(terms))
+                  + sq * (E[0] + 3.0 * U * abs(T[0])) + U * abs(tail))
+    return tail, err
 
 
 def _remainder_bound(t, c, lam: float, eta: float, R: float) -> float:
@@ -440,12 +553,14 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
     eta, so whole = eta sum c^2: eta times the weighted count of equal
     (p/2)-fold sums of k-th powers of primes.
 
-    Head: one trapezoid over [0, |lo|].  Tail: each pair's
-    c_i c_j int_hi^inf cos(2 pi lam (t_i - t_j) a) K_eta(a) da in closed
-    form (p = 2, up to _EXACT_TAIL_PAIRS pairs), else the mean term sum c^2
-    int_hi^inf K_eta, off by at most _remainder_bound, which the report
-    carries as tail_bound (0 where no tail is estimated: hi = inf, a tail
-    summed pair by pair, and the trapezoid fallback).  Where the sums pass
+    Head: one trapezoid over [0, |lo|], whose O(h^2) endpoint error
+    (about 1e-6 of the head at X = 1000) no bound here covers.  Tail:
+    each pair's c_i c_j int_hi^inf cos(2 pi lam (t_i - t_j) a) K_eta(a) da
+    (p = 2, up to _EXACT_TAIL_PAIRS pairs), else the mean term sum c^2
+    int_hi^inf K_eta, off by at most _remainder_bound; both in float64
+    (_tail).  The report's tail_bound is the certified float error of
+    the tail summed, plus _remainder_bound for the mean term (0 where no
+    tail is taken: hi = inf and the trapezoid fallback).  Where the sums pass
     MAX_GRID_VALUES, [lo, hi] is one trapezoid instead.  Bad
     arguments, an unsupported p and over-large grids are refused before
     any value is evaluated.
@@ -473,18 +588,15 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
                               "which needs a finite hi")
         value = trapezoid([f], lo, hi, band, integrand)
     else:
-        t, c, whole = ident
+        t, t_lo, c, whole = ident
         head = trapezoid([f], 0.0, abs(a), band, integrand) if a != 0 else 0.0
         if b == math.inf:
             tail = 0.0
-        elif p == 2 and len(t) * (len(t) - 1) // 2 <= _EXACT_TAIL_PAIRS:
-            i, j = np.triu_indices(len(t), 1)
-            T = _cos_tails(lam, [0] + (t[j] - t[i]).tolist(), b, eta)
-            tail = math.fsum([math.fsum(c * c) * T[0]]
-                             + (2.0 * c[i] * c[j] * T[1:]).tolist())
         else:
-            tail = math.fsum(c * c) * _cos_tails(lam, [0], b, eta)[0]
-            tail_bound = _remainder_bound(t, c, lam, eta, b)
+            pairs = p == 2 and len(t) * (len(t) - 1) // 2 <= _EXACT_TAIL_PAIRS
+            tail, tail_bound = _tail(t, t_lo, c, lam, eta, b, pairs)
+            if not pairs:
+                tail_bound += _remainder_bound(t, c, lam, eta, b)
         value = 0.5 * whole - math.copysign(head, a) - tail
     return MomentReport(exponent=p, lo=lo, hi=hi, value=value, bound=bound,
                         X=X, k=rng.k, eta=eta, tail_bound=tail_bound)

@@ -7,13 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from dhlab import expsums, norms
+from dhlab import expsums, harness, norms
 from dhlab.arcs import choose_parameters
 from dhlab.errors import DomainError
 from dhlab.expsums import fejer_kernel, sum_freqs, trapezoid
 from dhlab.harness import ExperimentConfig
 from dhlab.norms import (count_quadruples, exp_sum_gap_l2, kernel_moment,
                          moment_integral, selberg_integral)
+from dhlab.precision import pow_dd, two_sum
 from dhlab.primes import (SumRange, integers_in_range, theta_many,
                           window_arrays)
 
@@ -419,6 +420,13 @@ def _direct(p, lam, lo, hi, eta, rng, table):
                      lambda a, s: np.abs(s) ** p * fejer_kernel(a, eta))
 
 
+def _float_tail_ceiling(rng, table, R):
+    """1e-13 of the trivial size of a p = 2 tail past R: every |J| <= 1/R,
+    so every |T| <= 1/(pi^2 R), and the pairs weigh (sum w)^2."""
+    sw = float(np.sum(window_arrays(rng, table)[1]))
+    return 1e-13 * sw**2 / (math.pi**2 * R)
+
+
 def _trapezoid_gap(p, lam, lo, hi, eta, rng, table):
     """Bound on |identity - direct trapezoid| from the trapezoids' grids,
     set from the Euler-Maclaurin leading terms h^2/12 g'(a) of g = |S|^p
@@ -460,8 +468,9 @@ def test_kernel_moment_identity_matches_direct_trapezoid(
            + _trapezoid_gap(p, lam, lo, hi, eta, rng, table_1e6)
            + 1e-12 * abs(want))
     assert abs(rep.value - want) <= tol
+    assert rep.tail_bound > 0.0
     if p == 2:
-        assert rep.tail_bound == 0.0
+        assert rep.tail_bound <= _float_tail_ceiling(rng, table_1e6, hi)
 
 
 def test_kernel_moment_default_config_matches_direct_trapezoid(table_1e6):
@@ -476,8 +485,11 @@ def test_kernel_moment_default_config_matches_direct_trapezoid(table_1e6):
         want = _direct(p, *args)
         slack = rep.tail_bound + 1e-9 * want
         assert abs(rep.value - want) <= slack, (p, rep.value, want)
-        # p = 2 sums its tail pair by pair; p = 4 takes the mean term
-        assert (rep.tail_bound > 0.0) == (p == 4)
+        # p = 2 sums its tail pair by pair, in float under a certified
+        # bound; p = 4 takes the mean term and adds its remainder
+        assert rep.tail_bound > 0.0
+        if p == 2:
+            assert rep.tail_bound <= _float_tail_ceiling(rng, table_1e6, d.R)
 
 
 def test_kernel_moment_fourth_whole_line_counts_equal_pair_sums(table_1e6):
@@ -576,3 +588,153 @@ def test_kernel_moment_head_only_grid(table_1e6, monkeypatch):
                       inst.power_range(X), table_1e6)
     assert seen == [head, head]
     assert head < 2000
+
+
+# ---------------------------------------------------------------------------
+# kernel tails in float64 against 50-digit sine integrals
+
+def _J50(nu, R):
+    """int_R^inf cos(2 pi nu a) a^-2 da at 50 digits, by parts through Si."""
+    if nu == 0:
+        return 1 / R
+    c = 2 * mp.pi * abs(nu)
+    return mp.cos(c * R) / R - c * (mp.pi / 2 - mp.si(c * R))
+
+
+def _T50(xi, R, eta):
+    return (2 * _J50(xi, R) - _J50(xi + eta, R) - _J50(xi - eta, R)) / (4 * mp.pi**2)
+
+
+def _exact_freqs(t, t_lo):
+    return [mp.mpf(int(a)) + mp.mpf(float(b)) if t.dtype.kind == "i"
+            else mp.mpf(float(a)) + mp.mpf(float(b)) for a, b in zip(t, t_lo)]
+
+
+def _tail50(t, t_lo, c, lam, eta, R, pairs):
+    """The tail of norms._tail at 50 digits, from the frequencies t + t_lo."""
+    with mp.workdps(50):
+        R, eta, lam = mp.mpf(R), mp.mpf(eta), mp.mpf(lam)
+        tm, cm = _exact_freqs(t, t_lo), [mp.mpf(float(a)) for a in c]
+        total = mp.fsum(a * a for a in cm) * _T50(0, R, eta)
+        if pairs:
+            total += mp.fsum(2 * cm[i] * cm[j] * _T50(lam * (tm[j] - tm[i]), R, eta)
+                             for i in range(len(tm)) for j in range(i + 1, len(tm)))
+        return total
+
+
+def _assert_tail_certified(p, lam, eta, R, rng, table):
+    # the tail from _identity's output against 50 digits from the
+    # frequencies and low parts _coefficients gives
+    t, t_lo, c, _ = norms._identity(p, lam, eta, rng, table)
+    pairs = p == 2
+    tail, err = norms._tail(t, t_lo, c, lam, eta, R, pairs)
+    coeffs = norms._coefficients(p, *sum_freqs("prime", rng, table),
+                                 float(rng.k).is_integer())
+    gap = abs(mp.mpf(tail) - _tail50(*coeffs, lam, eta, R, pairs))
+    assert 0.0 < err and gap <= err, (p, tail, float(gap), err)
+    assert err < 1e-13 * abs(tail)
+
+
+def test_kernel_tail_certified_on_default_config(table_1e6):
+    # the weighted checks' tails (p = 2 pair by pair, p = 4 its mean term)
+    inst = ExperimentConfig().instance
+    for X in (1000.0, 2000.0, 4000.0):
+        d = choose_parameters(inst, X)
+        for p in (2, 4):
+            _assert_tail_certified(p, inst.lambda3, d.eta, d.R,
+                                   inst.power_range(X), table_1e6)
+
+
+@pytest.mark.parametrize("k, X", [(1.5, 4000.0), (2.5, 1.024e6)])
+def test_kernel_tail_carries_low_parts(table_1e6, monkeypatch, k, X):
+    # non-integer k: every T of a pair-summed tail agrees with 50 digits
+    # from the differences of t + t_lo within its bound (the high parts
+    # alone put T off by 7e-11 relative at k = 1.5, 1.5e-8 at k = 2.5)
+    seen = []
+    cos_tails = norms._cos_tails
+
+    def recording(*args):
+        seen.append(cos_tails(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(norms, "_cos_tails", recording)
+    rng, lam, eta, R = SumRange(k, 0.1, X), -1.0, 0.55, 50.3
+    kernel_moment(2, lam, 0.01, R, eta, rng, table_1e6)
+    (T, err), = seen
+    t, t_lo, _ = norms._coefficients(2, *sum_freqs("prime", rng, table_1e6),
+                                     False)
+    assert np.any(t_lo)
+    tm = _exact_freqs(t, t_lo)
+    with mp.workdps(50):
+        want = [_T50(0, R, eta)] + [_T50(lam * (tm[b] - tm[a]), R, eta)
+                                    for a, b in zip(*np.triu_indices(len(t), 1))]
+    assert len(want) == len(T)
+    for got, w, e in zip(T, want, err):
+        assert abs(mp.mpf(got) - w) <= e, (got, float(w), e)
+
+
+def test_default_suite_tails_never_reach_mpmath(table_1e6, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("50-digit sine integral in a default tail")
+    monkeypatch.setattr(norms.mp, "si", refuse)
+    monkeypatch.setattr(harness, "SUITE", tuple(
+        c for c in harness.SUITE if c.name.startswith("weighted_")))
+    cfg = ExperimentConfig()
+    assert cfg.x_values == (1000.0, 2000.0, 4000.0)
+    rows = harness.run_lemma_suite(cfg, table_1e6).rows
+    assert [r.check for r in rows] == ["weighted_second_moment"] * 3 + [
+        "weighted_fourth_moment"] * 3
+    assert all(r.status == "PASS" for r in rows), rows
+
+
+def test_small_x_takes_the_50_digit_path(table_1e6, monkeypatch):
+    # lam = 1e-3 puts x = 2 pi |nu| R below the threshold for the nearer
+    # pairs: those alone are taken at 50 digits, within tail_bound
+    calls, seen = [], []
+    si, tail = norms.mp.si, norms._tail
+
+    def counting(x):
+        calls.append(x)
+        return si(x)
+
+    def recording(*args):
+        seen.append((args, tail(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(norms.mp, "si", counting)
+    monkeypatch.setattr(norms, "_tail", recording)
+    rng = SumRange(2.0, 0.1, 1000.0)
+    rep = kernel_moment(2, 1e-3, 0.01, 50.0, 0.6, rng, table_1e6)
+    (args, (got, err)), = seen
+    t = args[0]
+    assert 0 < len(calls) < 3 * len(t) * (len(t) - 1) // 2
+    assert err == rep.tail_bound
+    monkeypatch.setattr(norms.mp, "si", si)
+    assert abs(mp.mpf(got) - _tail50(*args)) <= err
+
+
+@settings(max_examples=120, deadline=None)
+@given(lam=st.floats(0.01, 3.0), sign=st.sampled_from([-1.0, 1.0]),
+       eta=st.floats(0.05, 0.95), R=st.floats(1.0, 1e6),
+       k=st.sampled_from([2.0, 1.5, 2.5]),
+       ns=st.lists(st.integers(2, 5000), min_size=2, max_size=6, unique=True))
+@example(lam=1.0, sign=-1.0, eta=0.6, R=1e6, k=2.0, ns=[17, 4999])
+@example(lam=2.7, sign=1.0, eta=0.3, R=9e5, k=2.5, ns=[2, 3, 4999])
+@example(lam=1.0, sign=1.0, eta=0.5, R=300.0, k=1.5, ns=[10, 11])
+def test_float_cos_tails_match_50_digits(lam, sign, eta, R, k, ns):
+    # T in float against the 50-digit sine integrals, within its certified
+    # bound: integer differences (k = 2) and differences of hi/lo
+    # frequencies that carry a low part (k = 1.5, 2.5)
+    lam *= sign
+    t, t_lo = pow_dd(np.array(sorted(ns)), k)
+    i, j = np.triu_indices(len(t), 1)
+    dh, de = two_sum(t[j], -t[i])
+    dl = de + (t_lo[j] - t_lo[i])
+    size = 2.0 * abs(lam) * float(t[-1])
+    T, err = norms._cos_tails(lam, dh, dl, R, eta, size)
+    tm = _exact_freqs(t, t_lo)
+    with mp.workdps(50):
+        for a, b, got, e in zip(i, j, T, err):
+            want = _T50(mp.mpf(lam) * (tm[b] - tm[a]), mp.mpf(R), mp.mpf(eta))
+            assert abs(mp.mpf(got) - want) <= e, (a, b, got, float(want), e)
+            assert e <= 1e-12 / (mp.pi**2 * R)
