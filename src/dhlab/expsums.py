@@ -40,6 +40,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import queue
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -56,6 +59,10 @@ GRID_BLOCK = 1 << 16  # points per block yielded by iter_grid_values
 PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
 MAX_TRAPEZOID_POINTS = 1 << 28  # most nodes of one streamed trapezoid
 MAX_GRID_VALUES = 1 << 24  # most values eval_grid holds (256 MB complex128)
+# CPUs this process may run on (its affinity mask): solver.level_sums takes
+# one share per CPU, and GaussGridPlan.blocks a helper thread from two on
+CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1)
 # nodes per integrand call of trapezoid: f's temporaries take 128 kB each
 # (complex128) where a whole GRID_BLOCK took 1 MB, and eight calls a block
 # keep the per-call overhead small; a power of two, so the sub-blocks tile
@@ -531,11 +538,12 @@ class GaussGridPlan:
     Each c_n is spread onto the 2m+1 bins q (mod Mr = sigma N) nearest
     Mr x_n with weight phi(q - Mr x_n), phi(v) = (pi b)^(-1/2) e^(-v^2/b),
     and np.bincount sums the bins, GAUSS_CHUNK terms at a time in bin
-    order.  The weights depend on d alone, so on a grid of several blocks
-    taps holds them for every block; on one block each chunk forms its own
-    from offset (_gauss_taps).  One inverse FFT gives G, and by Poisson
-    summation S_j = G[k mod Mr] e^(pi^2 b k^2 / Mr^2), up to aliasing and
-    the tail."""
+    order, each chunk forming its weights from offset (_gauss_taps).  One
+    inverse FFT gives G, and by Poisson summation S_j = G[k mod Mr]
+    e^(pi^2 b k^2 / Mr^2), up to aliasing and the tail.  blocks() runs
+    the FFTs on the calling thread and, with two CPUs or more, the
+    spreading and deconvolution of the neighbouring blocks on one helper
+    thread, in two bin buffers of Mr + 2m values."""
 
     step: float
     size: int  # N
@@ -545,38 +553,104 @@ class GaussGridPlan:
     shift: np.ndarray  # frac(x_n h)
     centre: np.ndarray  # rint(Mr x_n) mod Mr, int64, ascending
     offset: np.ndarray  # Mr x_n - rint(Mr x_n)
-    taps: np.ndarray | None  # _gauss_taps(offset), or None on one block
     bin_terms: int  # K: the most terms whose windows share a bin
 
     def blocks(self, alpha0: float, count: int):
         """Yield (start_index, values) blocks of the sum on alpha0 + j d,
-        j < count, as iter_grid_values does."""
+        j < count, as iter_grid_values does.
+
+        With CPUS >= 2 and two blocks or more, one helper thread, started
+        here and joined before the last block is yielded, works beside the
+        calling thread over two bin buffers: while the calling thread takes
+        block b's inverse FFT in one, the helper extracts and deconvolves
+        block b-1 from the other and then spreads block b+1 into it.  So
+        one FFT is in flight at a time, and numpy's FFT, which releases
+        the GIL, runs beside the spreading.  Other grids take the blocks
+        one by one in one buffer.  Each block's arithmetic is the same on
+        both paths, so the values do not depend on CPUS."""
         m, Mr, h = GAUSS_SPREAD, GAUSS_SIGMA * self.size, self.size // 2
-        span = np.arange(2 * m + 1)
         deconv = _deconvolution(np.arange(-h, self.size - h, 1.0), Mr)
-        ext = np.empty(Mr + 2 * m, dtype=np.complex128)  # bins -m .. Mr+m-1
-        grid = ext[m : m + Mr]
-        for start, nb, (sh, sl) in _grid_blocks(alpha0, self.step, count):
-            ph = phase_frac(self.freq_hi, self.freq_lo, sh, sl) + self.shift
-            c = self.weights * np.exp(TWO_PI_I * ph)
-            ext[:] = 0
-            for s in range(0, len(c), GAUSS_CHUNK):
-                cut, first = slice(s, s + GAUSS_CHUNK), int(self.centre[s])
-                bins = ((self.centre[cut, None] - first) + span).ravel()
-                part = slice(first, int(self.centre[cut][-1]) + 2 * m + 1)
-                taps = (_gauss_taps(self.offset[cut]) if self.taps is None
-                        else self.taps[cut])
-                for z, cz in ((ext.real, c.real), (ext.imag, c.imag)):
-                    z[part] += np.bincount(
-                        bins, (cz[cut, None] * taps).ravel(),
-                        part.stop - first)
-            ext[Mr : Mr + m] += ext[:m]  # fold the overhangs, mod Mr
-            grid[:m] += ext[Mr + m :]
+        todo = list(_grid_blocks(alpha0, self.step, count))
+        pipelined = CPUS >= 2 and len(todo) >= 2
+        bufs = [np.empty(Mr + 2 * m, dtype=np.complex128)  # bins -m .. Mr+m-1
+                for _ in range(1 + pipelined)]
+
+        def grid(b):
+            return bufs[b % len(bufs)][m : m + Mr]
+
+        def spread_and_fold(b):
+            self._spread(todo[b][2], bufs[b % len(bufs)])
+
+        def transform(b):
             # norm="forward" leaves the inverse unscaled: sum_q g_q e(kq/Mr)
-            np.fft.ifft(grid, norm="forward", out=grid)
-            out = np.concatenate((grid[Mr - h :][:nb], grid[: max(0, nb - h)]))
+            np.fft.ifft(grid(b), norm="forward", out=grid(b))
+
+        def extract(b, out):
+            g, nb = grid(b), todo[b][1]
+            np.concatenate((g[Mr - h :][:nb], g[: max(0, nb - h)]), out=out)
             out *= deconv[:nb]  # k = j - h mod Mr
-            yield start, out
+            return out
+
+        if not pipelined:
+            for b, (start, nb, _) in enumerate(todo):
+                spread_and_fold(b)
+                transform(b)
+                yield start, extract(b, np.empty(nb, np.complex128))
+            return
+
+        tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+        def helper():  # its work while the FFT of block b runs
+            for b, out in iter(tasks.get, None):
+                try:
+                    if b:
+                        extract(b - 1, out)
+                    if b + 1 < len(todo):
+                        spread_and_fold(b + 1)
+                    done.put(None)
+                except BaseException as exc:  # raised again by the caller
+                    done.put(exc)
+
+        spread_and_fold(0)
+        thread = threading.Thread(target=helper)
+        thread.start()
+        try:
+            for b in range(len(todo)):
+                # allocated on the thread that frees it, so the output
+                # leaves no 1 MB chunk in the helper's malloc arena
+                out = np.empty(todo[b - 1][1], np.complex128) if b else None
+                tasks.put((b, out))
+                transform(b)
+                exc = done.get()
+                if exc is not None:
+                    raise exc
+                if b:
+                    yield todo[b - 1][0], out
+        finally:  # the helper ends its stage, if any, and exits
+            tasks.put(None)
+            thread.join()
+        yield todo[-1][0], extract(len(todo) - 1,
+                                   np.empty(todo[-1][1], np.complex128))
+
+    def _spread(self, base, ext: np.ndarray) -> None:
+        """Spread the terms c_n of the block from node base (double-double)
+        onto the bins -m .. Mr+m-1 of ext and fold the overhangs mod Mr,
+        GAUSS_CHUNK terms at a time in bin order."""
+        m, Mr = GAUSS_SPREAD, GAUSS_SIGMA * self.size
+        span = np.arange(2 * m + 1)
+        ph = phase_frac(self.freq_hi, self.freq_lo, *base) + self.shift
+        c = self.weights * np.exp(TWO_PI_I * ph)
+        ext[:] = 0
+        for s in range(0, len(c), GAUSS_CHUNK):
+            cut, first = slice(s, s + GAUSS_CHUNK), int(self.centre[s])
+            bins = ((self.centre[cut, None] - first) + span).ravel()
+            part = slice(first, int(self.centre[cut][-1]) + 2 * m + 1)
+            taps = _gauss_taps(self.offset[cut])
+            for z, cz in ((ext.real, c.real), (ext.imag, c.imag)):
+                z[part] += np.bincount(
+                    bins, (cz[cut, None] * taps).ravel(), part.stop - first)
+        ext[Mr : Mr + m] += ext[:m]
+        ext[m : 2 * m] += ext[Mr + m :]
 
     def error_bound(self, alpha0: float, count: int) -> float:
         """Certified bound on |G - S| and on ||G| - |S|| for every value G
@@ -625,7 +699,10 @@ def gauss_grid_plan(fh, fl, weights, step: float,
                     count: int) -> GaussGridPlan | None:
     """The Gaussian-gridding plan of the grid sum of (fh, fl, weights) over
     count nodes of spacing `step`, or None where the row recurrence costs
-    less (GAUSS_COST) or there are no terms."""
+    less (GAUSS_COST) or there are no terms.  The plan holds the terms
+    sorted by centre bin with their shifts and offsets, no weight table:
+    blocks() forms each chunk's weights as it spreads it, and takes two
+    bin buffers where a helper thread spreads (CPUS >= 2)."""
     m, J = GAUSS_SPREAD, min(count, GRID_BLOCK)
     N = 1 << max(3, (J - 1).bit_length())  # Mr >= 2m + 1: no bin taken twice
     Mr, h = GAUSS_SIGMA * N, N // 2
@@ -640,12 +717,10 @@ def gauss_grid_plan(fh, fl, weights, step: float,
     order = np.argsort(centre, kind="stable")
     fh, fl, weights, shift, centre, offset = (
         v[order] for v in (fh, fl, weights, shift, centre, offset))
-    # one block reads each term's weights once: no table to keep
-    taps = _gauss_taps(offset) if count > GRID_BLOCK else None
     # K: the most centres in the 2m+1 bins from one centre on, mod Mr
     K = np.searchsorted(np.append(centre, centre + Mr), centre + 2 * m, "right")
     return GaussGridPlan(step, N, fh, fl, weights, shift, centre, offset,
-                         taps, int(np.max(K - np.arange(len(K)))))
+                         int(np.max(K - np.arange(len(K)))))
 
 
 def _gauss_taps(offset: np.ndarray) -> np.ndarray:

@@ -42,7 +42,8 @@ from numpy.polynomial.polynomial import polyval
 from .errors import DomainError, InsufficientTableError
 from .expsums import (MAX_GRID_VALUES, fejer_kernel, fejer_kernel_hat,
                       sum_freqs, trapezoid)
-from .precision import U, higham_gamma, phase_frac, pow_dd, two_prod, two_sum
+from .precision import (U, fixed_sum, fixed_to_float, higham_gamma,
+                        phase_frac, pow_dd, two_prod, two_sum)
 from .primes import PrimeTable, SumRange, theta_many
 
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -347,7 +348,8 @@ def _kernel_bound(p: int, eta: float, X: float, k: float) -> float:
     raise DomainError(f"exponent must be one of 2, 4, 8, got {p}")
 
 
-_EXACT_TAIL_PAIRS = 1 << 16  # most pairs whose tail terms are summed one by one
+_EXACT_TAIL_PAIRS = 1 << 20  # most pairs whose tail terms are summed one by one
+_TAIL_BLOCK = 1 << 16  # most pairs of one row block of _tail
 
 
 def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
@@ -486,18 +488,34 @@ def _tail(t, t_lo, c, lam: float, eta: float, R: float, pairs: bool):
     alone, each difference formed as in _pair_sum; err bounds the float
     error of that sum: each T's (_cos_tails) times its weight, the
     roundings of sum c^2 and of the products c_i c_j T (2 u each, 3 u on
-    the diagonal) and of the final math.fsum (u), times 1.01."""
+    the diagonal) and of the final rounding (u), times 1.01.  The pairs
+    are taken in blocks of whole rows i, at most _TAIL_BLOCK pairs each,
+    and their terms added exactly (precision.fixed_sum), so the tail is
+    the exact sum of the terms rounded once, math.fsum's value."""
     th, tl = _hi_lo(t, t_lo)
-    i, j = np.triu_indices(len(t), 1) if pairs else (np.zeros(0, np.int64),) * 2
-    dh, de = two_sum(th[j], -th[i])
-    T, E = _cos_tails(lam, np.r_[0.0, dh], np.r_[0.0, de + (tl[j] - tl[i])],
-                      R, eta, 2.0 * abs(lam) * float(np.max(np.abs(th), initial=0.0)))
+    size = 2.0 * abs(lam) * float(np.max(np.abs(th), initial=0.0))
+    T0, E0 = _cos_tails(lam, np.zeros(1), np.zeros(1), R, eta, size)
     sq = math.fsum(c * c)
-    w = 2.0 * c[i] * c[j]
-    terms = w * T[1:]
-    tail = math.fsum([sq * T[0]] + terms.tolist())
-    err = 1.01 * (math.fsum(np.abs(w) * E[1:] + 2.0 * U * np.abs(terms))
-                  + sq * (E[0] + 3.0 * U * abs(T[0])) + U * abs(tail))
+    total, bound = fixed_sum(sq * T0), 0
+    n = len(t) if pairs else 0
+    rows = np.arange(n)
+    ends = np.cumsum(n - 1 - rows)  # the pairs (i, j > i) of rows 0 .. i
+    r0 = 0
+    while r0 < n - 1:  # rows r0 .. r1-1, at most _TAIL_BLOCK pairs
+        r1 = int(np.searchsorted(ends, ends[r0] - (n - 1 - r0) + _TAIL_BLOCK,
+                                 "right"))
+        i = np.repeat(rows[r0:r1], n - 1 - rows[r0:r1])
+        j = np.concatenate([rows[r + 1 :] for r in range(r0, r1)])
+        dh, de = two_sum(th[j], -th[i])
+        T, E = _cos_tails(lam, dh, de + (tl[j] - tl[i]), R, eta, size)
+        w = 2.0 * c[i] * c[j]
+        terms = w * T
+        total += fixed_sum(terms)
+        bound += fixed_sum(np.abs(w) * E + 2.0 * U * np.abs(terms))
+        r0 = r1
+    tail = fixed_to_float(total)
+    err = 1.01 * (fixed_to_float(bound) + sq * (E0[0] + 3.0 * U * abs(T0[0]))
+                  + U * abs(tail))
     return tail, err
 
 

@@ -30,7 +30,6 @@ on the number of shares.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -39,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
+from . import expsums
 from .arcs import choose_parameters
 from .errors import DomainError
 from .expsums import fejer_kernel, prime_exp_sum, sum_freqs, trapezoid
@@ -301,9 +301,6 @@ PROBE_BLOCK = 1 << 17  # slots one probe block reads at most
 # admitted records a share of level_sums holds at a time, and the hits one
 # probe block expects at most: the candidate arrays do not grow with eta
 CHUNK_RECORDS = 1 << 14
-# level_sums' shares: one per CPU this process may run on
-SHARES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
 
 
 class Enumeration:
@@ -521,12 +518,12 @@ def level_sums(instance: ProblemInstance, X: float, etas,
     float64 (eta times the largest weight times the triples of the
     windows) raises DomainError before any work.
 
-    The enumeration's p3 rows are dealt round-robin to SHARES shares, one
-    per CPU of the process's affinity mask: the calling thread runs share
-    0 and one thread each the others (numpy releases the GIL inside its
-    loops).  Each share reduces its chunks CHUNK_RECORDS records at a
-    time to counts, exact sums of W (precision.fixed_sum) and its first
-    smallest residual.  The merge adds the counts and the integers and
+    The enumeration's p3 rows are dealt round-robin to shares, one per
+    CPU of the process's affinity mask (expsums.CPUS): the calling thread
+    runs share 0 and one thread each the others (numpy releases the GIL
+    inside its loops).  Each share reduces its chunks CHUNK_RECORDS
+    records at a time to counts, exact sums of W (precision.fixed_sum) and
+    its first smallest residual.  The merge adds the counts and the integers and
     keeps the smallest residual, a tie going to the first triple in
     (p3, p1, p2) order, so the values equal those of the whole enumeration
     bit for bit, whatever the number of shares, while memory stays that of
@@ -552,7 +549,7 @@ def level_sums(instance: ProblemInstance, X: float, etas,
                     f"level eta = {eta:g} can take W past float64: terms up "
                     f"to eta * {top:.6g} over {triples} triples")
     enum = Enumeration(instance, X, max(etas), table)
-    shares = max(1, min(SHARES, len(enum.rows)))
+    shares = max(1, min(expsums.CPUS, len(enum.rows)))
     parts: list = [None] * shares
 
     def run(share):

@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -333,17 +335,86 @@ def test_trapezoid_sub_blocks_match_whole_blocks(table_1e6, count, lo, X, p,
 
 
 def test_one_block_gauss_plan_forms_taps_per_chunk(table_1e5):
-    # a grid of one block keeps no taps table; the chunks' own taps give
-    # the same values, bit for bit, as the table does
+    # no plan, of one block or of several, keeps a table of spreading
+    # weights: each chunk forms its own, bit for bit the rows a whole
+    # table would hold
     f = sum_freqs("prime", SumRange(1.0, 1e-9, 1e5), table_1e5)
-    plan = gauss_grid_plan(*f, 1e-6, GRID_BLOCK)
-    assert plan.taps is None
-    assert gauss_grid_plan(*f, 1e-6, GRID_BLOCK + 1).taps is not None
-    table = dataclasses.replace(plan, taps=expsums._gauss_taps(plan.offset))
-    assert table.taps.shape == (len(f[0]), 2 * GAUSS_SPREAD + 1)
-    for a, b in zip(plan.blocks(0.3, GRID_BLOCK), table.blocks(0.3,
-                                                               GRID_BLOCK)):
-        assert a[0] == b[0] and np.array_equal(a[1], b[1])
+    for count in (GRID_BLOCK, GRID_BLOCK + 1):
+        plan = gauss_grid_plan(*f, 1e-6, count)
+        assert "taps" not in {x.name for x in dataclasses.fields(plan)}
+    table = expsums._gauss_taps(plan.offset)
+    assert table.shape == (len(f[0]), 2 * GAUSS_SPREAD + 1)
+    for s in range(0, len(f[0]), expsums.GAUSS_CHUNK):
+        cut = slice(s, s + expsums.GAUSS_CHUNK)
+        assert np.array_equal(expsums._gauss_taps(plan.offset[cut]),
+                              table[cut])
+
+
+# three blocks (the last ragged) of 560 primes at k = 1 and 680 at k = 2.5,
+# enough terms for the Gaussian plan
+_PIPELINE_GRIDS = [(SumRange(1.0, 0.5, 1e4), 0.3, 1e-6),
+                   (SumRange(2.5, 0.1, 1e10), 0.71, 1e-9)]
+
+
+def _pipeline_plan(table, rng, step):
+    count = 2 * GRID_BLOCK + 4321
+    plan = gauss_grid_plan(*sum_freqs("prime", rng, table), step, count)
+    assert plan is not None
+    return plan, count
+
+
+@pytest.mark.parametrize("rng, alpha0, step", _PIPELINE_GRIDS)
+def test_gauss_grid_helper_values_match_one_cpu(table_1e5, monkeypatch, rng,
+                                                alpha0, step):
+    # the helper thread changes no bit: every block equals the one-CPU
+    # one, also with the interpreter switching threads every microsecond
+    plan, count = _pipeline_plan(table_1e5, rng, step)
+    monkeypatch.setattr(expsums, "CPUS", 1)
+    got = {1: list(plan.blocks(alpha0, count))}
+    monkeypatch.setattr(expsums, "CPUS", 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got[2] = list(plan.blocks(alpha0, count))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [s for s, _ in got[1]] == [0, GRID_BLOCK, 2 * GRID_BLOCK]
+    assert [s for s, _ in got[2]] == [s for s, _ in got[1]]
+    for (_, a), (_, b) in zip(got[1], got[2]):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rng, alpha0, step", _PIPELINE_GRIDS)
+def test_gauss_grid_helper_error_reaches_caller(table_1e5, monkeypatch, rng,
+                                                alpha0, step):
+    plan, count = _pipeline_plan(table_1e5, rng, step)
+    spread = GaussGridPlan._spread
+
+    def fail_off_main(self, base, ext):
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("helper failed")
+        return spread(self, base, ext)
+
+    monkeypatch.setattr(expsums, "CPUS", 2)
+    monkeypatch.setattr(GaussGridPlan, "_spread", fail_off_main)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="helper failed"):
+        list(plan.blocks(alpha0, count))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("rng, alpha0, step", _PIPELINE_GRIDS)
+def test_gauss_grid_helper_joined_on_close(table_1e5, monkeypatch, rng,
+                                           alpha0, step):
+    # a consumer that stops after the first block leaves no thread behind
+    plan, count = _pipeline_plan(table_1e5, rng, step)
+    monkeypatch.setattr(expsums, "CPUS", 2)
+    before = threading.active_count()
+    blocks = plan.blocks(alpha0, count)
+    start, _ = next(blocks)
+    assert start == 0 and threading.active_count() == before + 1
+    blocks.close()
+    assert threading.active_count() == before
 
 
 def test_grid_conjugate_symmetry(table_1e6):

@@ -19,7 +19,7 @@ from unittest import mock
 
 import pytest
 
-from dhlab import solver
+from dhlab import expsums, solver
 from dhlab.harness import (ExperimentConfig, run_lemma_suite,
                            run_theorem_experiment, write_suite_csv,
                            write_theorem_csv)
@@ -46,7 +46,7 @@ def test_theorem_csv_matches_golden_in_any_shares(tmp_path, shares):
     # level_sums merges its shares exactly: one share, or more than this
     # host has CPUs, gives the same bytes
     out = tmp_path / "theorem.csv"
-    with mock.patch.object(solver, "SHARES", shares):
+    with mock.patch.object(expsums, "CPUS", shares):
         report = run_theorem_experiment(ExperimentConfig(seed=0))
     write_theorem_csv(out, report)
     assert out.read_bytes() == (GOLDEN / "theorem_seed0.csv").read_bytes()

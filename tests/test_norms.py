@@ -645,6 +645,32 @@ def test_kernel_tail_certified_on_default_config(table_1e6):
                                    inst.power_range(X), table_1e6)
 
 
+def test_large_p2_tail_is_summed_pair_by_pair(table_1e6, monkeypatch):
+    # at X = 4e7 the p = 2 tail has 134,940 pairs, more than two row blocks:
+    # it is summed pair by pair, not by its mean term, and the exact block
+    # sums round to math.fsum over all pairs at once
+    def refuse(*args):
+        raise AssertionError("mean term taken for a pair-summed tail")
+
+    monkeypatch.setattr(norms, "_remainder_bound", refuse)
+    inst = ExperimentConfig().instance
+    X = 4e7
+    d = choose_parameters(inst, X)
+    lam, eta, R, rng = inst.lambda3, d.eta, d.R, inst.power_range(X)
+    rep = kernel_moment(2, lam, d.major[1], R, eta, rng, table_1e6)
+    assert rep.tail_bound < 1e-13 * abs(rep.value)  # 3.9e-7 by mean term
+    t, t_lo, c, _ = norms._identity(2, lam, eta, rng, table_1e6)
+    assert len(t) * (len(t) - 1) // 2 > 2 * norms._TAIL_BLOCK
+    th, tl = norms._hi_lo(t, t_lo)
+    i, j = np.triu_indices(len(t), 1)
+    dh, de = two_sum(th[j], -th[i])
+    T, _ = norms._cos_tails(lam, np.r_[0.0, dh], np.r_[0.0, de + (tl[j] - tl[i])],
+                            R, eta, 2.0 * abs(lam) * float(np.max(np.abs(th))))
+    want = math.fsum([math.fsum(c * c) * T[0]]
+                     + (2.0 * c[i] * c[j] * T[1:]).tolist())
+    assert norms._tail(t, t_lo, c, lam, eta, R, True)[0] == want
+
+
 @pytest.mark.parametrize("k, X", [(1.5, 4000.0), (2.5, 1.024e6)])
 def test_kernel_tail_carries_low_parts(table_1e6, monkeypatch, k, X):
     # non-integer k: every T of a pair-summed tail agrees with 50 digits
@@ -660,7 +686,8 @@ def test_kernel_tail_carries_low_parts(table_1e6, monkeypatch, k, X):
     monkeypatch.setattr(norms, "_cos_tails", recording)
     rng, lam, eta, R = SumRange(k, 0.1, X), -1.0, 0.55, 50.3
     kernel_moment(2, lam, 0.01, R, eta, rng, table_1e6)
-    (T, err), = seen
+    # T(0) of the diagonal, then the pairs row block by row block
+    T, err = (np.concatenate(v) for v in zip(*seen))
     t, t_lo, _ = norms._coefficients(2, *sum_freqs("prime", rng, table_1e6),
                                      False)
     assert np.any(t_lo)

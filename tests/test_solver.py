@@ -560,7 +560,7 @@ def _assert_levels_match(inst, X, etas, table, chunk, block, shares):
     counts, weighted, min_res, sample = _level_oracle(full, etas)
     with mock.patch.object(solver, "CHUNK_RECORDS", chunk), \
             mock.patch.object(solver, "PROBE_BLOCK", block), \
-            mock.patch.object(solver, "SHARES", shares):
+            mock.patch.object(expsums, "CPUS", shares):
         got = level_sums(inst, X, etas, table)
         blocked = enumerate_solutions(inst, X, max(etas), table)
     assert got.counts == tuple(counts)
@@ -626,12 +626,12 @@ def test_level_sums_shares_under_fast_thread_switching(table_1e6):
     # microsecond: the merge still gives the bits of one share
     inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 2.0, 0.3)
     etas = (0.05, 0.5, 2.0)
-    with mock.patch.object(solver, "SHARES", 1):
+    with mock.patch.object(expsums, "CPUS", 1):
         one = level_sums(inst, 3e4, etas, table_1e6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(solver, "SHARES", 6), \
+        with mock.patch.object(expsums, "CPUS", 6), \
                 mock.patch.object(solver, "CHUNK_RECORDS", 64):
             many = level_sums(inst, 3e4, etas, table_1e6)
     finally:
@@ -651,7 +651,7 @@ def test_level_sums_raises_what_a_share_thread_raised(table_1e6):
         return real(values)
 
     before = threading.active_count()
-    with mock.patch.object(solver, "SHARES", 3), \
+    with mock.patch.object(expsums, "CPUS", 3), \
             mock.patch.object(solver, "fixed_sum", fail_off_main):
         with pytest.raises(DomainError, match="share failed"):
             level_sums(INST, 1728.0, [0.5, 1.5], table_1e6)
