@@ -41,10 +41,10 @@ from __future__ import annotations
 import csv
 import math
 import os
-import queue
 import threading
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from mpmath import mp
@@ -59,8 +59,8 @@ GRID_BLOCK = 1 << 16  # points per block yielded by iter_grid_values
 PHASE_BUDGET = float(1 << 46)  # max |freq * alpha| the grid machinery accepts
 MAX_TRAPEZOID_POINTS = 1 << 28  # most nodes of one streamed trapezoid
 MAX_GRID_VALUES = 1 << 24  # most values eval_grid holds (256 MB complex128)
-# CPUs this process may run on (its affinity mask): solver.level_sums takes
-# one share per CPU, and GaussGridPlan.blocks a helper thread from two on
+# CPUs this process may run on (its affinity mask): in_parallel runs its
+# calls on threads from two on, and solver.level_sums takes one share per CPU
 CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
         else os.cpu_count() or 1)
 # nodes per integrand call of trapezoid: f's temporaries take 128 kB each
@@ -68,6 +68,34 @@ CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # keep the per-call overhead small; a power of two, so the sub-blocks tile
 # every block but the ragged last
 _TRAPEZOID_SUB = 1 << 13
+
+
+def in_parallel(*calls) -> list:
+    """Run calls (functions of no argument), the first on the calling
+    thread and, with CPUS >= 2, each other on a thread of its own (numpy
+    releases the GIL inside its loops), or else all on the calling thread
+    one after another.  Once every call has ended and every thread is
+    joined, raise the error of the lowest-numbered call that raised, if
+    any, or return the results in call order."""
+    results, errors = [None] * len(calls), [None] * len(calls)
+
+    def run(i):
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:  # raised again by the calling thread
+            errors[i] = exc
+
+    threads = ([threading.Thread(target=run, args=(i,))
+                for i in range(1, len(calls))] if CPUS >= 2 else [])
+    for th in threads:
+        th.start()
+    for i in range(len(calls) - len(threads)):
+        run(i)
+    for th in threads:
+        th.join()
+    for exc in filter(None, errors):  # the first, if any
+        raise exc
+    return results
 
 
 def _fft_rounding(M: int) -> float:
@@ -540,10 +568,9 @@ class GaussGridPlan:
     and np.bincount sums the bins, GAUSS_CHUNK terms at a time in bin
     order, each chunk forming its weights from offset (_gauss_taps).  One
     inverse FFT gives G, and by Poisson summation S_j = G[k mod Mr]
-    e^(pi^2 b k^2 / Mr^2), up to aliasing and the tail.  blocks() runs
-    the FFTs on the calling thread and, with two CPUs or more, the
-    spreading and deconvolution of the neighbouring blocks on one helper
-    thread, in two bin buffers of Mr + 2m values."""
+    e^(pi^2 b k^2 / Mr^2), up to aliasing and the tail.  blocks() takes
+    each FFT beside the spreading and deconvolution of the neighbouring
+    blocks (in_parallel), in two bin buffers of Mr + 2m values."""
 
     step: float
     size: int  # N
@@ -559,76 +586,44 @@ class GaussGridPlan:
         """Yield (start_index, values) blocks of the sum on alpha0 + j d,
         j < count, as iter_grid_values does.
 
-        With CPUS >= 2 and two blocks or more, one helper thread, started
-        here and joined before the last block is yielded, works beside the
-        calling thread over two bin buffers: while the calling thread takes
-        block b's inverse FFT in one, the helper extracts and deconvolves
-        block b-1 from the other and then spreads block b+1 into it.  So
-        one FFT is in flight at a time, and numpy's FFT, which releases
-        the GIL, runs beside the spreading.  Other grids take the blocks
-        one by one in one buffer.  Each block's arithmetic is the same on
-        both paths, so the values do not depend on CPUS."""
+        One schedule for every CPU count, over two bin buffers: block 0 is
+        spread, and then, for each block b, in_parallel runs b's inverse
+        FFT in one buffer beside the extraction of block b-1 from the
+        other and the spreading of block b+1 into it.  With CPUS >= 2
+        numpy's FFT, which releases the GIL, so runs beside the spreading;
+        on one CPU the same steps run one after another, holding both
+        buffers (4.2 MB each at Mr = 2^18) where one would do.  No thread
+        outlives a block, and the values do not depend on CPUS."""
         m, Mr, h = GAUSS_SPREAD, GAUSS_SIGMA * self.size, self.size // 2
         deconv = _deconvolution(np.arange(-h, self.size - h, 1.0), Mr)
         todo = list(_grid_blocks(alpha0, self.step, count))
-        pipelined = CPUS >= 2 and len(todo) >= 2
         bufs = [np.empty(Mr + 2 * m, dtype=np.complex128)  # bins -m .. Mr+m-1
-                for _ in range(1 + pipelined)]
-
-        def grid(b):
-            return bufs[b % len(bufs)][m : m + Mr]
-
-        def spread_and_fold(b):
-            self._spread(todo[b][2], bufs[b % len(bufs)])
+                for _ in range(2)]
+        grids = [buf[m : m + Mr] for buf in bufs]
 
         def transform(b):
             # norm="forward" leaves the inverse unscaled: sum_q g_q e(kq/Mr)
-            np.fft.ifft(grid(b), norm="forward", out=grid(b))
+            np.fft.ifft(grids[b % 2], norm="forward", out=grids[b % 2])
 
         def extract(b, out):
-            g, nb = grid(b), todo[b][1]
+            g, nb = grids[b % 2], todo[b][1]
             np.concatenate((g[Mr - h :][:nb], g[: max(0, nb - h)]), out=out)
             out *= deconv[:nb]  # k = j - h mod Mr
             return out
 
-        if not pipelined:
-            for b, (start, nb, _) in enumerate(todo):
-                spread_and_fold(b)
-                transform(b)
-                yield start, extract(b, np.empty(nb, np.complex128))
-            return
+        def beside(b, out):  # the work done while the FFT of block b runs
+            if b:
+                extract(b - 1, out)
+            if b + 1 < len(todo):
+                self._spread(todo[b + 1][2], bufs[(b + 1) % 2])
 
-        tasks, done = queue.SimpleQueue(), queue.SimpleQueue()
-
-        def helper():  # its work while the FFT of block b runs
-            for b, out in iter(tasks.get, None):
-                try:
-                    if b:
-                        extract(b - 1, out)
-                    if b + 1 < len(todo):
-                        spread_and_fold(b + 1)
-                    done.put(None)
-                except BaseException as exc:  # raised again by the caller
-                    done.put(exc)
-
-        spread_and_fold(0)
-        thread = threading.Thread(target=helper)
-        thread.start()
-        try:
-            for b in range(len(todo)):
-                # allocated on the thread that frees it, so the output
-                # leaves no 1 MB chunk in the helper's malloc arena
-                out = np.empty(todo[b - 1][1], np.complex128) if b else None
-                tasks.put((b, out))
-                transform(b)
-                exc = done.get()
-                if exc is not None:
-                    raise exc
-                if b:
-                    yield todo[b - 1][0], out
-        finally:  # the helper ends its stage, if any, and exits
-            tasks.put(None)
-            thread.join()
+        self._spread(todo[0][2], bufs[0])
+        for b in range(len(todo)):
+            # made on the thread that frees it: no helper's arena keeps 1 MB
+            out = np.empty(todo[b - 1][1], np.complex128) if b else None
+            in_parallel(partial(transform, b), partial(beside, b, out))
+            if b:
+                yield todo[b - 1][0], out
         yield todo[-1][0], extract(len(todo) - 1,
                                    np.empty(todo[-1][1], np.complex128))
 
@@ -701,8 +696,7 @@ def gauss_grid_plan(fh, fl, weights, step: float,
     count nodes of spacing `step`, or None where the row recurrence costs
     less (GAUSS_COST) or there are no terms.  The plan holds the terms
     sorted by centre bin with their shifts and offsets, no weight table:
-    blocks() forms each chunk's weights as it spreads it, and takes two
-    bin buffers where a helper thread spreads (CPUS >= 2)."""
+    blocks() forms each chunk's weights as it spreads it."""
     m, J = GAUSS_SPREAD, min(count, GRID_BLOCK)
     N = 1 << max(3, (J - 1).bit_length())  # Mr >= 2m + 1: no bin taken twice
     Mr, h = GAUSS_SIGMA * N, N // 2

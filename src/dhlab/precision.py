@@ -171,6 +171,8 @@ def pow_dd(ns, k: float) -> tuple[np.ndarray, np.ndarray]:
     k needs every n >= 1 (DomainError otherwise).
     """
     ns = np.asarray(ns, dtype=np.int64)
+    if not len(ns):  # no power formed: k may be past any exponent
+        return np.zeros(0), np.zeros(0)
     if float(k).is_integer():
         k = int(k)
         if int(np.max(ns, initial=1)) ** k < 2**62:

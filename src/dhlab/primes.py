@@ -63,8 +63,8 @@ class SumRange:
     X: float
 
     def __post_init__(self):
-        if not self.k > 0:
-            raise DomainError(f"k must be positive, got {self.k}")
+        if not 0 < self.k < math.inf:
+            raise DomainError(f"k must be positive and finite, got {self.k}")
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must be in (0,1), got {self.delta}")
         if not 0 < self.X < math.inf:
@@ -187,10 +187,13 @@ def integers_in_range(rng: SumRange) -> np.ndarray:
     """Integers n >= 1 with delta*X <= n**k <= X, same boundary contract.
 
     Only integers within one unit of the float64 window edges need the
-    exact test; the interior is certain.
+    exact test; the interior is certain.  A window whose upper end reaches
+    2^60 raises DomainError before any array is built.
     """
     start = max(1, math.floor(rng.lo) - 1)
     end = math.ceil(rng.hi) + 1  # inclusive
+    if end >= 1 << 60:  # so the int64 array's byte count fits int64 too
+        raise DomainError(f"integers up to {rng.hi:.6g} pass 2^60")
     head_end = min(start + 4, end + 1)  # head [start, head_end), <= 4 long
     tail_start = max(head_end, end - 3)  # tail [tail_start, end], <= 4 long
     head = [n for n in range(start, head_end) if _in_window(n, rng)]

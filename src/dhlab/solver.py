@@ -20,8 +20,8 @@ sum, so it does not depend on the order of the records.
 The enumeration is one set-up (`Enumeration`) and one generator of column
 chunks in (p3, p1, p2) order over any share of its p3 rows:
 `enumerate_solutions` joins the chunks of a single share, and `level_sums`
-runs one share per CPU of the process's affinity mask on threads and
-reduces each to counts and W at several widths without holding the
+runs one share per CPU of the process's affinity mask (`expsums.in_parallel`)
+and reduces each to counts and W at several widths without holding the
 records.  The shares' partial sums are exact integers and their smallest
 residuals are merged in (p3, p1, p2) order, so the result does not depend
 on the number of shares.
@@ -30,10 +30,10 @@ on the number of shares.
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from mpmath import mp
@@ -519,9 +519,8 @@ def level_sums(instance: ProblemInstance, X: float, etas,
     windows) raises DomainError before any work.
 
     The enumeration's p3 rows are dealt round-robin to shares, one per
-    CPU of the process's affinity mask (expsums.CPUS): the calling thread
-    runs share 0 and one thread each the others (numpy releases the GIL
-    inside its loops).  Each share reduces its chunks CHUNK_RECORDS
+    CPU of the process's affinity mask (expsums.CPUS), run side by side
+    by expsums.in_parallel.  Each share reduces its chunks CHUNK_RECORDS
     records at a time to counts, exact sums of W (precision.fixed_sum) and
     its first smallest residual.  The merge adds the counts and the integers and
     keeps the smallest residual, a tie going to the first triple in
@@ -550,24 +549,9 @@ def level_sums(instance: ProblemInstance, X: float, etas,
                     f"to eta * {top:.6g} over {triples} triples")
     enum = Enumeration(instance, X, max(etas), table)
     shares = max(1, min(expsums.CPUS, len(enum.rows)))
-    parts: list = [None] * shares
-
-    def run(share):
-        try:
-            parts[share] = _ShareSums.of_share(enum, share, shares, etas)
-        except BaseException as exc:  # raised again by the calling thread
-            parts[share] = exc
-
-    threads = [threading.Thread(target=run, args=(s,))
-               for s in range(1, shares)]
-    for th in threads:
-        th.start()
-    run(0)
-    for th in threads:
-        th.join()
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
+    parts = expsums.in_parallel(*(
+        partial(_ShareSums.of_share, enum, s, shares, etas)
+        for s in range(shares)))
     first = min((p for p in parts if p.sample is not None), default=None,
                 key=lambda p: (p.best, p.sample[2], p.sample[0], p.sample[1]))
     levels = range(len(etas))

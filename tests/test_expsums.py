@@ -1,8 +1,10 @@
+import ast
 import cmath
 import dataclasses
 import math
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,15 +408,93 @@ def test_gauss_grid_helper_error_reaches_caller(table_1e5, monkeypatch, rng,
 @pytest.mark.parametrize("rng, alpha0, step", _PIPELINE_GRIDS)
 def test_gauss_grid_helper_joined_on_close(table_1e5, monkeypatch, rng,
                                            alpha0, step):
-    # a consumer that stops after the first block leaves no thread behind
+    # no thread outlives a next(), so a consumer that stops after the
+    # first block leaves none behind
     plan, count = _pipeline_plan(table_1e5, rng, step)
     monkeypatch.setattr(expsums, "CPUS", 2)
     before = threading.active_count()
     blocks = plan.blocks(alpha0, count)
     start, _ = next(blocks)
-    assert start == 0 and threading.active_count() == before + 1
+    assert start == 0 and threading.active_count() == before
     blocks.close()
     assert threading.active_count() == before
+
+
+def test_in_parallel_returns_results_in_call_order(monkeypatch):
+    monkeypatch.setattr(expsums, "CPUS", 2)
+    finished = []
+
+    def call(i, wait):
+        threading.Event().wait(wait)
+        finished.append(i)
+        return i * i
+
+    # the later calls end first, the results still come in call order
+    calls = [lambda i=i: call(i, 0.05 * (3 - i)) for i in range(4)]
+    assert expsums.in_parallel(*calls) == [0, 1, 4, 9]
+    assert sorted(finished) == [0, 1, 2, 3] and finished[0] != 0
+    assert expsums.in_parallel() == []
+
+
+def test_in_parallel_raises_after_the_first_call_ends(monkeypatch):
+    # a non-first call's error reaches the caller once the first call has
+    # ended and every thread is joined; of two errors, the lower call's
+    monkeypatch.setattr(expsums, "CPUS", 2)
+    ended = []
+
+    def first():
+        threading.Event().wait(0.1)
+        ended.append("first")
+
+    def fail(msg):
+        raise DomainError(msg)
+
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="second"):
+        expsums.in_parallel(first, lambda: fail("second"),
+                            lambda: fail("third"))
+    assert ended == ["first"] and threading.active_count() == before
+
+
+def test_in_parallel_one_cpu_runs_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(expsums, "CPUS", 1)
+    caller, order = threading.current_thread(), []
+
+    def call(i):
+        order.append(i)
+        return threading.current_thread()
+
+    got = expsums.in_parallel(*(lambda i=i: call(i) for i in range(3)))
+    assert got == [caller] * 3 and order == [0, 1, 2]
+
+
+def _thread_starts(node, fn=None):
+    """The innermost enclosing function of each threading.Thread(...) call
+    under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _thread_starts(child, child.name)
+            continue
+        if (isinstance(child, ast.Call) and ast.unparse(child.func)
+                in ("threading.Thread", "Thread")):
+            yield fn
+        yield from _thread_starts(child, fn)
+
+
+def test_threads_start_in_one_place():
+    # in_parallel is the only code that makes a thread, and no module
+    # hands work over a queue
+    starts, queues = [], []
+    for path in sorted(Path(expsums.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        starts += [(path.name, fn) for fn in _thread_starts(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                queues += [a.name for a in node.names if a.name == "queue"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "queue":
+                queues.append(node.module)
+    assert starts == [("expsums.py", "in_parallel")]
+    assert queues == []
 
 
 def test_grid_conjugate_symmetry(table_1e6):

@@ -572,9 +572,23 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
          ["quadruples", "--n", "100", "--k", "10", "--gamma", "1e18"]),
         ("pair sums of 60^14 reach 2^62",
          ["quadruples", "--n", "30", "--k", "14", "--gamma", "3e18"]),
+        # integer windows no int64 array can hold: reaching 2^60
+        ("integers up to 1e+19 pass 2^60",
+         ["expsum", "--kind", "U", "--k", "1", "--X", "1e19", "--alpha",
+          "0.1"]),
+        ("integers up to 1e+60 pass 2^60",
+         ["expsum", "--kind", "U", "--k", "0.5", "--X", "1e30", "--alpha",
+          "0.1"]),
     ] + [(f"k must be positive and finite, got {k}",
           ["quadruples", "--n", "100", "--k", k, "--gamma", "1"])
-         for k in ("-2.0", "nan", "inf")]
+         for k in ("-2.0", "nan", "inf")] + [
+        # a window of infinite k, for each command that takes one
+        ("k must be positive and finite, got inf", args) for args in (
+            ["expsum", "--k", "inf", "--X", "100", "--alpha", "0.1"],
+            ["expsum", "--kind", "U", "--k", "inf", "--X", "100", "--alpha",
+             "0.1"],
+            ["moments", "--k", "inf", "--X", "100", "--lo", "0", "--hi",
+             "1"])]
     for message, args in refusals:
         code, err = _cli_in_process(["--out", str(tmp_path / "r"), *args],
                                     capsys, monkeypatch)
@@ -591,3 +605,13 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
             assert code == 2, err
             assert (f"alpha must be finite, got {alpha}" in err
                     and "Traceback" not in err)
+    # k past any exponent on an empty prime window forms no power: the
+    # sum is empty, and the command succeeds
+    monkeypatch.setattr(sys, "argv", ["dhlab", "--out", str(tmp_path / "e"),
+                                      "expsum", "--k", "1e308", "--X", "100",
+                                      "--alpha", "0.1"])
+    with pytest.raises(SystemExit) as exit_:
+        cli.run_main()
+    assert exit_.value.code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["re"] == out["im"] == 0.0

@@ -167,3 +167,7 @@ def test_pow_refuses_bases_below_one():
     assert pow_dd(np.array([-2, 0]), 3.0)[0].tolist() == [-8.0, 0.0]
     assert pow_mp(-2, 3.0) == -8
     assert len(pow_dd(np.empty(0, dtype=np.int64), 1.5)[0]) == 0
+    # an empty window forms no power, so k past any exponent is fine
+    for k in (1e308, 2.0**70, 1e300 + 0.5):
+        hi, lo = pow_dd(np.empty(0, dtype=np.int64), k)
+        assert hi.dtype == lo.dtype == np.float64 and len(hi) == len(lo) == 0

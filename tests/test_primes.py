@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dhlab.errors import EmptyDomainError, InsufficientTableError
+from dhlab.errors import DomainError, EmptyDomainError, InsufficientTableError
 from dhlab.primes import (SumRange, _in_window, integers_in_range,
                           primes_in_range, sieve, theta, theta_many)
 
@@ -191,3 +191,21 @@ def test_sum_range_validation():
     for X in (-1, math.nan, math.inf):
         with pytest.raises(ValueError):
             SumRange(2, 0.5, X)
+    # k must be finite too
+    for k in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError, match="k must be positive and finite"):
+            SumRange(k, 0.1, 100)
+
+
+def test_integer_window_past_2_60_refused_before_any_array():
+    # the int64 integers, and their byte count, must fit: windows reaching
+    # 2^60 are refused, at k = 1 just past it and above int64
+    for k, X in ((1, 1e19), (1, 9.2e18), (1, 2.0**60), (0.5, 1e30)):
+        with pytest.raises(DomainError, match="pass 2\\^60"):
+            integers_in_range(SumRange(k, 0.1, X))
+    # a narrow window just below it is still built, and exactly
+    n = 2**60 - 2**8  # a float, so hi + 1 stays below 2^60
+    rng = SumRange(1, 1 - 2**-53, float(n))
+    want = [m for m in range(n - 1000, n + 2) if _in_window(m, rng)]
+    assert 0 < len(want) < 1000 and want[-1] == n
+    assert list(integers_in_range(rng)) == want
