@@ -761,13 +761,11 @@ class GaussPointsPlan:
         offset = (xh * Mr - q0) + xl * Mr
         first = q0.astype(np.int64) & (Mr - 1)  # the row of bins q0 - m ..
         rows = np.lib.stride_tricks.sliding_window_view(self.grid, 2 * m + 1)
-        span = np.arange(-m, m + 1.0)
         out = np.empty(len(alphas), dtype=np.complex128)
         for s in range(0, len(alphas), GAUSS_CHUNK):
-            v = span - offset[s : s + GAUSS_CHUNK, None]
-            out[s : s + len(v)] = np.einsum(
-                "ij,ij->i", rows[first[s : s + GAUSS_CHUNK]],
-                np.exp(v * v / -GAUSS_B))
+            cut = slice(s, s + GAUSS_CHUNK)
+            out[cut] = np.einsum("ij,ij->i", rows[first[cut]],
+                                 _gauss_taps(offset[cut]))
         return out * np.exp(TWO_PI_I * phase_frac(float(self.centre), 0.0,
                                                   xh, xl))
 

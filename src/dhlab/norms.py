@@ -12,21 +12,23 @@ The finite-interval moments are exact finite sums.  With |S|^p =
 
 the finite-interval form of orthogonality.  Over whole periods of
 distinct integer frequencies every E off the diagonal vanishes and the
-moment is (hi - lo) sum c^2; otherwise the pairs are summed in blocks.
-Where the pairs pass MAX_GRID_VALUES the moments fall back to trapezoid
-sums on the 64x-oversampled grids of `expsums.trapezoid_step`.
+moment is (hi - lo) sum c^2; otherwise the terms of all pairs are added
+exactly and rounded once, whatever their blocks.  Where the pairs pass
+MAX_GRID_VALUES the moments fall back to trapezoid sums on the
+64x-oversampled grids of `expsums.trapezoid_step`.
 
 The kernel-weighted moments go by Fourier duality instead: K_eta
 transforms to a tent, so over the whole line |S|^p K_eta integrates to a
 finite sum over pairs of frequencies of S^(p/2), for integer k eta times
 the weighted count of equal (p/2)-fold sums of k-th powers.  A finite
 interval takes off a trapezoid head and a tail past hi, summed pair by
-pair (p = 2) or estimated by its mean term.  Each tail term is in
-float64 from the by-parts series of int_x^inf cos t t^-2 dt, its phase
-reduced in double-double; the few terms whose x lies below a fixed
-threshold are taken at 50 digits.  The report's tail_bound certifies the
-float error of the tail, plus the mean term's remainder; it does not
-cover the head's trapezoid error.
+pair over the same blocks (p = 2), the terms added exactly, or
+estimated by its mean term.  Each tail term is in float64 from the
+by-parts series of int_x^inf cos t t^-2 dt, its phase reduced in
+double-double; the few terms whose x lies below a fixed threshold are
+taken at 50 digits.  The report's tail_bound certifies the float error
+of the tail, plus the mean term's remainder; it does not cover the
+head's trapezoid error.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def _moment_bound(p: int, tau: float, X: float, k: float) -> float:
     raise DomainError(f"exponent must be one of 2, 4, 8, got {p}")
 
 
-PAIR_BLOCK = 1 << 16  # most pairs one block of _pair_sum holds
+PAIR_BLOCK = 1 << 16  # most pairs one block of _pair_blocks holds
 
 
 def _group(t, t_lo, c):
@@ -185,11 +187,22 @@ def _coefficients(p: int, fh, fl, w, integer: bool):
     return t, t_lo, c
 
 
-def _hi_lo(t, t_lo):
-    """t + t_lo as float64 hi/lo arrays, an int64 t's rounding to float64
-    moved into the low part."""
+def _pair_blocks(t, t_lo, c):
+    """The pairs m < n of the frequencies t + t_lo, row by row, in blocks of
+    whole rows m of at most PAIR_BLOCK pairs, at least one (empty where
+    there is no pair): per block the error-free differences dh + dl of
+    t_n - t_m, the low parts of both frequencies carried in dl, and the
+    weights 2 c_m c_n."""
     th = t.astype(np.float64)
-    return th, t_lo + (t - th.astype(t.dtype))
+    tl = t_lo + (t - th.astype(t.dtype))  # with an int64 t's rounding to th
+    n = len(t)
+    rows = max(1, PAIR_BLOCK // max(n, 1))
+    for a in range(0, max(n - 1, 1), rows):
+        b = min(a + rows, n)
+        upper = np.arange(a, n) > np.arange(a, b)[:, None]
+        dh, de = two_sum(th[a:], -th[a:b, None])
+        yield (dh[upper], (de + (tl[a:] - tl[a:b, None]))[upper],
+               (2.0 * c[a:b, None] * c[a:])[upper])
 
 
 def _pair_sum(t, t_lo, c, lo: float, hi: float) -> float:
@@ -198,26 +211,17 @@ def _pair_sum(t, t_lo, c, lo: float, hi: float) -> float:
     parts cancelling in pairs, is cos(pi xi (hi + lo)) sin(pi xi (hi -
     lo)) / (pi xi), each phase reduced by phase_frac from the error-free
     difference of the two frequencies and the error-free hi + lo and
-    hi - lo.  Pairs m < n go in blocks of rows of at most PAIR_BLOCK
-    pairs, each block summed with np.sum; the block sums and the diagonal
-    (hi - lo) sum c^2 with math.fsum."""
-    th, tl = _hi_lo(t, t_lo)
+    hi - lo.  The diagonal (hi - lo) sum c^2 and the pairs' terms
+    (_pair_blocks) are added exactly (precision.fixed_sum), rounded once."""
     w, w_lo = two_sum(hi, -lo)
     s, s_lo = two_sum(hi, lo)
-    n = len(t)
-    rows = max(1, PAIR_BLOCK // max(n, 1))
-    sums = [w * math.fsum(c * c)]
-    for a in range(0, n - 1, rows):
-        b = min(a + rows, n)
-        dh, de = two_sum(th[a:], -th[a:b, None])
-        dl = de + (tl[a:] - tl[a:b, None])
+    total, diag = 0, [w * math.fsum(c * c)]
+    for dh, dl, cc in _pair_blocks(t, t_lo, c):
         ker = (np.sin(2.0 * np.pi * phase_frac(dh, dl, 0.5 * w, 0.5 * w_lo))
                * np.cos(2.0 * np.pi * phase_frac(dh, dl, 0.5 * s, 0.5 * s_lo)))
-        upper = np.arange(a, n) > np.arange(a, b)[:, None]
-        q = np.divide(ker, np.pi * (dh + dl), out=np.zeros_like(ker),
-                      where=upper)
-        sums.append(2.0 * np.sum(c[a:b, None] * c[a:] * q))
-    return math.fsum(sums)
+        total += fixed_sum(np.append(diag, cc * (ker / (np.pi * (dh + dl)))))
+        diag = []
+    return fixed_to_float(total)
 
 
 def _pair_moment(p: int, f, lo: float, hi: float,
@@ -349,7 +353,6 @@ def _kernel_bound(p: int, eta: float, X: float, k: float) -> float:
 
 
 _EXACT_TAIL_PAIRS = 1 << 20  # most pairs whose tail terms are summed one by one
-_TAIL_BLOCK = 1 << 16  # most pairs of one row block of _tail
 
 
 def _identity(p: int, lam: float, eta: float, rng: SumRange, table: PrimeTable):
@@ -484,35 +487,21 @@ def _cos_tails(lam: float, dh, dl, R: float, eta: float, size: float):
 def _tail(t, t_lo, c, lam: float, eta: float, R: float, pairs: bool):
     """(tail, err): the integral over [R, inf) of |sum c e((t + t_lo) lam
     a)|^2 K_eta(a), summed pair by pair, sum c^2 T(0) + sum over i < j of
-    2 c_i c_j T(lam (t_j - t_i)), or (not pairs) its mean term sum c^2 T(0)
-    alone, each difference formed as in _pair_sum; err bounds the float
-    error of that sum: each T's (_cos_tails) times its weight, the
-    roundings of sum c^2 and of the products c_i c_j T (2 u each, 3 u on
-    the diagonal) and of the final rounding (u), times 1.01.  The pairs
-    are taken in blocks of whole rows i, at most _TAIL_BLOCK pairs each,
-    and their terms added exactly (precision.fixed_sum), so the tail is
-    the exact sum of the terms rounded once, math.fsum's value."""
-    th, tl = _hi_lo(t, t_lo)
-    size = 2.0 * abs(lam) * float(np.max(np.abs(th), initial=0.0))
+    2 c_i c_j T(lam (t_j - t_i)) (_pair_blocks), or (not pairs) its mean
+    term sum c^2 T(0) alone, the terms added exactly (precision.fixed_sum)
+    and rounded once; err bounds the float error of that sum: each T's
+    (_cos_tails) times its weight, the roundings of sum c^2 and of the
+    products c_i c_j T (2 u each, 3 u on the diagonal) and of the final
+    rounding (u), times 1.01."""
+    size = 2.0 * abs(lam) * float(np.max(np.abs(t), initial=0))
     T0, E0 = _cos_tails(lam, np.zeros(1), np.zeros(1), R, eta, size)
     sq = math.fsum(c * c)
     total, bound = fixed_sum(sq * T0), 0
-    n = len(t) if pairs else 0
-    rows = np.arange(n)
-    ends = np.cumsum(n - 1 - rows)  # the pairs (i, j > i) of rows 0 .. i
-    r0 = 0
-    while r0 < n - 1:  # rows r0 .. r1-1, at most _TAIL_BLOCK pairs
-        r1 = int(np.searchsorted(ends, ends[r0] - (n - 1 - r0) + _TAIL_BLOCK,
-                                 "right"))
-        i = np.repeat(rows[r0:r1], n - 1 - rows[r0:r1])
-        j = np.concatenate([rows[r + 1 :] for r in range(r0, r1)])
-        dh, de = two_sum(th[j], -th[i])
-        T, E = _cos_tails(lam, dh, de + (tl[j] - tl[i]), R, eta, size)
-        w = 2.0 * c[i] * c[j]
+    for dh, dl, w in _pair_blocks(t, t_lo, c) if pairs else ():
+        T, E = _cos_tails(lam, dh, dl, R, eta, size)
         terms = w * T
         total += fixed_sum(terms)
         bound += fixed_sum(np.abs(w) * E + 2.0 * U * np.abs(terms))
-        r0 = r1
     tail = fixed_to_float(total)
     err = 1.01 * (fixed_to_float(bound) + sq * (E0[0] + 3.0 * U * abs(T0[0]))
                   + U * abs(tail))
@@ -575,13 +564,14 @@ def kernel_moment(p: int, lam: float, lo: float, hi: float, eta: float,
     (about 1e-6 of the head at X = 1000) no bound here covers.  Tail:
     each pair's c_i c_j int_hi^inf cos(2 pi lam (t_i - t_j) a) K_eta(a) da
     (p = 2, up to _EXACT_TAIL_PAIRS pairs), else the mean term sum c^2
-    int_hi^inf K_eta, off by at most _remainder_bound; both in float64
-    (_tail).  The report's tail_bound is the certified float error of
-    the tail summed, plus _remainder_bound for the mean term (0 where no
-    tail is taken: hi = inf and the trapezoid fallback).  Where the sums pass
-    MAX_GRID_VALUES, [lo, hi] is one trapezoid instead.  Bad
-    arguments, an unsupported p and over-large grids are refused before
-    any value is evaluated.
+    int_hi^inf K_eta, off by at most _remainder_bound; each term in
+    float64, the terms added exactly and rounded once (_tail).  The
+    report's tail_bound is the certified float error of the tail summed,
+    plus _remainder_bound for the mean term (0 where no tail is taken:
+    hi = inf and the trapezoid fallback).  Where the sums pass
+    MAX_GRID_VALUES, [lo, hi] is one trapezoid instead.  Bad arguments,
+    an unsupported p and over-large grids are refused before any value
+    is evaluated.
     """
     if not 0 < eta < 1:
         raise DomainError(f"eta must be in (0,1), got {eta}")

@@ -69,6 +69,11 @@ class SumRange:
             raise DomainError(f"delta must be in (0,1), got {self.delta}")
         if not 0 < self.X < math.inf:
             raise DomainError(f"X must be positive and finite, got {self.X}")
+        try:
+            self.hi
+        except OverflowError:
+            raise DomainError(f"window edge X^(1/k) = {self.X:g}^(1/{self.k:g})"
+                              " passes float64") from None
 
     @property
     def lo(self) -> float:
@@ -138,12 +143,15 @@ def theta_many(xs: np.ndarray, table: PrimeTable) -> np.ndarray:
 def _in_window(p: int, rng: SumRange) -> bool:
     """Exact boundary test delta*X <= p**k <= X for a single candidate: for
     dyadic k = m / 2^e (integer k too) p^m against the float edges raised
-    to 2^e, in rationals; for other k, k log p at 50 digits."""
+    to 2^e, in rationals; for other k, k log p at 50 digits.  A p >= 2
+    whose p^m has more bits than X^(2^e) is refused before p^m is formed."""
     me = _dyadic(rng.k)
     if me is not None:
         m, e = me
-        return (Fraction(rng.delta * rng.X) ** (1 << e) <= p**m
-                <= Fraction(rng.X) ** (1 << e))
+        top = Fraction(rng.X) ** (1 << e)
+        if p >= 2 and (p.bit_length() - 1) * m > int(top).bit_length():
+            return False
+        return Fraction(rng.delta * rng.X) ** (1 << e) <= p**m <= top
     t = mp.mpf(rng.k) * mp.log(p)
     return mp.log(rng.delta * rng.X) <= t <= mp.log(rng.X)
 

@@ -277,9 +277,10 @@ def test_config_json_roundtrip(tmp_path):
     assert cfg.instance == MINI.instance
 
 
-def _cli(args, cwd):
+def _cli(args, cwd, timeout=None):
     return subprocess.run([sys.executable, "-m", "dhlab.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          timeout=timeout)
 
 
 def test_cli_lemmas_deterministic(tmp_path):
@@ -615,3 +616,19 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert exit_.value.code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["re"] == out["im"] == 0.0
+    # the same k on the integer window too, in a subprocess under a
+    # timeout, so that forming a power of a candidate fails, not stalls
+    for kind in ("U", "S"):
+        res = _cli(["expsum", "--kind", kind, "--k", "1e308", "--X", "100",
+                    "--alpha", "0.1"], tmp_path, timeout=10)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert out["re"] == out["im"] == 0.0
+    # a window edge X^(1/k) past float64, for each command that forms it
+    for args in (["expsum", "--k", "0.5", "--X", "1e300", "--alpha", "0.1"],
+                 ["moments", "--k", "0.5", "--X", "1e300", "--lo", "0",
+                  "--hi", "1"]):
+        res = _cli(args, tmp_path, timeout=10)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == ("error: window edge X^(1/k) = 1e+300^(1/0.5) "
+                              "passes float64\n")

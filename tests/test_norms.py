@@ -254,6 +254,28 @@ def test_moment_of_empty_window_is_zero(table_1e6):
         assert moment_integral("Sk", p, (-0.1, 0.2), rng, table_1e6).value == 0
 
 
+@pytest.mark.parametrize("k, X", [(1.5, 1e5), (2.5, 1.024e6)])
+def test_pair_sums_do_not_depend_on_the_blocks(table_1e6, monkeypatch, k, X):
+    # p = 2 at a non-integer k: the interval pair sums and the kernel tail
+    # give the same bits in blocks of 2^6 pairs as in blocks of 2^16; on
+    # the short intervals the pairs' terms are as large as the diagonal,
+    # so a sum rounded block by block would move in its last bits
+    t, t_lo, c = norms._coefficients(
+        2, *sum_freqs("prime", SumRange(k, 0.1, X), table_1e6), False)
+    assert np.any(t_lo) and len(t) * (len(t) - 1) // 2 > 4 * (1 << 6)
+
+    def values():
+        return ([norms._pair_sum(t, t_lo, c, lo, hi)
+                 for lo, hi in ((-0.3, -0.299999), (-0.3, -0.2999),
+                                (0.0, 1e-5), (-0.45, 0.45))],
+                norms._tail(t, t_lo, c, -1.0, 0.55, 50.3, True))
+
+    assert norms.PAIR_BLOCK == 1 << 16
+    want = values()
+    monkeypatch.setattr(norms, "PAIR_BLOCK", 1 << 6)
+    assert values() == want
+
+
 # the spectrum workload's criterion-3 second moments and criterion-4
 # eighth moments of cubes, each over one period
 WHOLE_PERIODS = ([(2, SumRange(k, 0.25, X)) for k in (1.0, 2.0, 3.0)
@@ -660,8 +682,9 @@ def test_large_p2_tail_is_summed_pair_by_pair(table_1e6, monkeypatch):
     rep = kernel_moment(2, lam, d.major[1], R, eta, rng, table_1e6)
     assert rep.tail_bound < 1e-13 * abs(rep.value)  # 3.9e-7 by mean term
     t, t_lo, c, _ = norms._identity(2, lam, eta, rng, table_1e6)
-    assert len(t) * (len(t) - 1) // 2 > 2 * norms._TAIL_BLOCK
-    th, tl = norms._hi_lo(t, t_lo)
+    assert len(t) * (len(t) - 1) // 2 > 2 * norms.PAIR_BLOCK
+    th = t.astype(np.float64)
+    tl = t_lo + (t - th.astype(t.dtype))
     i, j = np.triu_indices(len(t), 1)
     dh, de = two_sum(th[j], -th[i])
     T, _ = norms._cos_tails(lam, np.r_[0.0, dh], np.r_[0.0, de + (tl[j] - tl[i])],

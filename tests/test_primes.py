@@ -151,6 +151,8 @@ def test_dyadic_window_edges_are_exact():
     assert _in_window(16, SumRange(1.25, 0.5, 32.0))
     assert _in_window(16, SumRange(1.25, 0.5, 64.0))
     assert not _in_window(15, SumRange(1.25, 0.5, 64.0))
+    # a k past any exponent: 2^k is refused by its bit length, unformed
+    assert _in_window(2, SumRange(1e308, 0.1, 100)) is False
 
 
 def test_theta_matches_window_sum(table_1e6):
@@ -195,6 +197,10 @@ def test_sum_range_validation():
     for k in (math.inf, math.nan, -1.0):
         with pytest.raises(DomainError, match="k must be positive and finite"):
             SumRange(k, 0.1, 100)
+    # and the window edge X^(1/k) must be a float64
+    with pytest.raises(DomainError, match="window edge .* passes float64"):
+        SumRange(0.5, 0.1, 1e300)
+    assert SumRange(0.5, 0.1, 2.0**511).hi == 2.0**1022
 
 
 def test_integer_window_past_2_60_refused_before_any_array():
