@@ -89,11 +89,15 @@ class SumRange:
 def sieve(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes up to `limit` (inclusive).
 
-    Memory stays O(sqrt(limit) + SEGMENT) so limits up to 1e9 are feasible.
+    The sieve works in O(sqrt(limit) + SEGMENT) flags, but the table holds
+    pi(limit) int64 primes (0.4 GB at 1e9), so a limit past 2^32 raises
+    DomainError before anything is allocated.
     """
     limit = int(limit)
     if limit < 2:
         raise EmptyDomainError(f"sieve limit must be >= 2, got {limit}")
+    if limit > 1 << 32:
+        raise DomainError(f"sieve limit must be <= 2^32, got {limit}")
 
     root = math.isqrt(limit)
     base_flags = np.ones(root + 1, dtype=bool)

@@ -18,13 +18,15 @@ correctness check.  `weighted_count` computes W, rounded once from its exact
 sum, so it does not depend on the order of the records.
 
 The enumeration is one set-up (`Enumeration`) and one generator of column
-chunks in (p3, p1, p2) order over any share of its p3 rows:
-`enumerate_solutions` joins the chunks of a single share, and `level_sums`
-runs one share per CPU of the process's affinity mask (`expsums.in_parallel`)
-and reduces each to counts and W at several widths without holding the
-records.  The shares' partial sums are exact integers and their smallest
-residuals are merged in (p3, p1, p2) order, so the result does not depend
-on the number of shares.
+chunks in (p3, p1, p2) order over any share of its p3 rows.  `_join` joins
+chunks: all of one share for `enumerate_solutions`, and a batch at a time
+of each share for `level_sums`, which runs one share per CPU
+(`expsums.in_parallel`) without holding the records.  `_reduce` turns
+records into counts and exact W integers at several widths and the key
+(residual, p3, p1, p2) of the smallest residual, for `weighted_count` and
+`level_sums` alike; partial results merge by adding the integers and
+keeping the smallest key, so one rule picks the sample triple and the
+result does not depend on the number of shares.
 """
 
 from __future__ import annotations
@@ -422,34 +424,74 @@ class Enumeration:
                                 candidates=n, exact_fallbacks=len(undecided))
 
 
-def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
-                        table: PrimeTable) -> Solutions:
-    """All ordered triples with residual <= eta, in (p3, p1, p2) order: the
-    chunks of the `Enumeration`, as one share, joined."""
-    chunks = list(Enumeration(instance, X, eta, table).chunks())
+def _join(chunks: list[Solutions]) -> Solutions:
+    """The chunks as one Solutions: their columns and counters joined."""
     if not chunks:
         return Solutions.empty()
     names = ("p1", "p2", "p3", "residual", "weight", "boundary")
-    columns = [np.concatenate([getattr(c, n) for c in chunks]) for n in names]
-    return Solutions(*columns,
+    return Solutions(*(np.concatenate([getattr(c, n) for c in chunks])
+                       for n in names),
                      candidates=sum(c.candidates for c in chunks),
                      exact_fallbacks=sum(c.exact_fallbacks for c in chunks))
 
 
-def _within(residual: np.ndarray, weight: np.ndarray, eta: float):
-    """The residuals and weights of the records with residual <= eta, and
-    their terms w * max(0, eta - residual) of W."""
-    inside = residual <= eta
-    r, w = residual[inside], weight[inside]
-    return r, w, w * np.maximum(0.0, eta - r)
+def enumerate_solutions(instance: ProblemInstance, X: float, eta: float,
+                        table: PrimeTable) -> Solutions:
+    """All ordered triples with residual <= eta, in (p3, p1, p2) order: the
+    chunks of the `Enumeration`, as one share, joined."""
+    return _join(list(Enumeration(instance, X, eta, table).chunks()))
+
+
+def _reduce(batch: Solutions, etas: tuple[float, ...]):
+    """(counts, sums, key) of the records of `batch`: per eta of `etas`, the
+    count of those with residual <= eta and the precision.fixed_sum integer
+    of their terms w * max(0, eta - residual) of W; and the key (residual,
+    p3, p1, p2) of the smallest residual, the first in `batch` order, or
+    None if `batch` is empty."""
+    counts, sums = [0] * len(etas), [0] * len(etas)
+    r, w = batch.residual, batch.weight
+    # the levels nest, so each filters the records of the one above it
+    for n in sorted(range(len(etas)), key=lambda n: -etas[n]):
+        inside = r <= etas[n]
+        r, w = r[inside], w[inside]
+        counts[n] = len(r)
+        sums[n] = fixed_sum(w * np.maximum(0.0, etas[n] - r))
+    if not len(batch):
+        return counts, sums, None
+    b = int(np.argmin(batch.residual))
+    return counts, sums, (float(batch.residual[b]), int(batch.p3[b]),
+                          int(batch.p1[b]), int(batch.p2[b]))
+
+
+def _add(*parts):
+    """`_reduce` results as one: counts and integers added, the smallest key
+    kept."""
+    counts, sums, keys = zip(*parts)
+    return ([sum(c) for c in zip(*counts)], [sum(s) for s in zip(*sums)],
+            min((key for key in keys if key is not None), default=None))
+
+
+def _share_sums(enum: Enumeration, share: int, shares: int,
+                etas: tuple[float, ...]):
+    """The `_reduce` result of share `share` of `shares` of `enum`, its
+    chunks joined and reduced CHUNK_RECORDS records at a time."""
+    sums = ([0] * len(etas), [0] * len(etas), None)
+    held, n_held = [], 0
+    for chunk in enum.chunks(share, shares):
+        if len(chunk):
+            held.append(chunk)
+            n_held += len(chunk)
+        if n_held >= CHUNK_RECORDS:
+            sums = _add(sums, _reduce(_join(held), etas))
+            held, n_held = [], 0
+    return _add(sums, _reduce(_join(held), etas))
 
 
 def weighted_count(solutions: Solutions, eta: float) -> float:
     """W = sum of weight * max(0, eta - residual) over the records with
     residual <= eta, summed exactly (precision.fixed_sum) and rounded once:
     the same bits in any record order, and those of level_sums."""
-    terms = _within(solutions.residual, solutions.weight, eta)[2]
-    return fixed_to_float(fixed_sum(terms))
+    return fixed_to_float(_reduce(solutions, (eta,))[1][0])
 
 
 @dataclass(frozen=True)
@@ -464,52 +506,6 @@ class LevelSums:
     sample: tuple[int, int, int] | None
 
 
-class _ShareSums:
-    """The exact partial sums of one share of `level_sums`: per-level counts
-    and fixed_sum integers, and its first smallest residual with its
-    triple."""
-
-    def __init__(self, etas: tuple[float, ...]):
-        self.etas = etas
-        self.counts = [0] * len(etas)
-        self.sums = [0] * len(etas)
-        self.best, self.sample = math.inf, None
-
-    def reduce(self, chunks: list[Solutions]) -> None:
-        res = np.concatenate([c.residual for c in chunks])
-        b = int(np.argmin(res))
-        if res[b] < self.best:  # strictly: an earlier chunk keeps a tie
-            self.best = float(res[b])
-            for c in chunks:
-                if b < len(c):
-                    self.sample = (int(c.p1[b]), int(c.p2[b]), int(c.p3[b]))
-                    break
-                b -= len(c)
-        # the levels nest, so each filters the records of the one above it
-        r, w = res, np.concatenate([c.weight for c in chunks])
-        etas = self.etas
-        for n in sorted(range(len(etas)), key=lambda n: -etas[n]):
-            r, w, terms = _within(r, w, etas[n])
-            self.counts[n] += len(terms)
-            self.sums[n] += fixed_sum(terms)
-
-    @classmethod
-    def of_share(cls, enum: Enumeration, share: int, shares: int,
-                 etas: tuple[float, ...]) -> "_ShareSums":
-        """The sums of one share, reduced CHUNK_RECORDS records at a time."""
-        acc, held, n_held = cls(etas), [], 0
-        for chunk in enum.chunks(share, shares):
-            if len(chunk):
-                held.append(chunk)
-                n_held += len(chunk)
-            if n_held >= CHUNK_RECORDS:
-                acc.reduce(held)
-                held, n_held = [], 0
-        if held:
-            acc.reduce(held)
-        return acc
-
-
 def level_sums(instance: ProblemInstance, X: float, etas,
                table: PrimeTable) -> LevelSums:
     """Per eta of `etas`, the count and `weighted_count` of the triples with
@@ -520,13 +516,13 @@ def level_sums(instance: ProblemInstance, X: float, etas,
 
     The enumeration's p3 rows are dealt round-robin to shares, one per
     CPU of the process's affinity mask (expsums.CPUS), run side by side
-    by expsums.in_parallel.  Each share reduces its chunks CHUNK_RECORDS
-    records at a time to counts, exact sums of W (precision.fixed_sum) and
-    its first smallest residual.  The merge adds the counts and the integers and
-    keeps the smallest residual, a tie going to the first triple in
-    (p3, p1, p2) order, so the values equal those of the whole enumeration
-    bit for bit, whatever the number of shares, while memory stays that of
-    the prime windows.
+    by expsums.in_parallel.  Each share joins its chunks CHUNK_RECORDS
+    records at a time and reduces each batch (`_reduce`).  Batches and
+    shares merge alike (`_add`): the counts and exact sums of W
+    (precision.fixed_sum) are added and the smallest key (residual, p3,
+    p1, p2) is kept.  So the values and the sample equal those of the
+    whole enumeration bit for bit, whatever the number of shares, while
+    memory stays that of the prime windows.
     """
     etas = tuple(float(e) for e in etas)
     if not etas:
@@ -549,18 +545,13 @@ def level_sums(instance: ProblemInstance, X: float, etas,
                     f"to eta * {top:.6g} over {triples} triples")
     enum = Enumeration(instance, X, max(etas), table)
     shares = max(1, min(expsums.CPUS, len(enum.rows)))
-    parts = expsums.in_parallel(*(
-        partial(_ShareSums.of_share, enum, s, shares, etas)
-        for s in range(shares)))
-    first = min((p for p in parts if p.sample is not None), default=None,
-                key=lambda p: (p.best, p.sample[2], p.sample[0], p.sample[1]))
-    levels = range(len(etas))
+    counts, sums, key = _add(*expsums.in_parallel(*(
+        partial(_share_sums, enum, s, shares, etas) for s in range(shares))))
     return LevelSums(
-        counts=tuple(sum(p.counts[n] for p in parts) for n in levels),
-        weighted=tuple(fixed_to_float(sum(p.sums[n] for p in parts))
-                       for n in levels),
-        min_residual=None if first is None else first.best,
-        sample=None if first is None else first.sample)
+        counts=tuple(counts),
+        weighted=tuple(fixed_to_float(s) for s in sums),
+        min_residual=None if key is None else key[0],
+        sample=None if key is None else (key[2], key[3], key[1]))
 
 
 def duality_tail_bound(instance: ProblemInstance, X: float, B: float,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -54,6 +55,63 @@ def test_suite_csv_deterministic(tmp_path, mini_suite):
     rerun = run_lemma_suite(MINI)
     write_suite_csv(p2, rerun)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _ratio_rows(*rows):
+    """CheckRows of one check from (X, ratio, status) triples."""
+    return [harness.CheckRow("c", X, 2.0, None, ratio, 1.0, ratio,
+                             status=status) for X, ratio, status in rows]
+
+
+def test_growth_rule():
+    rows = _ratio_rows((1000.0, 1.0, "PASS"), (2000.0, 2.0, "PASS"),
+                       (4000.0, 5.0, "PASS"))
+    harness._growth_status(rows)
+    # 2.0 is within 2000^0.1 = 2.14; 2.5 passes 4000^0.1 = 2.29
+    assert [r.growth for r in rows] == [None, 2.0, 2.5]
+    assert rows[1].allowed_growth == 2000.0**harness.GROWTH_SLACK_EXP
+    assert [r.status for r in rows] == ["PASS", "PASS", "FAIL"]
+    # a SKIP row ends the chain: the row after it has no growth to check
+    rows = _ratio_rows((1000.0, 1.0, "PASS"), (2000.0, math.nan, "SKIP"),
+                       (4000.0, 100.0, "PASS"))
+    harness._growth_status(rows)
+    assert [r.status for r in rows] == ["PASS", "SKIP", "PASS"]
+    assert rows[2].growth is None
+    # a non-finite ratio fails, and the row after it is not compared with it
+    rows = _ratio_rows((1000.0, 1.0, "PASS"), (2000.0, math.inf, "PASS"),
+                       (4000.0, 1.0, "PASS"))
+    harness._growth_status(rows)
+    assert [r.status for r in rows] == ["PASS", "FAIL", "PASS"]
+    assert rows[2].growth is None
+
+
+def test_trend_and_last_scale_rules():
+    rows = _ratio_rows((1e4, 1.0, "PASS"), (2e4, 1.0 + 1e-10, "PASS"),
+                       (4e4, 1.5, "PASS"))
+    harness._nonincreasing(rows)
+    assert [r.status for r in rows] == ["PASS", "PASS", "FAIL"]
+    assert rows[2].note == "envelope trend increased"
+    assert rows[2].growth == pytest.approx(1.5)
+    for last, status in ((0.99, "PASS"), (1.0, "FAIL"), (math.nan, "FAIL")):
+        rows = _ratio_rows((1000.0, 5.0, "PASS"), (2000.0, last, "PASS"))
+        harness._last_below_one(rows)
+        assert [r.status for r in rows] == ["PASS", status]
+        assert (rows[1].note == "intermediate contribution not below "
+                "main-term scale") == (status == "FAIL")
+    harness._last_below_one([])
+
+
+def test_suite_at_k_3_checks_the_intermediate_region(mini_suite):
+    # k >= 5/2 has an intermediate region: one row per X of its sweep
+    inst = ProblemInstance(1.0, math.sqrt(2.0), -1.0, 3.0, 0.0)
+    report = run_lemma_suite(dataclasses.replace(MINI, instance=inst))
+    rows = [r for r in report.rows if r.check == "intermediate_region"]
+    assert [r.X for r in rows] == list(MINI.x_values)
+    assert all(r.k == 3.0 and 0 < r.ratio < 1.0 and r.status == "PASS"
+               for r in rows)
+    assert report.coverage_complete
+    # k = 2 has none
+    assert not any(r.check == "intermediate_region" for r in mini_suite.rows)
 
 
 def test_error_rows_carry_registered_names():
@@ -632,3 +690,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, monkeypatch):
         assert res.returncode == 2, res.stderr
         assert res.stderr == ("error: window edge X^(1/k) = 1e+300^(1/0.5) "
                               "passes float64\n")
+    # a sieve limit past 2^32, refused before the sieve allocates
+    res = _cli(["sieve", "--limit", "20000000000"], tmp_path, timeout=10)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "error: sieve limit must be <= 2^32, got 20000000000\n"

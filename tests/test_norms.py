@@ -82,6 +82,22 @@ def test_quadruples_boundary_integers():
         assert count_quadruples(2, 2.0, gamma) == quadruple_oracle(2, 2.0, gamma)
 
 
+@pytest.mark.parametrize("N, k", [(6, 1.5), (8, 1.5), (5, 2.5), (8, 2.5)])
+def test_quadruples_float_boundary_shells(N, k):
+    # gamma equal to a pair-sum difference puts a partner exactly on the
+    # window edge, inside the boundary shell of the float path, where
+    # strict < must exclude it.  The differences of two sums within a
+    # factor 2 of each other are exact in float64 (Sterbenz)
+    vals = norms._power_values(N, k)
+    sums = np.unique((vals[:, None] + vals[None, :]).ravel())
+    d = sums[None, :] - sums[:, None]
+    exact = (d > 0) & (sums[None, :] <= 2.0 * sums[:, None])
+    gammas = np.unique(d[exact])
+    rng = np.random.default_rng(int(N * k))
+    for gamma in rng.choice(gammas, size=10, replace=False).tolist():
+        assert count_quadruples(N, k, gamma) == quadruple_oracle(N, k, gamma)
+
+
 def test_quadruples_swap_symmetry():
     # swapping the (n1,n2) and (n3,n4) roles leaves the count fixed; recount
     # with the sum array reversed
@@ -404,6 +420,23 @@ def test_gap_l2_bound_sweep(table_1e6):
         ratios.append(rep.ratio)
     assert max(ratios) < 1.0
     assert max(ratios) / min(ratios) < 4.0
+
+
+@pytest.mark.parametrize("X, k", [(1000.0, 2.0), (4000.0, 2.0),
+                                  (2000.0, 1.5)])
+def test_gap_l2_trapezoid_fallback(table_1e6, monkeypatch, X, k):
+    # past MAX_GRID_VALUES pairs the integral falls back to the trapezoid,
+    # which stays near the exact pair sum (1.2e-6 relative at X = 1000)
+    rng = SumRange(k, 0.1, X)
+    exact = exp_sum_gap_l2(0.1, rng, table_1e6).value
+    calls = []
+    real = norms.trapezoid
+    monkeypatch.setattr(norms, "MAX_GRID_VALUES", 16)
+    monkeypatch.setattr(norms, "trapezoid",
+                        lambda *a: calls.append(a) or real(*a))
+    assert exp_sum_gap_l2(0.1, rng, table_1e6).value == pytest.approx(
+        exact, rel=1e-5)
+    assert len(calls) == 1
 
 
 def test_gap_l2_domain(table_1e6):

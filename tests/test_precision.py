@@ -116,6 +116,21 @@ def test_pow_dyadic_against_60_digit_powers(ns, k):
             assert pow_mp(n, k) == a**m
 
 
+def test_pow_at_k_6_5_against_60_digit_powers():
+    # k = 6/5, the branch point of psi, is not dyadic: one mp.power per
+    # base at the package's 50 digits, hi correctly rounded and hi + lo
+    # far inside 1e-30 relative
+    ns = [1, 2, 3, 97, 10**5, 999983, 2**40 + 1, 2**45 - 55]
+    hi, lo = pow_dd(np.array(ns, dtype=np.int64), 1.2)
+    for n, h, l in zip(ns, hi.tolist(), lo.tolist()):
+        y = pow_mp(n, 1.2)
+        with mp.workdps(60):
+            x = mp.power(n, mp.mpf(1.2))
+            assert h == float(x), n
+            assert abs(mp.mpf(h) + l - x) <= 1e-30 * x, n
+            assert abs(y - x) <= mp.mpf(2) ** -160 * x, n
+
+
 @settings(max_examples=15, deadline=None)
 @given(a=st.integers(1553, 4000), below=st.integers(1, 60),
        above=st.integers(1, 250))

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from dhlab import primes
 from dhlab.errors import DomainError, EmptyDomainError, InsufficientTableError
 from dhlab.primes import (SumRange, _in_window, integers_in_range,
                           primes_in_range, sieve, theta, theta_many)
@@ -49,6 +51,25 @@ def test_sieve_small():
     assert list(sieve(2).primes) == [2]
     with pytest.raises(EmptyDomainError):
         sieve(1)
+
+
+def test_sieve_refuses_limits_past_2_32(monkeypatch):
+    # pi(2e10) int64 primes would take 7 GB and some 76k segments: limits
+    # past 2^32 are refused before anything is allocated
+    for limit in ((1 << 32) + 1, 2 * 10**10, 10**30):
+        with pytest.raises(DomainError, match=r"sieve limit must be <= 2\^32"):
+            sieve(limit)
+
+    # 2^32 itself goes on to the sieve
+    class Sieving(Exception):
+        pass
+
+    def sieving(n):
+        raise Sieving
+
+    monkeypatch.setattr(primes, "math", SimpleNamespace(isqrt=sieving))
+    with pytest.raises(Sieving):
+        sieve(1 << 32)
 
 
 def test_sieve_pi_1e6(table_1e6):

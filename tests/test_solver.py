@@ -88,6 +88,18 @@ def test_enumeration_brute_force_random_instances(table_1e6):
             assert s.weight == pytest.approx(w, rel=1e-12)
 
 
+def test_enumeration_matches_brute_force_at_k_6_5(table_1e6):
+    # k = 6/5, the branch point of psi, is not dyadic: each l3 p3^k is one
+    # 50-digit mp.power (pow_mp), and every record matches the oracle
+    inst = ProblemInstance(1.0, 1.0, -1.0, 1.2, 0.0)
+    sols = enumerate_solutions(inst, 300.0, 0.25, table_1e6)
+    brute = _by_output_order(brute_force_solutions(inst, 300.0, 0.25,
+                                                   table_1e6))
+    assert len(sols) == 32
+    assert [(s.triple, s.residual, s.weight, s.boundary) for s in sols] == [
+        (t, r, w, b) for t, r, w, b in brute]
+
+
 def test_enumeration_empty_below_min_residual(table_1e6):
     brute = brute_force_solutions(INST, 40.0, 10.0, table_1e6)
     nonzero = [r for _, r, *_ in brute if r > 0]
